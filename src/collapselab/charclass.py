@@ -67,20 +67,20 @@ def densities_at(frame: CurvatureFrame) -> CharDensities:
     return CharDensities(gb, sig, restricted)
 
 
-def product_surface_frame(k1: float, k2: float, sec_samples: int = 512) -> CurvatureFrame:
+def product_surface_frame(k1: float, k2: float) -> CurvatureFrame:
     """Curvature frame of a product of two surfaces with Gauss curvatures
     k1 and k2; the only nonzero sectional curvatures are within the factors."""
     riem = np.zeros((4, 4, 4, 4))
     for (a, b), k in (((0, 1), k1), ((2, 3), k2)):
         riem[a, b, b, a] = riem[b, a, a, b] = k
         riem[a, b, a, b] = riem[b, a, b, a] = -k
-    return frame_from_riemann(riem, orientation=FRAME_ORIENTATION, sec_samples=sec_samples)
+    return frame_from_riemann(riem, orientation=FRAME_ORIENTATION)
 
 
 def _radial_density(metric: RadialMetric, r: float) -> tuple[CharDensities, float, CurvatureFrame]:
     from .radial import curvature_at
 
-    frame = curvature_at(metric, r, sec_samples=0)
+    frame = curvature_at(metric, r)
     f, a, b, c = metric.profile.at(r)
     weight = metric.link.link_volume * f.value * a.value * b.value * c.value
     return densities_at(frame), weight, frame
@@ -130,7 +130,7 @@ def integrate_characteristics(
 def _weyl_weight(metric: RadialMetric, r: float) -> tuple[float, float]:
     from .radial import curvature_at
 
-    frame = curvature_at(metric, r, sec_samples=0)
+    frame = curvature_at(metric, r)
     f, a, b, c = metric.profile.at(r)
     w = metric.link.link_volume * f.value * a.value * b.value * c.value
     return frame.w_plus_norm2 * w, frame.w_minus_norm2 * w

@@ -51,6 +51,13 @@ class ExperimentConfig:
                     f" (allowed: {', '.join(sorted(allowed))})"
                 )
         merged = dict(_DEFAULTS[self.experiment])
+        for key, value in self.parameters.items():
+            default = merged[key]
+            want, got = type(default), type(value)
+            if default is not None and got is not want and (want, got) != (float, int):
+                raise ValueError(
+                    f"parameter '{key}' must be {want.__name__}, got {value!r}"
+                )
         merged.update(self.parameters)
         self.parameters = merged
 
@@ -145,7 +152,7 @@ def _run_curvature(params: dict, seed: int):
     sup_ric = sup_s = 0.0
     ricci_at_2 = None
     for r in radii:
-        fr = curvature_at(metric, r, sec_samples=0)
+        fr = curvature_at(metric, r)
         rows.append(
             f"{r:.12e},{fr.scalar:.12e},{fr.sup_ricci:.12e},"
             f"{fr.riemann_norm2:.12e},{fr.w_plus_norm2:.12e},{fr.w_minus_norm2:.12e}"
@@ -153,7 +160,7 @@ def _run_curvature(params: dict, seed: int):
         sup_ric = max(sup_ric, fr.sup_ricci)
         sup_s = max(sup_s, abs(fr.scalar))
     if lo < 2.0 < hi:
-        ricci_at_2 = curvature_at(metric, 2.0, sec_samples=0).sup_ricci
+        ricci_at_2 = curvature_at(metric, 2.0).sup_ricci
     results = {
         "preset": preset.value,
         "sup_ricci": sup_ric,

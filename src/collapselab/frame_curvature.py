@@ -16,7 +16,8 @@ is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +34,8 @@ class CurvatureFrame:
     ``riemann`` is the curvature operator on 2-forms (6x6 symmetric for
     n = 4, k x k in general with k = n(n-1)/2); ``riemann4`` keeps the full
     (n,n,n,n) tensor R(E_a,E_b,E_c,E_d) = <R(E_a,E_b)E_c, E_d> for oracles
-    and sectional-curvature sampling.  W+/W- norms use the operator
-    (Frobenius) normalisation that makes
+    and for ``sec_min`` / ``sec_max``, which are derived from it on first
+    access.  W+/W- norms use the operator (Frobenius) normalisation that makes
 
         2*chi + 3*tau = (1/4pi^2) int [2|W+|^2 + s^2/24 - |ric0|^2/2] dmu
 
@@ -48,9 +49,21 @@ class CurvatureFrame:
     w_plus_norm2: float
     w_minus_norm2: float
     ricci_traceless_norm2: float
-    sec_min: float
-    sec_max: float
     dim: int = 4
+
+    @functools.cached_property
+    def _sectional_extremes(self) -> tuple[float, float]:
+        return sectional_extremes(self.riemann4)
+
+    @property
+    def sec_min(self) -> float:
+        """Least sectional curvature (see ``sectional_extremes``)."""
+        return self._sectional_extremes[0]
+
+    @property
+    def sec_max(self) -> float:
+        """Greatest sectional curvature (see ``sectional_extremes``)."""
+        return self._sectional_extremes[1]
 
     @property
     def ricci_norm2(self) -> float:
@@ -102,15 +115,16 @@ def riemann_tensor(
     return riem
 
 
+def _pair_operator(riem: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op[p, q] = R(E_a[p], E_b[p], E_b[q], E_a[q]) over the pairs (a[p], b[p])."""
+    return riem[a[:, None], b[:, None], b[None, :], a[None, :]]
+
+
 def curvature_operator(riem: np.ndarray) -> np.ndarray:
     """Curvature operator on 2-forms; diagonal entries are the sectional
     curvatures of the frame planes (n = 4 only)."""
-    k = len(PAIR_BASIS)
-    op = np.empty((k, k))
-    for p, (a, b) in enumerate(PAIR_BASIS):
-        for q, (c, d) in enumerate(PAIR_BASIS):
-            op[p, q] = riem[a, b, d, c]
-    return op
+    a, b = np.array(PAIR_BASIS).T
+    return _pair_operator(riem, a, b)
 
 
 def weyl_blocks(op: np.ndarray, scalar: float, orientation: int = 1):
@@ -129,50 +143,42 @@ def weyl_blocks(op: np.ndarray, scalar: float, orientation: int = 1):
     return w_plus, w_minus
 
 
-def sectional_extremes(
-    riem: np.ndarray,
-    n_random: int = 512,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Extremes of sectional curvature over sampled 2-planes.
+def _thorpe_min(op: np.ndarray) -> float:
+    """max_t lambda_min(op + t*) over |t| <= 2 ||op||_2, by bisection on the
+    sign of <*v, v> at the lowest eigenvector v (docs/conventions.md)."""
+    star = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(3))
+    hi = 2.0 * float(np.linalg.norm(op, 2))
+    lo, best = -hi, -np.inf
+    for _ in range(64):
+        t = 0.5 * (lo + hi)
+        lam, vec = np.linalg.eigh(op + t * star)
+        best = max(best, float(lam[0]))
+        v = vec[:, 0]
+        if v @ star @ v >= 0.0:
+            lo = t
+        else:
+            hi = t
+    return best
 
-    Samples the frame planes, single-angle mixed planes, and a batch of
-    quasi-random orthonormal pairs; adequate for the diagonal metrics used
-    here (see docs/conventions.md for the mixed-plane reduction).
+
+def sectional_extremes(riem: np.ndarray) -> tuple[float, float]:
+    """Extremes of sectional curvature over all 2-planes.
+
+    Exact for n = 4 (Thorpe's duality) and n <= 3 (eigenvalues of the
+    curvature operator); for n >= 5 the frame-plane extremes, an inner
+    bound.  See docs/conventions.md.
     """
     n = riem.shape[0]
-    planes_u, planes_v = [], []
-    for a in range(n):
-        for b in range(a + 1, n):
-            u = np.zeros(n)
-            v = np.zeros(n)
-            u[a], v[b] = 1.0, 1.0
-            planes_u.append(u)
-            planes_v.append(v)
-    # mixed planes: rotate one leg of a frame plane into a third direction
-    thetas = np.linspace(0.0, np.pi, 17)[:-1]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if len({a, b, c}) < 3 or b > c:
-                    continue
-                for th in thetas:
-                    u = np.zeros(n)
-                    v = np.zeros(n)
-                    u[a] = 1.0
-                    v[b], v[c] = np.cos(th), np.sin(th)
-                    planes_u.append(u)
-                    planes_v.append(v)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    u = rng.standard_normal((n_random, n))
-    v = rng.standard_normal((n_random, n))
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    v -= np.einsum("ij,ij->i", u, v)[:, None] * u
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    planes_u = np.vstack([np.asarray(planes_u), u])
-    planes_v = np.vstack([np.asarray(planes_v), v])
-    secs = np.einsum("abcd,pa,pb,pc,pd->p", riem, planes_u, planes_v, planes_v, planes_u)
+    if n == 4:
+        op = curvature_operator(riem)
+        op = 0.5 * (op + op.T)
+        return _thorpe_min(op), -_thorpe_min(-op)
+    a, b = np.triu_indices(n, 1)
+    if n <= 3:
+        op = _pair_operator(riem, a, b)
+        lam = np.linalg.eigvalsh(0.5 * (op + op.T))
+        return float(lam[0]), float(lam[-1])
+    secs = riem[a, b, b, a]
     return float(secs.min()), float(secs.max())
 
 
@@ -181,16 +187,13 @@ def frame_curvature(
     struct_d1: np.ndarray | None = None,
     e0_scale: float = 1.0,
     orientation: int = 1,
-    sec_samples: int = 512,
 ) -> CurvatureFrame:
     """Assemble a CurvatureFrame from frame structure functions."""
     riem = riemann_tensor(struct, struct_d1, e0_scale)
-    return frame_from_riemann(riem, orientation=orientation, sec_samples=sec_samples)
+    return frame_from_riemann(riem, orientation=orientation)
 
 
-def frame_from_riemann(
-    riem: np.ndarray, orientation: int = 1, sec_samples: int = 512
-) -> CurvatureFrame:
+def frame_from_riemann(riem: np.ndarray, orientation: int = 1) -> CurvatureFrame:
     """Assemble a CurvatureFrame from a full orthonormal-frame Riemann tensor."""
     n = riem.shape[0]
     # Ric(Y,Z) = sum_a <R(E_a, Y) Z, E_a>
@@ -206,7 +209,6 @@ def frame_from_riemann(
         op = np.zeros((k, k))
         wp2 = wm2 = 0.0
     ric0 = ricci - (scalar / n) * np.eye(n)
-    sec_min, sec_max = sectional_extremes(riem, n_random=sec_samples)
     return CurvatureFrame(
         riemann=op,
         riemann4=riem,
@@ -215,7 +217,5 @@ def frame_from_riemann(
         w_plus_norm2=wp2,
         w_minus_norm2=wm2,
         ricci_traceless_norm2=float(np.sum(ric0 * ric0)),
-        sec_min=sec_min,
-        sec_max=sec_max,
         dim=n,
     )

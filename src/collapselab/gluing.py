@@ -44,7 +44,7 @@ class Chart:
     def __post_init__(self):
         if self.volume <= 0.0:
             raise ValueError(f"{self.kind.value} chart has non-positive volume")
-        if not (math.isfinite(self.volume) and math.isfinite(self.sup_scalar)):
+        if not all(map(math.isfinite, (self.volume, self.sup_ricci, self.sup_scalar))):
             raise ValueError("chart data must be finite")
         if self.kind in (ChartKind.FLAT_BLOCK, ChartKind.CYLINDER_NECK):
             if self.sup_ricci != 0.0 or self.sup_scalar != 0.0:
@@ -119,7 +119,7 @@ def torus_systole(gram: np.ndarray) -> float:
     return math.sqrt(best)
 
 
-def half_lattice_points(gram: np.ndarray) -> list[np.ndarray]:
+def half_lattice_points() -> list[np.ndarray]:
     """The four 2-torsion points of the torus, in lattice coordinates."""
     return [np.array([x, y]) for x in (0.0, 0.5) for y in (0.0, 0.5)]
 
@@ -144,7 +144,7 @@ def _burns_core_sup_ricci(samples: int = 200) -> float:
     from .radial import FULL_SPHERE, RadialMetric, burns_profile
 
     metric = RadialMetric(burns_profile(), FULL_SPHERE)
-    return sup_norms(metric, samples, r_hi=50.0, sec_samples=16).sup_ricci
+    return sup_norms(metric, samples, r_hi=50.0).sup_ricci
 
 
 @functools.lru_cache(maxsize=256)
@@ -162,7 +162,7 @@ def _cap_certificate(base_name: str, eps: float, samples: int = 120):
     base = BaseInstanton(base_name)
     fam = CutoffFamily(base, eps)
     metric = modified_metric(fam)
-    sn = sup_norms(metric, samples, r_lo=eps, r_hi=3.0 * eps, sec_samples=32)
+    sn = sup_norms(metric, samples, r_lo=eps, r_hi=3.0 * eps)
     sup_ric, sup_s = sn.sup_ricci, sn.sup_scalar
     if base is BaseInstanton.BURNS:
         sup_ric = max(sup_ric, _burns_core_sup_ricci() / eps**6)
@@ -236,7 +236,7 @@ def _check_caps_disjoint(fiber_gram: np.ndarray, t: float, eps: float) -> None:
     """The 2*eps balls about the 8 singular points must not overlap."""
     pts = []
     for theta in (0.0, math.pi):
-        for y in half_lattice_points(fiber_gram):
+        for y in half_lattice_points():
             pts.append((theta, y))
     gram_t = fiber_gram / t
     for i in range(len(pts)):

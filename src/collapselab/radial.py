@@ -245,28 +245,20 @@ def _structure_functions(metric: RadialMetric, r: float):
     return struct, struct_d1, 1.0 / f.value
 
 
-def curvature_at(metric: RadialMetric, r: float, sec_samples: int = 512) -> CurvatureFrame:
+def curvature_at(metric: RadialMetric, r: float) -> CurvatureFrame:
     """Curvature data at radius r in the orthonormal frame (f dr, a s1, b s2, c s3)."""
     if not (metric.r_min < r < metric.r_max) and not (
         math.isinf(metric.r_max) and r > metric.r_min
     ):
         raise ValueError(f"r={r} outside domain ({metric.r_min}, {metric.r_max})")
     struct, struct_d1, e0_scale = _structure_functions(metric, r)
-    return frame_curvature(
-        struct,
-        struct_d1,
-        e0_scale,
-        orientation=FRAME_ORIENTATION,
-        sec_samples=sec_samples,
-    )
+    return frame_curvature(struct, struct_d1, e0_scale, orientation=FRAME_ORIENTATION)
 
 
 @dataclass(frozen=True)
 class CurvatureSupNorms:
     sup_ricci: float
     sup_scalar: float
-    sup_sec: float
-    sup_riemann: float
 
 
 def _vdc(k: int) -> float:
@@ -296,7 +288,6 @@ def sup_norms(
     samples: int,
     r_lo: float | None = None,
     r_hi: float | None = None,
-    sec_samples: int = 128,
 ) -> CurvatureSupNorms:
     """Suprema of frame-component curvature norms over a nested radial grid."""
     lo = metric.r_min if r_lo is None else r_lo
@@ -304,14 +295,12 @@ def sup_norms(
     if hi is None:
         hi = metric.r_max if math.isfinite(metric.r_max) else 20.0 * max(lo, 1.0)
     hi = min(hi, metric.r_max)
-    sup_ric = sup_s = sup_sec = sup_rm = 0.0
+    sup_ric = sup_s = 0.0
     for r in sample_grid(lo * (1.0 + 1e-9), hi, samples):
-        fr = curvature_at(metric, float(r), sec_samples=sec_samples)
+        fr = curvature_at(metric, float(r))
         sup_ric = max(sup_ric, fr.sup_ricci)
         sup_s = max(sup_s, abs(fr.scalar))
-        sup_sec = max(sup_sec, abs(fr.sec_min), abs(fr.sec_max))
-        sup_rm = max(sup_rm, float(np.max(np.abs(fr.riemann4))))
-    return CurvatureSupNorms(sup_ric, sup_s, sup_sec, sup_rm)
+    return CurvatureSupNorms(sup_ric, sup_s)
 
 
 def volume(
@@ -322,7 +311,8 @@ def volume(
 ) -> float:
     """int f a b c dr over [r_lo, r_hi], times the link volume.
 
-    Adaptive Gauss-Kronrod quadrature with absolute tolerance ``tol``.
+    Adaptive Gauss-Kronrod quadrature with absolute tolerance ``tol``;
+    raises if its error estimate exceeds max(tol, 1e-12 |value|).
     """
     if not (metric.r_min <= r_lo < r_hi):
         raise ValueError("inverted or out-of-domain radial range")
@@ -333,5 +323,7 @@ def volume(
         f, a, b, c = metric.profile.at(r)
         return f.value * a.value * b.value * c.value
 
-    val, _ = quad(density, r_lo, r_hi, epsabs=tol, epsrel=1e-12, limit=400)
+    val, err = quad(density, r_lo, r_hi, epsabs=tol, epsrel=1e-12, limit=400)
+    if not err <= max(tol, 1e-12 * abs(val)):
+        raise RuntimeError(f"volume quadrature did not converge (error {err:.3g})")
     return metric.link.link_volume * val

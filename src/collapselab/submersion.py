@@ -78,7 +78,6 @@ def homogeneous_curvature(
     sc: StructureConstants,
     metric_diag: Sequence[float],
     orientation: int = 1,
-    sec_samples: int = 512,
 ) -> CurvatureFrame:
     """Curvature of the left-invariant metric diag(metric_diag) on the group
     with structure constants sc, in the orthonormal frame X_i / sqrt(d_i)."""
@@ -89,7 +88,7 @@ def homogeneous_curvature(
         raise ValueError("metric_diag must be positive")
     rt = np.sqrt(d)
     struct = sc.c * rt[None, None, :] / (rt[:, None, None] * rt[None, :, None])
-    return frame_curvature(struct, None, orientation=orientation, sec_samples=sec_samples)
+    return frame_curvature(struct, None, orientation=orientation)
 
 
 # --------------------------------------------------------------------------
@@ -236,11 +235,10 @@ def oneill_at(metric: SubmersionMetric, point=(0.1, 0.2)) -> ONeillCurvatures:
     )
 
 
-def nilmanifold_frame(t: float = 1.0, sec_samples: int = 512) -> CurvatureFrame:
+def nilmanifold_frame(t: float = 1.0) -> CurvatureFrame:
     """Full curvature of the Heisenberg x R collapse metric diag(1,1,1/t,1/t)
     via the left-invariant engine (independent of the O'Neill formulas)."""
-    return homogeneous_curvature(heisenberg_r(), [1.0, 1.0, 1.0 / t, 1.0 / t],
-                                 sec_samples=sec_samples)
+    return homogeneous_curvature(heisenberg_r(), [1.0, 1.0, 1.0 / t, 1.0 / t])
 
 
 def gauss_bonnet_volume_bound(sec_bound: float, vol: float) -> float:

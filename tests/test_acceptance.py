@@ -51,7 +51,7 @@ def test_criterion_01_eguchi_hanson_ricci_flat():
         metric = make_metric(Preset.EGUCHI_HANSON, A=a_param)
         lo = a_param ** 0.25 * (1.0 + 1e-3)
         for r in sample_grid(lo, 20.0, 500):
-            worst = max(worst, curvature_at(metric, r, sec_samples=0).sup_ricci)
+            worst = max(worst, curvature_at(metric, r).sup_ricci)
     _check(1, "Eguchi-Hanson Ricci-flat over 500 radii, A in {0.5, 1, 2}",
            worst < 1e-9, f"sup |Ric| = {worst:.2e}")
 
@@ -59,9 +59,9 @@ def test_criterion_01_eguchi_hanson_ricci_flat():
 def test_criterion_02_burns_scalar_flat_not_einstein():
     metric = make_metric(Preset.BURNS)
     lo = metric.r_min * (1.0 + 1e-3)
-    sup_s = max(abs(curvature_at(metric, r, sec_samples=0).scalar)
+    sup_s = max(abs(curvature_at(metric, r).scalar)
                 for r in sample_grid(lo, 20.0, 500))
-    ric2 = curvature_at(metric, 2.0, sec_samples=0).sup_ricci
+    ric2 = curvature_at(metric, 2.0).sup_ricci
     _check(2, "Burns scalar-flat over 500 radii but not Einstein",
            sup_s < 1e-9 and ric2 > 1e-3,
            f"sup |s| = {sup_s:.2e}, |Ric|(r=2) = {ric2:.2e}")

@@ -31,6 +31,15 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_mistyped_parameter_exits_2(tmp_path, capsys):
+    assert main(["curvature", "--out", str(tmp_path), "samples=abc"]) == 2
+    assert "samples" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="must be int"):
+        ExperimentConfig("yamabe", {"n": 20.5})
+    # an int is a valid float; a None default accepts anything
+    assert ExperimentConfig("curvature", {"a": 2, "r_lo": 0.5}).parameters["a"] == 2
+
+
 def test_bad_override_syntax_exits_2(tmp_path, capsys):
     assert main(["classify", "--out", str(tmp_path), "justaword"]) == 2
     assert "key=value" in capsys.readouterr().err

@@ -43,10 +43,10 @@ def test_modified_metric_interpolates():
     eps = 0.25
     fam = CutoffFamily(BaseInstanton.EGUCHI_HANSON, eps)
     metric = modified_metric(fam)
-    inner = curvature_at(metric, 0.5 * eps, sec_samples=0)
+    inner = curvature_at(metric, 0.5 * eps)
     assert inner.sup_ricci < 1e-9  # still Eguchi-Hanson there
     assert inner.riemann_norm2 > 1.0
-    outer = curvature_at(metric, 3.0 * eps, sec_samples=0)
+    outer = curvature_at(metric, 3.0 * eps)
     assert outer.riemann_norm2 < 1e-20
 
 

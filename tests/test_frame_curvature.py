@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapselab.frame_curvature import (
     PAIR_BASIS,
@@ -11,6 +13,7 @@ from collapselab.frame_curvature import (
     frame_curvature,
     frame_from_riemann,
     levi_civita_coefficients,
+    riemann_tensor,
 )
 from collapselab.submersion import homogeneous_curvature, su2, su2_su2
 
@@ -67,7 +70,7 @@ def test_norm_decomposition_identity():
     """|Rm|^2 = 4 |W|_F^2 + 2 |ric0|^2 + s^2 / 6 for the dim-4 norms used."""
     from collapselab.radial import Preset, curvature_at, make_metric
 
-    frames = [curvature_at(make_metric(p), r, sec_samples=0)
+    frames = [curvature_at(make_metric(p), r)
               for p in (Preset.EGUCHI_HANSON, Preset.BURNS, Preset.ROUND)
               for r in (1.4, 2.3)]
     for fr in frames:
@@ -90,3 +93,41 @@ def test_scaling_law():
     fr4 = homogeneous_curvature(su2(), 4.0 * np.ones(3))
     assert fr4.scalar == pytest.approx(fr1.scalar / 4.0)
     assert fr4.sec_max == pytest.approx(fr1.sec_max / 4.0, abs=1e-12)
+
+
+def test_burns_sectional_extremes_are_exact():
+    """At Burns r = 2 the least curvature -1/12 is off the frame planes
+    (whose least value is -1/16)."""
+    from collapselab.radial import Preset, curvature_at, make_metric
+
+    fr = curvature_at(make_metric(Preset.BURNS), 2.0)
+    assert fr.sec_min == pytest.approx(-1.0 / 12.0, abs=1e-12)
+    assert fr.sec_max == pytest.approx(0.25, abs=1e-12)
+
+
+def _random_plane_curvatures(riem, count):
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((count, 4))
+    v = rng.standard_normal((count, 4))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    v -= np.einsum("ij,ij->i", u, v)[:, None] * u
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return np.einsum("abcd,pa,pb,pc,pd->p", riem, u, v, v, u, optimize=True)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=24, max_size=24))
+def test_sectional_extremes_bound_random_planes(coeffs):
+    """Exact extremes enclose 100k random planes, which come close to them."""
+    struct = np.zeros((4, 4, 4))
+    a, b = np.triu_indices(4, 1)
+    struct[a, b, :] = np.reshape(coeffs, (6, 4))
+    struct[b, a, :] = -struct[a, b, :]
+    riem = riemann_tensor(struct)
+    fr = frame_from_riemann(riem)
+    secs = _random_plane_curvatures(riem, 100_000)
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(riem)))
+    assert fr.sec_min - tol <= secs.min() and secs.max() <= fr.sec_max + tol
+    width = fr.sec_max - fr.sec_min
+    assert secs.min() - fr.sec_min <= 0.05 * width + tol
+    assert fr.sec_max - secs.max() <= 0.05 * width + tol

@@ -47,6 +47,11 @@ def test_flat_chart_must_be_flat():
         Chart(ChartKind.FLAT_BLOCK, 1.0, 0.1, 0.0)
 
 
+def test_chart_requires_finite_sup_ricci():
+    with pytest.raises(ValueError, match="finite"):
+        Chart(ChartKind.EH_CAP, 1.0, math.nan, 0.0, epsilon=0.1)
+
+
 def test_cap_charts_certify_small_scalar():
     cap = eh_cap(0.125)
     assert cap.volume > 0.0

@@ -24,7 +24,7 @@ from oracles import radial_invariants_fd, radial_metric_components
 def test_eguchi_hanson_is_ricci_flat(A):
     metric = make_metric(Preset.EGUCHI_HANSON, A=A)
     for r in sample_grid(metric.r_min, 20.0, 100):
-        fr = curvature_at(metric, r, sec_samples=0)
+        fr = curvature_at(metric, r)
         assert fr.sup_ricci < 1e-9
         assert fr.riemann_norm2 > 0.0  # flat would be a wrong implementation
 
@@ -32,26 +32,26 @@ def test_eguchi_hanson_is_ricci_flat(A):
 def test_burns_is_scalar_flat_but_not_einstein():
     metric = make_metric(Preset.BURNS)
     for r in sample_grid(metric.r_min, 20.0, 100):
-        fr = curvature_at(metric, r, sec_samples=0)
+        fr = curvature_at(metric, r)
         assert abs(fr.scalar) < 1e-9
-    assert curvature_at(metric, 2.0, sec_samples=0).sup_ricci > 1e-3
+    assert curvature_at(metric, 2.0).sup_ricci > 1e-3
 
 
 def test_round_sphere_curvature():
     metric = make_metric(Preset.ROUND, radius=1.0)
-    fr = curvature_at(metric, 1.0, sec_samples=64)
+    fr = curvature_at(metric, 1.0)
     assert fr.scalar == pytest.approx(12.0, abs=1e-10)
     assert fr.sec_min == pytest.approx(1.0, abs=1e-8)
     assert fr.sec_max == pytest.approx(1.0, abs=1e-8)
     assert fr.w_plus_norm2 < 1e-20 and fr.w_minus_norm2 < 1e-20
     big = make_metric(Preset.ROUND, radius=2.0)
-    assert curvature_at(big, 2.0, sec_samples=0).scalar == pytest.approx(3.0)
+    assert curvature_at(big, 2.0).scalar == pytest.approx(3.0)
 
 
 def test_flat_cone_is_flat():
     metric = make_metric(Preset.FLAT)
     for r in (0.3, 1.0, 7.7):
-        fr = curvature_at(metric, r, sec_samples=0)
+        fr = curvature_at(metric, r)
         assert fr.riemann_norm2 < 1e-22
 
 
@@ -64,7 +64,7 @@ def test_engine_matches_coordinate_oracle(preset, r):
     """Scalar, Ricci eigenvalues and |Rm|^2 agree with a finite-difference
     Christoffel computation in Euler-angle coordinates at order >= 1.8."""
     metric = make_metric(preset)
-    fr = curvature_at(metric, r, sec_samples=0)
+    fr = curvature_at(metric, r)
     eng_eigs = np.sort(np.linalg.eigvalsh(fr.ricci))
     errs = []
     for h in (2e-2, 1e-2):
@@ -89,7 +89,7 @@ def test_instantons_are_anti_self_dual():
     for preset in (Preset.EGUCHI_HANSON, Preset.BURNS):
         metric = make_metric(preset)
         for r in (1.3, 2.0, 5.0):
-            fr = curvature_at(metric, r, sec_samples=0)
+            fr = curvature_at(metric, r)
             assert fr.w_plus_norm2 < 1e-20
             assert fr.w_minus_norm2 > 1e-8
 
@@ -98,8 +98,8 @@ def test_homothety_scaling():
     metric = make_metric(Preset.EGUCHI_HANSON)
     scaled = metric.scaled(4.0)
     # same coordinate r, metric multiplied by 4: curvature scales by 1/4
-    fr = curvature_at(metric, 2.0, sec_samples=0)
-    fs = curvature_at(scaled, 2.0, sec_samples=0)
+    fr = curvature_at(metric, 2.0)
+    fs = curvature_at(scaled, 2.0)
     assert fs.riemann_norm2 == pytest.approx(fr.riemann_norm2 / 16.0, rel=1e-10)
     assert fs.scalar == pytest.approx(fr.scalar / 4.0, abs=1e-12)
 
@@ -112,7 +112,7 @@ def test_domain_guard():
 
 def test_sup_norms_monotone_in_samples():
     metric = make_metric(Preset.BURNS)
-    sups = [sup_norms(metric, n, r_hi=10.0, sec_samples=8).sup_ricci
+    sups = [sup_norms(metric, n, r_hi=10.0).sup_ricci
             for n in (25, 50, 100)]
     assert sups[0] <= sups[1] <= sups[2]  # nested grids only add points
 
@@ -124,6 +124,14 @@ def test_volume_against_closed_forms():
     # round 4-sphere: total volume 8 pi^2 / 3
     s4 = make_metric(Preset.ROUND)
     assert volume(s4, 1e-9, math.pi - 1e-9) == pytest.approx(8.0 * math.pi**2 / 3.0, rel=1e-8)
+
+
+def test_volume_rejects_unconverged_quadrature(monkeypatch):
+    import collapselab.radial as radial
+
+    monkeypatch.setattr(radial, "quad", lambda *args, **kwargs: (1.0, 1e-3))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        volume(make_metric(Preset.FLAT), 1e-9, 2.0)
 
 
 def test_link_quotient_volumes():
