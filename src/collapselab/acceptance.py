@@ -1,0 +1,205 @@
+"""The acceptance registry: the only home of the 13 criteria's predicates and
+tolerances, evaluated by ``collapselab report`` and tests/test_acceptance.py.
+
+Each criterion declares the (experiment, overrides) runs that produce its
+evidence and a predicate over run summaries (the ``<slug>.json`` files of
+``collapselab.cli.run``) that judges every matching summary; missing
+summaries make it SKIPPED.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+__all__ = ["Criterion", "CRITERIA", "evaluate", "format_row"]
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """``predicate(summaries)`` returns ``(ok, detail)``; ``name``, the
+    predicate's name, names the criterion's acceptance test."""
+
+    number: int
+    name: str
+    description: str
+    runs: tuple
+    predicate: Callable
+
+    def check(self, summaries: list) -> dict:
+        """This criterion's report row over ``summaries``."""
+        try:
+            ok, detail = self.predicate(summaries)
+            status = "PASS" if ok else "FAIL"
+        except _Missing:
+            status, detail = "SKIPPED", ""
+        return {"criterion": self.number, "description": self.description,
+                "status": status, "detail": detail}
+
+
+CRITERIA: list = []
+
+
+def evaluate(summaries: list) -> list:
+    """Report rows of every criterion, in order, over a list of run summaries."""
+    return [c.check(summaries) for c in CRITERIA]
+
+
+def format_row(row: dict) -> str:
+    """One line of the acceptance table."""
+    tail = f"  ({row['detail']})" if row["detail"] else ""
+    return f"[{row['status']:>7}] {row['criterion']:>2}. {row['description']}{tail}"
+
+
+class _Missing(Exception):
+    """A criterion's summaries are absent."""
+
+
+def _criterion(number: int, description: str, runs):
+    def register(predicate):
+        name = predicate.__name__.lstrip("_")
+        CRITERIA.append(Criterion(number, name, description, tuple(runs), predicate))
+        return predicate
+    return register
+
+
+def _results(summaries: list, experiment: str, least: int = 1, **params) -> list:
+    """Results of the runs of ``experiment`` whose parameters match ``params``;
+    raises _Missing when there are fewer than ``least``."""
+    found = [s["results"] for s in summaries
+             if s["config"]["experiment"] == experiment
+             and all(s["config"]["parameters"].get(k) == v for k, v in params.items())]
+    if len(found) < least:
+        raise _Missing
+    return found
+
+
+@_criterion(1, "Eguchi-Hanson Ricci-flat to 1e-9",
+            [("curvature", {"preset": "eguchi-hanson", "samples": 500, "a": a})
+             for a in (0.5, 1.0, 2.0)])
+def _eguchi_hanson_ricci_flat(summaries):
+    runs = _results(summaries, "curvature", preset="eguchi-hanson")
+    worst = max(r["sup_ricci"] for r in runs)
+    return worst < 1e-9, f"sup_ricci={worst:.3e} over {len(runs)} runs"
+
+
+@_criterion(2, "Burns scalar-flat to 1e-9, not Einstein (|Ric| > 1e-3 at r = 2)",
+            [("curvature", {"preset": "burns", "samples": 500})])
+def _burns_scalar_flat_not_einstein(summaries):
+    runs = _results(summaries, "curvature", preset="burns")
+    sup_s = max(r["sup_abs_scalar"] for r in runs)
+    ricci_2 = min(r["sup_ricci_at_r2"] or 0.0 for r in runs)
+    return sup_s < 1e-9 and ricci_2 > 1e-3, f"sup |s|={sup_s:.2e}, |Ric|(r=2)={ricci_2:.2e}"
+
+
+_DECAY_RUNS = [("decay", {"base": "eguchi-hanson"}), ("decay", {"base": "burns"}),
+               ("decay", {"base": "eguchi-hanson", "deficit_eps": 0.6})]
+
+
+@_criterion(3, "cutoff decay slopes in [1.8, 2.2]", _DECAY_RUNS)
+def _cutoff_decay_slopes(summaries):
+    runs = _results(summaries, "decay", least=2)
+    return (all(1.8 <= r["fitted_slope"] <= 2.2 for r in runs),
+            ", ".join(f"{r['base']}: {r['fitted_slope']:.3f}" for r in runs))
+
+
+@_criterion(4, "volume deficits match closed forms to 1e-10", _DECAY_RUNS)
+def _volume_deficits(summaries):
+    runs = _results(summaries, "decay", least=2)
+    worst = max(r["deficit_vs_closed_form_rel"] for r in runs)
+    return worst < 1e-10, f"max relative deviation {worst:.1e} over {len(runs)} runs"
+
+
+@_criterion(5, "collapse family volume and O'Neill limits",
+            [("collapse", {"bundle": "trivial"}), ("collapse", {"bundle": "nilmanifold"})])
+def _collapse_family(summaries):
+    runs = _results(summaries, "collapse")
+    ok = True
+    for r in runs:
+        kh, kp = r["k_h_values"], r["k_p_values"]
+        gaps = [abs(h - r["base_gauss_curvature"]) for h in kh]
+        ok &= (r["volume_t_product_spread"] < 1e-12
+               and all(math.isfinite(k) for k in kh + kp)
+               and all(abs(b) <= abs(a) + 1e-15 for a, b in zip(kp, kp[1:]))
+               and all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:])))
+    return ok, "; ".join(f"{r['bundle']}: Vol*t spread {r['volume_t_product_spread']:.1e}"
+                         for r in runs)
+
+
+@_criterion(6, "glued certificates (Ricci / scalar verdicts)",
+            [("glue", {"blowups": 0}), ("glue", {"blowups": 2})])
+def _glued_certificates(summaries):
+    ricci = _results(summaries, "glue", blowups=0)
+    scalar = [r for r in _results(summaries, "glue") if r["blowups"] > 0]
+    if not scalar:
+        raise _Missing
+    ratio = max(r["rows"][-1]["total_volume"] / r["rows"][0]["total_volume"] for r in ricci)
+    ok = (all(r["verdict"] == "BoundedRicciCollapse" for r in ricci) and ratio < 1e-2
+          and all(r["verdict"] == "BoundedScalarCollapse" for r in scalar))
+    return ok, f"l=0 volume ratio {ratio:.1e}"
+
+
+_YAMABE_RUNS = [("yamabe", {})]
+
+
+@_criterion(7, "conformal law convergence order >= 1.8", _YAMABE_RUNS)
+def _conformal_law_convergence(summaries):
+    orders = [o for r in _results(summaries, "yamabe") for o in r["conformal_orders"]]
+    return all(o >= 1.8 for o in orders), f"orders {[round(o, 2) for o in orders]}"
+
+
+@_criterion(8, "Hoelder gap and negative-case inequalities", _YAMABE_RUNS)
+def _variational_inequalities(summaries):
+    runs = _results(summaries, "yamabe")
+    gap = min(r["min_holder_gap"] for r in runs)
+    ncc = max(r["max_negative_case"] for r in runs)
+    return gap >= -1e-12 and ncc <= 1e-12, f"min gap {gap:.1e}, max check {ncc:.1e}"
+
+
+@_criterion(9, "Yamabe descent reaches quotient < 1e-3", _YAMABE_RUNS)
+def _yamabe_descent(summaries):
+    runs = _results(summaries, "yamabe")
+    quotient = max(r["quotient_star"] for r in runs)
+    spread = max(r["u_spread"] for r in runs)
+    return quotient < 1e-3 and spread < 1e-3, f"quotient {quotient:.1e}, spread {spread:.1e}"
+
+
+@_criterion(10, "characteristic-class convention lock", [("charclass", {})])
+def _characteristic_convention_lock(summaries):
+    runs = _results(summaries, "charclass")
+    ok = all(abs(r["round_s4"]["two_chi_plus_three_tau"] - 4.0) < 1e-6
+             and abs(r["round_s4"]["tau"]) < 1e-8
+             and r["flat_t4"]["two_chi_plus_three_tau"] == 0.0
+             and r["flat_t4"]["tau"] == 0.0
+             and abs(r["s2xs2_two_chi_plus_three_tau"] - 8.0) < 1e-6 for r in runs)
+    return ok, (f"S^4 {runs[0]['round_s4']['two_chi_plus_three_tau']:.8f}, "
+                f"S^2xS^2 {runs[0]['s2xs2_two_chi_plus_three_tau']:.8f}")
+
+
+@_criterion(11, "self-dual Weyl energy collapse sweep", [("charclass", {})])
+def _wplus_sweep_collapses(summaries):
+    runs = _results(summaries, "charclass")
+    ok = all(r["wplus_monotone_decreasing"] and r["wplus_last"] < 1e-3 * r["wplus_first"]
+             for r in runs)
+    return ok, f"{runs[0]['wplus_first']:.3e} -> {runs[0]['wplus_last']:.3e}"
+
+
+@_criterion(12, "classifier table and general-type values", [("classify", {})])
+def _classifier_table_and_values(summaries):
+    worst = max(r["value_check_max_abs"] for r in _results(summaries, "classify"))
+    # the sign table of the canonical surfaces, read when no input file replaced them
+    canonical = ["positive", "positive", "zero", "zero", "zero", "negative"]
+    tables_ok = all([a["answer"]["sign"] for a in r["answers"]] == canonical
+                    for r in _results(summaries, "classify", least=0, input=None))
+    return worst < 1e-12 and tables_ok, f"max deviation {worst:.1e}"
+
+
+@_criterion(13, "Aubin bound closed forms", _YAMABE_RUNS)
+def _aubin_bound_closed_forms(summaries):
+    runs = _results(summaries, "yamabe")
+    closed = {"2": 8.0 * math.pi, "3": 6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0),
+              "4": 12.0 * math.sqrt(8.0 * math.pi**2 / 3.0)}
+    worst = max(abs(r["aubin_bounds"][n] - c) / c for r in runs for n, c in closed.items())
+    gauss_bonnet = max(abs(r["aubin_n2_minus_4pi_chi_s2"]) for r in runs)
+    return worst < 1e-12 and gauss_bonnet < 1e-12, f"max relative deviation {worst:.1e}"

@@ -31,18 +31,17 @@ PAIR_BASIS = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)]
 class CurvatureFrame:
     """Pointwise curvature data in an orthonormal frame.
 
-    ``riemann`` is the curvature operator on 2-forms (6x6 symmetric for
-    n = 4, k x k in general with k = n(n-1)/2); ``riemann4`` keeps the full
-    (n,n,n,n) tensor R(E_a,E_b,E_c,E_d) = <R(E_a,E_b)E_c, E_d> for oracles
-    and for ``sec_min`` / ``sec_max``, which are derived from it on first
-    access.  W+/W- norms use the operator (Frobenius) normalisation that makes
+    ``riemann4`` is the full (n,n,n,n) tensor
+    R(E_a,E_b,E_c,E_d) = <R(E_a,E_b)E_c, E_d>, kept for oracles and for
+    ``sec_min`` / ``sec_max``, which are derived from it on first access.
+    W+/W- norms (zero unless n = 4) use the operator (Frobenius)
+    normalisation that makes
 
         2*chi + 3*tau = (1/4pi^2) int [2|W+|^2 + s^2/24 - |ric0|^2/2] dmu
 
     hold on the model spaces; |ric0|^2 is the plain tensor norm.
     """
 
-    riemann: np.ndarray
     riemann4: np.ndarray
     ricci: np.ndarray
     scalar: float
@@ -199,18 +198,13 @@ def frame_from_riemann(riem: np.ndarray, orientation: int = 1) -> CurvatureFrame
     # Ric(Y,Z) = sum_a <R(E_a, Y) Z, E_a>
     ricci = np.einsum("abca->bc", riem)
     scalar = float(np.trace(ricci))
+    wp2 = wm2 = 0.0
     if n == 4:
-        op = curvature_operator(riem)
-        w_plus, w_minus = weyl_blocks(op, scalar, orientation)
+        w_plus, w_minus = weyl_blocks(curvature_operator(riem), scalar, orientation)
         wp2 = float(np.sum(w_plus * w_plus))
         wm2 = float(np.sum(w_minus * w_minus))
-    else:
-        k = n * (n - 1) // 2
-        op = np.zeros((k, k))
-        wp2 = wm2 = 0.0
     ric0 = ricci - (scalar / n) * np.eye(n)
     return CurvatureFrame(
-        riemann=op,
         riemann4=riem,
         ricci=ricci,
         scalar=scalar,

@@ -34,6 +34,10 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
 def test_mistyped_parameter_exits_2(tmp_path, capsys):
     assert main(["curvature", "--out", str(tmp_path), "samples=abc"]) == 2
     assert "samples" in capsys.readouterr().err
+    for experiment, override in (("curvature", "preset=nope"), ("decay", "base=nope"),
+                                 ("collapse", "bundle=nope"), ("collapse", "t=1,abc")):
+        assert main([experiment, "--out", str(tmp_path), override]) == 2
+        assert override.split("=")[0] in capsys.readouterr().err
     with pytest.raises(ValueError, match="must be int"):
         ExperimentConfig("yamabe", {"n": 20.5})
     # an int is a valid float; a None default accepts anything
@@ -92,7 +96,7 @@ def test_config_file_and_override_precedence(tmp_path):
 
 
 def test_curvature_flags(tmp_path):
-    code = main(["curvature", "--out", str(tmp_path), "--samples", "15",
+    code = main(["curvature", "--out", str(tmp_path), "samples=15",
                  "preset=eguchi-hanson"])
     assert code == 0
     summary = _summary(tmp_path, "eguchi-hanson")
@@ -116,6 +120,16 @@ def test_report_partial_marks_skipped(tmp_path, capsys):
     assert status[12] == "PASS"
     assert status[1] == "SKIPPED"
     assert len(status) == 13
+
+
+def test_report_fails_doctored_sign_table(tmp_path):
+    assert main(["classify", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "classify.json"
+    summary = json.loads(path.read_text())
+    summary["results"]["answers"][0]["answer"]["sign"] = "negative"
+    path.write_text(json.dumps(summary))
+    status = {row["criterion"]: row["status"] for row in report(str(tmp_path))["criteria"]}
+    assert status[12] == "FAIL"
 
 
 def test_report_runs_listed(tmp_path):

@@ -1,9 +1,11 @@
 """Discrete conformal geometry on the flat 4-torus."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from collapselab.conformal import (
     ConformalFactor,
@@ -167,6 +169,8 @@ def test_negative_case_check(grid):
     for _ in range(100):
         u = rng.random(g.shape) + 0.5
         assert negative_case_check(g, u) <= 1e-12
+    u_near = 1.0 + 1e-7 * rng.random(g.shape)
+    assert abs(negative_case_check(g, u_near)) < 1e-8
 
 
 def test_negative_case_requires_flat_base():
@@ -179,5 +183,17 @@ def test_aubin_bound_values():
     assert aubin_bound(2) == pytest.approx(8.0 * math.pi, rel=1e-14)
     assert aubin_bound(3) == pytest.approx(6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0))
     assert aubin_bound(4) == pytest.approx(12.0 * math.sqrt(8.0 * math.pi**2 / 3.0))
+    # n(n-1)|S^n|^(2/n), with sphere measures by the recursion
+    # |S^n| = |S^(n-1)| * int_0^pi sin^(n-1) by independent quadrature
+    area = 2.0 * math.pi
+    for n in (2, 3, 4):
+        with warnings.catch_warnings():
+            # the explicit error-estimate check below replaces the roundoff nag
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            integral, err = integrate.quad(lambda t: math.sin(t) ** (n - 1),
+                                           0.0, math.pi, epsabs=1e-14, epsrel=1e-14)
+        assert err < 1e-12
+        area *= integral
+        assert aubin_bound(n) == pytest.approx(n * (n - 1) * area ** (2.0 / n), rel=1e-12)
     with pytest.raises(ValueError):
         aubin_bound(1)
