@@ -18,16 +18,14 @@ from __future__ import annotations
 import functools
 import io
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .cutoff import BaseInstanton, CutoffFamily, modified_metric
 from .frame_curvature import CurvatureFrame, frame_from_riemann
 from .gluing import Chart, ChartKind, ChartedFamily
-from .radial import FRAME_ORIENTATION, RadialMetric, _structure_functions, make_metric, Preset
+from .radial import FRAME_ORIENTATION, Preset, RadialMetric, _integrate, curvature_at, make_metric
 from .submersion import BundleKind, SubmersionMetric, nilmanifold_frame
 
 __all__ = [
@@ -77,15 +75,6 @@ def product_surface_frame(k1: float, k2: float) -> CurvatureFrame:
     return frame_from_riemann(riem, orientation=FRAME_ORIENTATION)
 
 
-def _radial_density(metric: RadialMetric, r: float) -> tuple[CharDensities, float, CurvatureFrame]:
-    from .radial import curvature_at
-
-    frame = curvature_at(metric, r)
-    f, a, b, c = metric.profile.at(r)
-    weight = metric.link.link_volume * f.value * a.value * b.value * c.value
-    return densities_at(frame), weight, frame
-
-
 def integrate_characteristics(
     metric: RadialMetric | SubmersionMetric,
     domain: tuple[float, float] | None = None,
@@ -112,43 +101,26 @@ def integrate_characteristics(
     if not (metric.r_min <= r_lo < r_hi <= metric.r_max):
         raise ValueError("domain must lie within the metric's radial range")
 
-    def gb(r):
-        d, w, _ = _radial_density(metric, r)
-        return d.gb_density * w
+    def densities(r: float) -> tuple[float, float]:
+        d = densities_at(curvature_at(metric, r))
+        return d.gb_density, d.sig_density
 
-    def sig(r):
-        d, w, _ = _radial_density(metric, r)
-        return d.sig_density * w
-
-    gb_val, gb_err = _integrate.quad(gb, r_lo, r_hi, epsabs=_QUAD_TOL, limit=200)
-    sig_val, sig_err = _integrate.quad(sig, r_lo, r_hi, epsabs=_QUAD_TOL, limit=200)
-    if gb_err > 1e-6 or sig_err > 1e-6:
-        raise RuntimeError("characteristic quadrature did not converge")
-    return {"two_chi_plus_three_tau": gb_val, "tau": sig_val}
-
-
-def _weyl_weight(metric: RadialMetric, r: float) -> tuple[float, float]:
-    from .radial import curvature_at
-
-    frame = curvature_at(metric, r)
-    f, a, b, c = metric.profile.at(r)
-    w = metric.link.link_volume * f.value * a.value * b.value * c.value
-    return frame.w_plus_norm2 * w, frame.w_minus_norm2 * w
+    gb, sig = _integrate(metric, densities, r_lo, r_hi, _QUAD_TOL)
+    return {"two_chi_plus_three_tau": float(gb), "tau": float(sig)}
 
 
 def _weyl_integrals(metric: RadialMetric, r_lo: float, r_hi: float) -> tuple[float, float]:
+    """(int |W+|^2 dmu, int |W-|^2 dmu) over [r_lo, r_hi], from one curvature
+    evaluation per quadrature node."""
+
+    def weyl(r: float) -> tuple[float, float]:
+        frame = curvature_at(metric, r)
+        return frame.w_plus_norm2, frame.w_minus_norm2
+
     # hint the subdivision at the near-bolt region where the integrand peaks
-    pts = [p for p in (2.0 * r_lo, 10.0 * r_lo) if r_lo < p < r_hi] or None
-    with warnings.catch_warnings():
-        # the explicit error check below supersedes QUADPACK's roundoff nag
-        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-        wp, ep = _integrate.quad(lambda r: _weyl_weight(metric, r)[0], r_lo, r_hi,
-                                 epsabs=_QUAD_TOL, epsrel=1e-10, limit=500, points=pts)
-        wm, em = _integrate.quad(lambda r: _weyl_weight(metric, r)[1], r_lo, r_hi,
-                                 epsabs=_QUAD_TOL, epsrel=1e-10, limit=500, points=pts)
-    if ep > 1e-6 * max(1.0, abs(wp)) or em > 1e-6 * max(1.0, abs(wm)):
-        raise RuntimeError("Weyl quadrature did not converge")
-    return wp, wm
+    pts = [p for p in (2.0 * r_lo, 10.0 * r_lo) if r_lo < p < r_hi]
+    wp, wm = _integrate(metric, weyl, r_lo, r_hi, _QUAD_TOL, points=pts)
+    return float(wp), float(wm)
 
 
 @functools.lru_cache(maxsize=256)

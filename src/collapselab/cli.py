@@ -225,6 +225,8 @@ def _run_decay(params: dict, seed: int):
 def _run_collapse(params: dict, seed: int):
     bundle = make_bundle(BundleKind(params["bundle"]))
     t_list = [float(t) for t in params["t"]]
+    if not t_list:
+        raise ValueError("need at least one parameter value t")
     rows = ["t,volume,volume_times_t,k_h,k_p"]
     records = []
     for t in t_list:
@@ -439,6 +441,9 @@ def main(argv=None) -> int:
         return 2
     try:
         written = run(config)
+    except ValueError as exc:  # a parameter value the experiment cannot use
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # numerical failure: diagnostic, nonzero exit
         print(f"error: {config.experiment} failed: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,13 +110,8 @@ class CutoffFamily:
     def link(self):
         return Z2_QUOTIENT if self.base is BaseInstanton.EGUCHI_HANSON else FULL_SPHERE
 
-    @property
-    def deficit_exponent(self) -> int:
-        """Power of epsilon in the gluing volume deficit (8 for EH, 12 for Burns)."""
-        return 4 * _FAMILY_EXPONENTS[self.base][2]
 
-
-def modified_metric(family: CutoffFamily, delta: float = BOLT_OFFSET) -> RadialMetric:
+def modified_metric(family: CutoffFamily) -> RadialMetric:
     """The cutoff metric with W(r) = 1 - phi(r/eps) eps^p / r^q.
 
     Exactly flat for r > 2*eps, exactly the (rescaled) instanton for r < eps.
@@ -133,7 +128,7 @@ def modified_metric(family: CutoffFamily, delta: float = BOLT_OFFSET) -> RadialM
         a=lambda x: x,
         b=lambda x: x,
         c=lambda x: x * w(x).sqrt(),
-        r_min=family.r_bolt * (1.0 + delta),
+        r_min=family.r_bolt * (1.0 + BOLT_OFFSET),
     )
     metric = RadialMetric(prof, family.link)
     # positivity guard: the bump may push W through zero if eps is too large
@@ -194,7 +189,18 @@ def decay_sweep(
     return SweepTable(rows=rows, fitted_slope=slope, base=base, warnings=warnings)
 
 
-def volume_deficit(family: CutoffFamily, R: float, tol: float = 1e-12) -> float:
+def _cap_volume(family: CutoffFamily, R: float) -> float:
+    """Volume of the cutoff cap from its bolt out to radius R.
+
+    The modified metric's domain starts just off the bolt; its volume form
+    f a b c = r^3 is regular there, so the quadrature starts at the bolt.
+    """
+    metric = modified_metric(family)
+    from_bolt = RadialMetric(replace(metric.profile, r_min=family.r_bolt), family.link)
+    return volume(from_bolt, family.r_bolt, R)
+
+
+def volume_deficit(family: CutoffFamily, R: float) -> float:
     """Volume lost by replacing the flat ball of radius R with the cutoff cap.
 
     Both volume forms are Euclidean (f a b c = r^3 exactly), so the deficit
@@ -203,21 +209,5 @@ def volume_deficit(family: CutoffFamily, R: float, tol: float = 1e-12) -> float:
     """
     if R <= 2.0 * family.epsilon:
         raise ValueError("R must lie beyond the modified region (R > 2 eps)")
-    metric = modified_metric(family)
     flat_part = family.link.link_volume * R**4 / 4.0
-    modified_part = volume(
-        RadialMetric(
-            RadialProfile(
-                f=metric.profile.f,
-                a=metric.profile.a,
-                b=metric.profile.b,
-                c=metric.profile.c,
-                r_min=family.r_bolt,
-            ),
-            family.link,
-        ),
-        family.r_bolt,
-        R,
-        tol=tol,
-    )
-    return flat_part - modified_part
+    return flat_part - _cap_volume(family, R)

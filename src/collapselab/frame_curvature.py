@@ -65,10 +65,6 @@ class CurvatureFrame:
         return self._sectional_extremes[1]
 
     @property
-    def ricci_norm2(self) -> float:
-        return float(np.sum(self.ricci * self.ricci))
-
-    @property
     def sup_ricci(self) -> float:
         """Largest |component| of the Ricci tensor in the frame."""
         return float(np.max(np.abs(self.ricci)))

@@ -3,8 +3,9 @@ of the rational elliptic surface with 8 instanton caps, cylinder-end fiber
 sums, and Burns-cap blow-ups, with per-family collapse certificates.
 
 No global coordinates are ever built; each chart carries its own certified
-volume and curvature sup-norms, and gluing is bookkeeping plus exact
-boundary matching of flat cylinder cross-sections.
+volume and curvature sup-norms, and gluing is bookkeeping: every neck and
+flat block ends on the same flat cylinder (circle x (T^2, f/t)), so the
+pieces match isometrically by construction.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutoff import BaseInstanton, CutoffFamily, modified_metric
-from .radial import sup_norms, volume
+from .cutoff import BaseInstanton, CutoffFamily, _cap_volume, modified_metric
+from .radial import Preset, make_metric, sup_norms
 from .submersion import BundleKind, BundleModel, collapse_metric, oneill_at
 from .surfaces import SurfaceData
 
@@ -39,7 +40,6 @@ class Chart:
     sup_ricci: float
     sup_scalar: float
     epsilon: float | None = None
-    boundary: tuple = ()
 
     def __post_init__(self):
         if self.volume <= 0.0:
@@ -56,7 +56,6 @@ class ChartedFamily:
     charts: tuple[Chart, ...]
     parameter: float
     schedule: str
-    surface_tag: SurfaceData | None = None
 
     @property
     def total_volume(self) -> float:
@@ -82,13 +81,11 @@ class CollapseCertificate:
     rows: tuple[tuple[float, float, float, float], ...]  # (t, vol, sup_ric, sup_s)
     verdict: Verdict
     schedule: str = ""
-    surface_tag: SurfaceData | None = None
     diagnostic: str = ""
 
     def to_json(self) -> str:
         return json.dumps(
             {
-                "surface_tag": self.surface_tag.to_json() if self.surface_tag else None,
                 "schedule": self.schedule,
                 "rows": [
                     {"t": t, "total_volume": v, "sup_ricci": r, "sup_scalar": s}
@@ -105,18 +102,26 @@ class CollapseCertificate:
 # flat-torus lattice helpers
 # --------------------------------------------------------------------------
 
+def _reduced_basis(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lagrange-Gauss reduced basis (b1, b2) of Z^2 under the inner product
+    ``gram``: |b1| <= |b2| and |<b1, b2>| <= |b1|^2 / 2, so b1 is a shortest
+    nonzero lattice vector."""
+    gram = np.asarray(gram, dtype=float)
+    b1, b2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    if b1 @ gram @ b1 > b2 @ gram @ b2:
+        b1, b2 = b2, b1
+    while True:
+        b2 = b2 - round(float(b1 @ gram @ b2) / float(b1 @ gram @ b1)) * b1
+        if b2 @ gram @ b2 >= b1 @ gram @ b1:
+            return b1, b2
+        b1, b2 = b2, b1
+
+
 def torus_systole(gram: np.ndarray) -> float:
     """Length of the shortest closed geodesic of the flat torus R^2/Z^2 with
     Gram matrix ``gram``."""
-    gram = np.asarray(gram, dtype=float)
-    best = math.inf
-    for m in range(-4, 5):
-        for n in range(-4, 5):
-            if m == 0 and n == 0:
-                continue
-            v = np.array([m, n], dtype=float)
-            best = min(best, float(v @ gram @ v))
-    return math.sqrt(best)
+    b1, _ = _reduced_basis(gram)
+    return math.sqrt(float(b1 @ np.asarray(gram, dtype=float) @ b1))
 
 
 def half_lattice_points() -> list[np.ndarray]:
@@ -125,12 +130,22 @@ def half_lattice_points() -> list[np.ndarray]:
 
 
 def torus_distance(p: np.ndarray, q: np.ndarray, gram: np.ndarray) -> float:
-    """Geodesic distance on the flat torus (lattice coordinates)."""
+    """Geodesic distance on the flat torus (lattice coordinates).
+
+    In the reduced basis the height of b2 over b1 is at least sqrt(3)/2 |b1|,
+    so the closest lattice vector to p - q has its b2 coefficient within 0.77
+    of the target's; for each such coefficient the best b1 coefficient is the
+    rounded projection.
+    """
+    gram = np.asarray(gram, dtype=float)
+    b1, b2 = _reduced_basis(gram)
+    d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    n0 = round(float(np.linalg.solve(np.column_stack([b1, b2]), d)[1]))
     best = math.inf
-    for m in range(-1, 2):
-        for n in range(-1, 2):
-            d = p - q + np.array([m, n], dtype=float)
-            best = min(best, float(d @ gram @ d))
+    for n in (n0 - 1, n0, n0 + 1):
+        e = d - n * b2
+        e = e - round(float(b1 @ gram @ e) / float(b1 @ gram @ b1)) * b1
+        best = min(best, float(e @ gram @ e))
     return math.sqrt(best)
 
 
@@ -138,17 +153,14 @@ def torus_distance(p: np.ndarray, q: np.ndarray, gram: np.ndarray) -> float:
 # cap certification (cached: the sweep re-uses the same epsilons heavily)
 # --------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _burns_core_sup_ricci(samples: int = 200) -> float:
+@functools.cache
+def _burns_core_sup_ricci() -> float:
     """sup |Ric| of the unmodified unit Burns metric (attained near the bolt)."""
-    from .radial import FULL_SPHERE, RadialMetric, burns_profile
-
-    metric = RadialMetric(burns_profile(), FULL_SPHERE)
-    return sup_norms(metric, samples, r_hi=50.0).sup_ricci
+    return sup_norms(make_metric(Preset.BURNS), 200, r_hi=50.0).sup_ricci
 
 
 @functools.lru_cache(maxsize=256)
-def _cap_certificate(base_name: str, eps: float, samples: int = 120):
+def _cap_certificate(base_name: str, eps: float):
     """(volume over [bolt, 2eps], sup_ricci, sup_scalar) of a cutoff cap.
 
     The region r < eps is exactly the homothetically scaled instanton (the
@@ -161,27 +173,21 @@ def _cap_certificate(base_name: str, eps: float, samples: int = 120):
     """
     base = BaseInstanton(base_name)
     fam = CutoffFamily(base, eps)
-    metric = modified_metric(fam)
-    sn = sup_norms(metric, samples, r_lo=eps, r_hi=3.0 * eps)
+    sn = sup_norms(modified_metric(fam), 120, r_lo=eps, r_hi=3.0 * eps)
     sup_ric, sup_s = sn.sup_ricci, sn.sup_scalar
     if base is BaseInstanton.BURNS:
         sup_ric = max(sup_ric, _burns_core_sup_ricci() / eps**6)
-    vol = volume(metric, metric.r_min, 2.0 * eps)
-    # add back the sliver [bolt, bolt*(1+delta)] excluded by the bolt offset;
-    # the volume form is exactly Euclidean r^3 dr
-    bolt = fam.r_bolt
-    vol += fam.link.link_volume * (metric.r_min**4 - bolt**4) / 4.0
-    return vol, sup_ric, sup_s
+    return _cap_volume(fam, 2.0 * eps), sup_ric, sup_s
 
 
-def eh_cap(eps: float, boundary: tuple = ()) -> Chart:
+def eh_cap(eps: float) -> Chart:
     vol, sup_ric, sup_s = _cap_certificate(BaseInstanton.EGUCHI_HANSON.value, eps)
-    return Chart(ChartKind.EH_CAP, vol, sup_ric, sup_s, epsilon=eps, boundary=boundary)
+    return Chart(ChartKind.EH_CAP, vol, sup_ric, sup_s, epsilon=eps)
 
 
-def burns_cap(eps: float, boundary: tuple = ()) -> Chart:
+def burns_cap(eps: float) -> Chart:
     vol, sup_ric, sup_s = _cap_certificate(BaseInstanton.BURNS.value, eps)
-    return Chart(ChartKind.BURNS_CAP, vol, sup_ric, sup_s, epsilon=eps, boundary=boundary)
+    return Chart(ChartKind.BURNS_CAP, vol, sup_ric, sup_s, epsilon=eps)
 
 
 # --------------------------------------------------------------------------
@@ -194,41 +200,31 @@ def eh_schedule(fiber_gram: np.ndarray, t: float) -> float:
     return min(inj, math.pi) / (4.0 * math.sqrt(t))
 
 
-def orbifold_family(
-    fiber_gram: np.ndarray,
-    t: float,
-    half_length: float = 4.0,
-    surface_tag: SurfaceData | None = None,
-) -> ChartedFamily:
+def orbifold_family(fiber_gram: np.ndarray, t: float) -> ChartedFamily:
     """The blown-up flat orbifold (R x T^3)/Z2 with 8 Eguchi-Hanson caps.
 
-    The flat block carries dx^2 + dtheta^2 + f/t truncated at |x| =
-    half_length; the 8 singular points sit in the x = 0 slice at the
-    2-torsion points of T^3 and are capped at scale eps_t.
+    The flat block carries dx^2 + dtheta^2 + f/t truncated at |x| = 4; the
+    8 singular points sit in the x = 0 slice at the 2-torsion points of T^3
+    and are capped at scale eps_t <= pi / 4.
     """
     if t < 1.0:
         raise ValueError("t must be >= 1")
     fiber_gram = np.asarray(fiber_gram, dtype=float)
     alpha = math.sqrt(float(np.linalg.det(fiber_gram)))
     eps = eh_schedule(fiber_gram, t)
-    if half_length <= 2.0 * eps:
-        raise ValueError("truncation half-length too small to contain the caps")
-
     _check_caps_disjoint(fiber_gram, t, eps)
 
     ball_vol = math.pi**2 * (2.0 * eps) ** 4 / 4.0
-    flat_vol = 2.0 * math.pi * half_length * alpha / t - 8.0 * ball_vol
+    flat_vol = 2.0 * math.pi * 4.0 * alpha / t - 8.0 * ball_vol
     if flat_vol <= 0.0:
         raise ValueError("caps exceed the available flat volume")
 
-    cross_section = ("cylinder", 2.0 * math.pi, tuple((fiber_gram / t).ravel()))
-    charts = [Chart(ChartKind.FLAT_BLOCK, flat_vol, 0.0, 0.0, boundary=cross_section)]
-    charts += [eh_cap(eps, boundary=("flat-sphere", 2.0 * eps)) for _ in range(8)]
+    charts = [Chart(ChartKind.FLAT_BLOCK, flat_vol, 0.0, 0.0)]
+    charts += [eh_cap(eps) for _ in range(8)]
     return ChartedFamily(
         charts=tuple(charts),
         parameter=t,
         schedule="eps_t = min(inj, pi) / (4 sqrt(t))",
-        surface_tag=surface_tag,
     )
 
 
@@ -271,8 +267,6 @@ def assemble_surface_model(
     bundle: BundleModel,
     fiber_sums: int = 0,
     blowups: int = 0,
-    surface_tag: SurfaceData | None = None,
-    half_length: float = 4.0,
 ) -> Callable[[float], ChartedFamily]:
     """Family rule t -> ChartedFamily for (chi=0 model) # k (rational
     elliptic) # l (reversed projective planes).
@@ -306,27 +300,15 @@ def assemble_surface_model(
         if removed >= collapse_metric(bundle, t).total_volume():
             raise ValueError("requested caps exceed the available flat volume")
         charts.append(_bundle_block(bundle, t, removed=removed))
-        cross_section = ("cylinder", 2.0 * math.pi, tuple((fiber_gram / t).ravel()))
         for _ in range(fiber_sums):
-            charts.append(
-                Chart(
-                    ChartKind.CYLINDER_NECK,
-                    1.0 * 2.0 * math.pi * alpha / t,
-                    0.0,
-                    0.0,
-                    boundary=cross_section,
-                )
-            )
-            sub = orbifold_family(fiber_gram, t, half_length=half_length)
-            assert sub.charts[0].boundary == cross_section  # isometric matching
-            charts.extend(sub.charts)
+            charts.append(Chart(ChartKind.CYLINDER_NECK, 2.0 * math.pi * alpha / t, 0.0, 0.0))
+            charts.extend(orbifold_family(fiber_gram, t).charts)
         if burns_eps is not None:
             charts += [burns_cap(burns_eps) for _ in range(blowups)]
         return ChartedFamily(
             charts=tuple(charts),
             parameter=t,
             schedule="eps_t = min(inj, pi) / (4 sqrt(t)); burns eps = rho_t / (2 l)",
-            surface_tag=surface_tag,
         )
 
     return family
@@ -339,13 +321,13 @@ def assemble_surface_model(
 def certificate(
     family_rule: Callable[[float], ChartedFamily],
     t_list: Sequence[float],
-    ricci_slack: float = 1e-6,
 ) -> CollapseCertificate:
     """Aggregate chart data over the parameter list and assign a verdict.
 
     Collapse requires strictly decreasing volume falling below the first
     row's value times the ratio of the parameter range; boundedness compares
-    every row's sup norm against its t = t_min value (with a small slack).
+    every row's sup norm against its t = t_min value (with relative slack
+    1e-6).
     """
     ts = [float(t) for t in t_list]
     if len(ts) < 3 or any(b <= a for a, b in zip(ts, ts[1:])):
@@ -356,26 +338,25 @@ def certificate(
         for t, fam in zip(ts, fams)
     )
     schedule = fams[0].schedule
-    tag = fams[0].surface_tag
 
     vols = [r[1] for r in rows]
     if any(b >= a for a, b in zip(vols, vols[1:])):
         return CollapseCertificate(
-            rows, Verdict.NO_COLLAPSE, schedule, tag, diagnostic="volume not strictly decreasing"
+            rows, Verdict.NO_COLLAPSE, schedule, diagnostic="volume not strictly decreasing"
         )
     # volume must actually head to zero, not merely dip
     if vols[-1] > vols[0] * (ts[0] / ts[-1]) * 10.0:
         return CollapseCertificate(
-            rows, Verdict.NO_COLLAPSE, schedule, tag, diagnostic="volume not tending to zero"
+            rows, Verdict.NO_COLLAPSE, schedule, diagnostic="volume not tending to zero"
         )
-    ric_bound = rows[0][2] * (1.0 + ricci_slack) + 1e-12
-    s_bound = rows[0][3] * (1.0 + ricci_slack) + 1e-12
+    ric_bound = rows[0][2] * (1.0 + 1e-6) + 1e-12
+    s_bound = rows[0][3] * (1.0 + 1e-6) + 1e-12
     if all(r[2] <= ric_bound for r in rows):
-        return CollapseCertificate(rows, Verdict.BOUNDED_RICCI_COLLAPSE, schedule, tag)
+        return CollapseCertificate(rows, Verdict.BOUNDED_RICCI_COLLAPSE, schedule)
     if all(r[3] <= s_bound for r in rows):
-        return CollapseCertificate(rows, Verdict.BOUNDED_SCALAR_COLLAPSE, schedule, tag)
+        return CollapseCertificate(rows, Verdict.BOUNDED_SCALAR_COLLAPSE, schedule)
     return CollapseCertificate(
-        rows, Verdict.NO_COLLAPSE, schedule, tag, diagnostic="no curvature bound held"
+        rows, Verdict.NO_COLLAPSE, schedule, diagnostic="no curvature bound held"
     )
 
 

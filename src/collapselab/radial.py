@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad_vec
 
 from .frame_curvature import CurvatureFrame, frame_curvature
 from .jets import Jet2, constant, variable
@@ -31,7 +31,7 @@ STRUCTURE_SIGN = -2.0
 # of the blow-ups they live on; locked by tests.
 FRAME_ORIENTATION = 1
 
-#: default relative offset keeping evaluations away from the bolt
+#: relative offset keeping the instanton domains away from the bolt
 BOLT_OFFSET = 1e-3
 
 
@@ -114,10 +114,9 @@ class Preset(enum.Enum):
     BURNS = "burns"
     FLAT = "flat"
     ROUND = "round"
-    CUSTOM = "custom"
 
 
-def eguchi_hanson_profile(A: float, delta: float = BOLT_OFFSET) -> RadialProfile:
+def eguchi_hanson_profile(A: float) -> RadialProfile:
     """f^2 = 1/(1 - A/r^4), a = b = r, c^2 = r^2 (1 - A/r^4), r > A^(1/4)."""
     if A <= 0.0:
         raise ValueError("Eguchi-Hanson parameter A must be positive")
@@ -130,11 +129,11 @@ def eguchi_hanson_profile(A: float, delta: float = BOLT_OFFSET) -> RadialProfile
         a=lambda x: x,
         b=lambda x: x,
         c=lambda x: x * w(x).sqrt(),
-        r_min=A**0.25 * (1.0 + delta),
+        r_min=A**0.25 * (1.0 + BOLT_OFFSET),
     )
 
 
-def burns_profile(delta: float = BOLT_OFFSET) -> RadialProfile:
+def burns_profile() -> RadialProfile:
     """f^2 = 1/(1 - 1/r^2), a = b = r, c^2 = r^2 (1 - 1/r^2), r > 1."""
 
     def w(x: Jet2) -> Jet2:
@@ -145,7 +144,7 @@ def burns_profile(delta: float = BOLT_OFFSET) -> RadialProfile:
         a=lambda x: x,
         b=lambda x: x,
         c=lambda x: x * w(x).sqrt(),
-        r_min=1.0 + delta,
+        r_min=1.0 + BOLT_OFFSET,
     )
 
 
@@ -180,8 +179,6 @@ def make_metric(
     link: LinkQuotient | None = None,
     A: float = 1.0,
     radius: float = 1.0,
-    profile: RadialProfile | None = None,
-    delta: float = BOLT_OFFSET,
 ) -> RadialMetric:
     """Build a RadialMetric from one of the stock presets.
 
@@ -189,10 +186,10 @@ def make_metric(
     bundle over the 2-sphere), full S^3 for everything else.
     """
     if preset is Preset.EGUCHI_HANSON:
-        prof = eguchi_hanson_profile(A, delta)
+        prof = eguchi_hanson_profile(A)
         link = link or Z2_QUOTIENT
     elif preset is Preset.BURNS:
-        prof = burns_profile(delta)
+        prof = burns_profile()
         link = link or FULL_SPHERE
     elif preset is Preset.FLAT:
         prof = flat_profile()
@@ -200,24 +197,9 @@ def make_metric(
     elif preset is Preset.ROUND:
         prof = round_profile(radius)
         link = link or FULL_SPHERE
-    elif preset is Preset.CUSTOM:
-        if profile is None:
-            raise ValueError("Custom preset requires an explicit profile")
-        prof = profile
-        link = link or FULL_SPHERE
-        _check_positive(prof)
     else:
         raise ValueError(f"unknown preset {preset!r}")
     return RadialMetric(prof, link)
-
-
-def _check_positive(profile: RadialProfile, samples: int = 64) -> None:
-    hi = profile.r_max if math.isfinite(profile.r_max) else max(10.0, 10.0 * max(profile.r_min, 1.0))
-    lo = max(profile.r_min, 1e-12)
-    for r in np.geomspace(lo * (1 + 1e-9), hi, samples):
-        vals = profile.at(float(r))
-        if any(v.value <= 0.0 for v in vals):
-            raise ValueError(f"profile non-positive at r={r}")
 
 
 def _structure_functions(metric: RadialMetric, r: float):
@@ -303,27 +285,43 @@ def sup_norms(
     return CurvatureSupNorms(sup_ric, sup_s)
 
 
-def volume(
+def _integrate(
     metric: RadialMetric,
+    pointwise: Callable[[float], object],
     r_lo: float,
     r_hi: float,
-    tol: float = 1e-12,
-) -> float:
-    """int f a b c dr over [r_lo, r_hi], times the link volume.
+    tol: float,
+    points=None,
+) -> np.ndarray:
+    """link_volume * int pointwise(r) f a b c dr over [r_lo, r_hi].
 
-    Adaptive Gauss-Kronrod quadrature with absolute tolerance ``tol``;
-    raises if its error estimate exceeds max(tol, 1e-12 |value|).
+    ``pointwise`` may be scalar- or vector-valued; every component comes from
+    the same evaluation at each node.  Globally adaptive Gauss-Kronrod
+    quadrature (scipy's quad_vec) with absolute and relative tolerance
+    ``tol`` in the max norm, subdividing first at ``points``; raises
+    RuntimeError unless it converged with error estimate at most
+    max(tol, tol * max|value|).
     """
+
+    def weighted(r: float) -> np.ndarray:
+        f, a, b, c = metric.profile.at(r)
+        return np.asarray(pointwise(r), dtype=float) * (f.value * a.value * b.value * c.value)
+
+    val, err, info = quad_vec(weighted, r_lo, r_hi, epsabs=tol, epsrel=tol, norm="max",
+                              points=points, full_output=True)
+    if info.status != 0 or not err <= max(tol, tol * float(np.max(np.abs(val)))):
+        raise RuntimeError(
+            f"radial quadrature over [{r_lo:.6g}, {r_hi:.6g}] did not converge"
+            f" (status {info.status}, error {err:.3g})"
+        )
+    return metric.link.link_volume * val
+
+
+def volume(metric: RadialMetric, r_lo: float, r_hi: float) -> float:
+    """int f a b c dr over [r_lo, r_hi], times the link volume, to 1e-12
+    absolute or relative (see ``_integrate``)."""
     if not (metric.r_min <= r_lo < r_hi):
         raise ValueError("inverted or out-of-domain radial range")
     if r_hi > metric.r_max:
         raise ValueError("r_hi beyond the metric domain")
-
-    def density(r: float) -> float:
-        f, a, b, c = metric.profile.at(r)
-        return f.value * a.value * b.value * c.value
-
-    val, err = quad(density, r_lo, r_hi, epsabs=tol, epsrel=1e-12, limit=400)
-    if not err <= max(tol, 1e-12 * abs(val)):
-        raise RuntimeError(f"volume quadrature did not converge (error {err:.3g})")
-    return metric.link.link_volume * val
+    return float(_integrate(metric, lambda r: 1.0, r_lo, r_hi, 1e-12))

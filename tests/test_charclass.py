@@ -7,6 +7,7 @@ import pytest
 
 from collapselab.charclass import (
     CharDensities,
+    _weyl_integrals,
     densities_at,
     integrate_characteristics,
     product_surface_frame,
@@ -84,6 +85,16 @@ def test_domain_validation():
     metric = make_metric(Preset.EGUCHI_HANSON)
     with pytest.raises(ValueError):
         integrate_characteristics(metric, domain=(0.0, 2.0))
+
+
+def test_burns_core_weyl_energy_converges():
+    """int |W-|^2 dmu over the unit Burns core [r_min, rho] grows with rho
+    (the integrand is non-negative) and at rho = 2.56e5, the core of the
+    t = 1000 blow-up cap, matches a 200-panel reference quadrature."""
+    metric = make_metric(Preset.BURNS)
+    wm = [_weyl_integrals(metric, metric.r_min, 2.56 * 10.0**k)[1] for k in range(2, 6)]
+    assert all(b >= a for a, b in zip(wm, wm[1:]))
+    assert wm[-1] == pytest.approx(117.9626937898, rel=1e-8)
 
 
 def test_glued_sweep_wplus_decays():

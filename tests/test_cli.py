@@ -38,6 +38,12 @@ def test_mistyped_parameter_exits_2(tmp_path, capsys):
                                  ("collapse", "bundle=nope"), ("collapse", "t=1,abc")):
         assert main([experiment, "--out", str(tmp_path), override]) == 2
         assert override.split("=")[0] in capsys.readouterr().err
+    # well-typed values the experiment itself rejects are bad configuration too
+    for experiment, override in (("yamabe", "n=4"), ("collapse", "t=[]"), ("glue", "t=1,2"),
+                                 ("decay", "eps=[]"), ("charclass", "t=[]"),
+                                 ("curvature", "samples=1"), ("curvature", "preset=custom")):
+        assert main([experiment, "--out", str(tmp_path), override]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(ValueError, match="must be int"):
         ExperimentConfig("yamabe", {"n": 20.5})
     # an int is a valid float; a None default accepts anything

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapselab.gluing import (
     Chart,
@@ -15,8 +17,10 @@ from collapselab.gluing import (
     certificate,
     eh_cap,
     eh_schedule,
+    half_lattice_points,
     orbifold_family,
     ricci_obstruction,
+    torus_distance,
     torus_systole,
 )
 from collapselab.submersion import BundleKind, make_bundle
@@ -33,6 +37,78 @@ UNIT = np.eye(2)
 def test_torus_systole():
     assert torus_systole(UNIT) == pytest.approx(1.0)
     assert torus_systole(np.diag([0.25**2, 3.0**2])) == pytest.approx(0.25)
+
+
+def _lattice_norms2(d, gram, radius):
+    """|d + v|^2 for every integer vector v with |d + v| <= radius (plus a
+    rounding margin), found by enumerating the lattice points of that ellipse
+    row by row."""
+    radius = radius * (1.0 + 1e-9) + 1e-12
+    g00, g01, g11 = gram[0, 0], gram[0, 1], gram[1, 1]
+    y_max = radius * math.sqrt(np.linalg.inv(gram)[1, 1])
+    y = np.arange(math.floor(-d[1] - y_max), math.ceil(-d[1] + y_max) + 1) + d[1]
+    # each row's x range solves g00 x^2 + 2 g01 x y + g11 y^2 <= radius^2
+    disc = (g01 * y) ** 2 - g00 * (g11 * y * y - radius**2)
+    y, disc = y[disc >= 0.0], disc[disc >= 0.0]
+    centre, half = -g01 * y / g00, np.sqrt(disc) / g00
+    lo = np.floor(centre - half - d[0])
+    counts = (np.ceil(centre + half - d[0]) - lo + 1).astype(int)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    x = np.repeat(lo, counts) + (np.arange(counts.sum()) - starts) + d[0]
+    y = np.repeat(y, counts)
+    return g00 * x * x + 2.0 * g01 * x * y + g11 * y * y
+
+
+def _window_bound(d, gram):
+    """An upper bound on the distance from d to the lattice: the nearest of
+    the nine lattice points d + v, v in {-1, 0, 1}^2."""
+    return min(math.sqrt(float(e @ gram @ e))
+               for e in (d + np.array([m, n]) for m in (-1, 0, 1) for n in (-1, 0, 1)))
+
+
+def _skewed_gram(a, b, c, k, j):
+    """A well-shaped Gram matrix seen through the unimodular change of basis
+    [[1, k], [0, 1]] [[1, 0], [j, 1]]."""
+    shear = np.array([[1.0, k], [0.0, 1.0]]) @ np.array([[1.0, 0.0], [j, 1.0]])
+    return shear.T @ np.array([[a * a, c * a * b], [c * a * b, b * b]]) @ shear
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.builds(_skewed_gram, st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-0.5, 0.5),
+              st.integers(-12, 12), st.integers(-12, 12)),
+    st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
+)
+def test_lattice_helpers_match_brute_force(gram, p):
+    p = np.array(p)
+    # the basis vectors are lattice vectors, so the systole is at most the shorter
+    basis_bound = min(math.sqrt(gram[0, 0]), math.sqrt(gram[1, 1]))
+    norms2 = _lattice_norms2(np.zeros(2), gram, basis_bound)
+    assert torus_systole(gram) == pytest.approx(math.sqrt(norms2[norms2 > 0.0].min()), rel=1e-9)
+    for q in [p] + half_lattice_points():
+        d = p - q
+        expected = math.sqrt(_lattice_norms2(d, gram, _window_bound(d, gram)).min())
+        assert torus_distance(p, q, gram) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def test_skewed_fiber_caps_are_disjoint():
+    """Basis (1, 0), (10.3, 0.01): the systole is 0.1 (10 b2 - 103 b1), not
+    the basis length 1, and the 8 cap balls of radius 2 eps do not overlap."""
+    basis = np.array([[1.0, 10.3], [0.0, 0.01]])
+    gram = basis.T @ basis
+    assert torus_systole(gram) == pytest.approx(0.1, rel=1e-9)
+    for t in (1.0, 10.0):
+        eps = eh_schedule(gram, t)
+        assert len(orbifold_family(gram, t).charts) == 9
+        gram_t = gram / t
+        for p in half_lattice_points():
+            for q in half_lattice_points():
+                if (p != q).any():
+                    # distinct 2-torsion points in the same theta slice
+                    d = p - q
+                    nearest = math.sqrt(_lattice_norms2(d, gram_t, _window_bound(d, gram_t)).min())
+                    # at t = 1 the nearest caps touch: 4 eps = systole / 2
+                    assert nearest >= 4.0 * eps * (1.0 - 1e-9)
 
 
 def test_eh_schedule_shrinks():

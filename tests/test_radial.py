@@ -127,11 +127,19 @@ def test_volume_against_closed_forms():
 
 
 def test_volume_rejects_unconverged_quadrature(monkeypatch):
-    import collapselab.radial as radial
+    import types
 
-    monkeypatch.setattr(radial, "quad", lambda *args, **kwargs: (1.0, 1e-3))
-    with pytest.raises(RuntimeError, match="did not converge"):
-        volume(make_metric(Preset.FLAT), 1e-9, 2.0)
+    import collapselab.radial as radial
+    from collapselab.charclass import integrate_characteristics
+
+    # a non-zero status, then a converged status with a large error estimate
+    for status, err in ((1, 0.0), (0, 1e-3)):
+        info = types.SimpleNamespace(status=status)
+        monkeypatch.setattr(radial, "quad_vec", lambda *a, **k: (np.array(1.0), err, info))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            volume(make_metric(Preset.FLAT), 1e-9, 2.0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            integrate_characteristics(make_metric(Preset.ROUND))
 
 
 def test_link_quotient_volumes():
