@@ -152,9 +152,13 @@ def _conformal_law_convergence(summaries):
 @_criterion(8, "Hoelder gap and negative-case inequalities", _YAMABE_RUNS)
 def _variational_inequalities(summaries):
     runs = _results(summaries, "yamabe")
+    # an empty sweep leaves the +-inf seeds of its min and max: no evidence
+    finite = all(math.isfinite(r["min_holder_gap"]) and math.isfinite(r["max_negative_case"])
+                 for r in runs)
     gap = min(r["min_holder_gap"] for r in runs)
     ncc = max(r["max_negative_case"] for r in runs)
-    return gap >= -1e-12 and ncc <= 1e-12, f"min gap {gap:.1e}, max check {ncc:.1e}"
+    ok = finite and gap >= -1e-12 and ncc <= 1e-12
+    return ok, f"min gap {gap:.1e}, max check {ncc:.1e}"
 
 
 @_criterion(9, "Yamabe descent reaches quotient < 1e-3", _YAMABE_RUNS)

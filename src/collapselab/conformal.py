@@ -1,10 +1,10 @@
 """Discrete conformal geometry on the flat torus.
 
-Everything here lives on a periodic lattice: the positive Laplacian
-Delta = d*d, the scalar-curvature transformation law for a conformal
-factor u, the Yamabe quotient of the deformed metric, and a projected
-gradient descent that drives the quotient toward the Yamabe constant of
-the class.  The key identity is
+Everything here lives on a periodic lattice: the positive stencil
+Laplacian Delta = d*d, the scalar-curvature transformation law for a
+conformal factor u, the Yamabe quotient of the deformed metric, and a
+projected gradient descent that drives the quotient toward the Yamabe
+constant of the class.  The key identity is
 
     s_hat u^(ell+1) = s u + (n-1) ell Delta u,    ell = 4/(n-2),
 
@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "ConformalGrid",
-    "ConformalFactor",
     "DescentResult",
     "laplacian",
     "gradient_energy_density",
@@ -40,17 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConformalGrid:
-    """Periodic lattice on a flat n-torus with an optional base scalar field.
-
-    ``spectral`` switches the Laplacian to its discrete-Fourier variant,
-    which is exact on band-limited fields; the default is the second-order
-    central stencil, whose truncation order the convergence tests measure.
-    """
+    """Periodic lattice on a flat n-torus with an optional base scalar field."""
 
     n_points: int
     periods: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     base_scalar: float | np.ndarray = 0.0
-    spectral: bool = False
 
     def __post_init__(self):
         if self.n_points < 8:
@@ -99,53 +92,22 @@ class ConformalGrid:
         return float(np.sum(f)) * self.cell_volume
 
 
-@dataclass(frozen=True)
-class ConformalFactor:
-    """A positive conformal factor u, deforming the base metric to u^ell g."""
-
-    u: np.ndarray
-    ell: float = 2.0
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
-            raise ValueError("conformal factor must be positive and finite")
-        object.__setattr__(self, "u", u)
-
-    @staticmethod
-    def on(grid: ConformalGrid, u: np.ndarray) -> "ConformalFactor":
-        return ConformalFactor(grid.check_field(u), grid.ell)
-
-
 def _as_factor(grid: ConformalGrid, u) -> np.ndarray:
-    if isinstance(u, ConformalFactor):
-        u = u.u
     u = grid.check_field(u)
     if np.any(u <= 0.0):
         raise ValueError("conformal factor must be positive everywhere")
     return u
 
 
-def laplacian(grid: ConformalGrid, u: np.ndarray, spectral: bool | None = None) -> np.ndarray:
+def laplacian(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
     """Positive Laplacian Delta = d*d of a periodic lattice field.
 
-    Stencil form: sum over axes of (2u - u_plus - u_minus)/h^2, which
-    annihilates constants exactly and is symmetric, so sum(Delta u) = 0
-    in exact arithmetic.  Spectral form: multiplication by |k|^2 in the
-    discrete Fourier basis.
+    The second-order central stencil: sum over axes of
+    (2u - u_plus - u_minus)/h^2, which annihilates constants exactly and is
+    symmetric, so sum(Delta u) = 0 in exact arithmetic.  Its symbol on
+    cos(2 pi x_j / L_j) is (2 - 2 cos(2 pi h_j / L_j)) / h_j^2.
     """
     u = grid.check_field(u)
-    if spectral is None:
-        spectral = grid.spectral
-    if spectral:
-        uh = np.fft.fftn(u)
-        k2 = np.zeros(grid.shape)
-        for ax, period in enumerate(grid.periods):
-            k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=period / grid.n_points)
-            shape = [1] * grid.n_dim
-            shape[ax] = grid.n_points
-            k2 = k2 + (k**2).reshape(shape)
-        return np.real(np.fft.ifftn(k2 * uh))
     out = np.zeros_like(u)
     for ax, h in enumerate(grid.spacings):
         out += (2.0 * u - np.roll(u, 1, axis=ax) - np.roll(u, -1, axis=ax)) / h**2

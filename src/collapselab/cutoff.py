@@ -115,6 +115,9 @@ def modified_metric(family: CutoffFamily) -> RadialMetric:
     """The cutoff metric with W(r) = 1 - phi(r/eps) eps^p / r^q.
 
     Exactly flat for r > 2*eps, exactly the (rescaled) instanton for r < eps.
+    In both families p = k q, so eps^p / r^q = (r_bolt / r)^q, and a bump
+    with values in [0, 1] keeps W >= 1 - (r_bolt / r)^q > 0 on the whole
+    domain r > r_bolt, for every eps in (0, 1).
     """
     p, q, _ = _FAMILY_EXPONENTS[family.base]
     eps = family.epsilon
@@ -130,14 +133,7 @@ def modified_metric(family: CutoffFamily) -> RadialMetric:
         c=lambda x: x * w(x).sqrt(),
         r_min=family.r_bolt * (1.0 + BOLT_OFFSET),
     )
-    metric = RadialMetric(prof, family.link)
-    # positivity guard: the bump may push W through zero if eps is too large
-    for r in np.geomspace(prof.r_min * (1 + 1e-9), 2.5 * eps, 160):
-        if w(Jet2(float(r), 1.0, 0.0)).value <= 0.0:
-            raise ValueError(
-                f"profile non-positive at r={r:.4g}: epsilon={eps} too large for this bump"
-            )
-    return metric
+    return RadialMetric(prof, family.link)
 
 
 @dataclass

@@ -83,15 +83,25 @@ class SurfaceData:
 
     @staticmethod
     def from_json(rec: dict) -> "SurfaceData":
-        return SurfaceData(
-            kod=KodairaDimension(str(rec["kod"])),
-            b1_parity=Parity(rec.get("b1_parity", "even")),
-            c1sq_min=int(rec["c1sq_min"]),
-            chi=int(rec["chi"]),
-            tau=int(rec["tau"]),
-            blowups=int(rec.get("blowups", 0)),
-            name=str(rec.get("name", "")),
-        )
+        """Inverse of ``to_json``; raises ValueError naming a record that is
+        not a JSON object, a missing key or a value of the wrong type."""
+        if not isinstance(rec, dict):
+            raise ValueError(f"surface record must be a JSON object, got {rec!r}")
+        missing = [k for k in ("kod", "c1sq_min", "chi", "tau") if k not in rec]
+        if missing:
+            raise ValueError(f"surface record {rec!r} lacks key(s) {', '.join(missing)}")
+        try:
+            return SurfaceData(
+                kod=KodairaDimension(str(rec["kod"])),
+                b1_parity=Parity(rec.get("b1_parity", "even")),
+                c1sq_min=int(rec["c1sq_min"]),
+                chi=int(rec["chi"]),
+                tau=int(rec["tau"]),
+                blowups=int(rec.get("blowups", 0)),
+                name=str(rec.get("name", "")),
+            )
+        except TypeError as exc:  # e.g. int(None) from a null value
+            raise ValueError(f"surface record {rec!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,8 @@ CANONICAL_SURFACES = [
 
 def classify_records(records: list[dict]) -> list[dict]:
     """JSON-in / JSON-out classifier used by the command-line runner."""
+    if not isinstance(records, list):
+        raise ValueError(f"expected a list of surface records, got {type(records).__name__}")
     out = []
     for rec in records:
         surf = SurfaceData.from_json(rec)

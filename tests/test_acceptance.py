@@ -49,3 +49,11 @@ def _acceptance_test(criterion):
 for _criterion in CRITERIA:
     _test = _acceptance_test(_criterion)
     globals()[_test.__name__] = _test
+
+
+def test_criterion_08_fails_without_evidence():
+    """An empty sweep leaves min gap +inf and max check -inf: FAIL, not PASS."""
+    summary = {"config": {"experiment": "yamabe", "parameters": {}},
+               "results": {"min_holder_gap": float("inf"), "max_negative_case": -float("inf")}}
+    row = next(c for c in CRITERIA if c.number == 8).check([summary])
+    assert row["status"] == "FAIL", format_row(row)

@@ -41,9 +41,23 @@ def test_mistyped_parameter_exits_2(tmp_path, capsys):
     # well-typed values the experiment itself rejects are bad configuration too
     for experiment, override in (("yamabe", "n=4"), ("collapse", "t=[]"), ("glue", "t=1,2"),
                                  ("decay", "eps=[]"), ("charclass", "t=[]"),
-                                 ("curvature", "samples=1"), ("curvature", "preset=custom")):
+                                 ("curvature", "samples=1"), ("curvature", "preset=custom"),
+                                 ("yamabe", "sweep_draws=0")):
         assert main([experiment, "--out", str(tmp_path), override]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    # classify input: a missing file, a record without kod, a record that is
+    # not an object, a null value
+    no_kod = tmp_path / "no_kod.json"
+    no_kod.write_text('[{"c1sq_min": 0, "chi": 0, "tau": 0}]')
+    not_object = tmp_path / "not_object.json"
+    not_object.write_text("[1]")
+    null_chi = tmp_path / "null_chi.json"
+    null_chi.write_text('[{"kod": "0", "c1sq_min": 0, "chi": null, "tau": 0}]')
+    for path, needle in ((tmp_path / "missing.json", "missing.json"), (no_kod, "kod"),
+                         (not_object, "JSON object"), (null_chi, "None")):
+        assert main(["classify", "--out", str(tmp_path), f"input={path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
     with pytest.raises(ValueError, match="must be int"):
         ExperimentConfig("yamabe", {"n": 20.5})
     # an int is a valid float; a None default accepts anything

@@ -8,7 +8,6 @@ import pytest
 from scipy import integrate
 
 from collapselab.conformal import (
-    ConformalFactor,
     ConformalGrid,
     aubin_bound,
     conformal_scalar,
@@ -45,8 +44,12 @@ def test_laplacian_eigenfunction(grid):
     lam = (2.0 * np.pi) ** 2
     err = np.max(np.abs(laplacian(grid, u) - lam * u)) / lam
     assert err < 2e-2  # O(N^-2) for N = 16
-    spectral = laplacian(grid, u, spectral=True)
-    assert np.max(np.abs(spectral - lam * u)) < 1e-10
+    # the stencil's exact symbol, per axis, on an anisotropic torus
+    g = ConformalGrid(12, periods=(0.7, 1.3, 1.0, 2.0))
+    for ax, (h, period) in enumerate(zip(g.spacings, g.periods)):
+        u = np.cos(2.0 * np.pi * g.axis_coordinate(ax) / period)
+        symbol = (2.0 - 2.0 * math.cos(2.0 * np.pi * h / period)) / h**2
+        assert np.max(np.abs(laplacian(g, u) - symbol * u)) <= 1e-12 * symbol
 
 
 def test_laplacian_integrates_to_zero(grid):
@@ -75,13 +78,6 @@ def test_conformal_scalar_positivity_guard(grid):
     u[0, 0, 0, 0] = -1.0
     with pytest.raises(ValueError):
         conformal_scalar(grid, u)
-
-
-def test_conformal_factor_type():
-    with pytest.raises(ValueError):
-        ConformalFactor(np.array([1.0, -1.0]))
-    f = ConformalFactor.on(ConformalGrid(8), np.ones((8, 8, 8, 8)))
-    assert f.ell == 2.0
 
 
 def test_conformal_law_matches_lattice_oracle():

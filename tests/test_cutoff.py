@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapselab.cutoff import (
     BaseInstanton,
@@ -48,6 +50,20 @@ def test_modified_metric_interpolates():
     assert inner.riemann_norm2 > 1.0
     outer = curvature_at(metric, 3.0 * eps)
     assert outer.riemann_norm2 < 1e-20
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(1e-6, 1.0, exclude_max=True), st.sampled_from(list(BaseInstanton)),
+       st.sampled_from([SMOOTH_BUMP, QUINTIC_BUMP]), st.floats(0.0, 1.0, exclude_min=True))
+def test_modified_metric_positive_on_its_domain(eps, base, bump_fn, t):
+    """W = f^-2 >= 1 - (r_bolt/r)^q > 0 on (r_min, 2.5 eps], for every eps in
+    (0, 1): eps^p / r^q = (r_bolt / r)^q and the bump stays in [0, 1]."""
+    fam = CutoffFamily(base, eps, bump_fn)
+    profile = modified_metric(fam).profile
+    r = profile.r_min * (2.5 * eps / profile.r_min) ** t  # log-uniform in the range
+    w = profile.at(r)[0].value ** -2
+    q = 4 if base is BaseInstanton.EGUCHI_HANSON else 2
+    assert w >= (1.0 - (fam.r_bolt / r) ** q) * (1.0 - 1e-9)
 
 
 def test_epsilon_range_guard():
