@@ -9,7 +9,7 @@ curvature of an orthonormal frame,
 whose integrals return 2*chi + 3*tau and tau.  This module evaluates them
 from CurvatureFrame data, integrates them over radial and homogeneous
 model metrics, and runs the collapse sweep showing int |W+|^2 dmu tending
-to zero over glued families while int |W-|^2 dmu stays pinned near the
+to zero over glued families while int |W-|^2 dmu tends to the
 topological quantity -12 pi^2 tau.
 """
 
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import BaseInstanton, CutoffFamily, modified_metric
+from .cutoff import BaseInstanton, CutoffFamily, instanton_weyl_energy, modified_metric
 from .frame_curvature import CurvatureFrame, frame_from_riemann
 from .gluing import Chart, ChartKind, ChartedFamily
-from .radial import FRAME_ORIENTATION, Preset, RadialMetric, _integrate, curvature_at, make_metric
+from .radial import FRAME_ORIENTATION, RadialMetric, _integrate, curvature_at
 from .submersion import BundleKind, SubmersionMetric, nilmanifold_frame
 
 __all__ = [
@@ -117,9 +117,7 @@ def _weyl_integrals(metric: RadialMetric, r_lo: float, r_hi: float) -> tuple[flo
         frame = curvature_at(metric, r)
         return frame.w_plus_norm2, frame.w_minus_norm2
 
-    # hint the subdivision at the near-bolt region where the integrand peaks
-    pts = [p for p in (2.0 * r_lo, 10.0 * r_lo) if r_lo < p < r_hi]
-    wp, wm = _integrate(metric, weyl, r_lo, r_hi, _QUAD_TOL, points=pts)
+    wp, wm = _integrate(metric, weyl, r_lo, r_hi, _QUAD_TOL)
     return float(wp), float(wm)
 
 
@@ -127,23 +125,13 @@ def _weyl_integrals(metric: RadialMetric, r_lo: float, r_hi: float) -> tuple[flo
 def _cap_weyl(base_name: str, eps: float) -> tuple[float, float]:
     """(int |W+|^2 dmu, int |W-|^2 dmu) over one cutoff cap.
 
-    Both integrals are scale invariant in dimension 4, so the core region
-    r < eps, which is an exact homothetic copy of the instanton, is
-    evaluated on the unit instanton at unit curvature scale; only the
-    transition annulus is integrated on the modified metric itself.  This
-    sidesteps evaluating near-cancelling curvature components of size
-    1/eps^6 in double precision.
+    The core [bolt, eps] is exactly the anti-self-dual instanton, so it
+    contributes (0, ``instanton_weyl_energy``) in closed form; only the
+    transition annulus [eps, 2 eps] is integrated, on the modified metric.
     """
-    base = BaseInstanton(base_name)
-    fam = CutoffFamily(base, eps)
-    preset = Preset.EGUCHI_HANSON if base is BaseInstanton.EGUCHI_HANSON else Preset.BURNS
-    unit = make_metric(preset)
-    # the core [bolt, eps] rescales to [1, eps / bolt] on the unit instanton
-    rho_hi = eps / fam.r_bolt
-    wp, wm = _weyl_integrals(unit, unit.r_min, rho_hi)
-    metric = modified_metric(fam)
-    tp, tm = _weyl_integrals(metric, eps, 2.0 * eps)
-    return wp + tp, wm + tm
+    fam = CutoffFamily(BaseInstanton(base_name), eps)
+    wp, wm = _weyl_integrals(modified_metric(fam), eps, 2.0 * eps)
+    return wp, wm + instanton_weyl_energy(fam.base, fam.r_bolt, fam.r_bolt, eps)
 
 
 def _chart_weyl(chart: Chart, t: float) -> tuple[float, float]:

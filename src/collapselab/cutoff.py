@@ -12,21 +12,13 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .jets import Jet2, constant
-from .radial import (
-    BOLT_OFFSET,
-    FULL_SPHERE,
-    Z2_QUOTIENT,
-    RadialMetric,
-    RadialProfile,
-    sup_norms,
-    volume,
-)
+from .radial import RadialMetric, RadialProfile, sup_norms, volume
 
 
 def _mollifier_bump(x: Jet2) -> Jet2:
@@ -83,12 +75,40 @@ class BaseInstanton(enum.Enum):
     BURNS = "burns"
 
 
-#: (power of eps in the profile term, power of r it divides by, bolt radius
+#: (power of eps in the profile term, power q of r it divides by, bolt radius
 #: exponent: r_min = eps**k) per family
 _FAMILY_EXPONENTS = {
     BaseInstanton.EGUCHI_HANSON: (8, 4, 2),
     BaseInstanton.BURNS: (6, 2, 3),
 }
+
+
+def instanton_curvature(base: BaseInstanton, r_bolt: float, r: float) -> tuple[float, float]:
+    """(sup |Ric|, |W-|^2) at radius r of the instanton W = 1 - (r_bolt / r)^q.
+
+    Both instantons are anti-self-dual (W+ = 0); Eguchi-Hanson is Ricci-flat
+    and Burns scalar-flat, and
+
+        |W-|^2 = 6 q^2 r_bolt^(2q) / r^(2q+4),   Burns sup |Ric| = 2 r_bolt^2 / r^4,
+
+    both largest at the bolt.  This is the unit instanton of ``make_metric``
+    at r_bolt = 1 and, exactly, the core r < eps of every cutoff cap.
+    """
+    q = _FAMILY_EXPONENTS[base][1]
+    ricci = 2.0 * r_bolt**2 / r**4 if base is BaseInstanton.BURNS else 0.0
+    return ricci, 6.0 * q * q * r_bolt ** (2 * q) / r ** (2 * q + 4)
+
+
+def instanton_weyl_energy(base: BaseInstanton, r_bolt: float, r_lo: float, r_hi: float) -> float:
+    """int |W-|^2 dmu over [r_lo, r_hi] of the same instanton,
+
+        12 pi^2 ((r_bolt / r_lo)^(2q) - (r_bolt / r_hi)^(2q)):
+
+    the volume form is link_volume r^3 dr and link_volume * q = 4 pi^2 in
+    both families, so each whole instanton carries 12 pi^2 (signature -1).
+    """
+    q = _FAMILY_EXPONENTS[base][1]
+    return 12.0 * math.pi**2 * ((r_bolt / r_lo) ** (2 * q) - (r_bolt / r_hi) ** (2 * q))
 
 
 @dataclass(frozen=True)
@@ -107,8 +127,9 @@ class CutoffFamily:
         return self.epsilon ** _FAMILY_EXPONENTS[self.base][2]
 
     @property
-    def link(self):
-        return Z2_QUOTIENT if self.base is BaseInstanton.EGUCHI_HANSON else FULL_SPHERE
+    def link_volume(self) -> float:
+        """pi^2 for the Z2 quotient of S^3 (Eguchi-Hanson), 2 pi^2 for S^3."""
+        return math.pi**2 if self.base is BaseInstanton.EGUCHI_HANSON else 2.0 * math.pi**2
 
 
 def modified_metric(family: CutoffFamily) -> RadialMetric:
@@ -131,9 +152,9 @@ def modified_metric(family: CutoffFamily) -> RadialMetric:
         a=lambda x: x,
         b=lambda x: x,
         c=lambda x: x * w(x).sqrt(),
-        r_min=family.r_bolt * (1.0 + BOLT_OFFSET),
+        r_min=family.r_bolt,
     )
-    return RadialMetric(prof, family.link)
+    return RadialMetric(prof, family.link_volume)
 
 
 @dataclass
@@ -161,8 +182,9 @@ def decay_sweep(
 ) -> SweepTable:
     """Sup-norm decay of the family as eps -> 0, with least-squares slope.
 
-    The tracked norm is sup |Ric| for Eguchi-Hanson (Ricci-flat core) and
-    sup |s| for Burns (scalar-flat core).
+    The tracked norm is sup |Ric| for Eguchi-Hanson and sup |s| for Burns,
+    sampled on [eps, 3 eps]: the core r < eps is the Ricci-flat or
+    scalar-flat instanton, so it contributes exactly 0.
     """
     eps_values = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(eps_values) < 3:
@@ -172,7 +194,7 @@ def decay_sweep(
     for eps in eps_values:
         fam = CutoffFamily(base, eps, bump_fn)
         metric = modified_metric(fam)
-        sn = sup_norms(metric, samples, r_hi=3.0 * eps)
+        sn = sup_norms(metric, samples, r_lo=eps, r_hi=3.0 * eps)
         value = sn.sup_ricci if base is BaseInstanton.EGUCHI_HANSON else sn.sup_scalar
         if not math.isfinite(value) or value <= 0.0:
             warnings.append(f"epsilon={eps}: non-finite or vanishing sup norm, row excluded")
@@ -186,14 +208,8 @@ def decay_sweep(
 
 
 def _cap_volume(family: CutoffFamily, R: float) -> float:
-    """Volume of the cutoff cap from its bolt out to radius R.
-
-    The modified metric's domain starts just off the bolt; its volume form
-    f a b c = r^3 is regular there, so the quadrature starts at the bolt.
-    """
-    metric = modified_metric(family)
-    from_bolt = RadialMetric(replace(metric.profile, r_min=family.r_bolt), family.link)
-    return volume(from_bolt, family.r_bolt, R)
+    """Volume of the cutoff cap from its bolt out to radius R."""
+    return volume(modified_metric(family), family.r_bolt, R)
 
 
 def volume_deficit(family: CutoffFamily, R: float) -> float:
@@ -205,5 +221,5 @@ def volume_deficit(family: CutoffFamily, R: float) -> float:
     """
     if R <= 2.0 * family.epsilon:
         raise ValueError("R must lie beyond the modified region (R > 2 eps)")
-    flat_part = family.link.link_volume * R**4 / 4.0
+    flat_part = family.link_volume * R**4 / 4.0
     return flat_part - _cap_volume(family, R)

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutoff import BaseInstanton, CutoffFamily, _cap_volume, modified_metric
-from .radial import Preset, make_metric, sup_norms
+from .cutoff import BaseInstanton, CutoffFamily, _cap_volume, instanton_curvature, modified_metric
+from .radial import sup_norms
 from .submersion import BundleKind, BundleModel, collapse_metric, oneill_at
 from .surfaces import SurfaceData
 
@@ -153,31 +153,21 @@ def torus_distance(p: np.ndarray, q: np.ndarray, gram: np.ndarray) -> float:
 # cap certification (cached: the sweep re-uses the same epsilons heavily)
 # --------------------------------------------------------------------------
 
-@functools.cache
-def _burns_core_sup_ricci() -> float:
-    """sup |Ric| of the unmodified unit Burns metric (attained near the bolt)."""
-    return sup_norms(make_metric(Preset.BURNS), 200, r_hi=50.0).sup_ricci
-
-
 @functools.lru_cache(maxsize=256)
 def _cap_certificate(base_name: str, eps: float):
     """(volume over [bolt, 2eps], sup_ricci, sup_scalar) of a cutoff cap.
 
-    The region r < eps is exactly the homothetically scaled instanton (the
-    cutoff is identically 1 there), so its sup-norms come from the scaling
-    law rather than from evaluating jets at curvature scale 1/bolt^2, which
-    double precision cannot resolve: the Eguchi-Hanson core contributes
-    exactly zero Ricci, the Burns core exactly zero scalar and (1/eps^6)
-    times the unit Burns Ricci sup.  Only the transition annulus
-    [eps, 2*eps] is sampled numerically.
+    The region r < eps is exactly the instanton with bolt eps^k (the cutoff
+    is identically 1 there), so its sup-norms come from the closed forms of
+    ``instanton_curvature`` rather than from evaluating jets at curvature
+    scale 1/bolt^2, which double precision cannot resolve: the core has zero
+    scalar curvature, and sup |Ric| = 0 (Eguchi-Hanson) or 2 / bolt^2 (Burns)
+    at the bolt.  Only the annulus [eps, 3 eps] is sampled.
     """
-    base = BaseInstanton(base_name)
-    fam = CutoffFamily(base, eps)
+    fam = CutoffFamily(BaseInstanton(base_name), eps)
     sn = sup_norms(modified_metric(fam), 120, r_lo=eps, r_hi=3.0 * eps)
-    sup_ric, sup_s = sn.sup_ricci, sn.sup_scalar
-    if base is BaseInstanton.BURNS:
-        sup_ric = max(sup_ric, _burns_core_sup_ricci() / eps**6)
-    return _cap_volume(fam, 2.0 * eps), sup_ric, sup_s
+    core_ricci, _ = instanton_curvature(fam.base, fam.r_bolt, fam.r_bolt)
+    return _cap_volume(fam, 2.0 * eps), max(sn.sup_ricci, core_ricci), sn.sup_scalar
 
 
 def eh_cap(eps: float) -> Chart:

@@ -31,35 +31,6 @@ STRUCTURE_SIGN = -2.0
 # of the blow-ups they live on; locked by tests.
 FRAME_ORIENTATION = 1
 
-#: relative offset keeping the instanton domains away from the bolt
-BOLT_OFFSET = 1e-3
-
-
-class LinkKind(enum.Enum):
-    FULL_SPHERE = "S3"
-    Z2_QUOTIENT = "SO3"
-
-
-_LINK_VOLUMES = {
-    LinkKind.FULL_SPHERE: 2.0 * math.pi**2,
-    LinkKind.Z2_QUOTIENT: math.pi**2,
-}
-
-
-@dataclass(frozen=True)
-class LinkQuotient:
-    """Cross-section of the radial chart: S^3 or its Z2 quotient."""
-
-    kind: LinkKind
-
-    @property
-    def link_volume(self) -> float:
-        return _LINK_VOLUMES[self.kind]
-
-
-FULL_SPHERE = LinkQuotient(LinkKind.FULL_SPHERE)
-Z2_QUOTIENT = LinkQuotient(LinkKind.Z2_QUOTIENT)
-
 ProfileFn = Callable[[Jet2], Jet2]
 
 
@@ -81,8 +52,11 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class RadialMetric:
+    """A profile over the link S^3 / Gamma, whose volume (2 pi^2 for S^3,
+    pi^2 for its Z2 quotient) scales every radial integral."""
+
     profile: RadialProfile
-    link: LinkQuotient
+    link_volume: float
 
     @property
     def r_min(self) -> float:
@@ -106,7 +80,7 @@ class RadialMetric:
             r_min=p.r_min,
             r_max=p.r_max,
         )
-        return RadialMetric(prof, self.link)
+        return RadialMetric(prof, self.link_volume)
 
 
 class Preset(enum.Enum):
@@ -129,7 +103,7 @@ def eguchi_hanson_profile(A: float) -> RadialProfile:
         a=lambda x: x,
         b=lambda x: x,
         c=lambda x: x * w(x).sqrt(),
-        r_min=A**0.25 * (1.0 + BOLT_OFFSET),
+        r_min=A**0.25,
     )
 
 
@@ -144,7 +118,7 @@ def burns_profile() -> RadialProfile:
         a=lambda x: x,
         b=lambda x: x,
         c=lambda x: x * w(x).sqrt(),
-        r_min=1.0 + BOLT_OFFSET,
+        r_min=1.0,
     )
 
 
@@ -174,32 +148,24 @@ def round_profile(radius: float = 1.0) -> RadialProfile:
     )
 
 
-def make_metric(
-    preset: Preset,
-    link: LinkQuotient | None = None,
-    A: float = 1.0,
-    radius: float = 1.0,
-) -> RadialMetric:
+def make_metric(preset: Preset, A: float = 1.0, radius: float = 1.0) -> RadialMetric:
     """Build a RadialMetric from one of the stock presets.
 
-    Default links: Z2 quotient for Eguchi-Hanson (a metric on the O(-2)
-    bundle over the 2-sphere), full S^3 for everything else.
+    Eguchi-Hanson lives on the O(-2) bundle over the 2-sphere, so its link
+    is the Z2 quotient of S^3 (volume pi^2); every other preset has link S^3
+    (volume 2 pi^2).
     """
     if preset is Preset.EGUCHI_HANSON:
-        prof = eguchi_hanson_profile(A)
-        link = link or Z2_QUOTIENT
-    elif preset is Preset.BURNS:
+        return RadialMetric(eguchi_hanson_profile(A), math.pi**2)
+    if preset is Preset.BURNS:
         prof = burns_profile()
-        link = link or FULL_SPHERE
     elif preset is Preset.FLAT:
         prof = flat_profile()
-        link = link or FULL_SPHERE
     elif preset is Preset.ROUND:
         prof = round_profile(radius)
-        link = link or FULL_SPHERE
     else:
         raise ValueError(f"unknown preset {preset!r}")
-    return RadialMetric(prof, link)
+    return RadialMetric(prof, 2.0 * math.pi**2)
 
 
 def _structure_functions(metric: RadialMetric, r: float):
@@ -271,14 +237,15 @@ def sup_norms(
     r_lo: float | None = None,
     r_hi: float | None = None,
 ) -> CurvatureSupNorms:
-    """Suprema of frame-component curvature norms over a nested radial grid."""
+    """Suprema of frame-component curvature norms over a nested radial grid
+    strictly inside (r_lo, r_hi)."""
     lo = metric.r_min if r_lo is None else r_lo
     hi = r_hi
     if hi is None:
         hi = metric.r_max if math.isfinite(metric.r_max) else 20.0 * max(lo, 1.0)
     hi = min(hi, metric.r_max)
     sup_ric = sup_s = 0.0
-    for r in sample_grid(lo * (1.0 + 1e-9), hi, samples):
+    for r in sample_grid(lo, hi, samples):
         fr = curvature_at(metric, float(r))
         sup_ric = max(sup_ric, fr.sup_ricci)
         sup_s = max(sup_s, abs(fr.scalar))
@@ -291,16 +258,14 @@ def _integrate(
     r_lo: float,
     r_hi: float,
     tol: float,
-    points=None,
 ) -> np.ndarray:
     """link_volume * int pointwise(r) f a b c dr over [r_lo, r_hi].
 
     ``pointwise`` may be scalar- or vector-valued; every component comes from
     the same evaluation at each node.  Globally adaptive Gauss-Kronrod
     quadrature (scipy's quad_vec) with absolute and relative tolerance
-    ``tol`` in the max norm, subdividing first at ``points``; raises
-    RuntimeError unless it converged with error estimate at most
-    max(tol, tol * max|value|).
+    ``tol`` in the max norm; raises RuntimeError unless it converged with
+    error estimate at most max(tol, tol * max|value|).
     """
 
     def weighted(r: float) -> np.ndarray:
@@ -308,13 +273,13 @@ def _integrate(
         return np.asarray(pointwise(r), dtype=float) * (f.value * a.value * b.value * c.value)
 
     val, err, info = quad_vec(weighted, r_lo, r_hi, epsabs=tol, epsrel=tol, norm="max",
-                              points=points, full_output=True)
+                              full_output=True)
     if info.status != 0 or not err <= max(tol, tol * float(np.max(np.abs(val)))):
         raise RuntimeError(
             f"radial quadrature over [{r_lo:.6g}, {r_hi:.6g}] did not converge"
             f" (status {info.status}, error {err:.3g})"
         )
-    return metric.link.link_volume * val
+    return metric.link_volume * val
 
 
 def volume(metric: RadialMetric, r_lo: float, r_hi: float) -> float:

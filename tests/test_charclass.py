@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from collapselab import charclass, cli
 from collapselab.charclass import (
     CharDensities,
+    _cap_weyl,
     _weyl_integrals,
     densities_at,
     integrate_characteristics,
     product_surface_frame,
     wplus_sweep,
 )
-from collapselab.gluing import assemble_surface_model
+from collapselab.cutoff import BaseInstanton
+from collapselab.gluing import _cap_certificate, assemble_surface_model
 from collapselab.radial import Preset, curvature_at, make_metric
 from collapselab.submersion import BundleKind, collapse_metric, make_bundle
 
@@ -87,14 +92,36 @@ def test_domain_validation():
         integrate_characteristics(metric, domain=(0.0, 2.0))
 
 
-def test_burns_core_weyl_energy_converges():
-    """int |W-|^2 dmu over the unit Burns core [r_min, rho] grows with rho
-    (the integrand is non-negative) and at rho = 2.56e5, the core of the
-    t = 1000 blow-up cap, matches a 200-panel reference quadrature."""
-    metric = make_metric(Preset.BURNS)
-    wm = [_weyl_integrals(metric, metric.r_min, 2.56 * 10.0**k)[1] for k in range(2, 6)]
-    assert all(b >= a for a, b in zip(wm, wm[1:]))
-    assert wm[-1] == pytest.approx(117.9626937898, rel=1e-8)
+def test_weyl_integrals_match_closed_form():
+    """int |W-|^2 dmu over [r0, R] on the unit instantons is
+    12 pi^2 (r0^-2q - R^-2q), with q = 4 (Eguchi-Hanson) or 2 (Burns), and
+    int |W+|^2 dmu vanishes."""
+    for preset, q in ((Preset.EGUCHI_HANSON, 4), (Preset.BURNS, 2)):
+        metric = make_metric(preset)
+        for r0, R in ((1.0, 10.0), (1.0, 253.0), (1.5, 100.0)):
+            wp, wm = _weyl_integrals(metric, r0, R)
+            assert wm == pytest.approx(12.0 * math.pi**2 * (r0 ** (-2 * q) - R ** (-2 * q)),
+                                       rel=1e-12)
+            assert wp < 1e-20 * wm
+
+
+def test_whole_instanton_characteristic_integrals():
+    """From the bolt to infinity the signature density integrates to -1 on
+    both instantons, and the Gauss-Bonnet density to 2 chi + 3 tau less the
+    ALE boundary term 2 / |Gamma|: 0 for Eguchi-Hanson (Gamma = Z2, chi = 2)
+    and -1 for Burns (Gamma = 1, chi = 2)."""
+    for preset, gb in ((Preset.EGUCHI_HANSON, 0.0), (Preset.BURNS, -1.0)):
+        out = integrate_characteristics(make_metric(preset))
+        assert out["tau"] == pytest.approx(-1.0, rel=1e-12)
+        assert out["two_chi_plus_three_tau"] == pytest.approx(gb, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(0.004, 0.9), st.sampled_from(list(BaseInstanton)))
+def test_cap_weyl_energy_is_one_instanton(eps, base):
+    """Every cutoff cap carries int (|W-|^2 - |W+|^2) dmu = 12 pi^2, signature -1."""
+    wp, wm = _cap_weyl(base.value, eps)
+    assert abs((wm - wp) / (12.0 * math.pi**2) - 1.0) < 1e-12
 
 
 def test_glued_sweep_wplus_decays():
@@ -108,7 +135,7 @@ def test_glued_sweep_wplus_decays():
     wm = [row[2] for row in table.rows]
     assert max(wm) - min(wm) < 1e-4 * max(wm)
     tau_est = table.rows[-1][3]
-    assert -10.5 < tau_est < -9.0
+    assert abs(tau_est + 10) < 1e-8
 
 
 def test_control_family_constant():
@@ -131,3 +158,20 @@ def test_sweep_csv_and_guards():
         wplus_sweep(rule, ())
     with pytest.raises(TypeError):
         wplus_sweep(lambda t: "nope", (1.0,))
+
+
+def test_charclass_run_work_budget(tmp_path, monkeypatch):
+    """A default ``charclass`` run, with empty cap caches, evaluates curvature
+    at most 700 times for its integrals (a deterministic work counter)."""
+    _cap_weyl.cache_clear()
+    _cap_certificate.cache_clear()
+    calls = 0
+
+    def counting(metric, r):
+        nonlocal calls
+        calls += 1
+        return curvature_at(metric, r)
+
+    monkeypatch.setattr(charclass, "curvature_at", counting)
+    cli.run(cli.ExperimentConfig("charclass", {}, str(tmp_path), 1))
+    assert calls <= 700

@@ -14,10 +14,11 @@ from collapselab.cutoff import (
     SMOOTH_BUMP,
     bump,
     decay_sweep,
+    instanton_curvature,
     modified_metric,
     volume_deficit,
 )
-from collapselab.radial import curvature_at, sup_norms, volume
+from collapselab.radial import Preset, curvature_at, make_metric, sample_grid, sup_norms, volume
 
 
 def test_bump_boundary_values():
@@ -56,14 +57,49 @@ def test_modified_metric_interpolates():
 @given(st.floats(1e-6, 1.0, exclude_max=True), st.sampled_from(list(BaseInstanton)),
        st.sampled_from([SMOOTH_BUMP, QUINTIC_BUMP]), st.floats(0.0, 1.0, exclude_min=True))
 def test_modified_metric_positive_on_its_domain(eps, base, bump_fn, t):
-    """W = f^-2 >= 1 - (r_bolt/r)^q > 0 on (r_min, 2.5 eps], for every eps in
-    (0, 1): eps^p / r^q = (r_bolt / r)^q and the bump stays in [0, 1]."""
+    """W = f^-2 >= 1 - (r_bolt/r)^q > 0 on [1.001 r_bolt, 2.5 eps], for every
+    eps in (0, 1): eps^p / r^q = (r_bolt / r)^q and the bump stays in [0, 1].
+    (As t -> 0, r would round to the bolt itself, where W = 0.)"""
     fam = CutoffFamily(base, eps, bump_fn)
     profile = modified_metric(fam).profile
-    r = profile.r_min * (2.5 * eps / profile.r_min) ** t  # log-uniform in the range
+    r_lo = 1.001 * fam.r_bolt
+    r = r_lo * (2.5 * eps / r_lo) ** t  # log-uniform in the range
     w = profile.at(r)[0].value ** -2
     q = 4 if base is BaseInstanton.EGUCHI_HANSON else 2
     assert w >= (1.0 - (fam.r_bolt / r) ** q) * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("base,preset,rel", [
+    (BaseInstanton.EGUCHI_HANSON, Preset.EGUCHI_HANSON, 1e-11),
+    (BaseInstanton.BURNS, Preset.BURNS, 1e-12),
+])
+def test_instanton_curvature_closed_forms(base, preset, rel):
+    """The unit instanton on [1.001, 10] against ``instanton_curvature``:
+    W+ = 0, Ric = 0 (Eguchi-Hanson) or s = 0 (Burns), |W-|^2 = 96 / r^12 or
+    24 / r^8, and Burns sup |Ric| = 2 / r^4."""
+    metric = make_metric(preset)
+    for r in sample_grid(1.001, 10.0, 200):
+        fr = curvature_at(metric, r)
+        ricci, wminus = instanton_curvature(base, 1.0, r)
+        assert fr.w_minus_norm2 == pytest.approx(wminus, rel=rel)
+        assert fr.w_plus_norm2 < 1e-22 * wminus
+        assert abs(fr.scalar) < 1e-11 * math.sqrt(wminus)
+        if base is BaseInstanton.BURNS:
+            assert fr.sup_ricci == pytest.approx(ricci, rel=rel)
+        else:
+            assert ricci == 0.0 and fr.sup_ricci < 1e-11 * math.sqrt(wminus)
+
+
+@pytest.mark.parametrize("base", list(BaseInstanton))
+def test_cap_core_is_the_scaled_instanton(base):
+    """Inside r < eps a cutoff cap is the instanton with bolt eps^k."""
+    fam = CutoffFamily(base, 0.5)
+    metric = modified_metric(fam)
+    for r in sample_grid(1.001 * fam.r_bolt, fam.epsilon, 50):
+        fr = curvature_at(metric, r)
+        ricci, wminus = instanton_curvature(base, fam.r_bolt, r)
+        assert fr.w_minus_norm2 == pytest.approx(wminus, rel=1e-12)
+        assert fr.sup_ricci == pytest.approx(ricci, rel=1e-12, abs=1e-12 * math.sqrt(wminus))
 
 
 def test_epsilon_range_guard():
@@ -87,7 +123,7 @@ def test_family_exponents(base, bolt_pow, deficit_pow):
 @pytest.mark.parametrize("base", list(BaseInstanton))
 def test_quadratic_curvature_decay(base):
     table = decay_sweep(base, [0.2, 0.1, 0.05, 0.025], samples=120)
-    assert 1.8 <= table.fitted_slope <= 2.2
+    assert abs(table.fitted_slope - 2.0) < 1e-6
     sups = [row[1] for row in table.rows]
     assert all(b < a for a, b in zip(sups, sups[1:]))
 

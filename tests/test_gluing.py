@@ -134,7 +134,8 @@ def test_cap_charts_certify_small_scalar():
     assert cap.sup_ricci < 0.25  # O(eps^2) transition curvature
     b = burns_cap(0.0625)
     assert b.sup_scalar < 0.25
-    assert b.sup_ricci > 1.0  # blow-up caps are not Ricci-small
+    # blow-up caps are not Ricci-small: sup |Ric| = 2 / r_bolt^2 at the Burns bolt
+    assert b.sup_ricci == pytest.approx(2.0 / 0.0625**6, rel=1e-12)
 
 
 def _orbifold(t):

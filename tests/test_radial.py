@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from collapselab.radial import (
-    FULL_SPHERE,
     Preset,
     RadialMetric,
-    Z2_QUOTIENT,
     curvature_at,
     eguchi_hanson_profile,
+    flat_profile,
     make_metric,
     sample_grid,
     sup_norms,
@@ -119,7 +118,7 @@ def test_sup_norms_monotone_in_samples():
 
 def test_volume_against_closed_forms():
     # flat cone over the Z2 lens: link volume pi^2, so V = pi^2 R^4 / 4
-    flat = make_metric(Preset.FLAT, link=Z2_QUOTIENT)
+    flat = RadialMetric(flat_profile(), math.pi**2)
     assert volume(flat, 1e-9, 2.0) == pytest.approx(math.pi**2 * 4.0, rel=1e-10)
     # round 4-sphere: total volume 8 pi^2 / 3
     s4 = make_metric(Preset.ROUND)
@@ -142,11 +141,13 @@ def test_volume_rejects_unconverged_quadrature(monkeypatch):
             integrate_characteristics(make_metric(Preset.ROUND))
 
 
-def test_link_quotient_volumes():
-    assert FULL_SPHERE.link_volume == pytest.approx(2.0 * math.pi**2)
-    assert Z2_QUOTIENT.link_volume == pytest.approx(math.pi**2)
+def test_preset_link_volumes():
+    # Eguchi-Hanson's link is S^3 / Z2; every other preset's is S^3
+    assert make_metric(Preset.EGUCHI_HANSON, A=2.0).link_volume == math.pi**2
+    for preset in (Preset.BURNS, Preset.FLAT, Preset.ROUND):
+        assert make_metric(preset).link_volume == 2.0 * math.pi**2
 
 
 def test_eguchi_hanson_bolt_location():
     prof = eguchi_hanson_profile(A=2.0)
-    assert prof.r_min == pytest.approx(2.0**0.25 * (1 + 1e-3))
+    assert prof.r_min == 2**0.25
