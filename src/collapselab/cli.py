@@ -205,13 +205,11 @@ def _run_decay(params: dict, seed: int):
     # a large cap keeps the deficit above the cancellation floor of the
     # flat-ball subtraction, so the 1e-10 relative comparison is meaningful
     eps0 = float(params["deficit_eps"])
-    deficit = volume_deficit(CutoffFamily(base, eps0), R=4.0 * eps0)
-    if base is BaseInstanton.EGUCHI_HANSON:
-        closed_form = math.pi**2 * eps0**8 / 4.0
-        stated = math.pi**2 * eps0**8 / 2.0
-    else:
-        closed_form = math.pi**2 * eps0**12 / 2.0
-        stated = closed_form
+    fam = CutoffFamily(base, eps0)
+    deficit = volume_deficit(fam, R=4.0 * eps0)
+    # link_volume r_bolt^4 / 4, against the full-sphere value 2 pi^2 r_bolt^4 / 4
+    closed_form = fam.link_volume * fam.r_bolt**4 / 4.0
+    stated = 2.0 * math.pi**2 * fam.r_bolt**4 / 4.0
     results = {
         "base": base.value,
         "fitted_slope": table.fitted_slope,

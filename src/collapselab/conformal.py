@@ -1,18 +1,18 @@
 """Discrete conformal geometry on the flat torus.
 
-Everything here lives on a periodic lattice: the positive stencil
-Laplacian Delta = d*d, the scalar-curvature transformation law for a
-conformal factor u, the Yamabe quotient of the deformed metric, and a
-projected gradient descent that drives the quotient toward the Yamabe
-constant of the class.  The key identity is
+Everything here lives on a periodic lattice with the flat metric: the
+positive stencil Laplacian Delta = d*d, the scalar-curvature law for a
+conformal factor u, the Yamabe quotient of u^ell g, and a projected
+gradient descent that drives the quotient to the Yamabe constant of the
+class, 0, attained by the flat metric.  The key identity (s = 0) is
 
-    s_hat u^(ell+1) = s u + (n-1) ell Delta u,    ell = 4/(n-2),
+    s_hat u^(ell+1) = (n-1) ell Delta u,    ell = 4/(n-2),
 
 and its integrated consequences: the Hoelder inequality between the two
 normalizations of total scalar curvature, and the integration-by-parts
-identity that makes int s_hat u^ell dmu nonpositive over a scalar-flat
-base.  The discrete operators are arranged so that the latter two hold
-exactly in floating point, not just up to truncation error.
+identity that makes int s_hat u^ell dmu nonpositive.  The discrete operators
+are arranged so that the latter two hold exactly in floating point, not
+just up to truncation error.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConformalGrid:
-    """Periodic lattice on a flat n-torus with an optional base scalar field."""
+    """Periodic lattice on a flat n-torus."""
 
     n_points: int
     periods: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
-    base_scalar: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.n_points < 8:
@@ -78,9 +77,6 @@ class ConformalGrid:
         shape = [1] * self.n_dim
         shape[axis] = self.n_points
         return np.broadcast_to(x.reshape(shape), self.shape).copy()
-
-    def scalar_field(self) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.base_scalar, float), self.shape)
 
     def check_field(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -125,37 +121,25 @@ def gradient_energy_density(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
 
 
 def conformal_scalar(grid: ConformalGrid, u) -> np.ndarray:
-    """Scalar curvature of u^ell g via s_hat = (su + (n-1) ell Delta u) / u^(ell+1)."""
+    """Scalar curvature of u^ell g over the flat base: s_hat = (n-1) ell Delta u / u^(ell+1)."""
     u = _as_factor(grid, u)
     n, ell = grid.n_dim, grid.ell
-    s = grid.scalar_field()
-    return (s * u + (n - 1) * ell * laplacian(grid, u)) / u ** (ell + 1.0)
-
-
-def _energy_and_volume(grid: ConformalGrid, u: np.ndarray) -> tuple[float, float]:
-    """(int s_hat dmu_hat, int dmu_hat) for the deformed metric.
-
-    The total scalar curvature reduces to int (s u^2 + (n-1) ell |du|^2) dmu
-    for every n: the exponent in the pullback works out to exactly one power
-    of u, and summation by parts trades u * Delta u for |du|^2 exactly.
-    """
-    n, ell = grid.n_dim, grid.ell
-    s = grid.scalar_field()
-    energy = grid.integrate(s * u**2 + (n - 1) * ell * gradient_energy_density(grid, u))
-    p = 2.0 * n / (n - 2)
-    vol = grid.integrate(u**p)
-    return energy, vol
+    return (n - 1) * ell * laplacian(grid, u) / u ** (ell + 1.0)
 
 
 def yamabe_quotient(grid: ConformalGrid, u) -> float:
     """Normalized total scalar curvature of u^ell g, the Yamabe functional.
 
-    Invariant under u -> cu: the numerator scales as c^2 and the volume
-    normalization exactly cancels it.
+    The total scalar curvature reduces to the energy int (n-1) ell |du|^2 dmu
+    for every n: the pullback leaves exactly one power of u, and summation
+    by parts trades u * Delta u for |du|^2 exactly.  Dividing by the volume
+    int u^(2n/(n-2)) dmu to the power (n-2)/n makes it invariant under u -> cu.
     """
     u = _as_factor(grid, u)
-    energy, vol = _energy_and_volume(grid, u)
-    return energy / vol ** ((grid.n_dim - 2.0) / grid.n_dim)
+    n, ell = grid.n_dim, grid.ell
+    energy = grid.integrate((n - 1) * ell * gradient_energy_density(grid, u))
+    vol = grid.integrate(u ** (2.0 * n / (n - 2)))
+    return energy / vol ** ((n - 2.0) / n)
 
 
 @dataclass
@@ -184,53 +168,46 @@ def minimize_yamabe(
 ) -> DescentResult:
     """Projected gradient descent on the Yamabe quotient.
 
-    Each step moves against the L2 gradient of the quotient, renormalizes
-    to unit conformal volume (exact, by scale invariance), and backtracks
+    Each step moves against the L2 gradient of the quotient and backtracks
     by halving from an initial step of 1.0 until the quotient does not
-    increase and u stays positive.  Stops once the relative decrease of
-    the quotient falls below tol.
+    increase and u stays positive.  The quotient is scale invariant, so a
+    candidate is evaluated as it is, and only the accepted one is
+    renormalized to unit conformal volume.  Stops once the relative
+    decrease of the quotient falls below tol.
     """
-    u = _as_factor(grid, u0).copy()
     n, ell = grid.n_dim, grid.ell
     p = 2.0 * n / (n - 2)
-    s = grid.scalar_field()
+    w = (n - 2.0) / n
 
     def renormalize(v: np.ndarray) -> np.ndarray:
         vol = grid.integrate(v**p)
         return v / vol ** (1.0 / p)
 
-    u = renormalize(u)
+    u = renormalize(_as_factor(grid, u0))
     q = yamabe_quotient(grid, u)
     trace = [(0, q, 0.0)]
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
-        energy, vol = _energy_and_volume(grid, u)  # vol == 1 after projection
-        # functional (L2) gradients; the lattice measure cancels from the
-        # direction and would only shrink the step by a factor N^-n
-        grad_e = 2.0 * (s * u + (n - 1) * ell * laplacian(grid, u))
-        grad_v = p * u ** (p - 1.0)
-        w = (n - 2.0) / n
-        grad = grad_e / vol**w - w * energy * vol ** (-w - 1.0) * grad_v
-        gnorm = math.sqrt(float(np.sum(grad**2)))
-        if gnorm == 0.0:
+        # functional (L2) gradient of energy / vol^w at unit volume, where the
+        # energy is q; the lattice measure cancels from the direction and
+        # would only shrink the step by a factor N^-n
+        grad = 2.0 * (n - 1) * ell * laplacian(grid, u) - w * q * p * u ** (p - 1.0)
+        if not np.any(grad):
             converged = True
             break
         step = 1.0
-        accepted = False
         for _ in range(60):
             cand = u - step * grad
             if np.all(cand > 0.0):
-                cand = renormalize(cand)
                 q_new = yamabe_quotient(grid, cand)
                 if q_new <= q:
-                    accepted = True
                     break
             step *= 0.5
-        if not accepted:
+        else:
             raise RuntimeError("line search failed: no positive decreasing step")
         iterations = it
-        u, q_prev, q = cand, q, q_new
+        u, q_prev, q = renormalize(cand), q, q_new
         trace.append((it, q, step))
         if abs(q_prev - q) <= tol * max(abs(q_prev), 1.0):
             converged = True
@@ -256,7 +233,7 @@ def holder_gap(grid: ConformalGrid, s_field: np.ndarray, u) -> dict[str, float]:
 
 
 def negative_case_check(grid: ConformalGrid, u) -> float:
-    """int s_hat u^ell dmu over a scalar-flat base.
+    """int s_hat u^ell dmu over the flat base.
 
     Expanding the transformation law, the integrand is (n-1) ell Delta u / u,
     whose lattice sum pairs each edge as 2 - a - 1/a <= 0.  The result is
@@ -264,9 +241,6 @@ def negative_case_check(grid: ConformalGrid, u) -> float:
     constant: the quantitative content of the negative-case comparison.
     """
     u = _as_factor(grid, u)
-    s = grid.scalar_field()
-    if np.any(s != 0.0):
-        raise ValueError("negative_case_check requires a scalar-flat base")
     n, ell = grid.n_dim, grid.ell
     return grid.integrate((n - 1) * ell * laplacian(grid, u) / u)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,7 +164,6 @@ class SweepTable:
     rows: list[tuple[float, float]]
     fitted_slope: float
     base: BaseInstanton
-    warnings: list[str] = field(default_factory=list)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -184,27 +183,24 @@ def decay_sweep(
 
     The tracked norm is sup |Ric| for Eguchi-Hanson and sup |s| for Burns,
     sampled on [eps, 3 eps]: the core r < eps is the Ricci-flat or
-    scalar-flat instanton, so it contributes exactly 0.
+    scalar-flat instanton, so it contributes exactly 0.  A sup norm that is
+    not finite and positive has no logarithm and raises RuntimeError.
     """
     eps_values = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(eps_values) < 3:
         raise ValueError("decay sweep needs at least 3 distinct epsilon values")
     rows: list[tuple[float, float]] = []
-    warnings: list[str] = []
     for eps in eps_values:
         fam = CutoffFamily(base, eps, bump_fn)
         metric = modified_metric(fam)
         sn = sup_norms(metric, samples, r_lo=eps, r_hi=3.0 * eps)
         value = sn.sup_ricci if base is BaseInstanton.EGUCHI_HANSON else sn.sup_scalar
         if not math.isfinite(value) or value <= 0.0:
-            warnings.append(f"epsilon={eps}: non-finite or vanishing sup norm, row excluded")
-            continue
+            raise RuntimeError(f"epsilon={eps}: sup norm {value!r} is not finite and positive")
         rows.append((eps, value))
-    if len(rows) < 2:
-        raise ValueError("too few valid sweep rows to fit a slope")
     logs = np.log(np.asarray(rows))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
-    return SweepTable(rows=rows, fitted_slope=slope, base=base, warnings=warnings)
+    return SweepTable(rows=rows, fitted_slope=slope, base=base)
 
 
 def _cap_volume(family: CutoffFamily, R: float) -> float:

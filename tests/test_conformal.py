@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from collapselab import conformal
 from collapselab.conformal import (
     ConformalGrid,
     aubin_bound,
@@ -68,9 +71,6 @@ def test_summation_by_parts_exact(grid):
 
 def test_conformal_scalar_trivial_cases(grid):
     assert np.max(np.abs(conformal_scalar(grid, np.ones(grid.shape)))) == 0.0
-    g = ConformalGrid(8, base_scalar=3.0)
-    shat = conformal_scalar(g, 2.0 * np.ones(g.shape))
-    assert np.allclose(shat, 3.0 / 4.0)  # homothety: s * c^(-ell)
 
 
 def test_conformal_scalar_positivity_guard(grid):
@@ -112,6 +112,39 @@ def test_descent_reaches_flat_metric(grid):
     assert spread < 1e-3
     qs = [row[1] for row in res.trace]
     assert all(b <= a for a, b in zip(qs, qs[1:]))
+
+
+def test_descent_work_budget(grid, monkeypatch):
+    """The descent of ``test_descent_reaches_flat_metric`` evaluates the
+    quotient at most 1500 times (a deterministic work counter), the energy
+    once per quotient and the Laplacian once per iteration."""
+    calls = {"yamabe_quotient": 0, "gradient_energy_density": 0, "laplacian": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(conformal, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(conformal, name, counting)
+    u0 = 1.0 + 0.2 * np.cos(2.0 * np.pi * grid.axis_coordinate(0))
+    res = conformal.minimize_yamabe(grid, u0, max_iters=500, tol=1e-12)
+    assert calls["yamabe_quotient"] <= 1500
+    assert calls["gradient_energy_density"] == calls["yamabe_quotient"]
+    assert calls["laplacian"] == res.iterations
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+def test_descent_properties_from_random_starts(seed, max_iters):
+    """From any positive start the trace never increases, and the result is
+    positive, of unit conformal volume, with the quotient the trace ends on."""
+    g = ConformalGrid(8)
+    u0 = np.random.default_rng(seed).random(g.shape) + 0.05
+    res = minimize_yamabe(g, u0, max_iters=max_iters, tol=0.0)
+    qs = [row[1] for row in res.trace]
+    assert all(b <= a for a, b in zip(qs, qs[1:]))
+    assert np.all(res.u_star > 0.0)
+    p = 2.0 * g.n_dim / (g.n_dim - 2)
+    assert abs(g.integrate(res.u_star**p) - 1.0) <= 1e-12
+    assert yamabe_quotient(g, res.u_star) == pytest.approx(qs[-1], rel=1e-12)
 
 
 def test_descent_constant_start_converges_immediately(grid):
@@ -167,12 +200,6 @@ def test_negative_case_check(grid):
         assert negative_case_check(g, u) <= 1e-12
     u_near = 1.0 + 1e-7 * rng.random(g.shape)
     assert abs(negative_case_check(g, u_near)) < 1e-8
-
-
-def test_negative_case_requires_flat_base():
-    g = ConformalGrid(8, base_scalar=1.0)
-    with pytest.raises(ValueError):
-        negative_case_check(g, np.ones(g.shape))
 
 
 def test_aubin_bound_values():

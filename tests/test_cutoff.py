@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapselab import cutoff
 from collapselab.cutoff import (
     BaseInstanton,
     CutoffFamily,
@@ -18,7 +19,9 @@ from collapselab.cutoff import (
     modified_metric,
     volume_deficit,
 )
-from collapselab.radial import Preset, curvature_at, make_metric, sample_grid, sup_norms, volume
+from collapselab.radial import (
+    CurvatureSupNorms, Preset, curvature_at, make_metric, sample_grid, sup_norms, volume,
+)
 
 
 def test_bump_boundary_values():
@@ -131,6 +134,19 @@ def test_quadratic_curvature_decay(base):
 def test_decay_sweep_needs_three_epsilons():
     with pytest.raises(ValueError):
         decay_sweep(BaseInstanton.BURNS, [0.1, 0.05])
+
+
+def test_decay_sweep_rejects_vanishing_sup(monkeypatch):
+    """A zero sup norm at one epsilon fails the sweep instead of dropping
+    its row and fitting the slope on the others."""
+    def zero_at_tenth(metric, samples, r_lo, r_hi):
+        if r_lo == 0.1:
+            return CurvatureSupNorms(0.0, 0.0)
+        return sup_norms(metric, samples, r_lo=r_lo, r_hi=r_hi)
+
+    monkeypatch.setattr(cutoff, "sup_norms", zero_at_tenth)
+    with pytest.raises(RuntimeError, match="epsilon=0.1"):
+        decay_sweep(BaseInstanton.EGUCHI_HANSON, [0.2, 0.1, 0.05], samples=60)
 
 
 def test_sweep_table_csv():

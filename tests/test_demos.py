@@ -1,9 +1,8 @@
 """The narrative demos run to completion from a source checkout, exactly as
 README shows them: ``PYTHONPATH=src python3 demos/<name>.py``.
 
-``05_conformal_yamabe`` is left out: its full Yamabe descent takes minutes
-(168 s on a 2-CPU host) and the same descent is covered by acceptance
-criterion 9.
+``05_conformal_yamabe`` is left out: its full Yamabe descent takes 90 s on
+a 2-CPU host, and the same descent is covered by acceptance criterion 9.
 """
 
 import os
