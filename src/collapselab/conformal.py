@@ -3,8 +3,8 @@
 Everything here lives on a periodic lattice with the flat metric: the
 positive stencil Laplacian Delta = d*d, the scalar-curvature law for a
 conformal factor u, the Yamabe quotient of u^ell g, and a projected
-gradient descent that drives the quotient to the Yamabe constant of the
-class, 0, attained by the flat metric.  The key identity (s = 0) is
+Sobolev-gradient descent that drives the quotient to the Yamabe constant
+of the class, 0, attained by the flat metric.  The key identity (s = 0) is
 
     s_hat u^(ell+1) = (n-1) ell Delta u,    ell = 4/(n-2),
 
@@ -105,8 +105,18 @@ def laplacian(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
     """
     u = grid.check_field(u)
     out = np.zeros_like(u)
+    diff = np.empty_like(u)
     for ax, h in enumerate(grid.spacings):
-        out += (2.0 * u - np.roll(u, 1, axis=ax) - np.roll(u, -1, axis=ax)) / h**2
+        # (2u - u_minus - u_plus) / h^2 in one scratch array, the wrap
+        # handled at the two ends of the axis
+        d, v = np.moveaxis(diff, ax, 0), np.moveaxis(u, ax, 0)
+        np.multiply(u, 2.0, out=diff)
+        d[1:] -= v[:-1]
+        d[0] -= v[-1]
+        d[:-1] -= v[1:]
+        d[-1] -= v[0]
+        diff /= h**2
+        out += diff
     return out
 
 
@@ -115,8 +125,14 @@ def gradient_energy_density(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
     the stencil Laplacian: sum(u * Delta u) = sum(|du|^2) identically."""
     u = grid.check_field(u)
     out = np.zeros_like(u)
+    diff = np.empty_like(u)
     for ax, h in enumerate(grid.spacings):
-        out += ((np.roll(u, -1, axis=ax) - u) / h) ** 2
+        d, v = np.moveaxis(diff, ax, 0), np.moveaxis(u, ax, 0)
+        np.subtract(v[1:], v[:-1], out=d[:-1])
+        np.subtract(v[0], v[-1], out=d[-1])
+        diff /= h
+        np.square(diff, out=diff)
+        out += diff
     return out
 
 
@@ -140,6 +156,32 @@ def yamabe_quotient(grid: ConformalGrid, u) -> float:
     energy = grid.integrate((n - 1) * ell * gradient_energy_density(grid, u))
     vol = grid.integrate(u ** (2.0 * n / (n - 2)))
     return energy / vol ** ((n - 2.0) / n)
+
+
+def _sobolev_inverse(grid: ConformalGrid):
+    """The map g -> v solving v + 2(n-1) ell Delta v = g, Delta the stencil.
+
+    Applied by FFT with the stencil's exact symbol
+    sigma = sum_j (2 - 2 cos k_j h_j) / h_j^2, so it inverts the lattice
+    operator to rounding, not a continuum approximation of it.  sigma is
+    built once, as a broadcast of one factor per axis over the rfftn
+    half-spectrum.
+    """
+    n, ell = grid.n_dim, grid.ell
+    axes = tuple(range(n))
+    # k_j h_j = 2 pi m / N whatever the period, so each factor needs only h_j
+    sigma = np.zeros(())
+    for ax, h in enumerate(grid.spacings):
+        freq = (np.fft.rfftfreq if ax == n - 1 else np.fft.fftfreq)(grid.n_points)
+        shape = [1] * n
+        shape[ax] = freq.size
+        sigma = sigma + ((2.0 - 2.0 * np.cos(2.0 * np.pi * freq)) / h**2).reshape(shape)
+    inverse_symbol = 1.0 / (1.0 + 2.0 * (n - 1) * ell * sigma)
+
+    def apply(g: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(np.fft.rfftn(g) * inverse_symbol, s=grid.shape, axes=axes)
+
+    return apply
 
 
 @dataclass
@@ -166,18 +208,23 @@ def minimize_yamabe(
     max_iters: int = 500,
     tol: float = 1e-10,
 ) -> DescentResult:
-    """Projected gradient descent on the Yamabe quotient.
+    """Projected Sobolev-gradient descent on the Yamabe quotient.
 
-    Each step moves against the L2 gradient of the quotient and backtracks
-    by halving from an initial step of 1.0 until the quotient does not
-    increase and u stays positive.  The quotient is scale invariant, so a
-    candidate is evaluated as it is, and only the accepted one is
-    renormalized to unit conformal volume.  Stops once the relative
-    decrease of the quotient falls below tol.
+    Each step moves against the H1 (Sobolev) gradient of the quotient: the
+    L2 gradient mapped through (1 + 2(n-1) ell sigma)^-1, where sigma is the
+    exact Fourier symbol of the stencil Laplacian, applied by FFT.  The
+    factor 2(n-1) ell is the weight of Delta u in the L2 gradient, so the
+    stiff high-frequency modes that would hold an L2 step near 2^-14 are
+    taken at unit step.  The step backtracks by halving from 1.0 until the
+    quotient does not increase and u stays positive.  The quotient is scale
+    invariant, so a candidate is evaluated as it is, and only the accepted
+    one is renormalized to unit conformal volume.  Stops on a zero L2
+    gradient or once the relative decrease of the quotient falls below tol.
     """
     n, ell = grid.n_dim, grid.ell
     p = 2.0 * n / (n - 2)
     w = (n - 2.0) / n
+    sobolev = _sobolev_inverse(grid)
 
     def renormalize(v: np.ndarray) -> np.ndarray:
         vol = grid.integrate(v**p)
@@ -196,6 +243,7 @@ def minimize_yamabe(
         if not np.any(grad):
             converged = True
             break
+        grad = sobolev(grad)
         step = 1.0
         for _ in range(60):
             cand = u - step * grad
