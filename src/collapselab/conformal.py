@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,17 +40,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConformalGrid:
-    """Periodic lattice on a flat n-torus."""
+    """Periodic lattice on a flat n-torus, n >= 3.
 
-    n_points: int
+    ``n_points`` is one count for every axis, or one count per axis in the
+    order of ``periods``; either way it is stored as a tuple, so ``shape``
+    is ``n_points`` and axis j has spacing ``periods[j] / n_points[j]``.
+    Each count is an integer of at least 8.  A field constant along an axis
+    needs no more than 8 points there: that axis's stencil term is
+    (2u - u - u)/h^2, exactly 0.0 in floating point, whatever the count.
+    """
+
+    n_points: int | tuple[int, ...]
     periods: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if self.n_points < 8:
-            raise ValueError("need at least 8 points per axis")
-        object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
-        if any(p <= 0.0 for p in self.periods):
+        periods = tuple(float(p) for p in self.periods)
+        if len(periods) < 3:
+            raise ValueError("need at least 3 axes")
+        if any(p <= 0.0 for p in periods):
             raise ValueError("periods must be positive")
+        counts = self.n_points
+        if not isinstance(counts, (tuple, list)):
+            counts = (counts,) * len(periods)
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
+            raise ValueError(f"point counts must be integers, got {self.n_points!r}")
+        if len(counts) != len(periods):
+            raise ValueError(f"{len(counts)} point counts for {len(periods)} periods")
+        if min(counts) < 8:
+            raise ValueError("need at least 8 points per axis")
+        object.__setattr__(self, "n_points", tuple(int(c) for c in counts))
+        object.__setattr__(self, "periods", periods)
 
     @property
     def n_dim(self) -> int:
@@ -57,15 +77,15 @@ class ConformalGrid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return (self.n_points,) * self.n_dim
+        return self.n_points
 
     @property
     def spacings(self) -> tuple[float, ...]:
-        return tuple(p / self.n_points for p in self.periods)
+        return tuple(p / n for p, n in zip(self.periods, self.n_points))
 
     @property
     def cell_volume(self) -> float:
-        return math.prod(self.periods) / self.n_points**self.n_dim
+        return math.prod(self.periods) / math.prod(self.n_points)
 
     @property
     def ell(self) -> float:
@@ -73,9 +93,9 @@ class ConformalGrid:
 
     def axis_coordinate(self, axis: int) -> np.ndarray:
         """Coordinate along one axis, broadcast to the full grid shape."""
-        x = np.linspace(0.0, self.periods[axis], self.n_points, endpoint=False)
+        x = np.linspace(0.0, self.periods[axis], self.n_points[axis], endpoint=False)
         shape = [1] * self.n_dim
-        shape[axis] = self.n_points
+        shape[axis] = x.size
         return np.broadcast_to(x.reshape(shape), self.shape).copy()
 
     def check_field(self, u: np.ndarray) -> np.ndarray:
@@ -169,10 +189,10 @@ def _sobolev_inverse(grid: ConformalGrid):
     """
     n, ell = grid.n_dim, grid.ell
     axes = tuple(range(n))
-    # k_j h_j = 2 pi m / N whatever the period, so each factor needs only h_j
+    # k_j h_j = 2 pi m / N_j whatever the period, so each factor needs only h_j
     sigma = np.zeros(())
     for ax, h in enumerate(grid.spacings):
-        freq = (np.fft.rfftfreq if ax == n - 1 else np.fft.fftfreq)(grid.n_points)
+        freq = (np.fft.rfftfreq if ax == n - 1 else np.fft.fftfreq)(grid.shape[ax])
         shape = [1] * n
         shape[ax] = freq.size
         sigma = sigma + ((2.0 - 2.0 * np.cos(2.0 * np.pi * freq)) / h**2).reshape(shape)

@@ -162,7 +162,7 @@ def lattice_scalar_curvature(gdiag, spacings):
 def conformal_scalar_fd(grid, u):
     """Finite-difference scalar curvature of the conformal metric u^2 * g
     on the flat 4-torus, for u varying along the first axis only."""
-    n = grid.n_points
+    n = grid.shape[0]
     prof = np.asarray(u, dtype=float).reshape(n, 1, 1, 1)
     gdiag = [prof**2] * 4
     return lattice_scalar_curvature(gdiag, grid.spacings)

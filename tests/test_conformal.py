@@ -5,11 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from collapselab import conformal
+from collapselab import cli, conformal
 from collapselab.conformal import (
     ConformalGrid,
     aubin_bound,
@@ -33,8 +33,28 @@ def test_grid_invariants():
     g = ConformalGrid(8, periods=(2.0, 1.0, 1.0, 1.0))
     assert g.cell_volume == pytest.approx(2.0 / 8**4)
     assert g.ell == 2.0
-    with pytest.raises(ValueError):
-        ConformalGrid(4)
+    assert g.n_points == g.shape == (8, 8, 8, 8)
+    assert ConformalGrid(np.int64(9)).n_points == (9, 9, 9, 9)
+    # one count per axis
+    g = ConformalGrid((16, 8, 10, 9), periods=(2.0, 1.0, 0.5, 1.0))
+    assert g.shape == (16, 8, 10, 9)
+    assert g.spacings == (2.0 / 16, 1.0 / 8, 0.5 / 10, 1.0 / 9)
+    assert g.cell_volume == 1.0 / (16 * 8 * 10 * 9)
+    assert g.cell_volume == pytest.approx(math.prod(g.spacings), rel=1e-15)
+    assert g.axis_coordinate(2).shape == g.shape
+    assert g.axis_coordinate(3)[0, 0, 0] == pytest.approx(np.arange(9) / 9, abs=1e-15)
+    for n_points, periods in ((4, (1.0,) * 4),                # too few points
+                              ((8, 8, 8, 4), (1.0,) * 4),
+                              (8, (1.0, 1.0)),                 # fewer than 3 axes
+                              (8, (1.0,)),
+                              (8.5, (1.0,) * 4),               # not an integer
+                              (True, (1.0,) * 4),
+                              ((8, 8.0, 8, 8), (1.0,) * 4),
+                              ((8, 8, 8), (1.0,) * 4),         # counts != periods
+                              ((8,) * 5, (1.0,) * 4),
+                              (8, (1.0, 1.0, 0.0, 1.0))):      # nonpositive period
+        with pytest.raises(ValueError):
+            ConformalGrid(n_points, periods=periods)
 
 
 def test_laplacian_annihilates_constants(grid):
@@ -81,10 +101,11 @@ def test_conformal_scalar_positivity_guard(grid):
 
 
 def test_conformal_law_matches_lattice_oracle():
-    """Measured convergence order >= 1.8 as N doubles through 16, 32, 64."""
+    """Measured convergence order >= 1.8 as N doubles through 16, 32, 64, on
+    (N, 8, 8, 8) lattices (u varies along x only)."""
     errs = []
     for n in (16, 32, 64):
-        g = ConformalGrid(n)
+        g = ConformalGrid((n, 8, 8, 8))
         u = 1.0 + 0.1 * np.cos(2.0 * np.pi * g.axis_coordinate(0))
         x = np.linspace(0.0, 1.0, n, endpoint=False)
         oracle = conformal_scalar_fd(g, 1.0 + 0.1 * np.cos(2.0 * np.pi * x))
@@ -92,6 +113,20 @@ def test_conformal_law_matches_lattice_oracle():
             conformal_scalar(g, u) - np.broadcast_to(oracle, g.shape)))))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(orders) >= 1.8
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_conformal_scalar_exact_on_constant_axes(n):
+    """For u varying along x only, the stencil terms of axes 1-3 are exactly
+    0.0, so conformal_scalar on the N^4 grid is its (N, 8, 8, 8) value
+    broadcast, bit for bit: the conformal-law check relies on this."""
+    def s_hat(g):
+        return conformal_scalar(g, 1.0 + 0.1 * np.cos(2.0 * np.pi * g.axis_coordinate(0)))
+
+    full, thin = s_hat(ConformalGrid(n)), s_hat(ConformalGrid((n, 8, 8, 8)))
+    line = thin[:, :1, :1, :1]
+    assert np.array_equal(thin, np.broadcast_to(line, thin.shape))
+    assert np.array_equal(full, np.broadcast_to(line, full.shape))
 
 
 def test_quotient_scale_invariance(grid):
@@ -131,13 +166,31 @@ def test_descent_work_budget(grid, monkeypatch):
     assert calls["laplacian"] == res.iterations
 
 
+def test_yamabe_run_work_budget(tmp_path, monkeypatch):
+    """A ``yamabe n=20`` run passes at most 1 200 000 grid points through the
+    stencil Laplacian (a deterministic work counter): the descent, the
+    conformal-law check on (N, 8, 8, 8) lattices and the negative-case draws."""
+    points = 0
+
+    def counting(grid, u):
+        nonlocal points
+        points += np.size(u)
+        return laplacian(grid, u)
+
+    monkeypatch.setattr(conformal, "laplacian", counting)
+    cli.run(cli.ExperimentConfig("yamabe", {"n": 20}, str(tmp_path), 1))
+    assert points <= 1_200_000
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1))
-def test_sobolev_inverse_inverts_stencil(seed):
+@given(st.integers(0, 2**32 - 1), st.tuples(*[st.integers(8, 11)] * 4))
+@example(0, (10, 8, 11, 9))
+def test_sobolev_inverse_inverts_stencil(seed, n_points):
     """The descent's H1 preconditioner is the exact inverse of
-    1 + 2(n-1) ell Delta with the stencil Delta, axis by axis and spacing by
-    spacing, on an anisotropic torus."""
-    g = ConformalGrid(12, periods=(0.7, 1.3, 1.0, 2.0))
+    1 + 2(n-1) ell Delta with the stencil Delta, axis by axis, spacing by
+    spacing and count by count, on an anisotropic torus (an odd count on the
+    last axis exercises the half-spectrum's rfftfreq and irfftn length)."""
+    g = ConformalGrid(n_points, periods=(0.7, 1.3, 1.0, 2.0))
     field = np.random.default_rng(seed).standard_normal(g.shape)
     v = conformal._sobolev_inverse(g)(field)
     weight = 2.0 * (g.n_dim - 1) * g.ell
@@ -156,11 +209,14 @@ def test_descent_converges_on_anisotropic_torus():
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(8, 11),
-       st.lists(st.floats(0.5, 2.0), min_size=3, max_size=4))
-def test_stencils_match_roll_reference(seed, n_points, periods):
-    """The slice-add stencils are bit-identical to the np.roll formulas."""
-    g = ConformalGrid(n_points, periods=tuple(periods))
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(8, 11), st.floats(0.5, 2.0)), min_size=3, max_size=4))
+@example(0, [(8, 0.7), (10, 1.3), (11, 1.0)])
+def test_stencils_match_roll_reference(seed, axes):
+    """The slice-add stencils are bit-identical to the np.roll formulas, with
+    one point count and one period per axis."""
+    n_points, periods = zip(*axes)
+    g = ConformalGrid(n_points, periods=periods)
     u = np.random.default_rng(seed).random(g.shape) + 0.5
     lap = np.zeros_like(u)
     energy = np.zeros_like(u)
