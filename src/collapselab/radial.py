@@ -11,12 +11,13 @@ derivatives; nothing is finite-differenced.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .frame_curvature import CurvatureFrame, frame_curvature
 from .jets import Jet2, constant, variable
@@ -252,6 +253,134 @@ def sup_norms(
     return CurvatureSupNorms(sup_ric, sup_s)
 
 
+# QUADPACK's qk21 rule (Piessens et al., 1983) on [-1, 1]: the 10 positive
+# Kronrod nodes, largest first, their Kronrod weights, and the Gauss weights
+# of the 5 positive Gauss nodes among them (the 2nd, 4th, ..., 10th).
+_KRONROD_HALF = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+)
+_KRONROD_HALF_WEIGHTS = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+)
+_KRONROD_CENTRE_WEIGHT = 0.149445554002916905664936468389821
+_GAUSS_HALF_WEIGHTS = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# All 21 nodes from +1 to -1; the Gauss nodes are _GK21_NODES[1::2].
+_GK21_NODES = _KRONROD_HALF + (0.0,) + tuple(-x for x in reversed(_KRONROD_HALF))
+_GK21_KRONROD = (_KRONROD_HALF_WEIGHTS + (_KRONROD_CENTRE_WEIGHT,)
+                 + tuple(reversed(_KRONROD_HALF_WEIGHTS)))
+_GK21_GAUSS = _GAUSS_HALF_WEIGHTS + tuple(reversed(_GAUSS_HALF_WEIGHTS))
+
+# Panels at which the adaptive bisection gives up (status 1).
+_PANEL_LIMIT = 10_000
+
+
+def _max_norm(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def _gk21(fn: Callable[[float], np.ndarray], a: float, b: float):
+    """(integral, error estimate, rounding error) of fn over [a, b] by the
+    21-point Gauss-Kronrod rule, with QUADPACK's error heuristic in the max
+    norm.  Sums run over the nodes in order, one after another."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fv = [fn(c + h * x) for x in _GK21_NODES]
+    s_k = s_k_abs = 0.0
+    for v, y in zip(_GK21_KRONROD, fv):
+        s_k += v * y
+        s_k_abs += v * abs(y)
+    s_g = 0.0
+    for w, y in zip(_GK21_GAUSS, fv[1::2]):
+        s_g += w * y
+    y0 = s_k / 2.0
+    s_k_dabs = 0.0
+    for v, y in zip(_GK21_KRONROD, fv):
+        s_k_dabs += v * abs(y - y0)
+    err = _max_norm((s_k - s_g) * h)
+    dabs = _max_norm(s_k_dabs * h)
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+    round_err = _max_norm(50 * sys.float_info.epsilon * h * s_k_abs)
+    if round_err > sys.float_info.min:
+        err = max(err, round_err)
+    return h * s_k, err, round_err
+
+
+def _adaptive_gk21(fn: Callable[[float], np.ndarray], a: float, b: float, tol: float):
+    """(integral, error estimate, status) of fn over [a, b], b possibly +inf.
+
+    Globally adaptive bisection as scipy's ``quad_vec`` runs it with
+    ``epsabs = epsrel = tol`` and ``norm="max"``, bit for bit on finite
+    ranges: each round bisects the panels of largest error (at most 128, and
+    no more once they carry all but tol/8 of the global error), and
+    convergence is checked after each round, so never on the single
+    starting panel.  Status 0 converged, 1 panel limit, 2 rounding error
+    dominates, 3 non-finite error.
+    An infinite b is mapped to t in (0, 1] by x = a + (1 - t) / t,
+    dx = dt / t^2, as ``quad_vec`` maps it, on the same 21-point rule.
+    """
+    if math.isinf(b):
+        return _adaptive_gk21(lambda t: fn(a + (1 - t) / t) / t / t, 0.0, 1.0, tol)
+    integral, global_err, rounding = _gk21(fn, a, b)
+    panels = {(a, b): integral}
+    heap = [(-global_err, a, b)]
+    status = 1
+    while len(heap) < _PANEL_LIMIT:
+        target = max(tol, tol * _max_norm(integral))
+        batch, err_sum = [], 0.0
+        while heap and len(batch) < 128:
+            if batch and err_sum > global_err - target / 8:
+                break
+            neg_err, lo, hi = heapq.heappop(heap)
+            batch.append((-neg_err, lo, hi, panels.pop((lo, hi))))
+            err_sum += -neg_err
+        for old_err, lo, hi, old_int in batch:
+            mid = 0.5 * (lo + hi)
+            s1, err1, round1 = _gk21(fn, lo, mid)
+            s2, err2, round2 = _gk21(fn, mid, hi)
+            integral = integral + (s1 + s2 - old_int)
+            global_err += err1 + err2 - old_err
+            rounding += round1 + round2
+            for x1, x2, s, e in ((lo, mid, s1, err1), (mid, hi, s2, err2)):
+                panels[(x1, x2)] = s
+                heapq.heappush(heap, (-e, x1, x2))
+        target = max(tol, tol * _max_norm(integral))
+        if global_err < target / 8:
+            status = 0
+            break
+        if global_err < rounding:
+            status = 2
+            break
+        if not (math.isfinite(global_err) and math.isfinite(rounding)):
+            status = 3
+            break
+    return integral, global_err + rounding, status
+
+
 def _integrate(
     metric: RadialMetric,
     pointwise: Callable[[float], object],
@@ -262,22 +391,22 @@ def _integrate(
     """link_volume * int pointwise(r) f a b c dr over [r_lo, r_hi].
 
     ``pointwise`` may be scalar- or vector-valued; every component comes from
-    the same evaluation at each node.  Globally adaptive Gauss-Kronrod
-    quadrature (scipy's quad_vec) with absolute and relative tolerance
-    ``tol`` in the max norm; raises RuntimeError unless it converged with
-    error estimate at most max(tol, tol * max|value|).
+    the same evaluation at each node.  Globally adaptive 21-point
+    Gauss-Kronrod quadrature (``_adaptive_gk21``, a port of scipy's
+    ``quad_vec``) with absolute and relative tolerance ``tol`` in the max
+    norm; r_hi may be +inf.  Raises RuntimeError unless the quadrature
+    converged with error estimate at most max(tol, tol * max|value|).
     """
 
     def weighted(r: float) -> np.ndarray:
         f, a, b, c = metric.profile.at(r)
         return np.asarray(pointwise(r), dtype=float) * (f.value * a.value * b.value * c.value)
 
-    val, err, info = quad_vec(weighted, r_lo, r_hi, epsabs=tol, epsrel=tol, norm="max",
-                              full_output=True)
-    if info.status != 0 or not err <= max(tol, tol * float(np.max(np.abs(val)))):
+    val, err, status = _adaptive_gk21(weighted, r_lo, r_hi, tol)
+    if status != 0 or not err <= max(tol, tol * _max_norm(val)):
         raise RuntimeError(
             f"radial quadrature over [{r_lo:.6g}, {r_hi:.6g}] did not converge"
-            f" (status {info.status}, error {err:.3g})"
+            f" (status {status}, error {err:.3g})"
         )
     return metric.link_volume * val
 

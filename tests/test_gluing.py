@@ -2,10 +2,11 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collapselab.gluing import (
@@ -39,24 +40,41 @@ def test_torus_systole():
     assert torus_systole(np.diag([0.25**2, 3.0**2])) == pytest.approx(0.25)
 
 
-def _lattice_norms2(d, gram, radius):
-    """|d + v|^2 for every integer vector v with |d + v| <= radius (plus a
-    rounding margin), found by enumerating the lattice points of that ellipse
-    row by row."""
+def _shortest(d, gram, radius, nonzero=False):
+    """min |d + v| over integer vectors v (v != 0 if ``nonzero``), where some
+    |d + v| <= radius (plus a rounding margin).  The lattice points of that
+    ellipse are enumerated row by row.  On strongly sheared Grams the float
+    quadratic form loses about 1e-9 relative, more than the helpers under
+    test, so every candidate within its rounding bound of the float minimum
+    is re-evaluated exactly in rationals on the float Gram."""
     radius = radius * (1.0 + 1e-9) + 1e-12
     g00, g01, g11 = gram[0, 0], gram[0, 1], gram[1, 1]
     y_max = radius * math.sqrt(np.linalg.inv(gram)[1, 1])
-    y = np.arange(math.floor(-d[1] - y_max), math.ceil(-d[1] + y_max) + 1) + d[1]
+    vy = np.arange(math.floor(-d[1] - y_max), math.ceil(-d[1] + y_max) + 1)
+    y = vy + d[1]
     # each row's x range solves g00 x^2 + 2 g01 x y + g11 y^2 <= radius^2
     disc = (g01 * y) ** 2 - g00 * (g11 * y * y - radius**2)
-    y, disc = y[disc >= 0.0], disc[disc >= 0.0]
+    vy, y, disc = vy[disc >= 0.0], y[disc >= 0.0], disc[disc >= 0.0]
     centre, half = -g01 * y / g00, np.sqrt(disc) / g00
     lo = np.floor(centre - half - d[0])
     counts = (np.ceil(centre + half - d[0]) - lo + 1).astype(int)
     starts = np.repeat(np.cumsum(counts) - counts, counts)
-    x = np.repeat(lo, counts) + (np.arange(counts.sum()) - starts) + d[0]
-    y = np.repeat(y, counts)
-    return g00 * x * x + 2.0 * g01 * x * y + g11 * y * y
+    vx = np.repeat(lo, counts) + (np.arange(counts.sum()) - starts)
+    vy = np.repeat(vy, counts)
+    if nonzero:
+        keep = (vx != 0.0) | (vy != 0.0)
+        vx, vy = vx[keep], vy[keep]
+    x, y = vx + d[0], vy + d[1]
+    norms2 = g00 * x * x + 2.0 * g01 * x * y + g11 * y * y
+    slack = 1e-14 * (abs(g00) * x * x + 2.0 * abs(g01 * x * y) + abs(g11) * y * y)
+    near = norms2 - slack <= (norms2 + slack).min()
+    # e^T gram e, exactly; the float Gram need not be exactly symmetric
+    q00, q01, q10, q11 = (Fraction(g) for g in gram.ravel())
+    exact = []
+    for a, b in zip(vx[near], vy[near]):
+        xq, yq = int(a) + Fraction(d[0]), int(b) + Fraction(d[1])
+        exact.append(q00 * xq * xq + (q01 + q10) * xq * yq + q11 * yq * yq)
+    return math.sqrt(min(exact))
 
 
 def _window_bound(d, gram):
@@ -79,15 +97,18 @@ def _skewed_gram(a, b, c, k, j):
               st.integers(-12, 12), st.integers(-12, 12)),
     st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
 )
+# float-evaluated brute force was off by 1e-9 relative on these sheared Grams
+@example(_skewed_gram(1.7797686545397169, 0.5, 0.5, -9, -9), (0.625, 0.0))
+@example(_skewed_gram(1.970703125, 1.0934233540974223, 0.3333333333333333, -11, 12), (0.0, 0.0))
 def test_lattice_helpers_match_brute_force(gram, p):
     p = np.array(p)
     # the basis vectors are lattice vectors, so the systole is at most the shorter
     basis_bound = min(math.sqrt(gram[0, 0]), math.sqrt(gram[1, 1]))
-    norms2 = _lattice_norms2(np.zeros(2), gram, basis_bound)
-    assert torus_systole(gram) == pytest.approx(math.sqrt(norms2[norms2 > 0.0].min()), rel=1e-9)
+    systole = _shortest(np.zeros(2), gram, basis_bound, nonzero=True)
+    assert torus_systole(gram) == pytest.approx(systole, rel=1e-9)
     for q in [p] + half_lattice_points():
         d = p - q
-        expected = math.sqrt(_lattice_norms2(d, gram, _window_bound(d, gram)).min())
+        expected = _shortest(d, gram, _window_bound(d, gram))
         assert torus_distance(p, q, gram) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
@@ -106,7 +127,7 @@ def test_skewed_fiber_caps_are_disjoint():
                 if (p != q).any():
                     # distinct 2-torsion points in the same theta slice
                     d = p - q
-                    nearest = math.sqrt(_lattice_norms2(d, gram_t, _window_bound(d, gram_t)).min())
+                    nearest = _shortest(d, gram_t, _window_bound(d, gram_t))
                     # at t = 1 the nearest caps touch: 4 eps = systole / 2
                     assert nearest >= 4.0 * eps * (1.0 - 1e-9)
 

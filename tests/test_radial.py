@@ -125,20 +125,28 @@ def test_volume_against_closed_forms():
     assert volume(s4, 1e-9, math.pi - 1e-9) == pytest.approx(8.0 * math.pi**2 / 3.0, rel=1e-8)
 
 
-def test_volume_rejects_unconverged_quadrature(monkeypatch):
-    import types
-
-    import collapselab.radial as radial
+def test_volume_rejects_unconverged_quadrature():
     from collapselab.charclass import integrate_characteristics
+    from collapselab.jets import constant
+    from collapselab.radial import RadialProfile, _integrate
 
-    # a non-zero status, then a converged status with a large error estimate
-    for status, err in ((1, 0.0), (0, 1e-3)):
-        info = types.SimpleNamespace(status=status)
-        monkeypatch.setattr(radial, "quad_vec", lambda *a, **k: (np.array(1.0), err, info))
-        with pytest.raises(RuntimeError, match="did not converge"):
-            volume(make_metric(Preset.FLAT), 1e-9, 2.0)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            integrate_characteristics(make_metric(Preset.ROUND))
+    flat = make_metric(Preset.FLAT)
+    # tol = 0 cannot be met: the rounding term overtakes the error (status 2)
+    with pytest.raises(RuntimeError, match=r"did not converge \(status 2"):
+        _integrate(flat, lambda r: 1.0, 1e-9, 2.0, 0.0)
+    # a component that turns NaN past r = 1 (status 3)
+    with pytest.raises(RuntimeError, match=r"did not converge \(status 3"):
+        _integrate(flat, lambda r: (1.0, math.nan if r > 1.0 else r), 1e-9, 2.0, 1e-12)
+    # a profile that turns NaN past r = 1, under both public integrals
+    cone = flat_profile(2.0)
+    broken = RadialMetric(
+        RadialProfile(f=lambda x: constant(math.nan if x.value > 1.0 else 1.0),
+                      a=cone.a, b=cone.b, c=cone.c, r_min=0.0, r_max=2.0),
+        2.0 * math.pi**2)
+    with pytest.raises(RuntimeError, match=r"did not converge \(status 3"):
+        volume(broken, 1e-9, 2.0)
+    with pytest.raises(RuntimeError, match=r"did not converge \(status 3"):
+        integrate_characteristics(broken, domain=(1e-9, 2.0))
 
 
 def test_preset_link_volumes():
