@@ -15,17 +15,16 @@ topological quantity -12 pi^2 tau.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import BaseInstanton, CutoffFamily, instanton_weyl_energy, modified_metric
+from .cutoff import BaseInstanton, CutoffFamily, cap_weyl_energies
 from .frame_curvature import CurvatureFrame, frame_from_riemann
 from .gluing import Chart, ChartKind, ChartedFamily
-from .radial import FRAME_ORIENTATION, RadialMetric, _integrate, curvature_at
+from .radial import FRAME_ORIENTATION, RadialMetric, _CURVATURE_QUAD_TOL, _integrate, curvature_at
 from .submersion import BundleKind, SubmersionMetric, nilmanifold_frame
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "integrate_characteristics",
     "wplus_sweep",
 ]
-
-_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ def integrate_characteristics(
         d = densities_at(curvature_at(metric, r))
         return d.gb_density, d.sig_density
 
-    gb, sig = _integrate(metric, densities, r_lo, r_hi, _QUAD_TOL)
+    gb, sig = _integrate(metric, densities, r_lo, r_hi, _CURVATURE_QUAD_TOL)
     return {"two_chi_plus_three_tau": float(gb), "tau": float(sig)}
 
 
@@ -117,30 +114,17 @@ def _weyl_integrals(metric: RadialMetric, r_lo: float, r_hi: float) -> tuple[flo
         frame = curvature_at(metric, r)
         return frame.w_plus_norm2, frame.w_minus_norm2
 
-    wp, wm = _integrate(metric, weyl, r_lo, r_hi, _QUAD_TOL)
+    wp, wm = _integrate(metric, weyl, r_lo, r_hi, _CURVATURE_QUAD_TOL)
     return float(wp), float(wm)
-
-
-@functools.lru_cache(maxsize=256)
-def _cap_weyl(base_name: str, eps: float) -> tuple[float, float]:
-    """(int |W+|^2 dmu, int |W-|^2 dmu) over one cutoff cap.
-
-    The core [bolt, eps] is exactly the anti-self-dual instanton, so it
-    contributes (0, ``instanton_weyl_energy``) in closed form; only the
-    transition annulus [eps, 2 eps] is integrated, on the modified metric.
-    """
-    fam = CutoffFamily(BaseInstanton(base_name), eps)
-    wp, wm = _weyl_integrals(modified_metric(fam), eps, 2.0 * eps)
-    return wp, wm + instanton_weyl_energy(fam.base, fam.r_bolt, fam.r_bolt, eps)
 
 
 def _chart_weyl(chart: Chart, t: float) -> tuple[float, float]:
     if chart.kind in (ChartKind.FLAT_BLOCK, ChartKind.CYLINDER_NECK):
         return 0.0, 0.0
     if chart.kind is ChartKind.EH_CAP:
-        return _cap_weyl(BaseInstanton.EGUCHI_HANSON.value, chart.epsilon)
+        return cap_weyl_energies(CutoffFamily(BaseInstanton.EGUCHI_HANSON, chart.epsilon))
     if chart.kind is ChartKind.BURNS_CAP:
-        return _cap_weyl(BaseInstanton.BURNS.value, chart.epsilon)
+        return cap_weyl_energies(CutoffFamily(BaseInstanton.BURNS, chart.epsilon))
     if chart.sup_ricci == 0.0 and chart.sup_scalar == 0.0:
         return 0.0, 0.0  # product-flat bundle block
     frame = nilmanifold_frame(t)
@@ -156,10 +140,6 @@ class WeylSweepTable:
     @property
     def wplus_values(self) -> tuple[float, ...]:
         return tuple(r[1] for r in self.rows)
-
-    @property
-    def wplus_infimum(self) -> float:
-        return min(self.wplus_values)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

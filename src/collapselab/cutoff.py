@@ -5,11 +5,16 @@ profile term by a bump phi(r/eps), so the metric is exactly the unmodified
 instanton for r < eps and exactly Euclidean for r > 2*eps.  The epsilon
 schedules eps^8 and eps^6 make the curvature of the transition region decay
 like eps^2, which the sweep here measures.
+
+The caps that gluing and the Weyl sweep use are closed forms in eps: the
+core r < eps is the instanton (``instanton_curvature``), and the annulus
+[eps, 2 eps] is eps^2 times one unit-scale curvature (``unit_cap``).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -17,8 +22,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet2, constant
-from .radial import RadialMetric, RadialProfile, sup_norms, volume
+from .frame_curvature import CurvatureFrame, frame_from_riemann
+from .jets import Jet2, constant, variable
+from .radial import (
+    FRAME_ORIENTATION,
+    CurvatureSupNorms,
+    RadialMetric,
+    RadialProfile,
+    _CURVATURE_QUAD_TOL,
+    _integrate,
+    flat_profile,
+    sup_norms,
+    volume,
+)
 
 
 def _mollifier_bump(x: Jet2) -> Jet2:
@@ -129,7 +145,11 @@ class CutoffFamily:
     @property
     def link_volume(self) -> float:
         """pi^2 for the Z2 quotient of S^3 (Eguchi-Hanson), 2 pi^2 for S^3."""
-        return math.pi**2 if self.base is BaseInstanton.EGUCHI_HANSON else 2.0 * math.pi**2
+        return _link_volume(self.base)
+
+
+def _link_volume(base: BaseInstanton) -> float:
+    return math.pi**2 if base is BaseInstanton.EGUCHI_HANSON else 2.0 * math.pi**2
 
 
 def modified_metric(family: CutoffFamily) -> RadialMetric:
@@ -184,7 +204,9 @@ def decay_sweep(
     The tracked norm is sup |Ric| for Eguchi-Hanson and sup |s| for Burns,
     sampled on [eps, 3 eps]: the core r < eps is the Ricci-flat or
     scalar-flat instanton, so it contributes exactly 0.  A sup norm that is
-    not finite and positive has no logarithm and raises RuntimeError.
+    not finite and positive has no logarithm and raises RuntimeError.  The
+    sweep samples the engine, not ``unit_cap``, whose scaled constants
+    would fit the slope 2 by construction.
     """
     eps_values = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(eps_values) < 3:
@@ -203,19 +225,194 @@ def decay_sweep(
     return SweepTable(rows=rows, fitted_slope=slope, base=base)
 
 
-def _cap_volume(family: CutoffFamily, R: float) -> float:
-    """Volume of the cutoff cap from its bolt out to radius R."""
-    return volume(modified_metric(family), family.r_bolt, R)
-
-
 def volume_deficit(family: CutoffFamily, R: float) -> float:
     """Volume lost by replacing the flat ball of radius R with the cutoff cap.
 
     Both volume forms are Euclidean (f a b c = r^3 exactly), so the deficit
     is link_volume * r_bolt^4 / 4 in closed form; computed here by adaptive
-    quadrature and independent of R.
+    quadrature of the cap from its bolt, and independent of R.
     """
     if R <= 2.0 * family.epsilon:
         raise ValueError("R must lie beyond the modified region (R > 2 eps)")
     flat_part = family.link_volume * R**4 / 4.0
-    return flat_part - _cap_volume(family, R)
+    return flat_part - volume(modified_metric(family), family.r_bolt, R)
+
+
+# --------------------------------------------------------------------------
+# caps in closed form
+# --------------------------------------------------------------------------
+
+def w_ansatz_riemann(h: Jet2, r: float) -> np.ndarray:
+    """Frame Riemann tensor at r of f = W^-1/2, a = b = r, c = r W^1/2 with
+    W = 1 - h, from the jet (h, h', h'') of h at r.
+
+    Every component is linear in h, h' and h'' (docs/conventions.md).  With
+    k = h' / 2r the independent ones are
+
+        R_1212 = -4 h / r^2,   R_0303 = -3 k - h'' / 2,   R_0312 = -2 k,
+        R_0101 = R_0202 = R_1313 = R_2323 = -k,   R_0123 = -R_0213 = k,
+
+    and the others follow from R_abcd = -R_bacd = -R_abdc = R_cdab.
+    """
+    k = 0.5 * h.d1 / r
+    riem = np.zeros((4, 4, 4, 4))
+    for (a, b, c, d), v in (
+        ((1, 2, 1, 2), -4.0 * h.value / (r * r)),
+        ((0, 3, 0, 3), -3.0 * k - 0.5 * h.d2),
+        ((0, 3, 1, 2), -2.0 * k),
+        ((0, 1, 0, 1), -k),
+        ((0, 2, 0, 2), -k),
+        ((1, 3, 1, 3), -k),
+        ((2, 3, 2, 3), -k),
+        ((0, 1, 2, 3), k),
+        ((0, 2, 1, 3), -k),
+    ):
+        riem[a, b, c, d] = riem[b, a, d, c] = riem[c, d, a, b] = riem[d, c, b, a] = v
+        riem[b, a, c, d] = riem[a, b, d, c] = riem[d, c, a, b] = riem[c, d, b, a] = -v
+    return riem
+
+
+def unit_cap_curvature(base: BaseInstanton, bump_fn: BumpFunction, rho: float) -> CurvatureFrame:
+    """Curvature at rho of the unit cap h = H(rho) = phi(rho) / rho^q.
+
+    At r = eps rho the cap of ``CutoffFamily(base, eps, bump_fn)`` is
+    W = 1 - eps^4 H(rho) (p - q = 4 in both families), a metric eps^2 times
+    one in the variable rho, so its frame Riemann tensor is exactly eps^2
+    times this one.
+    """
+    q = _FAMILY_EXPONENTS[base][1]
+    x = variable(rho)
+    return frame_from_riemann(w_ansatz_riemann(bump_fn(x) / x**q, rho),
+                              orientation=FRAME_ORIENTATION)
+
+
+def _brent_max(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Largest value of fn found by Brent's method (parabolic steps where
+    they fit the bracket, golden-section steps where they do not) for its
+    maximum on [lo, hi], to a bracket of about 1.5e-8 relative: Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    x = w = v = lo + golden * (hi - lo)
+    fx = fw = fv = -fn(x)
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        tol = 1.5e-8 * abs(x) + 1e-12
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
+            return -fx
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            parabolic = abs(p) < abs(0.5 * q * e_prev) and q * (lo - x) < p < q * (hi - x)
+        if parabolic:
+            d = p / q
+            if x + d - lo < 2.0 * tol or hi - (x + d) < 2.0 * tol:
+                d = tol if x < mid else -tol
+        else:
+            e = (hi - x) if x < mid else (lo - x)
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = -fn(u)
+        if fu <= fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _refined_sup(values: Callable[[float], np.ndarray], lo: float, hi: float) -> np.ndarray:
+    """Per component, the supremum over [lo, hi] of the smooth vector function
+    ``values``: the best of a uniform grid of 64 cells, with every positive
+    grid maximum bracketed by its two neighbouring nodes and refined by
+    Brent's method."""
+    xs = np.linspace(lo, hi, 65)
+    grid = np.array([values(float(x)) for x in xs])
+    best = grid.max(axis=0)
+    padded = np.pad(grid, ((1, 1), (0, 0)), constant_values=-np.inf)
+    peak = (grid > 0.0) & (grid >= padded[:-2]) & (grid >= padded[2:])
+    for i, j in zip(*np.nonzero(peak)):
+        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, 64)])
+        best[j] = max(best[j], _brent_max(lambda x: float(values(x)[j]), a, b))
+    return best
+
+
+@dataclass(frozen=True)
+class UnitCap:
+    """A cap's annulus [eps, 2 eps] at unit scale, rho in [1, 2]: sup |Ric|
+    (largest frame component) and sup |s|, and int |W+|^2 dmu and
+    int |W-|^2 dmu.  The cap of scale eps has eps^2 times the suprema and
+    eps^8 times the energies."""
+
+    sup_ricci: float
+    sup_scalar: float
+    wplus_energy: float
+    wminus_energy: float
+
+
+@functools.lru_cache(maxsize=None)
+def unit_cap(base: BaseInstanton, bump_fn: BumpFunction) -> UnitCap:
+    """The unit-scale constants of the caps of ``CutoffFamily(base, _, bump_fn)``.
+
+    The modulus of each Ricci component and of the scalar is maximised
+    separately over [1, 2] (``_refined_sup``; a peak of |f| is a peak of the
+    smooth f or -f); the energies are one quadrature of
+    ``unit_cap_curvature`` against rho^3 drho times the link volume, the
+    volume form at every scale.
+    """
+
+    def norms(rho: float) -> np.ndarray:
+        fr = unit_cap_curvature(base, bump_fn, rho)
+        return np.abs(np.append(fr.ricci, fr.scalar))
+
+    sups = _refined_sup(norms, 1.0, 2.0)
+
+    def weyl(rho: float) -> tuple[float, float]:
+        fr = unit_cap_curvature(base, bump_fn, rho)
+        return fr.w_plus_norm2, fr.w_minus_norm2
+
+    flat = RadialMetric(flat_profile(), _link_volume(base))
+    wp, wm = _integrate(flat, weyl, 1.0, 2.0, _CURVATURE_QUAD_TOL)
+    return UnitCap(float(sups[:-1].max()), float(sups[-1]), float(wp), float(wm))
+
+
+def cap_sup_norms(family: CutoffFamily) -> CurvatureSupNorms:
+    """Sup norms over the whole cap, bolt to flat: the core is the instanton,
+    with sup |Ric| = 2 / r_bolt^2 at the bolt (Burns) or 0 and zero scalar,
+    and the annulus gives eps^2 times the ``unit_cap`` suprema."""
+    unit = unit_cap(family.base, family.bump)
+    eps2 = family.epsilon**2
+    core_ricci, _ = instanton_curvature(family.base, family.r_bolt, family.r_bolt)
+    return CurvatureSupNorms(max(unit.sup_ricci * eps2, core_ricci), unit.sup_scalar * eps2)
+
+
+def cap_volume(family: CutoffFamily) -> float:
+    """Volume of the cap from its bolt out to 2 eps: f a b c = r^3 exactly,
+    so it is link_volume ((2 eps)^4 - r_bolt^4) / 4."""
+    return family.link_volume * ((2.0 * family.epsilon) ** 4 - family.r_bolt**4) / 4.0
+
+
+def cap_weyl_energies(family: CutoffFamily) -> tuple[float, float]:
+    """(int |W+|^2 dmu, int |W-|^2 dmu) over the cap: the anti-self-dual core
+    contributes (0, ``instanton_weyl_energy``), the annulus eps^8 times the
+    ``unit_cap`` energies, and the metric is flat beyond 2 eps."""
+    unit = unit_cap(family.base, family.bump)
+    eps8 = family.epsilon**8
+    core = instanton_weyl_energy(family.base, family.r_bolt, family.r_bolt, family.epsilon)
+    return unit.wplus_energy * eps8, core + unit.wminus_energy * eps8

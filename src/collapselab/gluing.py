@@ -11,7 +11,6 @@ pieces match isometrically by construction.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,8 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutoff import BaseInstanton, CutoffFamily, _cap_volume, instanton_curvature, modified_metric
-from .radial import sup_norms
+from .cutoff import BaseInstanton, CutoffFamily, cap_sup_norms, cap_volume
 from .submersion import BundleKind, BundleModel, collapse_metric, oneill_at
 from .surfaces import SurfaceData
 
@@ -150,34 +148,21 @@ def torus_distance(p: np.ndarray, q: np.ndarray, gram: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
-# cap certification (cached: the sweep re-uses the same epsilons heavily)
+# cap certification: closed forms in eps (``cutoff.cap_sup_norms``)
 # --------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _cap_certificate(base_name: str, eps: float):
-    """(volume over [bolt, 2eps], sup_ricci, sup_scalar) of a cutoff cap.
-
-    The region r < eps is exactly the instanton with bolt eps^k (the cutoff
-    is identically 1 there), so its sup-norms come from the closed forms of
-    ``instanton_curvature`` rather than from evaluating jets at curvature
-    scale 1/bolt^2, which double precision cannot resolve: the core has zero
-    scalar curvature, and sup |Ric| = 0 (Eguchi-Hanson) or 2 / bolt^2 (Burns)
-    at the bolt.  Only the annulus [eps, 3 eps] is sampled.
-    """
-    fam = CutoffFamily(BaseInstanton(base_name), eps)
-    sn = sup_norms(modified_metric(fam), 120, r_lo=eps, r_hi=3.0 * eps)
-    core_ricci, _ = instanton_curvature(fam.base, fam.r_bolt, fam.r_bolt)
-    return _cap_volume(fam, 2.0 * eps), max(sn.sup_ricci, core_ricci), sn.sup_scalar
+def _cap_chart(kind: ChartKind, base: BaseInstanton, eps: float) -> Chart:
+    fam = CutoffFamily(base, eps)
+    sn = cap_sup_norms(fam)
+    return Chart(kind, cap_volume(fam), sn.sup_ricci, sn.sup_scalar, epsilon=eps)
 
 
 def eh_cap(eps: float) -> Chart:
-    vol, sup_ric, sup_s = _cap_certificate(BaseInstanton.EGUCHI_HANSON.value, eps)
-    return Chart(ChartKind.EH_CAP, vol, sup_ric, sup_s, epsilon=eps)
+    return _cap_chart(ChartKind.EH_CAP, BaseInstanton.EGUCHI_HANSON, eps)
 
 
 def burns_cap(eps: float) -> Chart:
-    vol, sup_ric, sup_s = _cap_certificate(BaseInstanton.BURNS.value, eps)
-    return Chart(ChartKind.BURNS_CAP, vol, sup_ric, sup_s, epsilon=eps)
+    return _cap_chart(ChartKind.BURNS_CAP, BaseInstanton.BURNS, eps)
 
 
 # --------------------------------------------------------------------------

@@ -67,22 +67,6 @@ class RadialMetric:
     def r_max(self) -> float:
         return self.profile.r_max
 
-    def scaled(self, lam2: float) -> "RadialMetric":
-        """The homothetic metric lam2 * g (same r coordinate)."""
-        if lam2 <= 0.0:
-            raise ValueError("scale factor must be positive")
-        lam = math.sqrt(lam2)
-        p = self.profile
-        prof = RadialProfile(
-            f=lambda x: lam * p.f(x),
-            a=lambda x: lam * p.a(x),
-            b=lambda x: lam * p.b(x),
-            c=lambda x: lam * p.c(x),
-            r_min=p.r_min,
-            r_max=p.r_max,
-        )
-        return RadialMetric(prof, self.link_volume)
-
 
 class Preset(enum.Enum):
     EGUCHI_HANSON = "eguchi-hanson"
@@ -409,6 +393,10 @@ def _integrate(
             f" (status {status}, error {err:.3g})"
         )
     return metric.link_volume * val
+
+
+# Tolerance of every curvature integral; volumes use 1e-12 (``volume``).
+_CURVATURE_QUAD_TOL = 1e-10
 
 
 def volume(metric: RadialMetric, r_lo: float, r_hi: float) -> float:

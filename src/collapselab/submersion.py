@@ -240,8 +240,3 @@ def nilmanifold_frame(t: float = 1.0) -> CurvatureFrame:
     via the left-invariant engine (independent of the O'Neill formulas)."""
     return homogeneous_curvature(heisenberg_r(), [1.0, 1.0, 1.0 / t, 1.0 / t])
 
-
-def gauss_bonnet_volume_bound(sec_bound: float, vol: float) -> float:
-    """Explicit constant C with |int GB density| <= C * Lambda^2 * Vol for any
-    4-metric with |sec| <= Lambda (see docs/conventions.md for the chain)."""
-    return (1031.0 / (32.0 * math.pi**2)) * sec_bound**2 * vol

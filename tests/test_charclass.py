@@ -10,15 +10,22 @@ from hypothesis import strategies as st
 from collapselab import charclass, cli
 from collapselab.charclass import (
     CharDensities,
-    _cap_weyl,
     _weyl_integrals,
     densities_at,
     integrate_characteristics,
     product_surface_frame,
     wplus_sweep,
 )
-from collapselab.cutoff import BaseInstanton
-from collapselab.gluing import _cap_certificate, assemble_surface_model
+from collapselab.cutoff import (
+    QUINTIC_BUMP,
+    SMOOTH_BUMP,
+    BaseInstanton,
+    CutoffFamily,
+    cap_weyl_energies,
+    modified_metric,
+    unit_cap,
+)
+from collapselab.gluing import assemble_surface_model
 from collapselab.radial import Preset, curvature_at, make_metric
 from collapselab.submersion import BundleKind, collapse_metric, make_bundle
 
@@ -120,8 +127,23 @@ def test_whole_instanton_characteristic_integrals():
 @given(st.floats(0.004, 0.9), st.sampled_from(list(BaseInstanton)))
 def test_cap_weyl_energy_is_one_instanton(eps, base):
     """Every cutoff cap carries int (|W-|^2 - |W+|^2) dmu = 12 pi^2, signature -1."""
-    wp, wm = _cap_weyl(base.value, eps)
+    wp, wm = cap_weyl_energies(CutoffFamily(base, eps))
     assert abs((wm - wp) / (12.0 * math.pi**2) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("base", list(BaseInstanton))
+@pytest.mark.parametrize("bump_fn", [SMOOTH_BUMP, QUINTIC_BUMP])
+def test_unit_cap_weyl_energies(base, bump_fn):
+    """On the unit annulus E- - E+ = 12 pi^2 to 1e-12, so each cap carries
+    exactly one instanton's anti-self-dual energy; and each energy agrees
+    with the engine's quadrature over the annulus [eps, 2 eps] of the eps = 0.5
+    cap, eps^8 times as large."""
+    unit = unit_cap(base, bump_fn)
+    assert unit.wminus_energy - unit.wplus_energy == pytest.approx(12.0 * math.pi**2, rel=1e-12)
+    eps = 0.5
+    wp, wm = _weyl_integrals(modified_metric(CutoffFamily(base, eps, bump_fn)), eps, 2.0 * eps)
+    assert wp == pytest.approx(unit.wplus_energy * eps**8, rel=1e-8)
+    assert wm == pytest.approx(unit.wminus_energy * eps**8, rel=1e-8)
 
 
 def test_glued_sweep_wplus_decays():
@@ -129,7 +151,6 @@ def test_glued_sweep_wplus_decays():
     table = wplus_sweep(rule, (1.0, 10.0, 100.0, 1000.0))
     wp = table.wplus_values
     assert all(b < a for a, b in zip(wp, wp[1:]))
-    assert table.wplus_infimum == wp[-1]
     assert wp[-1] < 1e-5
     # anti-self-dual energy stays pinned near -12 pi^2 tau with tau = -10
     wm = [row[2] for row in table.rows]
@@ -161,10 +182,10 @@ def test_sweep_csv_and_guards():
 
 
 def test_charclass_run_work_budget(tmp_path, monkeypatch):
-    """A default ``charclass`` run, with empty cap caches, evaluates curvature
-    at most 700 times for its integrals (a deterministic work counter)."""
-    _cap_weyl.cache_clear()
-    _cap_certificate.cache_clear()
+    """A default ``charclass`` run, with an empty unit-cap cache, evaluates
+    curvature at most 100 times for its integrals (a deterministic work
+    counter): the round-S^4 quadrature takes 63, and the caps none."""
+    unit_cap.cache_clear()
     calls = 0
 
     def counting(metric, r):
@@ -174,4 +195,4 @@ def test_charclass_run_work_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(charclass, "curvature_at", counting)
     cli.run(cli.ExperimentConfig("charclass", {}, str(tmp_path), 1))
-    assert calls <= 700
+    assert calls <= 100

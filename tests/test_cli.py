@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from collapselab import charclass, cli, radial
 from collapselab.cli import ExperimentConfig, main, report, run
+from collapselab.cutoff import unit_cap
 
 
 def _summary(out_dir, slug):
@@ -163,3 +165,35 @@ def test_glue_slug_and_verdict(tmp_path):
                                   "t": [1.0, 10.0, 100.0]}, output_path=str(tmp_path)))
     summary = _summary(tmp_path, "glue_k1_l0")
     assert summary["results"]["verdict"] == "BoundedRicciCollapse"
+
+
+def test_radial_run_work_budget(tmp_path, monkeypatch):
+    """The nine radial experiments of the benchmark, in one process with an
+    empty unit-cap cache, evaluate curvature at most 1500 times (a
+    deterministic work counter): 201 per ``curvature`` preset, 480 per
+    ``decay`` sweep and 63 for the round S^4 of ``charclass``, 1425 in all;
+    the cutoff caps take none."""
+    unit_cap.cache_clear()
+    engine = radial.curvature_at
+    calls = 0
+
+    def counting(metric, r):
+        nonlocal calls
+        calls += 1
+        return engine(metric, r)
+
+    for module in (radial, cli, charclass):
+        monkeypatch.setattr(module, "curvature_at", counting)
+    for experiment, params in (
+        ("curvature", {"preset": "eguchi-hanson"}),
+        ("curvature", {"preset": "burns"}),
+        ("decay", {"base": "eguchi-hanson"}),
+        ("decay", {"base": "burns"}),
+        ("glue", {"blowups": 0}),
+        ("glue", {"blowups": 2}),
+        ("collapse", {}),
+        ("classify", {}),
+        ("charclass", {}),
+    ):
+        run(ExperimentConfig(experiment, params, str(tmp_path), 1))
+    assert calls <= 1500

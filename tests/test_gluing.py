@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collapselab.cutoff import SMOOTH_BUMP, BaseInstanton, CutoffFamily, unit_cap
 from collapselab.gluing import (
     Chart,
     ChartKind,
@@ -157,6 +158,30 @@ def test_cap_charts_certify_small_scalar():
     assert b.sup_scalar < 0.25
     # blow-up caps are not Ricci-small: sup |Ric| = 2 / r_bolt^2 at the Burns bolt
     assert b.sup_ricci == pytest.approx(2.0 / 0.0625**6, rel=1e-12)
+
+
+@pytest.mark.parametrize("blowups", [0, 2])
+def test_cap_sup_norms_scale_exactly(blowups):
+    """Over the default glue parameters (eps down to 0.002) every cap
+    certifies eps^2 times the unit-cap suprema, and the Burns caps the core's
+    2 / r_bolt^2, to 1e-12: no cancellation error grows as eps shrinks."""
+    rule = assemble_surface_model(_trivial_bundle(), fiber_sums=1, blowups=blowups)
+    kinds = set()
+    for t in (1.0, 10.0, 100.0, 1000.0):
+        for chart in rule(t).charts:
+            if chart.epsilon is None:
+                continue
+            kinds.add(chart.kind)
+            eps = chart.epsilon
+            if chart.kind is ChartKind.EH_CAP:
+                unit = unit_cap(BaseInstanton.EGUCHI_HANSON, SMOOTH_BUMP)
+                assert chart.sup_ricci / eps**2 == pytest.approx(unit.sup_ricci, rel=1e-12)
+            else:
+                unit = unit_cap(BaseInstanton.BURNS, SMOOTH_BUMP)
+                r_bolt = CutoffFamily(BaseInstanton.BURNS, eps).r_bolt
+                assert chart.sup_ricci == pytest.approx(2.0 / r_bolt**2, rel=1e-12)
+            assert chart.sup_scalar / eps**2 == pytest.approx(unit.sup_scalar, rel=1e-12)
+    assert len(kinds) == (2 if blowups else 1)
 
 
 def _orbifold(t):

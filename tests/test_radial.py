@@ -8,6 +8,7 @@ import pytest
 from collapselab.radial import (
     Preset,
     RadialMetric,
+    RadialProfile,
     curvature_at,
     eguchi_hanson_profile,
     flat_profile,
@@ -95,7 +96,11 @@ def test_instantons_are_anti_self_dual():
 
 def test_homothety_scaling():
     metric = make_metric(Preset.EGUCHI_HANSON)
-    scaled = metric.scaled(4.0)
+    p = metric.profile
+    scaled = RadialMetric(
+        RadialProfile(f=lambda x: 2.0 * p.f(x), a=lambda x: 2.0 * p.a(x),
+                      b=lambda x: 2.0 * p.b(x), c=lambda x: 2.0 * p.c(x), r_min=p.r_min),
+        metric.link_volume)
     # same coordinate r, metric multiplied by 4: curvature scales by 1/4
     fr = curvature_at(metric, 2.0)
     fs = curvature_at(scaled, 2.0)
@@ -128,7 +133,7 @@ def test_volume_against_closed_forms():
 def test_volume_rejects_unconverged_quadrature():
     from collapselab.charclass import integrate_characteristics
     from collapselab.jets import constant
-    from collapselab.radial import RadialProfile, _integrate
+    from collapselab.radial import _integrate
 
     flat = make_metric(Preset.FLAT)
     # tol = 0 cannot be met: the rounding term overtakes the error (status 2)

@@ -1,7 +1,5 @@
 """Homogeneous curvature and the canonical-variation collapse family."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from collapselab.submersion import (
     StructureConstants,
     collapse_metric,
     flat_torus_base,
-    gauss_bonnet_volume_bound,
     heisenberg_r,
     homogeneous_curvature,
     make_bundle,
@@ -109,9 +106,3 @@ def test_cone_point_is_guarded():
     with pytest.raises(ValueError):
         guarded.curvature_at((0.0, 0.0))
 
-
-def test_gauss_bonnet_volume_bound_matches_flat_torus():
-    # a flat family satisfies the bound trivially: |2 chi + 3 tau| = 0
-    assert gauss_bonnet_volume_bound(0.0, 1.0) == 0.0
-    bound = gauss_bonnet_volume_bound(1.0, 1.0)
-    assert bound == pytest.approx(1031.0 / (32.0 * math.pi**2))
