@@ -24,7 +24,7 @@ import numpy as np
 from .cutoff import BaseInstanton, CutoffFamily, cap_weyl_energies
 from .frame_curvature import CurvatureFrame, frame_from_riemann
 from .gluing import Chart, ChartKind, ChartedFamily
-from .radial import FRAME_ORIENTATION, RadialMetric, _CURVATURE_QUAD_TOL, _integrate, curvature_at
+from .radial import RadialMetric, _CURVATURE_QUAD_TOL, _integrate, curvature_at
 from .submersion import BundleKind, SubmersionMetric, nilmanifold_frame
 
 __all__ = [
@@ -53,8 +53,6 @@ class CharDensities:
 
 def densities_at(frame: CurvatureFrame) -> CharDensities:
     """Evaluate both characteristic densities from one curvature frame."""
-    if frame.dim != 4:
-        raise ValueError("characteristic densities require dimension 4")
     four_pi2 = 4.0 * math.pi**2
     restricted = (frame.scalar**2 / 24.0 - frame.ricci_traceless_norm2 / 2.0) / four_pi2
     gb = restricted + 2.0 * frame.w_plus_norm2 / four_pi2
@@ -69,18 +67,15 @@ def product_surface_frame(k1: float, k2: float) -> CurvatureFrame:
     for (a, b), k in (((0, 1), k1), ((2, 3), k2)):
         riem[a, b, b, a] = riem[b, a, a, b] = k
         riem[a, b, a, b] = riem[b, a, b, a] = -k
-    return frame_from_riemann(riem, orientation=FRAME_ORIENTATION)
+    return frame_from_riemann(riem)
 
 
-def integrate_characteristics(
-    metric: RadialMetric | SubmersionMetric,
-    domain: tuple[float, float] | None = None,
-) -> dict[str, float]:
+def integrate_characteristics(metric: RadialMetric | SubmersionMetric) -> dict[str, float]:
     """Quadrature of the characteristic densities against the volume form.
 
-    For a radial metric, integrates over [r_lo, r_hi] (default: the full
-    profile domain).  For a submersion model the densities are constant,
-    so the integral is density times total volume.
+    For a radial metric, integrates over the full profile domain.  For a
+    submersion model the densities are constant, so the integral is density
+    times total volume.
     """
     if isinstance(metric, SubmersionMetric):
         if metric.bundle.kind is BundleKind.NILMANIFOLD:
@@ -92,30 +87,13 @@ def integrate_characteristics(
             "two_chi_plus_three_tau": dens.gb_density * vol,
             "tau": dens.sig_density * vol,
         }
-    if domain is None:
-        domain = (metric.r_min, metric.r_max)
-    r_lo, r_hi = domain
-    if not (metric.r_min <= r_lo < r_hi <= metric.r_max):
-        raise ValueError("domain must lie within the metric's radial range")
 
     def densities(r: float) -> tuple[float, float]:
         d = densities_at(curvature_at(metric, r))
         return d.gb_density, d.sig_density
 
-    gb, sig = _integrate(metric, densities, r_lo, r_hi, _CURVATURE_QUAD_TOL)
+    gb, sig = _integrate(metric, densities, metric.r_min, metric.r_max, _CURVATURE_QUAD_TOL)
     return {"two_chi_plus_three_tau": float(gb), "tau": float(sig)}
-
-
-def _weyl_integrals(metric: RadialMetric, r_lo: float, r_hi: float) -> tuple[float, float]:
-    """(int |W+|^2 dmu, int |W-|^2 dmu) over [r_lo, r_hi], from one curvature
-    evaluation per quadrature node."""
-
-    def weyl(r: float) -> tuple[float, float]:
-        frame = curvature_at(metric, r)
-        return frame.w_plus_norm2, frame.w_minus_norm2
-
-    wp, wm = _integrate(metric, weyl, r_lo, r_hi, _CURVATURE_QUAD_TOL)
-    return float(wp), float(wm)
 
 
 def _chart_weyl(chart: Chart, t: float) -> tuple[float, float]:
@@ -150,12 +128,12 @@ class WeylSweepTable:
 
 
 def wplus_sweep(family_rule, t_list) -> WeylSweepTable:
-    """Evaluate int |W+|^2 dmu and int |W-|^2 dmu along a metric family.
+    """Evaluate int |W+|^2 dmu and int |W-|^2 dmu along a glued family.
 
-    ``family_rule`` maps t to either a ChartedFamily or a RadialMetric.
-    Each row also reports tau = (int |W+|^2 - int |W-|^2) / 12 pi^2, the
-    signature recovered from the sweep; when the self-dual part dies off
-    the remaining anti-self-dual energy is -12 pi^2 tau.
+    ``family_rule`` maps t to a ChartedFamily.  Each row also reports
+    tau = (int |W+|^2 - int |W-|^2) / 12 pi^2, the signature recovered from
+    the sweep; when the self-dual part dies off the remaining anti-self-dual
+    energy is -12 pi^2 tau.
     """
     t_list = tuple(float(t) for t in t_list)
     if not t_list:
@@ -163,16 +141,12 @@ def wplus_sweep(family_rule, t_list) -> WeylSweepTable:
     rows = []
     for t in t_list:
         model = family_rule(t)
-        if isinstance(model, RadialMetric):
-            hi = model.r_max if math.isfinite(model.r_max) else 50.0
-            wp, wm = _weyl_integrals(model, model.r_min, hi)
-        elif isinstance(model, ChartedFamily):
-            wp = wm = 0.0
-            for chart in model.charts:
-                cp, cm = _chart_weyl(chart, t)
-                wp += cp
-                wm += cm
-        else:
+        if not isinstance(model, ChartedFamily):
             raise TypeError(f"family rule returned unsupported {type(model).__name__}")
+        wp = wm = 0.0
+        for chart in model.charts:
+            cp, cm = _chart_weyl(chart, t)
+            wp += cp
+            wm += cm
         rows.append((t, wp, wm, (wp - wm) / (12.0 * math.pi**2)))
     return WeylSweepTable(tuple(rows))

@@ -110,7 +110,7 @@ class ConformalGrid:
 
 def _as_factor(grid: ConformalGrid, u) -> np.ndarray:
     u = grid.check_field(u)
-    if np.any(u <= 0.0):
+    if not np.all(u > 0.0):
         raise ValueError("conformal factor must be positive everywhere")
     return u
 

@@ -25,7 +25,6 @@ import numpy as np
 from .frame_curvature import CurvatureFrame, frame_from_riemann
 from .jets import Jet2, constant, variable
 from .radial import (
-    FRAME_ORIENTATION,
     CurvatureSupNorms,
     RadialMetric,
     RadialProfile,
@@ -37,8 +36,8 @@ from .radial import (
 )
 
 
-def _mollifier_bump(x: Jet2) -> Jet2:
-    """C-infinity step: 1 on [0,1], 0 on [2,inf), built from exp(-1/x)."""
+def _bump(x: Jet2) -> Jet2:
+    """C-infinity step phi: 1 on [0,1], 0 on [2,inf), built from exp(-1/x)."""
     v = x.value
     if v <= 1.0:
         return constant(1.0)
@@ -47,43 +46,6 @@ def _mollifier_bump(x: Jet2) -> Jet2:
     left = (-(x - 1.0).reciprocal()).exp()   # exp(-1/(x-1)), vanishes at 1+
     right = ((x - 2.0).reciprocal()).exp()   # exp(-1/(2-x)) = exp(1/(x-2))
     return right / (left + right)
-
-
-def _quintic_bump(x: Jet2) -> Jet2:
-    """C^2 polynomial step (comparison variant): 1 - smoothstep5(x-1)."""
-    v = x.value
-    if v <= 1.0:
-        return constant(1.0)
-    if v >= 2.0:
-        return constant(0.0)
-    t = x - 1.0
-    return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-@dataclass(frozen=True)
-class BumpFunction:
-    """Monotone non-increasing cutoff, identically 1 on [0,1], 0 on [2,inf)."""
-
-    evaluate: Callable[[Jet2], Jet2]
-    support: tuple[float, float] = (0.0, 2.0)
-
-    def __call__(self, x: Jet2 | float) -> Jet2:
-        if not isinstance(x, Jet2):
-            if x < 0.0:
-                raise ValueError("bump argument must be non-negative")
-            x = Jet2(float(x), 1.0, 0.0)
-        elif x.value < 0.0:
-            raise ValueError("bump argument must be non-negative")
-        return self.evaluate(x)
-
-
-SMOOTH_BUMP = BumpFunction(_mollifier_bump)
-QUINTIC_BUMP = BumpFunction(_quintic_bump)
-
-
-def bump(x: float) -> Jet2:
-    """Default smooth cutoff phi with exact jets."""
-    return SMOOTH_BUMP(x)
 
 
 class BaseInstanton(enum.Enum):
@@ -131,7 +93,6 @@ def instanton_weyl_energy(base: BaseInstanton, r_bolt: float, r_lo: float, r_hi:
 class CutoffFamily:
     base: BaseInstanton
     epsilon: float
-    bump: BumpFunction = SMOOTH_BUMP
 
     def __post_init__(self):
         # above 1 the bolt radius eps^k would leave the cutoff region
@@ -156,16 +117,15 @@ def modified_metric(family: CutoffFamily) -> RadialMetric:
     """The cutoff metric with W(r) = 1 - phi(r/eps) eps^p / r^q.
 
     Exactly flat for r > 2*eps, exactly the (rescaled) instanton for r < eps.
-    In both families p = k q, so eps^p / r^q = (r_bolt / r)^q, and a bump
-    with values in [0, 1] keeps W >= 1 - (r_bolt / r)^q > 0 on the whole
-    domain r > r_bolt, for every eps in (0, 1).
+    In both families p = k q, so eps^p / r^q = (r_bolt / r)^q, and phi, with
+    values in [0, 1], keeps W >= 1 - (r_bolt / r)^q > 0 on the whole domain
+    r > r_bolt, for every eps in (0, 1).
     """
     p, q, _ = _FAMILY_EXPONENTS[family.base]
     eps = family.epsilon
-    phi = family.bump
 
     def w(x: Jet2) -> Jet2:
-        return 1.0 - phi(x / eps) * (eps**p) / x**q
+        return 1.0 - _bump(x / eps) * (eps**p) / x**q
 
     prof = RadialProfile(
         f=lambda x: w(x).sqrt().reciprocal(),
@@ -196,7 +156,6 @@ class SweepTable:
 def decay_sweep(
     base: BaseInstanton,
     eps_list: Sequence[float],
-    bump_fn: BumpFunction = SMOOTH_BUMP,
     samples: int = 160,
 ) -> SweepTable:
     """Sup-norm decay of the family as eps -> 0, with least-squares slope.
@@ -213,8 +172,7 @@ def decay_sweep(
         raise ValueError("decay sweep needs at least 3 distinct epsilon values")
     rows: list[tuple[float, float]] = []
     for eps in eps_values:
-        fam = CutoffFamily(base, eps, bump_fn)
-        metric = modified_metric(fam)
+        metric = modified_metric(CutoffFamily(base, eps))
         sn = sup_norms(metric, samples, r_lo=eps, r_hi=3.0 * eps)
         value = sn.sup_ricci if base is BaseInstanton.EGUCHI_HANSON else sn.sup_scalar
         if not math.isfinite(value) or value <= 0.0:
@@ -272,18 +230,17 @@ def w_ansatz_riemann(h: Jet2, r: float) -> np.ndarray:
     return riem
 
 
-def unit_cap_curvature(base: BaseInstanton, bump_fn: BumpFunction, rho: float) -> CurvatureFrame:
+def unit_cap_curvature(base: BaseInstanton, rho: float) -> CurvatureFrame:
     """Curvature at rho of the unit cap h = H(rho) = phi(rho) / rho^q.
 
-    At r = eps rho the cap of ``CutoffFamily(base, eps, bump_fn)`` is
+    At r = eps rho the cap of ``CutoffFamily(base, eps)`` is
     W = 1 - eps^4 H(rho) (p - q = 4 in both families), a metric eps^2 times
     one in the variable rho, so its frame Riemann tensor is exactly eps^2
     times this one.
     """
     q = _FAMILY_EXPONENTS[base][1]
     x = variable(rho)
-    return frame_from_riemann(w_ansatz_riemann(bump_fn(x) / x**q, rho),
-                              orientation=FRAME_ORIENTATION)
+    return frame_from_riemann(w_ansatz_riemann(_bump(x) / x**q, rho))
 
 
 def _brent_max(fn: Callable[[float], float], lo: float, hi: float) -> float:
@@ -367,8 +324,8 @@ class UnitCap:
 
 
 @functools.lru_cache(maxsize=None)
-def unit_cap(base: BaseInstanton, bump_fn: BumpFunction) -> UnitCap:
-    """The unit-scale constants of the caps of ``CutoffFamily(base, _, bump_fn)``.
+def unit_cap(base: BaseInstanton) -> UnitCap:
+    """The unit-scale constants of the caps of ``CutoffFamily(base, _)``.
 
     The modulus of each Ricci component and of the scalar is maximised
     separately over [1, 2] (``_refined_sup``; a peak of |f| is a peak of the
@@ -378,13 +335,13 @@ def unit_cap(base: BaseInstanton, bump_fn: BumpFunction) -> UnitCap:
     """
 
     def norms(rho: float) -> np.ndarray:
-        fr = unit_cap_curvature(base, bump_fn, rho)
+        fr = unit_cap_curvature(base, rho)
         return np.abs(np.append(fr.ricci, fr.scalar))
 
     sups = _refined_sup(norms, 1.0, 2.0)
 
     def weyl(rho: float) -> tuple[float, float]:
-        fr = unit_cap_curvature(base, bump_fn, rho)
+        fr = unit_cap_curvature(base, rho)
         return fr.w_plus_norm2, fr.w_minus_norm2
 
     flat = RadialMetric(flat_profile(), _link_volume(base))
@@ -396,7 +353,7 @@ def cap_sup_norms(family: CutoffFamily) -> CurvatureSupNorms:
     """Sup norms over the whole cap, bolt to flat: the core is the instanton,
     with sup |Ric| = 2 / r_bolt^2 at the bolt (Burns) or 0 and zero scalar,
     and the annulus gives eps^2 times the ``unit_cap`` suprema."""
-    unit = unit_cap(family.base, family.bump)
+    unit = unit_cap(family.base)
     eps2 = family.epsilon**2
     core_ricci, _ = instanton_curvature(family.base, family.r_bolt, family.r_bolt)
     return CurvatureSupNorms(max(unit.sup_ricci * eps2, core_ricci), unit.sup_scalar * eps2)
@@ -412,7 +369,7 @@ def cap_weyl_energies(family: CutoffFamily) -> tuple[float, float]:
     """(int |W+|^2 dmu, int |W-|^2 dmu) over the cap: the anti-self-dual core
     contributes (0, ``instanton_weyl_energy``), the annulus eps^8 times the
     ``unit_cap`` energies, and the metric is flat beyond 2 eps."""
-    unit = unit_cap(family.base, family.bump)
+    unit = unit_cap(family.base)
     eps8 = family.epsilon**8
     core = instanton_weyl_energy(family.base, family.r_bolt, family.r_bolt, family.epsilon)
     return unit.wplus_energy * eps8, core + unit.wminus_energy * eps8

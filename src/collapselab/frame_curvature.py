@@ -29,13 +29,12 @@ PAIR_BASIS = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)]
 
 @dataclass
 class CurvatureFrame:
-    """Pointwise curvature data in an orthonormal frame.
+    """Pointwise curvature data in an orthonormal frame of a 4-manifold.
 
-    ``riemann4`` is the full (n,n,n,n) tensor
+    ``riemann4`` is the full (4,4,4,4) tensor
     R(E_a,E_b,E_c,E_d) = <R(E_a,E_b)E_c, E_d>, kept for oracles and for
     ``sec_min`` / ``sec_max``, which are derived from it on first access.
-    W+/W- norms (zero unless n = 4) use the operator (Frobenius)
-    normalisation that makes
+    W+/W- norms use the operator (Frobenius) normalisation that makes
 
         2*chi + 3*tau = (1/4pi^2) int [2|W+|^2 + s^2/24 - |ric0|^2/2] dmu
 
@@ -48,7 +47,6 @@ class CurvatureFrame:
     w_plus_norm2: float
     w_minus_norm2: float
     ricci_traceless_norm2: float
-    dim: int = 4
 
     @functools.cached_property
     def _sectional_extremes(self) -> tuple[float, float]:
@@ -110,28 +108,26 @@ def riemann_tensor(
     return riem
 
 
-def _pair_operator(riem: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """op[p, q] = R(E_a[p], E_b[p], E_b[q], E_a[q]) over the pairs (a[p], b[p])."""
+def curvature_operator(riem: np.ndarray) -> np.ndarray:
+    """Curvature operator on 2-forms in the ``PAIR_BASIS``,
+    op[p, q] = R(E_a[p], E_b[p], E_b[q], E_a[q]); its diagonal entries are
+    the sectional curvatures of the frame planes."""
+    a, b = np.array(PAIR_BASIS).T
     return riem[a[:, None], b[:, None], b[None, :], a[None, :]]
 
 
-def curvature_operator(riem: np.ndarray) -> np.ndarray:
-    """Curvature operator on 2-forms; diagonal entries are the sectional
-    curvatures of the frame planes (n = 4 only)."""
-    a, b = np.array(PAIR_BASIS).T
-    return _pair_operator(riem, a, b)
+def weyl_blocks(op: np.ndarray):
+    """Self-dual / anti-self-dual trace-free Weyl blocks of the operator,
+    for the volume form e0^e1^e2^e3.
 
-
-def weyl_blocks(op: np.ndarray, scalar: float, orientation: int = 1):
-    """Self-dual / anti-self-dual trace-free Weyl blocks of the operator.
-
-    ``orientation=+1`` means the volume form e0^e1^e2^e3; -1 reverses it
-    (which swaps the two blocks).
+    For the radial frame (f dr, a s1, b s2, c s3) this orientation makes the
+    Eguchi-Hanson and Burns metrics anti-self-dual (W+ = 0), matching the
+    complex orientation of the blow-ups they live on; locked by tests.
     """
-    top, mix, mixt, bot = op[:3, :3], op[:3, 3:], op[3:, :3], op[3:, 3:]
-    sgn = 1.0 if orientation >= 0 else -1.0
-    a_block = 0.5 * (top + sgn * (mix + mixt) + bot)
-    c_block = 0.5 * (top - sgn * (mix + mixt) + bot)
+    top, bot = op[:3, :3], op[3:, 3:]
+    mix = op[:3, 3:] + op[3:, :3]
+    a_block = 0.5 * (top + mix + bot)
+    c_block = 0.5 * (top - mix + bot)
     eye = np.eye(3)
     w_plus = a_block - (np.trace(a_block) / 3.0) * eye
     w_minus = c_block - (np.trace(c_block) / 3.0) * eye
@@ -157,55 +153,37 @@ def _thorpe_min(op: np.ndarray) -> float:
 
 
 def sectional_extremes(riem: np.ndarray) -> tuple[float, float]:
-    """Extremes of sectional curvature over all 2-planes.
-
-    Exact for n = 4 (Thorpe's duality) and n <= 3 (eigenvalues of the
-    curvature operator); for n >= 5 the frame-plane extremes, an inner
-    bound.  See docs/conventions.md.
-    """
-    n = riem.shape[0]
-    if n == 4:
-        op = curvature_operator(riem)
-        op = 0.5 * (op + op.T)
-        return _thorpe_min(op), -_thorpe_min(-op)
-    a, b = np.triu_indices(n, 1)
-    if n <= 3:
-        op = _pair_operator(riem, a, b)
-        lam = np.linalg.eigvalsh(0.5 * (op + op.T))
-        return float(lam[0]), float(lam[-1])
-    secs = riem[a, b, b, a]
-    return float(secs.min()), float(secs.max())
+    """Extremes of sectional curvature over all 2-planes, exact through
+    Thorpe's duality (docs/conventions.md)."""
+    op = curvature_operator(riem)
+    op = 0.5 * (op + op.T)
+    return _thorpe_min(op), -_thorpe_min(-op)
 
 
 def frame_curvature(
     struct: np.ndarray,
     struct_d1: np.ndarray | None = None,
     e0_scale: float = 1.0,
-    orientation: int = 1,
 ) -> CurvatureFrame:
     """Assemble a CurvatureFrame from frame structure functions."""
-    riem = riemann_tensor(struct, struct_d1, e0_scale)
-    return frame_from_riemann(riem, orientation=orientation)
+    return frame_from_riemann(riemann_tensor(struct, struct_d1, e0_scale))
 
 
-def frame_from_riemann(riem: np.ndarray, orientation: int = 1) -> CurvatureFrame:
-    """Assemble a CurvatureFrame from a full orthonormal-frame Riemann tensor."""
-    n = riem.shape[0]
+def frame_from_riemann(riem: np.ndarray) -> CurvatureFrame:
+    """Assemble a CurvatureFrame from a full orthonormal-frame Riemann
+    tensor, which must be 4-dimensional."""
+    if riem.shape != (4, 4, 4, 4):
+        raise ValueError(f"Riemann tensor must have shape (4, 4, 4, 4), got {riem.shape}")
     # Ric(Y,Z) = sum_a <R(E_a, Y) Z, E_a>
     ricci = np.einsum("abca->bc", riem)
     scalar = float(np.trace(ricci))
-    wp2 = wm2 = 0.0
-    if n == 4:
-        w_plus, w_minus = weyl_blocks(curvature_operator(riem), scalar, orientation)
-        wp2 = float(np.sum(w_plus * w_plus))
-        wm2 = float(np.sum(w_minus * w_minus))
-    ric0 = ricci - (scalar / n) * np.eye(n)
+    w_plus, w_minus = weyl_blocks(curvature_operator(riem))
+    ric0 = ricci - (scalar / 4) * np.eye(4)
     return CurvatureFrame(
         riemann4=riem,
         ricci=ricci,
         scalar=scalar,
-        w_plus_norm2=wp2,
-        w_minus_norm2=wm2,
+        w_plus_norm2=float(np.sum(w_plus * w_plus)),
+        w_minus_norm2=float(np.sum(w_minus * w_minus)),
         ricci_traceless_norm2=float(np.sum(ric0 * ric0)),
-        dim=n,
     )

@@ -78,18 +78,9 @@ class Jet2:
         v = math.exp(self.value)
         return self._compose(v, v, v)
 
-    def log(self):
-        if self.value <= 0.0:
-            raise ValueError("Jet2 log of non-positive value")
-        return self._compose(math.log(self.value), 1.0 / self.value, -1.0 / self.value ** 2)
-
     def sin(self):
         s, c = math.sin(self.value), math.cos(self.value)
         return self._compose(s, c, -s)
-
-    def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(c, -s, -c)
 
     def _compose(self, h, dh, d2h):
         """Chain rule for outer function h with derivatives at self.value."""

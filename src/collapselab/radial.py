@@ -26,12 +26,6 @@ from .jets import Jet2, constant, variable
 # dual left-invariant vector fields.
 STRUCTURE_SIGN = -2.0
 
-# Orientation of the frame (f dr, a s1, b s2, c s3) used for the self-dual /
-# anti-self-dual splitting, chosen so that the Eguchi-Hanson and Burns
-# metrics come out anti-self-dual (W+ = 0), matching the complex orientation
-# of the blow-ups they live on; locked by tests.
-FRAME_ORIENTATION = 1
-
 ProfileFn = Callable[[Jet2], Jet2]
 
 
@@ -77,8 +71,8 @@ class Preset(enum.Enum):
 
 def eguchi_hanson_profile(A: float) -> RadialProfile:
     """f^2 = 1/(1 - A/r^4), a = b = r, c^2 = r^2 (1 - A/r^4), r > A^(1/4)."""
-    if A <= 0.0:
-        raise ValueError("Eguchi-Hanson parameter A must be positive")
+    if not 0.0 < A < math.inf:
+        raise ValueError(f"Eguchi-Hanson parameter A must be positive and finite, got {A!r}")
 
     def w(x: Jet2) -> Jet2:
         return 1.0 - A / (x * x * x * x)
@@ -121,8 +115,8 @@ def flat_profile(r_max: float = math.inf) -> RadialProfile:
 
 def round_profile(radius: float = 1.0) -> RadialProfile:
     """Geodesic-polar chart of the round 4-sphere: a = b = c = R sin(r/R)."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     return RadialProfile(
         f=lambda x: constant(1.0),
         a=lambda x: radius * (x / radius).sin(),
@@ -185,7 +179,7 @@ def curvature_at(metric: RadialMetric, r: float) -> CurvatureFrame:
     ):
         raise ValueError(f"r={r} outside domain ({metric.r_min}, {metric.r_max})")
     struct, struct_d1, e0_scale = _structure_functions(metric, r)
-    return frame_curvature(struct, struct_d1, e0_scale, orientation=FRAME_ORIENTATION)
+    return frame_curvature(struct, struct_d1, e0_scale)
 
 
 @dataclass(frozen=True)
@@ -216,21 +210,11 @@ def sample_grid(r_lo: float, r_hi: float, samples: int) -> np.ndarray:
     return r_lo * ratio**ts
 
 
-def sup_norms(
-    metric: RadialMetric,
-    samples: int,
-    r_lo: float | None = None,
-    r_hi: float | None = None,
-) -> CurvatureSupNorms:
+def sup_norms(metric: RadialMetric, samples: int, r_lo: float, r_hi: float) -> CurvatureSupNorms:
     """Suprema of frame-component curvature norms over a nested radial grid
-    strictly inside (r_lo, r_hi)."""
-    lo = metric.r_min if r_lo is None else r_lo
-    hi = r_hi
-    if hi is None:
-        hi = metric.r_max if math.isfinite(metric.r_max) else 20.0 * max(lo, 1.0)
-    hi = min(hi, metric.r_max)
+    strictly inside (r_lo, r_hi), which must lie in the metric's domain."""
     sup_ric = sup_s = 0.0
-    for r in sample_grid(lo, hi, samples):
+    for r in sample_grid(r_lo, r_hi, samples):
         fr = curvature_at(metric, float(r))
         sup_ric = max(sup_ric, fr.sup_ricci)
         sup_s = max(sup_s, abs(fr.scalar))

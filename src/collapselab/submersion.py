@@ -28,18 +28,12 @@ class StructureConstants:
 
     def __post_init__(self):
         c = self.c
-        if c.ndim != 3 or len(set(c.shape)) != 1:
-            raise ValueError("structure constants must be an (n,n,n) array")
-        if c.shape[0] > 6:
-            raise ValueError("dimension at most 6")
+        if c.shape != (4, 4, 4):
+            raise ValueError(f"dimension must be 4: structure constants of shape {c.shape}")
         if np.max(np.abs(c + np.transpose(c, (1, 0, 2)))) != 0.0:
             raise ValueError("structure constants must be antisymmetric in (i,j)")
         if self.jacobi_defect() > 1e-12:
             raise ValueError("Jacobi identity violated")
-
-    @property
-    def dim(self) -> int:
-        return self.c.shape[0]
 
     def jacobi_defect(self) -> float:
         c = self.c
@@ -47,23 +41,6 @@ class StructureConstants:
         term = np.einsum("ijm,mkl->ijkl", c, c)
         cyc = term + np.transpose(term, (1, 2, 0, 3)) + np.transpose(term, (2, 0, 1, 3))
         return float(np.max(np.abs(cyc)))
-
-
-def su2(scale: float = -2.0) -> StructureConstants:
-    """su(2) in the convention matching ds1 = 2 s2^s3: [X_i,X_j] = -2 eps_ijk X_k."""
-    c = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[i, j, k] = scale
-        c[j, i, k] = -scale
-    return StructureConstants(c, "su2")
-
-
-def su2_su2() -> StructureConstants:
-    c = np.zeros((6, 6, 6))
-    block = su2().c
-    c[:3, :3, :3] = block
-    c[3:, 3:, 3:] = block
-    return StructureConstants(c, "su2+su2")
 
 
 def heisenberg_r() -> StructureConstants:
@@ -74,21 +51,17 @@ def heisenberg_r() -> StructureConstants:
     return StructureConstants(c, "heis3+R")
 
 
-def homogeneous_curvature(
-    sc: StructureConstants,
-    metric_diag: Sequence[float],
-    orientation: int = 1,
-) -> CurvatureFrame:
+def homogeneous_curvature(sc: StructureConstants, metric_diag: Sequence[float]) -> CurvatureFrame:
     """Curvature of the left-invariant metric diag(metric_diag) on the group
     with structure constants sc, in the orthonormal frame X_i / sqrt(d_i)."""
     d = np.asarray(metric_diag, dtype=float)
-    if d.shape != (sc.dim,):
-        raise ValueError("metric_diag length must match the algebra dimension")
-    if np.any(d <= 0.0):
-        raise ValueError("metric_diag must be positive")
+    if d.shape != (4,):
+        raise ValueError("metric_diag must have 4 entries")
+    if not np.all((d > 0.0) & (d < np.inf)):
+        raise ValueError("metric_diag must be positive and finite")
     rt = np.sqrt(d)
     struct = sc.c * rt[None, None, :] / (rt[:, None, None] * rt[None, :, None])
-    return frame_curvature(struct, None, orientation=orientation)
+    return frame_curvature(struct)
 
 
 # --------------------------------------------------------------------------
@@ -196,8 +169,8 @@ class SubmersionMetric:
     t: float
 
     def __post_init__(self):
-        if self.t < 1.0:
-            raise ValueError("t must be >= 1")
+        if not 1.0 <= self.t < math.inf:
+            raise ValueError(f"t must be finite and >= 1, got {self.t!r}")
 
     def total_volume(self) -> float:
         # fibers are 2-dimensional, so vertical scaling by 1/t divides the

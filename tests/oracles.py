@@ -1,4 +1,4 @@
-"""Independent finite-difference curvature oracles.
+"""Independent curvature oracles.
 
 Two deliberately slow but convention-free implementations used to check the
 frame-based engine and the discrete conformal transformation law:
@@ -9,14 +9,19 @@ frame-based engine and the discrete conformal transformation law:
 * a periodic-lattice oracle for diagonal metrics on the flat torus, built
   entirely from np.roll central differences.
 
-Neither shares any code path with the library's curvature engine.
+Neither shares any code path with the library's curvature engine.  Two
+references that do use the engine check the closed forms built beside it:
+the Weyl energies of a radial metric by quadrature of ``curvature_at``
+(``weyl_integrals``), and the algebra su(2) + R of S^3 x R for the
+left-invariant engine (``su2_r``).
 """
 
 import math
 
 import numpy as np
 
-from collapselab.radial import RadialMetric
+from collapselab.radial import _CURVATURE_QUAD_TOL, RadialMetric, _integrate, curvature_at
+from collapselab.submersion import StructureConstants
 
 
 def _euler_coframe(r, th, ps, profile):
@@ -166,3 +171,29 @@ def conformal_scalar_fd(grid, u):
     prof = np.asarray(u, dtype=float).reshape(n, 1, 1, 1)
     gdiag = [prof**2] * 4
     return lattice_scalar_curvature(gdiag, grid.spacings)
+
+
+# ------------------------------------------------------ engine references
+
+
+def weyl_integrals(metric: RadialMetric, r_lo: float, r_hi: float) -> tuple[float, float]:
+    """(int |W+|^2 dmu, int |W-|^2 dmu) over [r_lo, r_hi], from one engine
+    curvature evaluation per quadrature node."""
+
+    def weyl(r: float) -> tuple[float, float]:
+        frame = curvature_at(metric, r)
+        return frame.w_plus_norm2, frame.w_minus_norm2
+
+    wp, wm = _integrate(metric, weyl, r_lo, r_hi, _CURVATURE_QUAD_TOL)
+    return float(wp), float(wm)
+
+
+def su2_r() -> StructureConstants:
+    """su(2) + R, the algebra of S^3 x R: [X_i, X_j] = -2 eps_ijk X_k on the
+    first three (the convention of ds1 = 2 s2^s3), X_4 central.  The unit
+    metric is the round unit S^3 times a line."""
+    c = np.zeros((4, 4, 4))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i, j, k] = -2.0
+        c[j, i, k] = 2.0
+    return StructureConstants(c, "su2+R")

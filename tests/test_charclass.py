@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from collapselab import charclass, cli
 from collapselab.charclass import (
     CharDensities,
-    _weyl_integrals,
     densities_at,
     integrate_characteristics,
     product_surface_frame,
     wplus_sweep,
 )
 from collapselab.cutoff import (
-    QUINTIC_BUMP,
-    SMOOTH_BUMP,
     BaseInstanton,
     CutoffFamily,
     cap_weyl_energies,
@@ -28,6 +25,7 @@ from collapselab.cutoff import (
 from collapselab.gluing import assemble_surface_model
 from collapselab.radial import Preset, curvature_at, make_metric
 from collapselab.submersion import BundleKind, collapse_metric, make_bundle
+from oracles import weyl_integrals
 
 FOUR_PI2 = 4.0 * math.pi**2
 
@@ -93,12 +91,6 @@ def test_flat_submersion_integrates_to_zero():
     assert out["tau"] == 0.0
 
 
-def test_domain_validation():
-    metric = make_metric(Preset.EGUCHI_HANSON)
-    with pytest.raises(ValueError):
-        integrate_characteristics(metric, domain=(0.0, 2.0))
-
-
 def test_weyl_integrals_match_closed_form():
     """int |W-|^2 dmu over [r0, R] on the unit instantons is
     12 pi^2 (r0^-2q - R^-2q), with q = 4 (Eguchi-Hanson) or 2 (Burns), and
@@ -106,7 +98,7 @@ def test_weyl_integrals_match_closed_form():
     for preset, q in ((Preset.EGUCHI_HANSON, 4), (Preset.BURNS, 2)):
         metric = make_metric(preset)
         for r0, R in ((1.0, 10.0), (1.0, 253.0), (1.5, 100.0)):
-            wp, wm = _weyl_integrals(metric, r0, R)
+            wp, wm = weyl_integrals(metric, r0, R)
             assert wm == pytest.approx(12.0 * math.pi**2 * (r0 ** (-2 * q) - R ** (-2 * q)),
                                        rel=1e-12)
             assert wp < 1e-20 * wm
@@ -132,16 +124,15 @@ def test_cap_weyl_energy_is_one_instanton(eps, base):
 
 
 @pytest.mark.parametrize("base", list(BaseInstanton))
-@pytest.mark.parametrize("bump_fn", [SMOOTH_BUMP, QUINTIC_BUMP])
-def test_unit_cap_weyl_energies(base, bump_fn):
+def test_unit_cap_weyl_energies(base):
     """On the unit annulus E- - E+ = 12 pi^2 to 1e-12, so each cap carries
     exactly one instanton's anti-self-dual energy; and each energy agrees
     with the engine's quadrature over the annulus [eps, 2 eps] of the eps = 0.5
     cap, eps^8 times as large."""
-    unit = unit_cap(base, bump_fn)
+    unit = unit_cap(base)
     assert unit.wminus_energy - unit.wplus_energy == pytest.approx(12.0 * math.pi**2, rel=1e-12)
     eps = 0.5
-    wp, wm = _weyl_integrals(modified_metric(CutoffFamily(base, eps, bump_fn)), eps, 2.0 * eps)
+    wp, wm = weyl_integrals(modified_metric(CutoffFamily(base, eps)), eps, 2.0 * eps)
     assert wp == pytest.approx(unit.wplus_energy * eps**8, rel=1e-8)
     assert wm == pytest.approx(unit.wminus_energy * eps**8, rel=1e-8)
 
@@ -160,13 +151,12 @@ def test_glued_sweep_wplus_decays():
 
 
 def test_control_family_constant():
-    def rule(t):
-        return make_metric(Preset.ROUND)
-
-    table = wplus_sweep(rule, (1.0, 10.0, 100.0))
-    assert max(table.wplus_values) < 1e-10
-    wm = [row[2] for row in table.rows]
-    assert max(wm) < 1e-10
+    """The round S^4 is conformally flat: W+ and W- integrate to 0 over the
+    whole sphere."""
+    metric = make_metric(Preset.ROUND)
+    wp, wm = weyl_integrals(metric, metric.r_min, metric.r_max)
+    assert wp < 1e-10
+    assert wm < 1e-10
 
 
 def test_sweep_csv_and_guards():
@@ -179,6 +169,12 @@ def test_sweep_csv_and_guards():
         wplus_sweep(rule, ())
     with pytest.raises(TypeError):
         wplus_sweep(lambda t: "nope", (1.0,))
+
+
+def test_sweep_rejects_radial_models():
+    """The sweep reads glued families only: a radial model is a TypeError."""
+    with pytest.raises(TypeError, match="RadialMetric"):
+        wplus_sweep(lambda t: make_metric(Preset.BURNS), (1.0,))
 
 
 def test_charclass_run_work_budget(tmp_path, monkeypatch):

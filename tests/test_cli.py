@@ -66,6 +66,19 @@ def test_mistyped_parameter_exits_2(tmp_path, capsys):
     assert ExperimentConfig("curvature", {"a": 2, "r_lo": 0.5}).parameters["a"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["yamabe", "n=20", "amplitude=NaN"],
+    ["collapse", "t=1,NaN"],
+    ["collapse", "t=1,Infinity"],
+])
+def test_non_finite_values_exit_2(tmp_path, capsys, argv):
+    """NaN and infinity are bad configuration (exit 2), refused before any
+    artifact is written."""
+    assert main(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_bad_override_syntax_exits_2(tmp_path, capsys):
     assert main(["classify", "--out", str(tmp_path), "justaword"]) == 2
     assert "key=value" in capsys.readouterr().err

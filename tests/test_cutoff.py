@@ -11,9 +11,7 @@ from collapselab import cutoff
 from collapselab.cutoff import (
     BaseInstanton,
     CutoffFamily,
-    QUINTIC_BUMP,
-    SMOOTH_BUMP,
-    bump,
+    _bump,
     cap_volume,
     decay_sweep,
     instanton_curvature,
@@ -26,30 +24,21 @@ from collapselab.cutoff import (
 from collapselab.frame_curvature import frame_from_riemann
 from collapselab.jets import Jet2, variable
 from collapselab.radial import (
-    FRAME_ORIENTATION, CurvatureSupNorms, Preset, curvature_at, make_metric, sample_grid,
-    sup_norms, volume,
+    CurvatureSupNorms, Preset, curvature_at, make_metric, sample_grid, sup_norms, volume,
 )
-
-BUMPS = [SMOOTH_BUMP, QUINTIC_BUMP]
 
 
 def test_bump_boundary_values():
-    for b in (SMOOTH_BUMP, QUINTIC_BUMP):
-        lo, hi = b(0.5), b(3.0)
-        assert (lo.value, lo.d1, lo.d2) == (1.0, 0.0, 0.0)
-        assert (hi.value, hi.d1, hi.d2) == (0.0, 0.0, 0.0)
-        mid = b(1.5)
-        assert 0.0 < mid.value < 1.0
-
-
-def test_bump_rejects_negative_argument():
-    with pytest.raises(ValueError):
-        SMOOTH_BUMP(-0.1)
+    lo, hi = _bump(variable(0.5)), _bump(variable(3.0))
+    assert (lo.value, lo.d1, lo.d2) == (1.0, 0.0, 0.0)
+    assert (hi.value, hi.d1, hi.d2) == (0.0, 0.0, 0.0)
+    mid = _bump(variable(1.5))
+    assert 0.0 < mid.value < 1.0
 
 
 def test_bump_monotone():
     xs = np.linspace(0.0, 3.0, 200)
-    vals = [bump(x).value for x in xs]
+    vals = [_bump(variable(x)).value for x in xs]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -67,12 +56,12 @@ def test_modified_metric_interpolates():
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.floats(1e-6, 1.0, exclude_max=True), st.sampled_from(list(BaseInstanton)),
-       st.sampled_from(BUMPS), st.floats(0.0, 1.0, exclude_min=True))
-def test_modified_metric_positive_on_its_domain(eps, base, bump_fn, t):
+       st.floats(0.0, 1.0, exclude_min=True))
+def test_modified_metric_positive_on_its_domain(eps, base, t):
     """W = f^-2 >= 1 - (r_bolt/r)^q > 0 on [1.001 r_bolt, 2.5 eps], for every
     eps in (0, 1): eps^p / r^q = (r_bolt / r)^q and the bump stays in [0, 1].
     (As t -> 0, r would round to the bolt itself, where W = 0.)"""
-    fam = CutoffFamily(base, eps, bump_fn)
+    fam = CutoffFamily(base, eps)
     profile = modified_metric(fam).profile
     r_lo = 1.001 * fam.r_bolt
     r = r_lo * (2.5 * eps / r_lo) ** t  # log-uniform in the range
@@ -122,7 +111,7 @@ def test_w_ansatz_map_reproduces_the_instanton(base):
     q = 4 if base is BaseInstanton.EGUCHI_HANSON else 2
     for rho in np.append(1.0, sample_grid(1.0, 10.0, 200)):
         x = variable(rho)
-        fr = frame_from_riemann(w_ansatz_riemann(x**-q, rho), orientation=FRAME_ORIENTATION)
+        fr = frame_from_riemann(w_ansatz_riemann(x**-q, rho))
         ricci, wminus = instanton_curvature(base, 1.0, rho)
         scale = math.sqrt(wminus)
         assert fr.w_minus_norm2 == pytest.approx(wminus, rel=1e-12)
@@ -133,28 +122,28 @@ def test_w_ansatz_map_reproduces_the_instanton(base):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.floats(0.05, 0.9), st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
-       st.sampled_from(list(BaseInstanton)), st.sampled_from(BUMPS))
-def test_cap_annulus_is_eps2_times_the_unit_cap(eps, rho, base, bump_fn):
+       st.sampled_from(list(BaseInstanton)))
+def test_cap_annulus_is_eps2_times_the_unit_cap(eps, rho, base):
     """At r = eps rho the engine's frame Riemann tensor of the cutoff metric
     is eps^2 times the unit cap's closed form, to 1e-9 relative (and 1e-12
     absolute, for the components that vanish)."""
-    metric = modified_metric(CutoffFamily(base, eps, bump_fn))
+    metric = modified_metric(CutoffFamily(base, eps))
     engine = curvature_at(metric, eps * rho).riemann4
-    unit = unit_cap_curvature(base, bump_fn, rho).riemann4
+    unit = unit_cap_curvature(base, rho).riemann4
     assert engine == pytest.approx(eps**2 * unit, rel=1e-9, abs=1e-12)
 
 
-def _unit_cap_norms(base, bump_fn, rhos):
+def _unit_cap_norms(base, rhos):
     """max |Ric_ab| and |s| of the unit cap at each radius, through the
     linearity of the closed form, Rm = (h / r^2) A + (h' / r) B + h'' C, with
     A, B and C the map's values on unit jets at r = 1."""
     q = 4 if base is BaseInstanton.EGUCHI_HANSON else 2
-    basis = [frame_from_riemann(w_ansatz_riemann(Jet2(*e), 1.0), orientation=FRAME_ORIENTATION)
+    basis = [frame_from_riemann(w_ansatz_riemann(Jet2(*e), 1.0))
              for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
     coef = []
     for rho in rhos:
         x = variable(float(rho))
-        h = bump_fn(x) / x**q
+        h = _bump(x) / x**q
         coef.append((h.value / rho**2, h.d1 / rho, h.d2))
     coef = np.array(coef)
     ricci = np.einsum("nk,kab->nab", coef, np.array([b.ricci for b in basis]))
@@ -163,27 +152,26 @@ def _unit_cap_norms(base, bump_fn, rhos):
 
 
 @pytest.mark.parametrize("base", list(BaseInstanton))
-@pytest.mark.parametrize("bump_fn", BUMPS)
-def test_unit_cap_suprema_are_certified(base, bump_fn):
+def test_unit_cap_suprema_are_certified(base):
     """S_Ric and S_s are at least the maxima of the closed form over 20 001
     uniform radii of [1, 2], and within 1e-9 of its maxima over 401 radii
     of the two grid cells about each coarse maximum (a 20 001-point grid
     alone undershoots peaks with |f''/f| up to 250 by as much as 6e-8).
     Both exceed the 120-sample sup of the engine on [eps, 3 eps] that
     earlier cap certificates used."""
-    unit = unit_cap(base, bump_fn)
+    unit = unit_cap(base)
     rhos = np.linspace(1.0, 2.0, 20001)
     step = rhos[1] - rhos[0]
-    coarse_ricci, coarse_scalar = _unit_cap_norms(base, bump_fn, rhos)
+    coarse_ricci, coarse_scalar = _unit_cap_norms(base, rhos)
     for sup, coarse, norm in ((unit.sup_ricci, coarse_ricci, lambda fr: fr.sup_ricci),
                               (unit.sup_scalar, coarse_scalar, lambda fr: abs(fr.scalar))):
         assert sup >= coarse.max()
         peak = rhos[coarse.argmax()]
         zoom = np.linspace(max(peak - step, 1.0), min(peak + step, 2.0), 401)
-        fine = max(norm(unit_cap_curvature(base, bump_fn, float(rho))) for rho in zoom)
+        fine = max(norm(unit_cap_curvature(base, float(rho))) for rho in zoom)
         assert sup == pytest.approx(fine, rel=1e-9)
     eps = 0.2
-    sampled = sup_norms(modified_metric(CutoffFamily(base, eps, bump_fn)), 120,
+    sampled = sup_norms(modified_metric(CutoffFamily(base, eps)), 120,
                         r_lo=eps, r_hi=3.0 * eps)
     assert unit.sup_ricci >= sampled.sup_ricci / eps**2
     assert unit.sup_scalar >= sampled.sup_scalar / eps**2

@@ -15,7 +15,8 @@ from collapselab.frame_curvature import (
     levi_civita_coefficients,
     riemann_tensor,
 )
-from collapselab.submersion import homogeneous_curvature, su2, su2_su2
+from collapselab.submersion import homogeneous_curvature
+from oracles import su2_r
 
 
 def test_pair_basis_orientation():
@@ -33,18 +34,18 @@ def test_flat_frame_is_flat():
 
 
 def test_round_three_sphere_from_su2():
-    fr = homogeneous_curvature(su2(), np.ones(3))
+    """The unit metric on su(2) + R is the round unit S^3 times a line: the
+    planes of S^3 have K = 1, the planes through the line K = 0."""
+    fr = homogeneous_curvature(su2_r(), np.ones(4))
     assert fr.scalar == pytest.approx(6.0, abs=1e-12)
-    assert fr.sec_min == pytest.approx(1.0, abs=1e-10)
-    assert fr.sec_max == pytest.approx(1.0, abs=1e-10)
-
-
-def test_product_of_three_spheres():
-    fr = homogeneous_curvature(su2_su2(), np.ones(6))
-    assert fr.scalar == pytest.approx(12.0, abs=1e-12)
-    # within-factor planes have K = 1, cross-factor planes K = 0
     assert fr.sec_min == pytest.approx(0.0, abs=1e-10)
     assert fr.sec_max == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_frame_from_riemann_requires_dimension_four(n):
+    with pytest.raises(ValueError, match="shape"):
+        frame_from_riemann(np.zeros((n, n, n, n)))
 
 
 def test_levi_civita_antisymmetry():
@@ -81,7 +82,7 @@ def test_norm_decomposition_identity():
 
 
 def test_frame_from_riemann_matches_frame_curvature():
-    fr1 = homogeneous_curvature(su2(), np.array([1.0, 1.2, 0.8]))
+    fr1 = homogeneous_curvature(su2_r(), np.array([1.0, 1.2, 0.8, 1.5]))
     fr2 = frame_from_riemann(fr1.riemann4)
     assert fr2.scalar == pytest.approx(fr1.scalar)
     assert np.allclose(fr2.ricci, fr1.ricci)
@@ -89,8 +90,8 @@ def test_frame_from_riemann_matches_frame_curvature():
 
 def test_scaling_law():
     """Scaling the metric by lambda^2 divides curvature by lambda^2."""
-    fr1 = homogeneous_curvature(su2(), np.ones(3))
-    fr4 = homogeneous_curvature(su2(), 4.0 * np.ones(3))
+    fr1 = homogeneous_curvature(su2_r(), np.ones(4))
+    fr4 = homogeneous_curvature(su2_r(), 4.0 * np.ones(4))
     assert fr4.scalar == pytest.approx(fr1.scalar / 4.0)
     assert fr4.sec_max == pytest.approx(fr1.sec_max / 4.0, abs=1e-12)
 
@@ -106,13 +107,17 @@ def test_burns_sectional_extremes_are_exact():
 
 
 def _random_plane_curvatures(riem, count):
+    """R(u, v, v, u) over random orthonormal pairs (u, v), as one matrix
+    product of the flattened tensor between the rows of u (x) v and v (x) u."""
     rng = np.random.default_rng(0)
     u = rng.standard_normal((count, 4))
     v = rng.standard_normal((count, 4))
     u /= np.linalg.norm(u, axis=1)[:, None]
     v -= np.einsum("ij,ij->i", u, v)[:, None] * u
     v /= np.linalg.norm(v, axis=1)[:, None]
-    return np.einsum("abcd,pa,pb,pc,pd->p", riem, u, v, v, u, optimize=True)
+    uv = (u[:, :, None] * v[:, None, :]).reshape(count, 16)
+    vu = (v[:, :, None] * u[:, None, :]).reshape(count, 16)
+    return np.sum((uv @ riem.reshape(16, 16)) * vu, axis=1)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collapselab.cutoff import SMOOTH_BUMP, BaseInstanton, CutoffFamily, unit_cap
+from collapselab.cutoff import BaseInstanton, CutoffFamily, unit_cap
 from collapselab.gluing import (
     Chart,
     ChartKind,
@@ -174,10 +174,10 @@ def test_cap_sup_norms_scale_exactly(blowups):
             kinds.add(chart.kind)
             eps = chart.epsilon
             if chart.kind is ChartKind.EH_CAP:
-                unit = unit_cap(BaseInstanton.EGUCHI_HANSON, SMOOTH_BUMP)
+                unit = unit_cap(BaseInstanton.EGUCHI_HANSON)
                 assert chart.sup_ricci / eps**2 == pytest.approx(unit.sup_ricci, rel=1e-12)
             else:
-                unit = unit_cap(BaseInstanton.BURNS, SMOOTH_BUMP)
+                unit = unit_cap(BaseInstanton.BURNS)
                 r_bolt = CutoffFamily(BaseInstanton.BURNS, eps).r_bolt
                 assert chart.sup_ricci == pytest.approx(2.0 / r_bolt**2, rel=1e-12)
             assert chart.sup_scalar / eps**2 == pytest.approx(unit.sup_scalar, rel=1e-12)

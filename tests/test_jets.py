@@ -17,9 +17,7 @@ def fd_jet(fn, x, h=1e-5):
 FUNCS = [
     (lambda t: t.sqrt(), lambda x: math.sqrt(x)),
     (lambda t: t.exp(), lambda x: math.exp(x)),
-    (lambda t: t.log(), lambda x: math.log(x)),
     (lambda t: t.sin(), lambda x: math.sin(x)),
-    (lambda t: t.cos(), lambda x: math.cos(x)),
     (lambda t: t.reciprocal(), lambda x: 1.0 / x),
     (lambda t: t**3, lambda x: x**3),
     (lambda t: (t * t + 1.0) / (t.sin() + 2.0), lambda x: (x * x + 1) / (math.sin(x) + 2)),
@@ -65,12 +63,3 @@ def test_power_and_reciprocal_consistency():
     assert lhs.value == pytest.approx(rhs.value)
     assert lhs.d1 == pytest.approx(rhs.d1)
     assert lhs.d2 == pytest.approx(rhs.d2)
-
-
-def test_sin_cos_pythagoras_jet():
-    t = variable(0.8)
-    s, c = t.sin(), t.cos()
-    total = s * s + c * c
-    assert total.value == pytest.approx(1.0)
-    assert abs(total.d1) < 1e-14
-    assert abs(total.d2) < 1e-14

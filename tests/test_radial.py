@@ -13,6 +13,7 @@ from collapselab.radial import (
     eguchi_hanson_profile,
     flat_profile,
     make_metric,
+    round_profile,
     sample_grid,
     sup_norms,
     volume,
@@ -114,9 +115,17 @@ def test_domain_guard():
         curvature_at(metric, 0.5)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_profile_parameters_must_be_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        eguchi_hanson_profile(bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        round_profile(bad)
+
+
 def test_sup_norms_monotone_in_samples():
     metric = make_metric(Preset.BURNS)
-    sups = [sup_norms(metric, n, r_hi=10.0).sup_ricci
+    sups = [sup_norms(metric, n, r_lo=metric.r_min, r_hi=10.0).sup_ricci
             for n in (25, 50, 100)]
     assert sups[0] <= sups[1] <= sups[2]  # nested grids only add points
 
@@ -151,7 +160,7 @@ def test_volume_rejects_unconverged_quadrature():
     with pytest.raises(RuntimeError, match=r"did not converge \(status 3"):
         volume(broken, 1e-9, 2.0)
     with pytest.raises(RuntimeError, match=r"did not converge \(status 3"):
-        integrate_characteristics(broken, domain=(1e-9, 2.0))
+        integrate_characteristics(broken)
 
 
 def test_preset_link_volumes():

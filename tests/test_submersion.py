@@ -13,20 +13,25 @@ from collapselab.submersion import (
     make_bundle,
     nilmanifold_frame,
     oneill_at,
-    su2,
-    su2_su2,
 )
+from oracles import su2_r
 
 
 def test_structure_constants_validate():
-    c = np.zeros((3, 3, 3))
+    c = np.zeros((4, 4, 4))
     c[0, 1, 2] = 1.0  # not antisymmetrized
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="antisymmetric"):
         StructureConstants(c)
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3), (6, 6, 6), (4, 4)])
+def test_structure_constants_must_be_four_dimensional(shape):
+    with pytest.raises(ValueError, match="dimension must be 4"):
+        StructureConstants(np.zeros(shape))
+
+
 def test_jacobi_holds_for_presets():
-    for sc in (su2(), su2_su2(), heisenberg_r()):
+    for sc in (su2_r(), heisenberg_r()):
         assert sc.jacobi_defect() < 1e-12
 
 
@@ -82,6 +87,13 @@ def test_t_below_one_rejected():
     bundle = make_bundle(BundleKind.TRIVIAL_TORUS_OVER_TORUS)
     with pytest.raises(ValueError):
         collapse_metric(bundle, 0.5)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_non_finite_t_rejected(t):
+    bundle = make_bundle(BundleKind.TRIVIAL_TORUS_OVER_TORUS)
+    with pytest.raises(ValueError, match="finite"):
+        collapse_metric(bundle, t)
 
 
 def test_twisted_bundle_requires_isometric_monodromy():
