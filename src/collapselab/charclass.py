@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import BaseInstanton, CutoffFamily, cap_weyl_energies
 from .frame_curvature import CurvatureFrame, frame_from_riemann
-from .gluing import Chart, ChartKind, ChartedFamily
+from .gluing import ChartedFamily
 from .radial import RadialMetric, _CURVATURE_QUAD_TOL, _integrate, curvature_at
 from .submersion import BundleKind, SubmersionMetric, nilmanifold_frame
 
@@ -96,19 +95,6 @@ def integrate_characteristics(metric: RadialMetric | SubmersionMetric) -> dict[s
     return {"two_chi_plus_three_tau": float(gb), "tau": float(sig)}
 
 
-def _chart_weyl(chart: Chart, t: float) -> tuple[float, float]:
-    if chart.kind in (ChartKind.FLAT_BLOCK, ChartKind.CYLINDER_NECK):
-        return 0.0, 0.0
-    if chart.kind is ChartKind.EH_CAP:
-        return cap_weyl_energies(CutoffFamily(BaseInstanton.EGUCHI_HANSON, chart.epsilon))
-    if chart.kind is ChartKind.BURNS_CAP:
-        return cap_weyl_energies(CutoffFamily(BaseInstanton.BURNS, chart.epsilon))
-    if chart.sup_ricci == 0.0 and chart.sup_scalar == 0.0:
-        return 0.0, 0.0  # product-flat bundle block
-    frame = nilmanifold_frame(t)
-    return frame.w_plus_norm2 * chart.volume, frame.w_minus_norm2 * chart.volume
-
-
 @dataclass(frozen=True)
 class WeylSweepTable:
     """Rows (t, int |W+|^2 dmu, int |W-|^2 dmu, tau estimate) of a sweep."""
@@ -143,10 +129,6 @@ def wplus_sweep(family_rule, t_list) -> WeylSweepTable:
         model = family_rule(t)
         if not isinstance(model, ChartedFamily):
             raise TypeError(f"family rule returned unsupported {type(model).__name__}")
-        wp = wm = 0.0
-        for chart in model.charts:
-            cp, cm = _chart_weyl(chart, t)
-            wp += cp
-            wm += cm
+        wp, wm = model.wplus_energy, model.wminus_energy
         rows.append((t, wp, wm, (wp - wm) / (12.0 * math.pi**2)))
     return WeylSweepTable(tuple(rows))

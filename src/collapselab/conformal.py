@@ -239,8 +239,11 @@ def minimize_yamabe(
     quotient does not increase and u stays positive.  The quotient is scale
     invariant, so a candidate is evaluated as it is, and only the accepted
     one is renormalized to unit conformal volume.  Stops on a zero L2
-    gradient or once the relative decrease of the quotient falls below tol.
+    gradient or once the relative decrease of the quotient falls below tol,
+    which must be finite and non-negative.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     n, ell = grid.n_dim, grid.ell
     p = 2.0 * n / (n - 2)
     w = (n - 2.0) / n

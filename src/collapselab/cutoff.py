@@ -27,12 +27,13 @@ from .jets import Jet2, constant, variable
 from .radial import (
     CurvatureSupNorms,
     RadialMetric,
-    RadialProfile,
     _CURVATURE_QUAD_TOL,
     _integrate,
     flat_profile,
     sup_norms,
     volume,
+    w_ansatz_profile,
+    w_ansatz_riemann,
 )
 
 
@@ -113,27 +114,22 @@ def _link_volume(base: BaseInstanton) -> float:
     return math.pi**2 if base is BaseInstanton.EGUCHI_HANSON else 2.0 * math.pi**2
 
 
+def _cap_h(base: BaseInstanton, eps: float) -> Callable[[Jet2], Jet2]:
+    """h(r) = phi(r/eps) eps^p / r^q of the cap of scale eps; eps = 1 is the
+    unit cap."""
+    p, q, _ = _FAMILY_EXPONENTS[base]
+    return lambda x: _bump(x / eps) * (eps**p) / x**q
+
+
 def modified_metric(family: CutoffFamily) -> RadialMetric:
-    """The cutoff metric with W(r) = 1 - phi(r/eps) eps^p / r^q.
+    """The cutoff metric: the W-ansatz with W(r) = 1 - phi(r/eps) eps^p / r^q.
 
     Exactly flat for r > 2*eps, exactly the (rescaled) instanton for r < eps.
     In both families p = k q, so eps^p / r^q = (r_bolt / r)^q, and phi, with
     values in [0, 1], keeps W >= 1 - (r_bolt / r)^q > 0 on the whole domain
     r > r_bolt, for every eps in (0, 1).
     """
-    p, q, _ = _FAMILY_EXPONENTS[family.base]
-    eps = family.epsilon
-
-    def w(x: Jet2) -> Jet2:
-        return 1.0 - _bump(x / eps) * (eps**p) / x**q
-
-    prof = RadialProfile(
-        f=lambda x: w(x).sqrt().reciprocal(),
-        a=lambda x: x,
-        b=lambda x: x,
-        c=lambda x: x * w(x).sqrt(),
-        r_min=family.r_bolt,
-    )
+    prof = w_ansatz_profile(_cap_h(family.base, family.epsilon), family.r_bolt)
     return RadialMetric(prof, family.link_volume)
 
 
@@ -200,36 +196,6 @@ def volume_deficit(family: CutoffFamily, R: float) -> float:
 # caps in closed form
 # --------------------------------------------------------------------------
 
-def w_ansatz_riemann(h: Jet2, r: float) -> np.ndarray:
-    """Frame Riemann tensor at r of f = W^-1/2, a = b = r, c = r W^1/2 with
-    W = 1 - h, from the jet (h, h', h'') of h at r.
-
-    Every component is linear in h, h' and h'' (docs/conventions.md).  With
-    k = h' / 2r the independent ones are
-
-        R_1212 = -4 h / r^2,   R_0303 = -3 k - h'' / 2,   R_0312 = -2 k,
-        R_0101 = R_0202 = R_1313 = R_2323 = -k,   R_0123 = -R_0213 = k,
-
-    and the others follow from R_abcd = -R_bacd = -R_abdc = R_cdab.
-    """
-    k = 0.5 * h.d1 / r
-    riem = np.zeros((4, 4, 4, 4))
-    for (a, b, c, d), v in (
-        ((1, 2, 1, 2), -4.0 * h.value / (r * r)),
-        ((0, 3, 0, 3), -3.0 * k - 0.5 * h.d2),
-        ((0, 3, 1, 2), -2.0 * k),
-        ((0, 1, 0, 1), -k),
-        ((0, 2, 0, 2), -k),
-        ((1, 3, 1, 3), -k),
-        ((2, 3, 2, 3), -k),
-        ((0, 1, 2, 3), k),
-        ((0, 2, 1, 3), -k),
-    ):
-        riem[a, b, c, d] = riem[b, a, d, c] = riem[c, d, a, b] = riem[d, c, b, a] = v
-        riem[b, a, c, d] = riem[a, b, d, c] = riem[d, c, a, b] = riem[c, d, b, a] = -v
-    return riem
-
-
 def unit_cap_curvature(base: BaseInstanton, rho: float) -> CurvatureFrame:
     """Curvature at rho of the unit cap h = H(rho) = phi(rho) / rho^q.
 
@@ -238,9 +204,7 @@ def unit_cap_curvature(base: BaseInstanton, rho: float) -> CurvatureFrame:
     one in the variable rho, so its frame Riemann tensor is exactly eps^2
     times this one.
     """
-    q = _FAMILY_EXPONENTS[base][1]
-    x = variable(rho)
-    return frame_from_riemann(w_ansatz_riemann(_bump(x) / x**q, rho))
+    return frame_from_riemann(w_ansatz_riemann(_cap_h(base, 1.0)(variable(rho)), rho))
 
 
 def _brent_max(fn: Callable[[float], float], lo: float, hi: float) -> float:

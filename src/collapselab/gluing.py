@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutoff import BaseInstanton, CutoffFamily, cap_sup_norms, cap_volume
-from .submersion import BundleKind, BundleModel, collapse_metric, oneill_at
+from .cutoff import BaseInstanton, CutoffFamily, cap_sup_norms, cap_volume, cap_weyl_energies
+from .submersion import BundleKind, BundleModel, collapse_metric, nilmanifold_frame, oneill_at
 from .surfaces import SurfaceData
 
 
@@ -33,11 +33,15 @@ class ChartKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Chart:
+    """Volume, curvature sup norms and int |W+-|^2 dmu of one chart."""
+
     kind: ChartKind
     volume: float
     sup_ricci: float
     sup_scalar: float
     epsilon: float | None = None
+    wplus_energy: float = 0.0
+    wminus_energy: float = 0.0
 
     def __post_init__(self):
         if self.volume <= 0.0:
@@ -66,6 +70,14 @@ class ChartedFamily:
     @property
     def sup_scalar(self) -> float:
         return max(c.sup_scalar for c in self.charts)
+
+    @property
+    def wplus_energy(self) -> float:
+        return sum(c.wplus_energy for c in self.charts)
+
+    @property
+    def wminus_energy(self) -> float:
+        return sum(c.wminus_energy for c in self.charts)
 
 
 class Verdict(enum.Enum):
@@ -154,7 +166,8 @@ def torus_distance(p: np.ndarray, q: np.ndarray, gram: np.ndarray) -> float:
 def _cap_chart(kind: ChartKind, base: BaseInstanton, eps: float) -> Chart:
     fam = CutoffFamily(base, eps)
     sn = cap_sup_norms(fam)
-    return Chart(kind, cap_volume(fam), sn.sup_ricci, sn.sup_scalar, epsilon=eps)
+    wp, wm = cap_weyl_energies(fam)
+    return Chart(kind, cap_volume(fam), sn.sup_ricci, sn.sup_scalar, eps, wp, wm)
 
 
 def eh_cap(eps: float) -> Chart:
@@ -234,7 +247,9 @@ def _bundle_block(bundle: BundleModel, t: float, removed: float = 0.0) -> Chart:
         # crude but uniform bound on the Ricci components from the O'Neill data
         sup_ric = abs(o.K_H) + 2.0 * abs(o.K_P)
         sup_s = 2.0 * abs(o.K_H) + 4.0 * abs(o.K_P)
-        return Chart(ChartKind.BUNDLE_BLOCK, vol, sup_ric, sup_s)
+        frame = nilmanifold_frame(t)
+        return Chart(ChartKind.BUNDLE_BLOCK, vol, sup_ric, sup_s, None,
+                     frame.w_plus_norm2 * vol, frame.w_minus_norm2 * vol)
     return Chart(ChartKind.BUNDLE_BLOCK, vol, 0.0, 0.0)
 
 

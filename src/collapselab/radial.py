@@ -26,23 +26,20 @@ from .jets import Jet2, constant, variable
 # dual left-invariant vector fields.
 STRUCTURE_SIGN = -2.0
 
-ProfileFn = Callable[[Jet2], Jet2]
+ProfileJets = Callable[[Jet2], tuple[Jet2, Jet2, Jet2, Jet2]]
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """The four profile functions and the radial domain (r_min, r_max]."""
+    """The jet map r -> (f, a, b, c) of the four profile functions and the
+    radial domain (r_min, r_max]."""
 
-    f: ProfileFn
-    a: ProfileFn
-    b: ProfileFn
-    c: ProfileFn
+    jets: ProfileJets
     r_min: float
     r_max: float = math.inf
 
     def at(self, r: float) -> tuple[Jet2, Jet2, Jet2, Jet2]:
-        x = variable(r)
-        return self.f(x), self.a(x), self.b(x), self.c(x)
+        return self.jets(variable(r))
 
 
 @dataclass(frozen=True)
@@ -69,62 +66,75 @@ class Preset(enum.Enum):
     ROUND = "round"
 
 
+def w_ansatz_profile(h: Callable[[Jet2], Jet2], r_min: float) -> RadialProfile:
+    """The W-ansatz f = W^-1/2, a = b = r, c = r W^1/2 with W = 1 - h(r), on
+    r > r_min: both instantons and every cutoff cap.  W and its square root
+    are computed once per radius."""
+
+    def jets(x: Jet2) -> tuple[Jet2, Jet2, Jet2, Jet2]:
+        root = (1.0 - h(x)).sqrt()
+        return root.reciprocal(), x, x, x * root
+
+    return RadialProfile(jets, r_min)
+
+
+def w_ansatz_riemann(h: Jet2, r: float) -> np.ndarray:
+    """Frame Riemann tensor at r of the W-ansatz (``w_ansatz_profile``),
+    from the jet (h, h', h'') of h at r.
+
+    Every component is linear in h, h' and h'' (docs/conventions.md).  With
+    k = h' / 2r the independent ones are
+
+        R_1212 = -4 h / r^2,   R_0303 = -3 k - h'' / 2,   R_0312 = -2 k,
+        R_0101 = R_0202 = R_1313 = R_2323 = -k,   R_0123 = -R_0213 = k,
+
+    and the others follow from R_abcd = -R_bacd = -R_abdc = R_cdab.
+    """
+    k = 0.5 * h.d1 / r
+    riem = np.zeros((4, 4, 4, 4))
+    for (a, b, c, d), v in (
+        ((1, 2, 1, 2), -4.0 * h.value / (r * r)),
+        ((0, 3, 0, 3), -3.0 * k - 0.5 * h.d2),
+        ((0, 3, 1, 2), -2.0 * k),
+        ((0, 1, 0, 1), -k),
+        ((0, 2, 0, 2), -k),
+        ((1, 3, 1, 3), -k),
+        ((2, 3, 2, 3), -k),
+        ((0, 1, 2, 3), k),
+        ((0, 2, 1, 3), -k),
+    ):
+        riem[a, b, c, d] = riem[b, a, d, c] = riem[c, d, a, b] = riem[d, c, b, a] = v
+        riem[b, a, c, d] = riem[a, b, d, c] = riem[d, c, a, b] = riem[c, d, b, a] = -v
+    return riem
+
+
 def eguchi_hanson_profile(A: float) -> RadialProfile:
-    """f^2 = 1/(1 - A/r^4), a = b = r, c^2 = r^2 (1 - A/r^4), r > A^(1/4)."""
+    """The W-ansatz with h = A/r^4, r > A^(1/4)."""
     if not 0.0 < A < math.inf:
         raise ValueError(f"Eguchi-Hanson parameter A must be positive and finite, got {A!r}")
-
-    def w(x: Jet2) -> Jet2:
-        return 1.0 - A / (x * x * x * x)
-
-    return RadialProfile(
-        f=lambda x: w(x).sqrt().reciprocal(),
-        a=lambda x: x,
-        b=lambda x: x,
-        c=lambda x: x * w(x).sqrt(),
-        r_min=A**0.25,
-    )
+    return w_ansatz_profile(lambda x: A / (x * x * x * x), A**0.25)
 
 
 def burns_profile() -> RadialProfile:
-    """f^2 = 1/(1 - 1/r^2), a = b = r, c^2 = r^2 (1 - 1/r^2), r > 1."""
-
-    def w(x: Jet2) -> Jet2:
-        return 1.0 - 1.0 / (x * x)
-
-    return RadialProfile(
-        f=lambda x: w(x).sqrt().reciprocal(),
-        a=lambda x: x,
-        b=lambda x: x,
-        c=lambda x: x * w(x).sqrt(),
-        r_min=1.0,
-    )
+    """The W-ansatz with h = 1/r^2, r > 1."""
+    return w_ansatz_profile(lambda x: 1.0 / (x * x), 1.0)
 
 
 def flat_profile(r_max: float = math.inf) -> RadialProfile:
     """Slope-1 cone: f = 1, a = b = c = r (Euclidean R^4 in polar form)."""
-    return RadialProfile(
-        f=lambda x: constant(1.0),
-        a=lambda x: x,
-        b=lambda x: x,
-        c=lambda x: x,
-        r_min=0.0,
-        r_max=r_max,
-    )
+    return RadialProfile(lambda x: (constant(1.0), x, x, x), 0.0, r_max)
 
 
 def round_profile(radius: float = 1.0) -> RadialProfile:
     """Geodesic-polar chart of the round 4-sphere: a = b = c = R sin(r/R)."""
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    return RadialProfile(
-        f=lambda x: constant(1.0),
-        a=lambda x: radius * (x / radius).sin(),
-        b=lambda x: radius * (x / radius).sin(),
-        c=lambda x: radius * (x / radius).sin(),
-        r_min=0.0,
-        r_max=math.pi * radius,
-    )
+
+    def jets(x: Jet2) -> tuple[Jet2, Jet2, Jet2, Jet2]:
+        s = radius * (x / radius).sin()
+        return constant(1.0), s, s, s
+
+    return RadialProfile(jets, 0.0, math.pi * radius)
 
 
 def make_metric(preset: Preset, A: float = 1.0, radius: float = 1.0) -> RadialMetric:
@@ -174,9 +184,7 @@ def _structure_functions(metric: RadialMetric, r: float):
 
 def curvature_at(metric: RadialMetric, r: float) -> CurvatureFrame:
     """Curvature data at radius r in the orthonormal frame (f dr, a s1, b s2, c s3)."""
-    if not (metric.r_min < r < metric.r_max) and not (
-        math.isinf(metric.r_max) and r > metric.r_min
-    ):
+    if not metric.r_min < r < metric.r_max:
         raise ValueError(f"r={r} outside domain ({metric.r_min}, {metric.r_max})")
     struct, struct_d1, e0_scale = _structure_functions(metric, r)
     return frame_curvature(struct, struct_d1, e0_scale)
@@ -200,10 +208,10 @@ def _vdc(k: int) -> float:
 
 
 def sample_grid(r_lo: float, r_hi: float, samples: int) -> np.ndarray:
-    """Nested geometric grid in (r_lo, r_hi)."""
+    """Nested geometric grid in (r_lo, r_hi), a finite range."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if not (0.0 < r_lo < r_hi):
+    if not 0.0 < r_lo < r_hi < math.inf:
         raise ValueError("empty or invalid radial range")
     ratio = r_hi / r_lo
     ts = np.array([_vdc(k + 1) for k in range(samples)])

@@ -24,7 +24,7 @@ from collapselab.cutoff import (
 )
 from collapselab.gluing import assemble_surface_model
 from collapselab.radial import Preset, curvature_at, make_metric
-from collapselab.submersion import BundleKind, collapse_metric, make_bundle
+from collapselab.submersion import BundleKind, collapse_metric, make_bundle, nilmanifold_frame
 from oracles import weyl_integrals
 
 FOUR_PI2 = 4.0 * math.pi**2
@@ -148,6 +148,19 @@ def test_glued_sweep_wplus_decays():
     assert max(wm) - min(wm) < 1e-4 * max(wm)
     tau_est = table.rows[-1][3]
     assert abs(tau_est + 10) < 1e-8
+
+
+def test_nilmanifold_sweep_is_the_frame_energy_over_t():
+    """A nilmanifold family is one bundle block of volume 1/t with a
+    left-invariant curvature frame, so each row carries that frame's
+    |W+-|^2 / t."""
+    rule = assemble_surface_model(make_bundle(BundleKind.NILMANIFOLD))
+    for t, wp, wm, tau in wplus_sweep(rule, (1.0, 10.0, 100.0)).rows:
+        frame = nilmanifold_frame(t)
+        assert frame.w_plus_norm2 > 0.0 and frame.w_minus_norm2 > 0.0
+        assert wp == pytest.approx(frame.w_plus_norm2 / t, rel=1e-15)
+        assert wm == pytest.approx(frame.w_minus_norm2 / t, rel=1e-15)
+        assert tau == (wp - wm) / (12.0 * math.pi**2)
 
 
 def test_control_family_constant():

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from collapselab import charclass, cli, radial
+from collapselab import charclass, cli, cutoff, frame_curvature, radial
 from collapselab.cli import ExperimentConfig, main, report, run
 from collapselab.cutoff import unit_cap
+from collapselab.jets import Jet2
 
 
 def _summary(out_dir, slug):
@@ -44,7 +45,8 @@ def test_mistyped_parameter_exits_2(tmp_path, capsys):
     for experiment, override in (("yamabe", "n=4"), ("collapse", "t=[]"), ("glue", "t=1,2"),
                                  ("decay", "eps=[]"), ("charclass", "t=[]"),
                                  ("curvature", "samples=1"), ("curvature", "preset=custom"),
-                                 ("yamabe", "sweep_draws=0")):
+                                 ("yamabe", "sweep_draws=0"), ("yamabe", "tolerance=NaN"),
+                                 ("yamabe", "tolerance=-1"), ("yamabe", "tolerance=Infinity")):
         assert main([experiment, "--out", str(tmp_path), override]) == 2
         assert capsys.readouterr().err.startswith("error: ")
     # classify input: a missing file, a record without kod, a record that is
@@ -70,6 +72,7 @@ def test_mistyped_parameter_exits_2(tmp_path, capsys):
     ["yamabe", "n=20", "amplitude=NaN"],
     ["collapse", "t=1,NaN"],
     ["collapse", "t=1,Infinity"],
+    ["curvature", "preset=eguchi-hanson", "r_hi=Infinity"],
 ])
 def test_non_finite_values_exit_2(tmp_path, capsys, argv):
     """NaN and infinity are bad configuration (exit 2), refused before any
@@ -182,21 +185,27 @@ def test_glue_slug_and_verdict(tmp_path):
 
 def test_radial_run_work_budget(tmp_path, monkeypatch):
     """The nine radial experiments of the benchmark, in one process with an
-    empty unit-cap cache, evaluate curvature at most 1500 times (a
-    deterministic work counter): 201 per ``curvature`` preset, 480 per
-    ``decay`` sweep and 63 for the round S^4 of ``charclass``, 1425 in all;
-    the cutoff caps take none."""
+    empty unit-cap cache, stay within three deterministic work budgets:
+    - at most 1500 curvature evaluations: 201 per ``curvature`` preset, 480
+      per ``decay`` sweep and 63 for the round S^4 of ``charclass``, 1425 in
+      all; the cutoff caps take none;
+    - at most 2100 cutoff bumps (2058 measured), one per cap radius;
+    - at most 1500 jet square roots (1488 measured), one per W-ansatz radius.
+    """
     unit_cap.cache_clear()
-    engine = radial.curvature_at
-    calls = 0
+    counts = {"curvature_at": 0, "_bump": 0, "sqrt": 0}
 
-    def counting(metric, r):
-        nonlocal calls
-        calls += 1
-        return engine(metric, r)
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
 
+    curvature = counting("curvature_at", radial.curvature_at)
     for module in (radial, cli, charclass):
-        monkeypatch.setattr(module, "curvature_at", counting)
+        monkeypatch.setattr(module, "curvature_at", curvature)
+    monkeypatch.setattr(cutoff, "_bump", counting("_bump", cutoff._bump))
+    monkeypatch.setattr(Jet2, "sqrt", counting("sqrt", Jet2.sqrt))
     for experiment, params in (
         ("curvature", {"preset": "eguchi-hanson"}),
         ("curvature", {"preset": "burns"}),
@@ -209,4 +218,26 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
         ("charclass", {}),
     ):
         run(ExperimentConfig(experiment, params, str(tmp_path), 1))
-    assert calls <= 1500
+    assert counts["curvature_at"] <= 1500
+    assert counts["_bump"] <= 2100
+    assert counts["sqrt"] <= 1500
+
+
+def test_benchmark_hooks(monkeypatch):
+    """The names the benchmark's tracer wraps by hand exist, and its check
+    that every curvature evaluation is one Riemann-tensor evaluation holds."""
+    assert callable(cli._write_artifacts)
+    metric = radial.make_metric(radial.Preset.BURNS)
+    jets = metric.profile.at(2.0)
+    assert len(jets) == 4 and all(isinstance(j, Jet2) for j in jets)
+    calls = 0
+    engine = frame_curvature.riemann_tensor
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return engine(*args)
+
+    monkeypatch.setattr(frame_curvature, "riemann_tensor", counting)
+    radial.curvature_at(metric, 2.0)
+    assert calls == 1

@@ -19,12 +19,12 @@ from collapselab.cutoff import (
     unit_cap,
     unit_cap_curvature,
     volume_deficit,
-    w_ansatz_riemann,
 )
 from collapselab.frame_curvature import frame_from_riemann
 from collapselab.jets import Jet2, variable
 from collapselab.radial import (
     CurvatureSupNorms, Preset, curvature_at, make_metric, sample_grid, sup_norms, volume,
+    w_ansatz_riemann,
 )
 
 

@@ -17,7 +17,9 @@ from collapselab.radial import (
     sample_grid,
     sup_norms,
     volume,
+    w_ansatz_profile,
 )
+from collapselab.jets import Jet2
 from oracles import radial_invariants_fd, radial_metric_components
 
 
@@ -99,8 +101,7 @@ def test_homothety_scaling():
     metric = make_metric(Preset.EGUCHI_HANSON)
     p = metric.profile
     scaled = RadialMetric(
-        RadialProfile(f=lambda x: 2.0 * p.f(x), a=lambda x: 2.0 * p.a(x),
-                      b=lambda x: 2.0 * p.b(x), c=lambda x: 2.0 * p.c(x), r_min=p.r_min),
+        RadialProfile(lambda x: tuple(2.0 * jet for jet in p.jets(x)), p.r_min),
         metric.link_volume)
     # same coordinate r, metric multiplied by 4: curvature scales by 1/4
     fr = curvature_at(metric, 2.0)
@@ -110,9 +111,38 @@ def test_homothety_scaling():
 
 
 def test_domain_guard():
+    """The domain is open at both ends, infinity included: r = inf would
+    give a frame of NaN components."""
     metric = make_metric(Preset.EGUCHI_HANSON)
-    with pytest.raises(ValueError):
-        curvature_at(metric, 0.5)
+    for r in (0.5, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="outside domain"):
+            curvature_at(metric, r)
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, math.inf), (1.0, math.nan), (0.0, 2.0), (2.0, 1.0)])
+def test_sample_grid_needs_a_finite_range(lo, hi):
+    with pytest.raises(ValueError, match="invalid radial range"):
+        sample_grid(lo, hi, 10)
+
+
+def test_w_ansatz_profile_computes_one_square_root_per_radius(monkeypatch):
+    """f = W^-1/2 and c = r W^1/2 share one W and one sqrt, and match the
+    closed forms of the Eguchi-Hanson metric."""
+    calls = 0
+    sqrt = Jet2.sqrt
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return sqrt(self)
+
+    monkeypatch.setattr(Jet2, "sqrt", counting)
+    f, a, b, c = w_ansatz_profile(lambda x: 2.0 / (x * x * x * x), 2**0.25).at(1.5)
+    assert calls == 1
+    w = 1.0 - 2.0 / 1.5**4
+    assert f.value == pytest.approx(w**-0.5, rel=1e-15)
+    assert c.value == pytest.approx(1.5 * w**0.5, rel=1e-15)
+    assert (a.value, a.d1, b.value, b.d1) == (1.5, 1.0, 1.5, 1.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
@@ -153,10 +183,12 @@ def test_volume_rejects_unconverged_quadrature():
         _integrate(flat, lambda r: (1.0, math.nan if r > 1.0 else r), 1e-9, 2.0, 1e-12)
     # a profile that turns NaN past r = 1, under both public integrals
     cone = flat_profile(2.0)
-    broken = RadialMetric(
-        RadialProfile(f=lambda x: constant(math.nan if x.value > 1.0 else 1.0),
-                      a=cone.a, b=cone.b, c=cone.c, r_min=0.0, r_max=2.0),
-        2.0 * math.pi**2)
+
+    def nan_past_one(x):
+        _, a, b, c = cone.jets(x)
+        return constant(math.nan if x.value > 1.0 else 1.0), a, b, c
+
+    broken = RadialMetric(RadialProfile(nan_past_one, 0.0, 2.0), 2.0 * math.pi**2)
     with pytest.raises(RuntimeError, match=r"did not converge \(status 3"):
         volume(broken, 1e-9, 2.0)
     with pytest.raises(RuntimeError, match=r"did not converge \(status 3"):
