@@ -23,6 +23,7 @@ import numpy as np
 
 from .frame_curvature import CurvatureFrame, frame_from_riemann
 from .gluing import ChartedFamily
+from .jets import _libm
 from .radial import RadialMetric, _CURVATURE_QUAD_TOL, _integrate, curvature_at
 from .submersion import BundleKind, SubmersionMetric, nilmanifold_frame
 
@@ -38,7 +39,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharDensities:
-    """Pointwise Gauss-Bonnet and signature integrands, per unit volume."""
+    """Pointwise Gauss-Bonnet and signature integrands, per unit volume, at
+    one point or at each point of a batched frame."""
 
     gb_density: float
     sig_density: float
@@ -46,14 +48,16 @@ class CharDensities:
 
     def __post_init__(self):
         # dropping the 2|W+|^2 term can only decrease the integrand
-        if self.gb_density < self.restricted_gb_density - 1e-15:
+        if np.any(self.gb_density < self.restricted_gb_density - 1e-15):
             raise ValueError("gb_density must dominate its restricted form")
 
 
 def densities_at(frame: CurvatureFrame) -> CharDensities:
-    """Evaluate both characteristic densities from one curvature frame."""
+    """Evaluate both characteristic densities from one curvature frame, at
+    each of its points when it is a batch."""
     four_pi2 = 4.0 * math.pi**2
-    restricted = (frame.scalar**2 / 24.0 - frame.ricci_traceless_norm2 / 2.0) / four_pi2
+    s2 = _libm(lambda s: s**2, frame.scalar)
+    restricted = (s2 / 24.0 - frame.ricci_traceless_norm2 / 2.0) / four_pi2
     gb = restricted + 2.0 * frame.w_plus_norm2 / four_pi2
     sig = (frame.w_plus_norm2 - frame.w_minus_norm2) / (12.0 * math.pi**2)
     return CharDensities(gb, sig, restricted)
@@ -87,9 +91,9 @@ def integrate_characteristics(metric: RadialMetric | SubmersionMetric) -> dict[s
             "tau": dens.sig_density * vol,
         }
 
-    def densities(r: float) -> tuple[float, float]:
+    def densities(r: np.ndarray) -> np.ndarray:
         d = densities_at(curvature_at(metric, r))
-        return d.gb_density, d.sig_density
+        return np.stack([d.gb_density, d.sig_density], axis=-1)
 
     gb, sig = _integrate(metric, densities, metric.r_min, metric.r_max, _CURVATURE_QUAD_TOL)
     return {"two_chi_plus_three_tau": float(gb), "tau": float(sig)}

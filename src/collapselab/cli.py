@@ -168,32 +168,30 @@ def _write_artifacts(config: ExperimentConfig, slug: str, tables: dict, results:
 def _run_curvature(params: dict, seed: int):
     preset = Preset(params["preset"])
     metric = make_metric(preset, A=params["a"], radius=params["radius"])
-    lo = params["r_lo"] if params["r_lo"] is not None else metric.r_min
     hi = params["r_hi"]
     if hi is None:
         hi = metric.r_max if math.isfinite(metric.r_max) else 20.0
-    if lo <= 0.0:
-        lo = 1e-4 * hi  # geodesic-polar profiles close up at r = 0
+    lo = params["r_lo"]
+    if lo is None:
+        # geodesic-polar profiles close up at r = 0
+        lo = metric.r_min if metric.r_min > 0.0 else 1e-4 * hi
+    elif not lo > 0.0:
+        raise ValueError(f"r_lo must be positive, got {lo!r}")
     radii = sample_grid(lo, hi, int(params["samples"]))
+    # r = 2 rides in the same batch, as its last point
+    at_2 = lo < 2.0 < hi
+    fr = curvature_at(metric, np.append(radii, 2.0) if at_2 else radii)
+    columns = (fr.scalar, fr.sup_ricci, fr.riemann_norm2, fr.w_plus_norm2, fr.w_minus_norm2)
     rows = ["r,scalar,sup_ricci,riemann_norm2,wplus_norm2,wminus_norm2"]
-    sup_ric = sup_s = 0.0
-    ricci_at_2 = None
-    for r in radii:
-        fr = curvature_at(metric, r)
-        rows.append(
-            f"{r:.12e},{fr.scalar:.12e},{fr.sup_ricci:.12e},"
-            f"{fr.riemann_norm2:.12e},{fr.w_plus_norm2:.12e},{fr.w_minus_norm2:.12e}"
-        )
-        sup_ric = max(sup_ric, fr.sup_ricci)
-        sup_s = max(sup_s, abs(fr.scalar))
-    if lo < 2.0 < hi:
-        ricci_at_2 = curvature_at(metric, 2.0).sup_ricci
+    for r, *values in zip(radii.tolist(), *(c.tolist() for c in columns)):
+        rows.append(",".join(f"{x:.12e}" for x in (r, *values)))
+    n = len(radii)
     results = {
         "preset": preset.value,
-        "sup_ricci": sup_ric,
-        "sup_abs_scalar": sup_s,
-        "sup_ricci_at_r2": ricci_at_2,
-        "n_radii": len(radii),
+        "sup_ricci": float(np.max(fr.sup_ricci[:n])),
+        "sup_abs_scalar": float(np.max(np.abs(fr.scalar[:n]))),
+        "sup_ricci_at_r2": float(fr.sup_ricci[n]) if at_2 else None,
+        "n_radii": n,
     }
     return {"profile": "\n".join(rows) + "\n"}, results, params["preset"]
 

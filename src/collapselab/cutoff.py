@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .frame_curvature import CurvatureFrame, frame_from_riemann
-from .jets import Jet2, constant, variable
+from .jets import Jet2, variable
 from .radial import (
     CurvatureSupNorms,
     RadialMetric,
@@ -38,15 +38,20 @@ from .radial import (
 
 
 def _bump(x: Jet2) -> Jet2:
-    """C-infinity step phi: 1 on [0,1], 0 on [2,inf), built from exp(-1/x)."""
-    v = x.value
-    if v <= 1.0:
-        return constant(1.0)
-    if v >= 2.0:
-        return constant(0.0)
-    left = (-(x - 1.0).reciprocal()).exp()   # exp(-1/(x-1)), vanishes at 1+
-    right = ((x - 2.0).reciprocal()).exp()   # exp(-1/(2-x)) = exp(1/(x-2))
-    return right / (left + right)
+    """C-infinity step phi: 1 on [0,1], 0 on [2,inf), built from exp(-1/x),
+    at each element of x; the exponentials are taken on the interior
+    1 < x < 2 alone, where they neither overflow nor divide by zero."""
+    v = np.asarray(x.value)
+    inside = (1.0 < v) & (v < 2.0)
+    value = np.where(v <= 1.0, 1.0, 0.0)
+    d1, d2 = np.zeros(v.shape), np.zeros(v.shape)
+    if inside.any():
+        y = Jet2(v[inside], *(d[inside] if np.ndim(d) else d for d in (x.d1, x.d2)))
+        left = (-(y - 1.0).reciprocal()).exp()   # exp(-1/(x-1)), vanishes at 1+
+        right = ((y - 2.0).reciprocal()).exp()   # exp(-1/(2-x)) = exp(1/(x-2))
+        phi = right / (left + right)
+        value[inside], d1[inside], d2[inside] = phi.value, phi.d1, phi.d2
+    return Jet2(value, d1, d2)
 
 
 class BaseInstanton(enum.Enum):
@@ -196,8 +201,9 @@ def volume_deficit(family: CutoffFamily, R: float) -> float:
 # caps in closed form
 # --------------------------------------------------------------------------
 
-def unit_cap_curvature(base: BaseInstanton, rho: float) -> CurvatureFrame:
-    """Curvature at rho of the unit cap h = H(rho) = phi(rho) / rho^q.
+def unit_cap_curvature(base: BaseInstanton, rho) -> CurvatureFrame:
+    """Curvature at rho (a float, or an array of radii in one batch) of the
+    unit cap h = H(rho) = phi(rho) / rho^q.
 
     At r = eps rho the cap of ``CutoffFamily(base, eps)`` is
     W = 1 - eps^4 H(rho) (p - q = 4 in both families), a metric eps^2 times
@@ -260,11 +266,12 @@ def _brent_max(fn: Callable[[float], float], lo: float, hi: float) -> float:
 
 def _refined_sup(values: Callable[[float], np.ndarray], lo: float, hi: float) -> np.ndarray:
     """Per component, the supremum over [lo, hi] of the smooth vector function
-    ``values``: the best of a uniform grid of 64 cells, with every positive
-    grid maximum bracketed by its two neighbouring nodes and refined by
-    Brent's method."""
+    ``values``: the best of a uniform grid of 64 cells (one batched call of
+    ``values`` on all 65 nodes), with every positive grid maximum bracketed
+    by its two neighbouring nodes and refined by Brent's method (one call
+    per step, on a float)."""
     xs = np.linspace(lo, hi, 65)
-    grid = np.array([values(float(x)) for x in xs])
+    grid = values(xs)
     best = grid.max(axis=0)
     padded = np.pad(grid, ((1, 1), (0, 0)), constant_values=-np.inf)
     peak = (grid > 0.0) & (grid >= padded[:-2]) & (grid >= padded[2:])
@@ -298,15 +305,16 @@ def unit_cap(base: BaseInstanton) -> UnitCap:
     volume form at every scale.
     """
 
-    def norms(rho: float) -> np.ndarray:
+    def norms(rho) -> np.ndarray:
         fr = unit_cap_curvature(base, rho)
-        return np.abs(np.append(fr.ricci, fr.scalar))
+        ricci = fr.ricci.reshape(np.shape(rho) + (16,))
+        return np.abs(np.concatenate([ricci, np.expand_dims(fr.scalar, -1)], axis=-1))
 
     sups = _refined_sup(norms, 1.0, 2.0)
 
-    def weyl(rho: float) -> tuple[float, float]:
+    def weyl(rho: np.ndarray) -> np.ndarray:
         fr = unit_cap_curvature(base, rho)
-        return fr.w_plus_norm2, fr.w_minus_norm2
+        return np.stack([fr.w_plus_norm2, fr.w_minus_norm2], axis=-1)
 
     flat = RadialMetric(flat_profile(), _link_volume(base))
     wp, wm = _integrate(flat, weyl, 1.0, 2.0, _CURVATURE_QUAD_TOL)

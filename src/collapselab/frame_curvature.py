@@ -25,11 +25,22 @@ import numpy as np
 # e0^e1, e0^e2, e0^e3, e2^e3, e3^e1, e1^e2.  The last three are the Hodge
 # duals of the first three for the orientation e0^e1^e2^e3.
 PAIR_BASIS = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)]
+_PAIR_A, _PAIR_B = np.array(PAIR_BASIS).T
+# op[p, q] = R[a[p], b[p], b[q], a[q]] as one fancy index
+_OPERATOR_INDEX = (..., _PAIR_A[:, None], _PAIR_B[:, None], _PAIR_B[None, :], _PAIR_A[None, :])
+_EYE3 = np.eye(3)
+_EYE4 = np.eye(4)
+
+
+def _point(x):
+    """A float for a single point, the array itself for a batch."""
+    return float(x) if x.ndim == 0 else x
 
 
 @dataclass
 class CurvatureFrame:
-    """Pointwise curvature data in an orthonormal frame of a 4-manifold.
+    """Pointwise curvature data in an orthonormal frame of a 4-manifold, at
+    one point or at each point of a batch.
 
     ``riemann4`` is the full (4,4,4,4) tensor
     R(E_a,E_b,E_c,E_d) = <R(E_a,E_b)E_c, E_d>, kept for oracles and for
@@ -39,81 +50,114 @@ class CurvatureFrame:
         2*chi + 3*tau = (1/4pi^2) int [2|W+|^2 + s^2/24 - |ric0|^2/2] dmu
 
     hold on the model spaces; |ric0|^2 is the plain tensor norm.
+
+    A batch carries its shape as leading axes of every field (the scalar
+    fields are then arrays), and ``frame[i]`` is the frame at point i.
     """
 
     riemann4: np.ndarray
     ricci: np.ndarray
-    scalar: float
-    w_plus_norm2: float
-    w_minus_norm2: float
-    ricci_traceless_norm2: float
+    scalar: float | np.ndarray
+    w_plus_norm2: float | np.ndarray
+    w_minus_norm2: float | np.ndarray
+    ricci_traceless_norm2: float | np.ndarray
+
+    def __getitem__(self, index) -> CurvatureFrame:
+        return CurvatureFrame(
+            self.riemann4[index],
+            self.ricci[index],
+            _point(self.scalar[index]),
+            _point(self.w_plus_norm2[index]),
+            _point(self.w_minus_norm2[index]),
+            _point(self.ricci_traceless_norm2[index]),
+        )
 
     @functools.cached_property
-    def _sectional_extremes(self) -> tuple[float, float]:
-        return sectional_extremes(self.riemann4)
+    def _sectional_extremes(self):
+        riem = self.riemann4
+        if riem.ndim == 4:
+            return sectional_extremes(riem)
+        ext = np.array([sectional_extremes(x) for x in riem.reshape(-1, 4, 4, 4, 4)])
+        return ext[:, 0].reshape(riem.shape[:-4]), ext[:, 1].reshape(riem.shape[:-4])
 
     @property
-    def sec_min(self) -> float:
-        """Least sectional curvature (see ``sectional_extremes``)."""
+    def sec_min(self) -> float | np.ndarray:
+        """Least sectional curvature (see ``sectional_extremes``), computed
+        point by point."""
         return self._sectional_extremes[0]
 
     @property
-    def sec_max(self) -> float:
+    def sec_max(self) -> float | np.ndarray:
         """Greatest sectional curvature (see ``sectional_extremes``)."""
         return self._sectional_extremes[1]
 
     @property
-    def sup_ricci(self) -> float:
+    def sup_ricci(self) -> float | np.ndarray:
         """Largest |component| of the Ricci tensor in the frame."""
-        return float(np.max(np.abs(self.ricci)))
+        return _point(np.abs(self.ricci).max(axis=(-2, -1)))
 
     @property
-    def riemann_norm2(self) -> float:
+    def riemann_norm2(self) -> float | np.ndarray:
         """Tensor norm |Rm|^2 = R_abcd R^abcd."""
-        return float(np.sum(self.riemann4 * self.riemann4))
+        return _point((self.riemann4 * self.riemann4).sum(axis=(-4, -3, -2, -1)))
 
 
 def levi_civita_coefficients(struct: np.ndarray) -> np.ndarray:
-    """Connection coefficients Gamma[a,b,c] = <nabla_{E_a} E_b, E_c>.
+    """Connection coefficients Gamma[..., a,b,c] = <nabla_{E_a} E_b, E_c>.
 
-    ``struct[a,b,c]`` holds <[E_a,E_b], E_c>.
+    ``struct[..., a,b,c]`` holds <[E_a,E_b], E_c>.
     """
-    c_abc = struct
-    c_bca = np.transpose(struct, (2, 0, 1))
-    c_cab = np.transpose(struct, (1, 2, 0))
-    return 0.5 * (c_abc - c_bca + c_cab)
+    c_bca = np.moveaxis(struct, -1, -3)
+    c_cab = np.moveaxis(struct, -3, -1)
+    return 0.5 * (struct - c_bca + c_cab)
 
 
 def riemann_tensor(
     struct: np.ndarray,
     struct_d1: np.ndarray | None = None,
-    e0_scale: float = 1.0,
+    e0_scale=1.0,
 ) -> np.ndarray:
-    """Full curvature tensor R[a,b,c,d] = <R(E_a,E_b)E_c, E_d>.
+    """Full curvature tensor R[..., a,b,c,d] = <R(E_a,E_b)E_c, E_d>, over
+    any leading batch axes of the structure functions.
 
     The structure functions may depend on a single parameter r whose
     orthonormal direction is E_0 = e0_scale * d/dr; ``struct_d1`` then holds
-    their r-derivatives (None means constants, the homogeneous case).
+    their r-derivatives (None means constants, the homogeneous case), and
+    ``e0_scale`` is a float or one value per batch point.
+
+        R_abcd = sum_e (G_bce G_aed - G_ace G_bed - C_abe G_ecd)
+                 + E_a(G_bcd) - E_b(G_acd),
+
+    each sum over e taken from 0.0 in the order e = 0, 1, 2, 3, with the
+    batch as the last, contiguous axis while the sums run.
     """
-    n = struct.shape[0]
     gamma = levi_civita_coefficients(struct)
-    riem = np.einsum("bce,aed->abcd", gamma, gamma)
-    riem -= np.einsum("ace,bed->abcd", gamma, gamma)
-    riem -= np.einsum("abe,ecd->abcd", struct, gamma)
+    g = np.moveaxis(gamma, range(-3, 0), range(3))  # (4, 4, 4, *batch)
+    c = np.moveaxis(struct, range(-3, 0), range(3))
+    acc = np.zeros((4,) + g.shape)
+    for e in range(4):
+        acc += g[None, :, :, e, None] * g[:, None, None, e, :]  # G_bce G_aed
+    riem = acc - np.swapaxes(acc, 0, 1)
+    acc[...] = 0.0
+    for e in range(4):
+        acc += c[:, :, e, None, None] * g[None, None, e, :, :]  # C_abe G_ecd
+    riem -= acc
+    del acc
+    riem = np.ascontiguousarray(np.moveaxis(riem, range(4), range(-4, 0)))
     if struct_d1 is not None:
-        dgamma = e0_scale * levi_civita_coefficients(struct_d1)
+        scale = np.asarray(e0_scale)[..., None, None, None]
+        dgamma = scale * levi_civita_coefficients(struct_d1)
         # E_a(Gamma[b,c,d]) contributes only when a = 0 (resp. b = 0).
-        riem[0, :, :, :] += dgamma
-        riem[:, 0, :, :] -= dgamma
+        riem[..., 0, :, :, :] += dgamma
+        riem[..., :, 0, :, :] -= dgamma
     return riem
 
 
 def curvature_operator(riem: np.ndarray) -> np.ndarray:
     """Curvature operator on 2-forms in the ``PAIR_BASIS``,
-    op[p, q] = R(E_a[p], E_b[p], E_b[q], E_a[q]); its diagonal entries are
-    the sectional curvatures of the frame planes."""
-    a, b = np.array(PAIR_BASIS).T
-    return riem[a[:, None], b[:, None], b[None, :], a[None, :]]
+    op[..., p, q] = R(E_a[p], E_b[p], E_b[q], E_a[q]); its diagonal entries
+    are the sectional curvatures of the frame planes."""
+    return riem[_OPERATOR_INDEX]
 
 
 def weyl_blocks(op: np.ndarray):
@@ -124,13 +168,12 @@ def weyl_blocks(op: np.ndarray):
     Eguchi-Hanson and Burns metrics anti-self-dual (W+ = 0), matching the
     complex orientation of the blow-ups they live on; locked by tests.
     """
-    top, bot = op[:3, :3], op[3:, 3:]
-    mix = op[:3, 3:] + op[3:, :3]
+    top, bot = op[..., :3, :3], op[..., 3:, 3:]
+    mix = op[..., :3, 3:] + op[..., 3:, :3]
     a_block = 0.5 * (top + mix + bot)
     c_block = 0.5 * (top - mix + bot)
-    eye = np.eye(3)
-    w_plus = a_block - (np.trace(a_block) / 3.0) * eye
-    w_minus = c_block - (np.trace(c_block) / 3.0) * eye
+    w_plus = a_block - (a_block.trace(axis1=-2, axis2=-1) / 3.0)[..., None, None] * _EYE3
+    w_minus = c_block - (c_block.trace(axis1=-2, axis2=-1) / 3.0)[..., None, None] * _EYE3
     return w_plus, w_minus
 
 
@@ -154,7 +197,7 @@ def _thorpe_min(op: np.ndarray) -> float:
 
 def sectional_extremes(riem: np.ndarray) -> tuple[float, float]:
     """Extremes of sectional curvature over all 2-planes, exact through
-    Thorpe's duality (docs/conventions.md)."""
+    Thorpe's duality (docs/conventions.md), at one point."""
     op = curvature_operator(riem)
     op = 0.5 * (op + op.T)
     return _thorpe_min(op), -_thorpe_min(-op)
@@ -163,7 +206,7 @@ def sectional_extremes(riem: np.ndarray) -> tuple[float, float]:
 def frame_curvature(
     struct: np.ndarray,
     struct_d1: np.ndarray | None = None,
-    e0_scale: float = 1.0,
+    e0_scale=1.0,
 ) -> CurvatureFrame:
     """Assemble a CurvatureFrame from frame structure functions."""
     return frame_from_riemann(riemann_tensor(struct, struct_d1, e0_scale))
@@ -171,19 +214,20 @@ def frame_curvature(
 
 def frame_from_riemann(riem: np.ndarray) -> CurvatureFrame:
     """Assemble a CurvatureFrame from a full orthonormal-frame Riemann
-    tensor, which must be 4-dimensional."""
-    if riem.shape != (4, 4, 4, 4):
-        raise ValueError(f"Riemann tensor must have shape (4, 4, 4, 4), got {riem.shape}")
+    tensor, which must be 4-dimensional: shape (4, 4, 4, 4) for one point,
+    with any leading axes for a batch."""
+    if riem.shape[-4:] != (4, 4, 4, 4):
+        raise ValueError(f"Riemann tensor must have shape (..., 4, 4, 4, 4), got {riem.shape}")
     # Ric(Y,Z) = sum_a <R(E_a, Y) Z, E_a>
-    ricci = np.einsum("abca->bc", riem)
-    scalar = float(np.trace(ricci))
+    ricci = np.einsum("...abca->...bc", riem)
+    scalar = ricci.trace(axis1=-2, axis2=-1)
     w_plus, w_minus = weyl_blocks(curvature_operator(riem))
-    ric0 = ricci - (scalar / 4) * np.eye(4)
+    ric0 = ricci - (scalar / 4)[..., None, None] * _EYE4
     return CurvatureFrame(
         riemann4=riem,
         ricci=ricci,
-        scalar=scalar,
-        w_plus_norm2=float(np.sum(w_plus * w_plus)),
-        w_minus_norm2=float(np.sum(w_minus * w_minus)),
-        ricci_traceless_norm2=float(np.sum(ric0 * ric0)),
+        scalar=_point(scalar),
+        w_plus_norm2=_point((w_plus * w_plus).sum(axis=(-2, -1))),
+        w_minus_norm2=_point((w_minus * w_minus).sum(axis=(-2, -1))),
+        ricci_traceless_norm2=_point((ric0 * ric0).sum(axis=(-2, -1))),
     )

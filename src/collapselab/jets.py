@@ -5,6 +5,13 @@ Curvature of a cohomogeneity-one metric needs two r-derivatives of the
 profile functions, so a second-order forward-mode jet is exactly what the
 frame engine consumes.  All arithmetic propagates derivatives exactly via
 the product/chain rules; no finite differencing happens anywhere.
+
+The fields of a jet are floats or ndarrays of one common batch shape, one
+element per radius (vector forward mode: Griewank and Walther, *Evaluating
+Derivatives*, 2008).  Every operation acts element by element and rounds
+each element exactly as on floats: + - * / and sqrt round alike in numpy
+and in Python, and exp, sin, cos and powers map libm over the elements
+(``_libm``), because numpy's own vector versions round differently.
 """
 
 from __future__ import annotations
@@ -12,14 +19,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+
+def _any(mask) -> bool:
+    """True when a bool, or any element of a bool array, is true."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _libm(fn, x):
+    """fn (a libm function of one float) over the elements of x; a float
+    for a scalar x."""
+    if np.ndim(x) == 0:
+        return fn(float(x))
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
 
 @dataclass(frozen=True)
 class Jet2:
-    """Truncated Taylor data (f, f', f'') of a function at a point."""
+    """Truncated Taylor data (f, f', f'') of a function at a point, or at
+    each point of a batch."""
 
-    value: float
-    d1: float = 0.0
-    d2: float = 0.0
+    value: float | np.ndarray
+    d1: float | np.ndarray = 0.0
+    d2: float | np.ndarray = 0.0
 
     # -- ring operations -------------------------------------------------
 
@@ -55,31 +78,34 @@ class Jet2:
         return _coerce(other) * self.reciprocal()
 
     def __pow__(self, p: float):
-        if self.value <= 0.0 and not float(p).is_integer():
+        if not float(p).is_integer() and _any(self.value <= 0.0):
             raise ValueError("Jet2 power of non-positive base with fractional exponent")
-        v = self.value ** p
-        return self._compose(v, p * self.value ** (p - 1), p * (p - 1) * self.value ** (p - 2))
+        return self._compose(
+            _libm(lambda v: v ** p, self.value),
+            p * _libm(lambda v: v ** (p - 1), self.value),
+            p * (p - 1) * _libm(lambda v: v ** (p - 2), self.value),
+        )
 
     def reciprocal(self):
-        if self.value == 0.0:
+        if _any(self.value == 0.0):
             raise ZeroDivisionError("Jet2 reciprocal at zero value")
         v = 1.0 / self.value
-        return self._compose(v, -v * v, 2.0 * v ** 3)
+        return self._compose(v, -v * v, 2.0 * _libm(lambda w: w ** 3, v))
 
     # -- elementary functions --------------------------------------------
 
     def sqrt(self):
-        if self.value <= 0.0:
+        if _any(self.value <= 0.0):
             raise ValueError("Jet2 sqrt of non-positive value")
-        v = math.sqrt(self.value)
+        v = np.sqrt(self.value)
         return self._compose(v, 0.5 / v, -0.25 / (v * self.value))
 
     def exp(self):
-        v = math.exp(self.value)
+        v = _libm(math.exp, self.value)
         return self._compose(v, v, v)
 
     def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = _libm(math.sin, self.value), _libm(math.cos, self.value)
         return self._compose(s, c, -s)
 
     def _compose(self, h, dh, d2h):
@@ -93,9 +119,9 @@ def _coerce(x) -> Jet2:
     return Jet2(float(x))
 
 
-def variable(r: float) -> Jet2:
-    """The identity jet at r: d/dr r = 1."""
-    return Jet2(float(r), 1.0, 0.0)
+def variable(r) -> Jet2:
+    """The identity jet at r (a float or an array of radii): d/dr r = 1."""
+    return Jet2(r if isinstance(r, np.ndarray) else float(r), 1.0, 0.0)
 
 
 def constant(c: float) -> Jet2:

@@ -5,7 +5,10 @@
 with the left-invariant coframe normalised by ds1 = 2 s2^s3 (cyclic), i.e.
 {s_i} is orthonormal for the curvature +1 bi-invariant metric on S^3.
 Profiles are second-order jets, so all curvature components come from exact
-derivatives; nothing is finite-differenced.
+derivatives; nothing is finite-differenced.  The engine is batched: one call
+evaluates a whole array of radii (a sample grid, or the nodes of one
+quadrature round), with the same bits per radius as a call on that radius
+alone (docs/conventions.md, "Batched radial engine").
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ ProfileJets = Callable[[Jet2], tuple[Jet2, Jet2, Jet2, Jet2]]
 @dataclass(frozen=True)
 class RadialProfile:
     """The jet map r -> (f, a, b, c) of the four profile functions and the
-    radial domain (r_min, r_max]."""
+    radial domain (r_min, r_max].  The map acts element by element, so a
+    jet of radii gives jets of profile values, one per radius."""
 
     jets: ProfileJets
     r_min: float
     r_max: float = math.inf
 
-    def at(self, r: float) -> tuple[Jet2, Jet2, Jet2, Jet2]:
+    def at(self, r) -> tuple[Jet2, Jet2, Jet2, Jet2]:
         return self.jets(variable(r))
 
 
@@ -78,9 +82,10 @@ def w_ansatz_profile(h: Callable[[Jet2], Jet2], r_min: float) -> RadialProfile:
     return RadialProfile(jets, r_min)
 
 
-def w_ansatz_riemann(h: Jet2, r: float) -> np.ndarray:
+def w_ansatz_riemann(h: Jet2, r) -> np.ndarray:
     """Frame Riemann tensor at r of the W-ansatz (``w_ansatz_profile``),
-    from the jet (h, h', h'') of h at r.
+    from the jet (h, h', h'') of h at r; an array r (and jet) gives one
+    tensor per radius, on leading axes.
 
     Every component is linear in h, h' and h'' (docs/conventions.md).  With
     k = h' / 2r the independent ones are
@@ -91,7 +96,7 @@ def w_ansatz_riemann(h: Jet2, r: float) -> np.ndarray:
     and the others follow from R_abcd = -R_bacd = -R_abdc = R_cdab.
     """
     k = 0.5 * h.d1 / r
-    riem = np.zeros((4, 4, 4, 4))
+    riem = np.zeros(np.shape(r) + (4, 4, 4, 4))
     for (a, b, c, d), v in (
         ((1, 2, 1, 2), -4.0 * h.value / (r * r)),
         ((0, 3, 0, 3), -3.0 * k - 0.5 * h.d2),
@@ -103,8 +108,10 @@ def w_ansatz_riemann(h: Jet2, r: float) -> np.ndarray:
         ((0, 1, 2, 3), k),
         ((0, 2, 1, 3), -k),
     ):
-        riem[a, b, c, d] = riem[b, a, d, c] = riem[c, d, a, b] = riem[d, c, b, a] = v
-        riem[b, a, c, d] = riem[a, b, d, c] = riem[d, c, a, b] = riem[c, d, b, a] = -v
+        riem[..., a, b, c, d] = riem[..., b, a, d, c] = v
+        riem[..., c, d, a, b] = riem[..., d, c, b, a] = v
+        riem[..., b, a, c, d] = riem[..., a, b, d, c] = -v
+        riem[..., d, c, a, b] = riem[..., c, d, b, a] = -v
     return riem
 
 
@@ -157,37 +164,43 @@ def make_metric(preset: Preset, A: float = 1.0, radius: float = 1.0) -> RadialMe
     return RadialMetric(prof, 2.0 * math.pi**2)
 
 
-def _structure_functions(metric: RadialMetric, r: float):
-    """Frame structure functions <[E_a,E_b],E_c> and their r-derivatives."""
+def _structure_functions(metric: RadialMetric, r: np.ndarray):
+    """Frame structure functions <[E_a,E_b],E_c> and their r-derivatives at
+    each radius of r, with shape r.shape + (4, 4, 4), and the scale of E_0."""
     f, a, b, c = metric.profile.at(r)
     abc = [a, b, c]
-    struct = np.zeros((4, 4, 4))
-    struct_d1 = np.zeros((4, 4, 4))
+    struct = np.zeros(r.shape + (4, 4, 4))
+    struct_d1 = np.zeros(r.shape + (4, 4, 4))
     for i in range(3):
         # [E_0, E_i] = -(a_i'/(f a_i)) E_i; only value and d1 of q are used,
         # so the (unknown) third profile derivative never enters.
         ai = abc[i]
         q = Jet2(ai.d1, ai.d2, 0.0) / (f * ai)
-        struct[0, i + 1, i + 1] = -q.value
-        struct[i + 1, 0, i + 1] = q.value
-        struct_d1[0, i + 1, i + 1] = -q.d1
-        struct_d1[i + 1, 0, i + 1] = q.d1
+        struct[..., 0, i + 1, i + 1] = -q.value
+        struct[..., i + 1, 0, i + 1] = q.value
+        struct_d1[..., 0, i + 1, i + 1] = -q.d1
+        struct_d1[..., i + 1, 0, i + 1] = q.d1
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         # [E_i, E_j] = sign * (a_k / (a_i a_j)) E_k
         s = STRUCTURE_SIGN * abc[k] / (abc[i] * abc[j])
-        struct[i + 1, j + 1, k + 1] = s.value
-        struct[j + 1, i + 1, k + 1] = -s.value
-        struct_d1[i + 1, j + 1, k + 1] = s.d1
-        struct_d1[j + 1, i + 1, k + 1] = -s.d1
+        struct[..., i + 1, j + 1, k + 1] = s.value
+        struct[..., j + 1, i + 1, k + 1] = -s.value
+        struct_d1[..., i + 1, j + 1, k + 1] = s.d1
+        struct_d1[..., j + 1, i + 1, k + 1] = -s.d1
     return struct, struct_d1, 1.0 / f.value
 
 
-def curvature_at(metric: RadialMetric, r: float) -> CurvatureFrame:
-    """Curvature data at radius r in the orthonormal frame (f dr, a s1, b s2, c s3)."""
-    if not metric.r_min < r < metric.r_max:
-        raise ValueError(f"r={r} outside domain ({metric.r_min}, {metric.r_max})")
-    struct, struct_d1, e0_scale = _structure_functions(metric, r)
-    return frame_curvature(struct, struct_d1, e0_scale)
+def curvature_at(metric: RadialMetric, r) -> CurvatureFrame:
+    """Curvature data in the orthonormal frame (f dr, a s1, b s2, c s3) at
+    radius r, or at every radius of an array r in one batch: the fields of
+    the frame then carry r's shape as leading axes, and ``frame[i]`` is the
+    frame at r[i].  A float r is a batch of one."""
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    inside = (metric.r_min < rs) & (rs < metric.r_max)
+    if not inside.all():
+        raise ValueError(f"r={rs[~inside][0]} outside domain ({metric.r_min}, {metric.r_max})")
+    frame = frame_curvature(*_structure_functions(metric, rs))
+    return frame if np.ndim(r) else frame[0]
 
 
 @dataclass(frozen=True)
@@ -220,13 +233,10 @@ def sample_grid(r_lo: float, r_hi: float, samples: int) -> np.ndarray:
 
 def sup_norms(metric: RadialMetric, samples: int, r_lo: float, r_hi: float) -> CurvatureSupNorms:
     """Suprema of frame-component curvature norms over a nested radial grid
-    strictly inside (r_lo, r_hi), which must lie in the metric's domain."""
-    sup_ric = sup_s = 0.0
-    for r in sample_grid(r_lo, r_hi, samples):
-        fr = curvature_at(metric, float(r))
-        sup_ric = max(sup_ric, fr.sup_ricci)
-        sup_s = max(sup_s, abs(fr.scalar))
-    return CurvatureSupNorms(sup_ric, sup_s)
+    strictly inside (r_lo, r_hi), which must lie in the metric's domain: one
+    batched curvature evaluation."""
+    fr = curvature_at(metric, sample_grid(r_lo, r_hi, samples))
+    return CurvatureSupNorms(float(np.max(fr.sup_ricci)), float(np.max(np.abs(fr.scalar))))
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983) on [-1, 1]: the 10 positive
@@ -269,6 +279,7 @@ _GK21_NODES = _KRONROD_HALF + (0.0,) + tuple(-x for x in reversed(_KRONROD_HALF)
 _GK21_KRONROD = (_KRONROD_HALF_WEIGHTS + (_KRONROD_CENTRE_WEIGHT,)
                  + tuple(reversed(_KRONROD_HALF_WEIGHTS)))
 _GK21_GAUSS = _GAUSS_HALF_WEIGHTS + tuple(reversed(_GAUSS_HALF_WEIGHTS))
+_GK21_X = np.array(_GK21_NODES)
 
 # Panels at which the adaptive bisection gives up (status 1).
 _PANEL_LIMIT = 10_000
@@ -278,13 +289,22 @@ def _max_norm(x) -> float:
     return float(np.max(np.abs(x)))
 
 
-def _gk21(fn: Callable[[float], np.ndarray], a: float, b: float):
-    """(integral, error estimate, rounding error) of fn over [a, b] by the
-    21-point Gauss-Kronrod rule, with QUADPACK's error heuristic in the max
-    norm.  Sums run over the nodes in order, one after another."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fv = [fn(c + h * x) for x in _GK21_NODES]
+def _gk21(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """(integrals, error estimates, rounding errors) of fn over the panels
+    [lo[i], hi[i]] by the 21-point Gauss-Kronrod rule, with QUADPACK's error
+    heuristic in the max norm.
+
+    fn is called once, on the 21 nodes of every panel.  The sums run over
+    the nodes of each panel in order, one after another, so every panel
+    gets the bits of a rule applied to it alone.
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    nodes = c[:, None] + h[:, None] * _GK21_X
+    fv = np.asarray(fn(nodes.ravel()), dtype=float)
+    # fv[j] holds node j of every panel
+    fv = np.moveaxis(fv.reshape(nodes.shape + fv.shape[1:]), 1, 0)
+    h = h.reshape(h.shape + (1,) * (fv.ndim - 2))
     s_k = s_k_abs = 0.0
     for v, y in zip(_GK21_KRONROD, fv):
         s_k += v * y
@@ -296,32 +316,43 @@ def _gk21(fn: Callable[[float], np.ndarray], a: float, b: float):
     s_k_dabs = 0.0
     for v, y in zip(_GK21_KRONROD, fv):
         s_k_dabs += v * abs(y - y0)
-    err = _max_norm((s_k - s_g) * h)
-    dabs = _max_norm(s_k_dabs * h)
-    if dabs != 0 and err != 0:
-        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
-    round_err = _max_norm(50 * sys.float_info.epsilon * h * s_k_abs)
-    if round_err > sys.float_info.min:
-        err = max(err, round_err)
-    return h * s_k, err, round_err
+    value_axes = tuple(range(1, fv.ndim - 1))
+    errs = np.max(np.abs((s_k - s_g) * h), axis=value_axes).tolist()
+    dabs = np.max(np.abs(s_k_dabs * h), axis=value_axes).tolist()
+    rounds = np.max(np.abs(50 * sys.float_info.epsilon * h * s_k_abs), axis=value_axes).tolist()
+    for i, (err, d, round_err) in enumerate(zip(errs, dabs, rounds)):
+        if d != 0 and err != 0:
+            err = d * min(1.0, (200 * err / d) ** 1.5)
+        if round_err > sys.float_info.min:
+            err = max(err, round_err)
+        errs[i] = err
+    return h * s_k, errs, rounds
 
 
-def _adaptive_gk21(fn: Callable[[float], np.ndarray], a: float, b: float, tol: float):
+def _adaptive_gk21(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float):
     """(integral, error estimate, status) of fn over [a, b], b possibly +inf.
 
+    fn maps an array of nodes to their values, with the node axis first.
     Globally adaptive bisection as scipy's ``quad_vec`` runs it with
     ``epsabs = epsrel = tol`` and ``norm="max"``, bit for bit on finite
-    ranges: each round bisects the panels of largest error (at most 128, and
-    no more once they carry all but tol/8 of the global error), and
-    convergence is checked after each round, so never on the single
-    starting panel.  Status 0 converged, 1 panel limit, 2 rounding error
-    dominates, 3 non-finite error.
+    ranges (given an fn whose values do not depend on the batch): each
+    round bisects the panels of largest error (at most 128, and no more once
+    they carry all but tol/8 of the global error), evaluates fn once on the
+    nodes of all their halves, and checks convergence, so never on the
+    single starting panel.  Status 0 converged, 1 panel limit, 2 rounding
+    error dominates, 3 non-finite error.
     An infinite b is mapped to t in (0, 1] by x = a + (1 - t) / t,
     dx = dt / t^2, as ``quad_vec`` maps it, on the same 21-point rule.
     """
     if math.isinf(b):
-        return _adaptive_gk21(lambda t: fn(a + (1 - t) / t) / t / t, 0.0, 1.0, tol)
-    integral, global_err, rounding = _gk21(fn, a, b)
+        def mapped(t: np.ndarray) -> np.ndarray:
+            y = np.asarray(fn(a + (1 - t) / t), dtype=float)
+            t = t.reshape(t.shape + (1,) * (y.ndim - 1))
+            return y / t / t
+
+        return _adaptive_gk21(mapped, 0.0, 1.0, tol)
+    ints, errs, rounds = _gk21(fn, np.array([a]), np.array([b]))
+    integral, global_err, rounding = ints[0], errs[0], rounds[0]
     panels = {(a, b): integral}
     heap = [(-global_err, a, b)]
     status = 1
@@ -334,13 +365,19 @@ def _adaptive_gk21(fn: Callable[[float], np.ndarray], a: float, b: float, tol: f
             neg_err, lo, hi = heapq.heappop(heap)
             batch.append((-neg_err, lo, hi, panels.pop((lo, hi))))
             err_sum += -neg_err
-        for old_err, lo, hi, old_int in batch:
-            mid = 0.5 * (lo + hi)
-            s1, err1, round1 = _gk21(fn, lo, mid)
-            s2, err2, round2 = _gk21(fn, mid, hi)
+        los = np.array([p[1] for p in batch])
+        his = np.array([p[2] for p in batch])
+        mids = 0.5 * (los + his)
+        # the halves of panel k are panels 2k and 2k + 1
+        ends = np.stack([los, mids, his], axis=1)
+        ints, errs, rounds = _gk21(fn, ends[:, :2].ravel(), ends[:, 1:].ravel())
+        for k, (old_err, lo, hi, old_int) in enumerate(batch):
+            mid = float(mids[k])
+            s1, s2 = ints[2 * k], ints[2 * k + 1]
+            err1, err2 = errs[2 * k], errs[2 * k + 1]
             integral = integral + (s1 + s2 - old_int)
             global_err += err1 + err2 - old_err
-            rounding += round1 + round2
+            rounding += rounds[2 * k] + rounds[2 * k + 1]
             for x1, x2, s, e in ((lo, mid, s1, err1), (mid, hi, s2, err2)):
                 panels[(x1, x2)] = s
                 heapq.heappush(heap, (-e, x1, x2))
@@ -359,24 +396,28 @@ def _adaptive_gk21(fn: Callable[[float], np.ndarray], a: float, b: float, tol: f
 
 def _integrate(
     metric: RadialMetric,
-    pointwise: Callable[[float], object],
+    pointwise: Callable[[np.ndarray], object],
     r_lo: float,
     r_hi: float,
     tol: float,
 ) -> np.ndarray:
     """link_volume * int pointwise(r) f a b c dr over [r_lo, r_hi].
 
-    ``pointwise`` may be scalar- or vector-valued; every component comes from
-    the same evaluation at each node.  Globally adaptive 21-point
-    Gauss-Kronrod quadrature (``_adaptive_gk21``, a port of scipy's
-    ``quad_vec``) with absolute and relative tolerance ``tol`` in the max
-    norm; r_hi may be +inf.  Raises RuntimeError unless the quadrature
-    converged with error estimate at most max(tol, tol * max|value|).
+    ``pointwise`` maps an array of radii to their values, scalar or vector,
+    with the radius axis first (a constant may be returned as one value);
+    every component comes from the same evaluation at each node.  Globally
+    adaptive 21-point Gauss-Kronrod quadrature (``_adaptive_gk21``, a port
+    of scipy's ``quad_vec``) with absolute and relative tolerance ``tol`` in
+    the max norm; r_hi may be +inf.  Raises RuntimeError unless the
+    quadrature converged with error estimate at most
+    max(tol, tol * max|value|).
     """
 
-    def weighted(r: float) -> np.ndarray:
+    def weighted(r: np.ndarray) -> np.ndarray:
         f, a, b, c = metric.profile.at(r)
-        return np.asarray(pointwise(r), dtype=float) * (f.value * a.value * b.value * c.value)
+        values = np.asarray(pointwise(r), dtype=float)
+        weight = f.value * a.value * b.value * c.value
+        return values * weight.reshape(weight.shape + (1,) * (values.ndim - weight.ndim))
 
     val, err, status = _adaptive_gk21(weighted, r_lo, r_hi, tol)
     if status != 0 or not err <= max(tol, tol * _max_norm(val)):

@@ -177,12 +177,12 @@ def conformal_scalar_fd(grid, u):
 
 
 def weyl_integrals(metric: RadialMetric, r_lo: float, r_hi: float) -> tuple[float, float]:
-    """(int |W+|^2 dmu, int |W-|^2 dmu) over [r_lo, r_hi], from one engine
-    curvature evaluation per quadrature node."""
+    """(int |W+|^2 dmu, int |W-|^2 dmu) over [r_lo, r_hi], from one batched
+    engine curvature evaluation per quadrature round."""
 
-    def weyl(r: float) -> tuple[float, float]:
+    def weyl(r: np.ndarray) -> np.ndarray:
         frame = curvature_at(metric, r)
-        return frame.w_plus_norm2, frame.w_minus_norm2
+        return np.stack([frame.w_plus_norm2, frame.w_minus_norm2], axis=-1)
 
     wp, wm = _integrate(metric, weyl, r_lo, r_hi, _CURVATURE_QUAD_TOL)
     return float(wp), float(wm)

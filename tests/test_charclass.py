@@ -192,16 +192,20 @@ def test_sweep_rejects_radial_models():
 
 def test_charclass_run_work_budget(tmp_path, monkeypatch):
     """A default ``charclass`` run, with an empty unit-cap cache, evaluates
-    curvature at most 100 times for its integrals (a deterministic work
-    counter): the round-S^4 quadrature takes 63, and the caps none."""
+    curvature at no more than 100 radii for its integrals (a deterministic
+    work counter): the round-S^4 quadrature takes 63, and the caps none.
+    They come in at most 2 ``curvature_at`` calls, one per quadrature round
+    (2 measured: the starting panel and its two halves)."""
     unit_cap.cache_clear()
-    calls = 0
+    calls = radii = 0
 
     def counting(metric, r):
-        nonlocal calls
+        nonlocal calls, radii
         calls += 1
+        radii += np.size(r)
         return curvature_at(metric, r)
 
     monkeypatch.setattr(charclass, "curvature_at", counting)
     cli.run(cli.ExperimentConfig("charclass", {}, str(tmp_path), 1))
-    assert calls <= 100
+    assert radii <= 100
+    assert calls <= 2

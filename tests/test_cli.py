@@ -1,7 +1,9 @@
 """Command-line experiment runner: artifacts, determinism, report collation."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from collapselab import charclass, cli, cutoff, frame_curvature, radial
@@ -80,6 +82,19 @@ def test_non_finite_values_exit_2(tmp_path, capsys, argv):
     assert main(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+def test_curvature_r_lo_must_be_positive(tmp_path, capsys):
+    """An explicit r_lo <= 0 is bad configuration; only an unset r_lo on a
+    profile that closes up at r = 0 starts the grid at 1e-4 r_hi."""
+    for value in ("-1", "0"):
+        assert main(["curvature", "--out", str(tmp_path), "preset=flat", f"r_lo={value}"]) == 2
+        assert "r_lo" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert main(["curvature", "--out", str(tmp_path), "preset=round", "samples=5"]) == 0
+    rows = (tmp_path / "round_profile.csv").read_text().splitlines()[-5:]
+    grid = radial.sample_grid(1e-4 * math.pi, math.pi, 5)
+    assert [row.split(",")[0] for row in rows] == [f"{r:.12e}" for r in grid]
 
 
 def test_bad_override_syntax_exits_2(tmp_path, capsys):
@@ -185,27 +200,35 @@ def test_glue_slug_and_verdict(tmp_path):
 
 def test_radial_run_work_budget(tmp_path, monkeypatch):
     """The nine radial experiments of the benchmark, in one process with an
-    empty unit-cap cache, stay within three deterministic work budgets:
-    - at most 1500 curvature evaluations: 201 per ``curvature`` preset, 480
-      per ``decay`` sweep and 63 for the round S^4 of ``charclass``, 1425 in
-      all; the cutoff caps take none;
-    - at most 2100 cutoff bumps (2058 measured), one per cap radius;
-    - at most 1500 jet square roots (1488 measured), one per W-ansatz radius.
+    empty unit-cap cache, stay within four deterministic work budgets:
+    - at most 1500 radii of curvature evaluations: 201 per ``curvature``
+      preset, 480 per ``decay`` sweep and 63 for the round S^4 of
+      ``charclass``, 1425 in all; the cutoff caps take none;
+    - at most 12 ``curvature_at`` calls for them, one batch per sample
+      grid or quadrature round (12 measured);
+    - at most 2100 cutoff bump elements (2058 measured), one per cap radius;
+    - at most 1500 jet square-root elements (1488 measured), one per
+      W-ansatz radius.
     """
     unit_cap.cache_clear()
-    counts = {"curvature_at": 0, "_bump": 0, "sqrt": 0}
+    counts = {"curvature_at": 0, "radii": 0, "_bump": 0, "sqrt": 0}
+    engine = radial.curvature_at
 
-    def counting(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
+    def curvature(metric, r):
+        counts["curvature_at"] += 1
+        counts["radii"] += np.size(r)
+        return engine(metric, r)
+
+    def per_element(name, fn):
+        def wrapper(jet):
+            counts[name] += np.size(jet.value)
+            return fn(jet)
         return wrapper
 
-    curvature = counting("curvature_at", radial.curvature_at)
     for module in (radial, cli, charclass):
         monkeypatch.setattr(module, "curvature_at", curvature)
-    monkeypatch.setattr(cutoff, "_bump", counting("_bump", cutoff._bump))
-    monkeypatch.setattr(Jet2, "sqrt", counting("sqrt", Jet2.sqrt))
+    monkeypatch.setattr(cutoff, "_bump", per_element("_bump", cutoff._bump))
+    monkeypatch.setattr(Jet2, "sqrt", per_element("sqrt", Jet2.sqrt))
     for experiment, params in (
         ("curvature", {"preset": "eguchi-hanson"}),
         ("curvature", {"preset": "burns"}),
@@ -218,7 +241,8 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
         ("charclass", {}),
     ):
         run(ExperimentConfig(experiment, params, str(tmp_path), 1))
-    assert counts["curvature_at"] <= 1500
+    assert counts["radii"] <= 1500
+    assert counts["curvature_at"] <= 12
     assert counts["_bump"] <= 2100
     assert counts["sqrt"] <= 1500
 
@@ -241,3 +265,5 @@ def test_benchmark_hooks(monkeypatch):
     monkeypatch.setattr(frame_curvature, "riemann_tensor", counting)
     radial.curvature_at(metric, 2.0)
     assert calls == 1
+    radial.curvature_at(metric, np.array([1.5, 2.0, 3.0]))
+    assert calls == 2

@@ -1,0 +1,74 @@
+"""Golden payloads: the seed-1 artifacts of the nine radial experiments of
+the benchmark, plus the default ``flat`` and ``round`` curvature runs, carry
+pinned sha256 values.
+
+Each summary's ``sha256`` (of its results) and each CSV's ``# sha256=``
+header (of its table) must repeat exactly, so a change that moves any bit of
+a payload fails here and has to say so.  The bits depend on the platform's
+libm (exp, pow, sin and cos round per library); the pins were recorded with
+glibc on x86-64, Python 3.11 and numpy 2.4.
+"""
+
+import json
+
+from collapselab.cli import ExperimentConfig, run
+from collapselab.cutoff import unit_cap
+
+RUNS = (
+    ("curvature", {"preset": "eguchi-hanson"}),
+    ("curvature", {"preset": "burns"}),
+    ("decay", {"base": "eguchi-hanson"}),
+    ("decay", {"base": "burns"}),
+    ("glue", {"blowups": 0}),
+    ("glue", {"blowups": 2}),
+    ("collapse", {}),
+    ("classify", {}),
+    ("charclass", {}),
+    ("curvature", {"preset": "flat"}),
+    ("curvature", {"preset": "round"}),
+)
+
+GOLDEN = {
+    "burns.json": "1f81112176036512417f85163654d99fe98ca528d92dfbf52eda1871e5754259",
+    "burns_profile.csv": "656a8217e4502405902e8767697c337ac0537184670854c3b60d22c8ea6f64f6",
+    "charclass.json": "cedcfe3e579283cd864002b641a84cb57588364b98c805a64be4d17589ca07a7",
+    "charclass_wplus_sweep.csv": "11b03605161eebae966be9e98b31eec937ada9709b5222cdb5de7fea12622d29",
+    "classify.json": "254b99e6a3d165e48814b67d6009b39cf3714816823c71c621ffa7ba8cab20c8",
+    "classify_table.csv": "2ae5bbf3065c9c6f741af85c8a8af8217993480d1e028c41f1336ff1e072c859",
+    "collapse_trivial.json": "7d9a5bdba06bbfc40b60d8db3928597e204044a3b6020fb963e4ff20e65fc90a",
+    "collapse_trivial_family.csv": "ce39995a3c2874e644faa8daf63d0b22123dd8be07927eabce1178b51b0f7b93",
+    "decay_burns.json": "0a0a67ab6146d65a3981d27c84937cb48ab15e31e48e2a7a829a60b749e9f74c",
+    "decay_burns_sweep.csv": "a9fe1c8c78e2ef5641cb34a5d2f5e9b29621a43a8e41ebca6af44a4674be4ce7",
+    "decay_eguchi-hanson.json": "a84710a1917f10e7dd327bb71811f848f9ae2fdd52e2660c48ac0a1dd2343b11",
+    "decay_eguchi-hanson_sweep.csv":
+        "6c925b85a585154554c6ac8ee2ecf7597efa5737f6fe9ebf7fd924617c9f4a33",
+    "eguchi-hanson.json": "536b798831c6c5baa74c34e54abf5deff1648026889635ec230f3ae261af4e3d",
+    "eguchi-hanson_profile.csv":
+        "a9dab7053f2bdf058f0e01dbc89c75fd6b98cbc35ede4ad8919230e4bd2e3f7b",
+    "flat.json": "daff9470c9b15f878553ffc565efcc94affb7cf5a5ade6ff352ab74f46223981",
+    "flat_profile.csv": "1b0df9cbdde7947ec7b07d76e4a69730ba9c84432064d685e5c1e558e58f8378",
+    "glue_k1_l0.json": "7259054a9401909d83296897e06b1de948cc1a0d47d26b5eb5ad01a881619adc",
+    "glue_k1_l0_certificate.csv": "e80841e623bcd94939216d9853e7629f41b0fc7a825cd93507fba653e467af3f",
+    "glue_k1_l2.json": "d52df9f8d41dda85c712febdc30304ac0085f4304d78e50cc0fa74c13d8f8365",
+    "glue_k1_l2_certificate.csv": "da4bc8ce0e3100414d8fa91028d63ec1ba22e19b424f47768b2f5180c788c881",
+    "round.json": "38b9c44b7a83b8249ffcb1b455e4df64c7bebd54fde7c485661ab6e2b58f50c5",
+    "round_profile.csv": "ce90eb530eb6ad99957a76f42f22085bef576b9a839aa77700183f2ad0728260",
+}
+
+
+def _payload_sha256(path) -> str:
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["sha256"]
+    (line,) = [ln for ln in text.splitlines() if ln.startswith("# sha256=")]
+    return line.split("=", 1)[1]
+
+
+def test_seed_1_payloads_are_golden(tmp_path):
+    unit_cap.cache_clear()
+    hashes = {}
+    for experiment, params in RUNS:
+        for path in run(ExperimentConfig(experiment, dict(params), str(tmp_path), 1)):
+            if not path.name.endswith(".meta.json"):
+                hashes[path.name] = _payload_sha256(path)
+    assert hashes == GOLDEN

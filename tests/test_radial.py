@@ -171,7 +171,6 @@ def test_volume_against_closed_forms():
 
 def test_volume_rejects_unconverged_quadrature():
     from collapselab.charclass import integrate_characteristics
-    from collapselab.jets import constant
     from collapselab.radial import _integrate
 
     flat = make_metric(Preset.FLAT)
@@ -180,13 +179,14 @@ def test_volume_rejects_unconverged_quadrature():
         _integrate(flat, lambda r: 1.0, 1e-9, 2.0, 0.0)
     # a component that turns NaN past r = 1 (status 3)
     with pytest.raises(RuntimeError, match=r"did not converge \(status 3"):
-        _integrate(flat, lambda r: (1.0, math.nan if r > 1.0 else r), 1e-9, 2.0, 1e-12)
+        _integrate(flat, lambda r: np.stack([np.ones_like(r), np.where(r > 1.0, math.nan, r)],
+                                            axis=-1), 1e-9, 2.0, 1e-12)
     # a profile that turns NaN past r = 1, under both public integrals
     cone = flat_profile(2.0)
 
     def nan_past_one(x):
         _, a, b, c = cone.jets(x)
-        return constant(math.nan if x.value > 1.0 else 1.0), a, b, c
+        return Jet2(np.where(x.value > 1.0, math.nan, 1.0)), a, b, c
 
     broken = RadialMetric(RadialProfile(nan_past_one, 0.0, 2.0), 2.0 * math.pi**2)
     with pytest.raises(RuntimeError, match=r"did not converge \(status 3"):
