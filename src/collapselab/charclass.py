@@ -56,7 +56,7 @@ def densities_at(frame: CurvatureFrame) -> CharDensities:
     """Evaluate both characteristic densities from one curvature frame, at
     each of its points when it is a batch."""
     four_pi2 = 4.0 * math.pi**2
-    s2 = _libm(lambda s: s**2, frame.scalar)
+    s2 = _libm(pow, frame.scalar, 2)
     restricted = (s2 / 24.0 - frame.ricci_traceless_norm2 / 2.0) / four_pi2
     gb = restricted + 2.0 * frame.w_plus_norm2 / four_pi2
     sig = (frame.w_plus_norm2 - frame.w_minus_norm2) / (12.0 * math.pi**2)

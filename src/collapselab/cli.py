@@ -239,7 +239,7 @@ def _run_collapse(params: dict, seed: int):
         "volume_t_product_spread": max(abs(v * t - vol1) for t, v, *_ in records),
         "k_h_values": [r[2] for r in records],
         "k_p_values": [r[3] for r in records],
-        "base_gauss_curvature": bundle.base.curvature_at((0.1, 0.2)),
+        "base_gauss_curvature": bundle.base.gauss_curvature,
     }
     return {"family": "\n".join(rows) + "\n"}, results, f"collapse_{params['bundle']}"
 

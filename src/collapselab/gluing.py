@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -134,31 +134,6 @@ def torus_systole(gram: np.ndarray) -> float:
     return math.sqrt(float(b1 @ np.asarray(gram, dtype=float) @ b1))
 
 
-def half_lattice_points() -> list[np.ndarray]:
-    """The four 2-torsion points of the torus, in lattice coordinates."""
-    return [np.array([x, y]) for x in (0.0, 0.5) for y in (0.0, 0.5)]
-
-
-def torus_distance(p: np.ndarray, q: np.ndarray, gram: np.ndarray) -> float:
-    """Geodesic distance on the flat torus (lattice coordinates).
-
-    In the reduced basis the height of b2 over b1 is at least sqrt(3)/2 |b1|,
-    so the closest lattice vector to p - q has its b2 coefficient within 0.77
-    of the target's; for each such coefficient the best b1 coefficient is the
-    rounded projection.
-    """
-    gram = np.asarray(gram, dtype=float)
-    b1, b2 = _reduced_basis(gram)
-    d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-    n0 = round(float(np.linalg.solve(np.column_stack([b1, b2]), d)[1]))
-    best = math.inf
-    for n in (n0 - 1, n0, n0 + 1):
-        e = d - n * b2
-        e = e - round(float(b1 @ gram @ e) / float(b1 @ gram @ b1)) * b1
-        best = min(best, float(e @ gram @ e))
-    return math.sqrt(best)
-
-
 # --------------------------------------------------------------------------
 # cap certification: closed forms in eps (``cutoff.cap_sup_norms``)
 # --------------------------------------------------------------------------
@@ -184,8 +159,11 @@ def burns_cap(eps: float) -> Chart:
 
 def eh_schedule(fiber_gram: np.ndarray, t: float) -> float:
     """eps_t = min(injectivity radius of (T^2, f), pi) / (4 sqrt t)."""
-    inj = 0.5 * torus_systole(fiber_gram)
-    return min(inj, math.pi) / (4.0 * math.sqrt(t))
+    return _eh_schedule(torus_systole(fiber_gram), t)
+
+
+def _eh_schedule(systole: float, t: float) -> float:
+    return min(0.5 * systole, math.pi) / (4.0 * math.sqrt(t))
 
 
 def orbifold_family(fiber_gram: np.ndarray, t: float) -> ChartedFamily:
@@ -193,14 +171,20 @@ def orbifold_family(fiber_gram: np.ndarray, t: float) -> ChartedFamily:
 
     The flat block carries dx^2 + dtheta^2 + f/t truncated at |x| = 4; the
     8 singular points sit in the x = 0 slice at the 2-torsion points of T^3
-    and are capped at scale eps_t <= pi / 4.
+    and are capped at scale eps_t <= pi / 4.  The nearest two of them are
+    min(pi, systole / (2 sqrt t)) apart (docs/conventions.md, "Cap
+    disjointness"), so the 2 eps balls are disjoint when 4 eps is at most
+    that; on this schedule the nearest caps touch whenever inj <= pi.
     """
     if t < 1.0:
         raise ValueError("t must be >= 1")
     fiber_gram = np.asarray(fiber_gram, dtype=float)
     alpha = math.sqrt(float(np.linalg.det(fiber_gram)))
-    eps = eh_schedule(fiber_gram, t)
-    _check_caps_disjoint(fiber_gram, t, eps)
+    systole = torus_systole(fiber_gram)
+    eps = _eh_schedule(systole, t)
+    nearest = min(math.pi, 0.5 * systole / math.sqrt(t))
+    if nearest < 4.0 * eps - 1e-12:
+        raise ValueError(f"cap schedule violates disjointness: distance {nearest:.4g} < 4 eps")
 
     ball_vol = math.pi**2 * (2.0 * eps) ** 4 / 4.0
     flat_vol = 2.0 * math.pi * 4.0 * alpha / t - 8.0 * ball_vol
@@ -208,31 +192,12 @@ def orbifold_family(fiber_gram: np.ndarray, t: float) -> ChartedFamily:
         raise ValueError("caps exceed the available flat volume")
 
     charts = [Chart(ChartKind.FLAT_BLOCK, flat_vol, 0.0, 0.0)]
-    charts += [eh_cap(eps) for _ in range(8)]
+    charts += [eh_cap(eps)] * 8
     return ChartedFamily(
         charts=tuple(charts),
         parameter=t,
         schedule="eps_t = min(inj, pi) / (4 sqrt(t))",
     )
-
-
-def _check_caps_disjoint(fiber_gram: np.ndarray, t: float, eps: float) -> None:
-    """The 2*eps balls about the 8 singular points must not overlap."""
-    pts = []
-    for theta in (0.0, math.pi):
-        for y in half_lattice_points():
-            pts.append((theta, y))
-    gram_t = fiber_gram / t
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dth = abs(pts[i][0] - pts[j][0])
-            dth = min(dth, 2.0 * math.pi - dth)
-            dy = torus_distance(pts[i][1], pts[j][1], gram_t)
-            dist = math.hypot(dth, dy)
-            if dist < 4.0 * eps - 1e-12:
-                raise ValueError(
-                    f"cap schedule violates disjointness: distance {dist:.4g} < 4 eps"
-                )
 
 
 # --------------------------------------------------------------------------
@@ -290,11 +255,12 @@ def assemble_surface_model(
         if removed >= collapse_metric(bundle, t).total_volume():
             raise ValueError("requested caps exceed the available flat volume")
         charts.append(_bundle_block(bundle, t, removed=removed))
-        for _ in range(fiber_sums):
-            charts.append(Chart(ChartKind.CYLINDER_NECK, 2.0 * math.pi * alpha / t, 0.0, 0.0))
-            charts.extend(orbifold_family(fiber_gram, t).charts)
+        # equal parameters give equal (immutable) charts: each is built once
+        if fiber_sums > 0:
+            neck = Chart(ChartKind.CYLINDER_NECK, 2.0 * math.pi * alpha / t, 0.0, 0.0)
+            charts += [neck, *orbifold_family(fiber_gram, t).charts] * fiber_sums
         if burns_eps is not None:
-            charts += [burns_cap(burns_eps) for _ in range(blowups)]
+            charts += [burns_cap(burns_eps)] * blowups
         return ChartedFamily(
             charts=tuple(charts),
             parameter=t,

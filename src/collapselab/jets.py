@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -27,12 +28,14 @@ def _any(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _libm(fn, x):
-    """fn (a libm function of one float) over the elements of x; a float
-    for a scalar x."""
+def _libm(fn, x, *args):
+    """fn (a libm function of one float, then the constant ``args``) over the
+    elements of x; a float for a scalar x.  Builtins such as ``pow`` map
+    without a Python frame per element."""
     if np.ndim(x) == 0:
-        return fn(float(x))
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        return fn(float(x), *args)
+    values = map(fn, x.ravel().tolist(), *map(repeat, args))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -81,16 +84,16 @@ class Jet2:
         if not float(p).is_integer() and _any(self.value <= 0.0):
             raise ValueError("Jet2 power of non-positive base with fractional exponent")
         return self._compose(
-            _libm(lambda v: v ** p, self.value),
-            p * _libm(lambda v: v ** (p - 1), self.value),
-            p * (p - 1) * _libm(lambda v: v ** (p - 2), self.value),
+            _libm(pow, self.value, p),
+            p * _libm(pow, self.value, p - 1),
+            p * (p - 1) * _libm(pow, self.value, p - 2),
         )
 
     def reciprocal(self):
         if _any(self.value == 0.0):
             raise ZeroDivisionError("Jet2 reciprocal at zero value")
         v = 1.0 / self.value
-        return self._compose(v, -v * v, 2.0 * _libm(lambda w: w ** 3, v))
+        return self._compose(v, -v * v, 2.0 * _libm(pow, v, 3))
 
     # -- elementary functions --------------------------------------------
 

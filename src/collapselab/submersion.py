@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -76,89 +76,52 @@ class BundleKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BaseOrbifold:
-    """The base (Sigma, h): area, Gauss curvature, and cone points to avoid."""
+    """The base (Sigma, h): area and its constant Gauss curvature."""
 
     area: float
-    gauss_curvature: Callable[[np.ndarray], float]
-    cone_points: tuple = ()
-
-    def curvature_at(self, point) -> float:
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
-        for cp in self.cone_points:
-            if np.allclose(pt, cp):
-                raise ValueError("curvature undefined at an orbifold cone point")
-        return float(self.gauss_curvature(pt))
-
-
-def flat_torus_base(periods: tuple[float, float] = (1.0, 1.0)) -> BaseOrbifold:
-    return BaseOrbifold(area=periods[0] * periods[1], gauss_curvature=lambda p: 0.0)
+    gauss_curvature: float
 
 
 @dataclass(frozen=True)
 class BundleModel:
     """Flat-torus bundle over a 2-orbifold with totally geodesic fibers.
 
-    ``vertical_obstruction`` returns the vertical part v of [w_1, w_2] for a
-    horizontal orthonormal frame, expressed in a g-orthonormal fiber frame;
-    it is t-independent along the canonical variation.
+    ``bracket_norm2`` is |v|^2 for the vertical part v of [w_1, w_2] of a
+    horizontal orthonormal frame, in the metric g; it is the same at every
+    base point and t-independent along the canonical variation.
     """
 
     kind: BundleKind
     base: BaseOrbifold
     fiber_metric: np.ndarray          # 2x2 Gram matrix of the flat fiber
-    vertical_obstruction: Callable[[np.ndarray], np.ndarray]
+    bracket_norm2: float
     name: str = ""
 
     @property
     def fiber_area(self) -> float:
         return float(math.sqrt(np.linalg.det(self.fiber_metric)))
 
-    def v_norm2(self, point) -> float:
-        v = np.asarray(self.vertical_obstruction(np.atleast_1d(point)), dtype=float)
-        return float(v @ v)
+
+# name and |v|^2 of each model, all over the flat unit-area base.  The twisted
+# product's monodromy has order 2: its rotation -I is an isometry of every
+# flat fiber.  The nilmanifold is Heisenberg x S^1, whose v is the unit
+# centre direction.
+_MODELS = {
+    BundleKind.TRIVIAL_TORUS_OVER_TORUS: ("T2 x T2", 0.0),
+    BundleKind.TWISTED_PRODUCT: ("twisted Z2", 0.0),
+    BundleKind.NILMANIFOLD: ("nilmanifold", 1.0),
+}
 
 
-_MONODROMY_ANGLES = {2: math.pi, 4: math.pi / 2.0, 6: math.pi / 3.0}
-
-
-def make_bundle(
-    kind: BundleKind,
-    fiber_metric: np.ndarray | None = None,
-    base: BaseOrbifold | None = None,
-    monodromy_order: int = 2,
-) -> BundleModel:
+def make_bundle(kind: BundleKind, fiber_metric: np.ndarray | None = None) -> BundleModel:
     """Build one of the three representative flat-fiber bundle models."""
     f = np.eye(2) if fiber_metric is None else np.asarray(fiber_metric, dtype=float)
     if f.shape != (2, 2) or np.any(np.linalg.eigvalsh(f) <= 0.0):
         raise ValueError("fiber metric must be a 2x2 SPD matrix")
-    if kind is BundleKind.TRIVIAL_TORUS_OVER_TORUS:
-        return BundleModel(
-            kind, base or flat_torus_base(), f, lambda p: np.zeros(2), "T2 x T2"
-        )
-    if kind is BundleKind.TWISTED_PRODUCT:
-        if monodromy_order not in _MONODROMY_ANGLES:
-            raise ValueError("monodromy order must be 2, 4, or 6")
-        th = _MONODROMY_ANGLES[monodromy_order]
-        rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        if np.max(np.abs(rot.T @ f @ rot - f)) > 1e-12 * np.max(np.abs(f)):
-            raise ValueError(
-                f"order-{monodromy_order} rotation is not an isometry of the given flat fiber"
-            )
-        base_orb = base or BaseOrbifold(
-            area=1.0, gauss_curvature=lambda p: 0.0, cone_points=((0.0, 0.0),)
-        )
-        return BundleModel(kind, base_orb, f, lambda p: np.zeros(2), f"twisted Z{monodromy_order}")
-    if kind is BundleKind.NILMANIFOLD:
-        # Heisenberg x S^1 model: v = [w1, w2]^vertical is the unit center
-        # direction, |v|_g = 1 everywhere.
-        return BundleModel(
-            kind,
-            base or flat_torus_base(),
-            f,
-            lambda p: np.array([1.0, 0.0]),
-            "nilmanifold",
-        )
-    raise ValueError(f"unknown bundle kind {kind!r}")
+    if kind not in _MODELS:
+        raise ValueError(f"unknown bundle kind {kind!r}")
+    name, bracket_norm2 = _MODELS[kind]
+    return BundleModel(kind, BaseOrbifold(area=1.0, gauss_curvature=0.0), f, bracket_norm2, name)
 
 
 @dataclass(frozen=True)
@@ -177,9 +140,6 @@ class SubmersionMetric:
         # fiber area (hence the total volume) by t exactly
         return self.bundle.base.area * self.bundle.fiber_area / self.t
 
-    def vertical_norm2(self, v_norm2_g: float) -> float:
-        return v_norm2_g / self.t
-
 
 def collapse_metric(bundle: BundleModel, t: float) -> SubmersionMetric:
     return SubmersionMetric(bundle, float(t))
@@ -189,23 +149,17 @@ def collapse_metric(bundle: BundleModel, t: float) -> SubmersionMetric:
 class ONeillCurvatures:
     K_H: float
     K_P: float
-    K_V: float = 0.0
 
 
-def oneill_at(metric: SubmersionMetric, point=(0.1, 0.2)) -> ONeillCurvatures:
-    """O'Neill sectional curvatures of g_t at a base point.
+def oneill_at(metric: SubmersionMetric) -> ONeillCurvatures:
+    """O'Neill sectional curvatures of g_t, the same at every base point.
 
-    K_H = K(Sigma) - (3/4) g_t(v,v) for the horizontal plane, K_P with the
-    full vertical projection v of [w_1,w_2] (the extremal mixed plane), and
-    K_V = 0 for the flat, totally geodesic fibers.
+    K_H = K(Sigma) - (3/4) g_t(v,v) for the horizontal plane and K_P with the
+    full vertical projection v of [w_1,w_2] (the extremal mixed plane); the
+    flat, totally geodesic fibers have K_V = 0.
     """
-    gvv = metric.vertical_norm2(metric.bundle.v_norm2(point))
-    k_sigma = metric.bundle.base.curvature_at(point)
-    return ONeillCurvatures(
-        K_H=k_sigma - 0.75 * gvv,
-        K_P=0.25 * gvv,
-        K_V=0.0,
-    )
+    gvv = metric.bundle.bracket_norm2 / metric.t
+    return ONeillCurvatures(K_H=metric.bundle.base.gauss_curvature - 0.75 * gvv, K_P=0.25 * gvv)
 
 
 def nilmanifold_frame(t: float = 1.0) -> CurvatureFrame:

@@ -84,24 +84,25 @@ class SurfaceData:
     @staticmethod
     def from_json(rec: dict) -> "SurfaceData":
         """Inverse of ``to_json``; raises ValueError naming a record that is
-        not a JSON object, a missing key or a value of the wrong type."""
+        not a JSON object, a missing key or a value of the wrong type.  The
+        integer invariants must be JSON integers: a float, a string or a
+        boolean is refused, not coerced."""
         if not isinstance(rec, dict):
             raise ValueError(f"surface record must be a JSON object, got {rec!r}")
         missing = [k for k in ("kod", "c1sq_min", "chi", "tau") if k not in rec]
         if missing:
             raise ValueError(f"surface record {rec!r} lacks key(s) {', '.join(missing)}")
-        try:
-            return SurfaceData(
-                kod=KodairaDimension(str(rec["kod"])),
-                b1_parity=Parity(rec.get("b1_parity", "even")),
-                c1sq_min=int(rec["c1sq_min"]),
-                chi=int(rec["chi"]),
-                tau=int(rec["tau"]),
-                blowups=int(rec.get("blowups", 0)),
-                name=str(rec.get("name", "")),
-            )
-        except TypeError as exc:  # e.g. int(None) from a null value
-            raise ValueError(f"surface record {rec!r}: {exc}") from exc
+        ints = {k: rec.get(k, 0) for k in ("c1sq_min", "chi", "tau", "blowups")}
+        for key, value in ints.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(
+                    f"surface record {rec!r}: {key} must be an integer, got {value!r}")
+        return SurfaceData(
+            kod=KodairaDimension(str(rec["kod"])),
+            b1_parity=Parity(rec.get("b1_parity", "even")),
+            name=str(rec.get("name", "")),
+            **ints,
+        )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from collapselab import charclass, cli, cutoff, frame_curvature, radial
+from collapselab import charclass, cli, cutoff, frame_curvature, gluing, radial
 from collapselab.cli import ExperimentConfig, main, report, run
 from collapselab.cutoff import unit_cap
 from collapselab.jets import Jet2
@@ -52,15 +52,26 @@ def test_mistyped_parameter_exits_2(tmp_path, capsys):
         assert main([experiment, "--out", str(tmp_path), override]) == 2
         assert capsys.readouterr().err.startswith("error: ")
     # classify input: a missing file, a record without kod, a record that is
-    # not an object, a null value
+    # not an object, a null value, and integer invariants given as a float, a
+    # string or a boolean (each would otherwise coerce to a valid surface)
     no_kod = tmp_path / "no_kod.json"
     no_kod.write_text('[{"c1sq_min": 0, "chi": 0, "tau": 0}]')
     not_object = tmp_path / "not_object.json"
     not_object.write_text("[1]")
     null_chi = tmp_path / "null_chi.json"
     null_chi.write_text('[{"kod": "0", "c1sq_min": 0, "chi": null, "tau": 0}]')
-    for path, needle in ((tmp_path / "missing.json", "missing.json"), (no_kod, "kod"),
-                         (not_object, "JSON object"), (null_chi, "None")):
+    cases = [(tmp_path / "missing.json", "missing.json"), (no_kod, "kod"),
+             (not_object, "JSON object"), (null_chi, "None")]
+    for i, (record, key) in enumerate((
+        ('{"kod": "0", "c1sq_min": 0, "chi": 24.9, "tau": -16.6}', "chi"),
+        ('{"kod": "2", "c1sq_min": 5.7, "chi": 7, "tau": -3}', "c1sq_min"),
+        ('{"kod": "2", "c1sq_min": 5, "chi": "565", "tau": -375}', "chi"),
+        ('{"kod": "0", "c1sq_min": 0, "chi": 24, "tau": -16, "blowups": false}', "blowups"),
+    )):
+        path = tmp_path / f"mistyped_{i}.json"
+        path.write_text(f"[{record}]")
+        cases.append((path, f"{key} must be an integer"))
+    for path, needle in cases:
         assert main(["classify", "--out", str(tmp_path), f"input={path}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
@@ -208,10 +219,13 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
       grid or quadrature round (12 measured);
     - at most 2100 cutoff bump elements (2058 measured), one per cap radius;
     - at most 1500 jet square-root elements (1488 measured), one per
-      W-ansatz radius.
+      W-ansatz radius;
+    - exactly 15 fiber-lattice reductions: one per family rule and one per
+      orbifold family, at each of the 4 parameters of the two ``glue`` runs
+      and ``charclass``.
     """
     unit_cap.cache_clear()
-    counts = {"curvature_at": 0, "radii": 0, "_bump": 0, "sqrt": 0}
+    counts = {"curvature_at": 0, "radii": 0, "_bump": 0, "sqrt": 0, "_reduced_basis": 0}
     engine = radial.curvature_at
 
     def curvature(metric, r):
@@ -225,10 +239,17 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
             return fn(jet)
         return wrapper
 
+    lattice = gluing._reduced_basis
+
+    def reduced_basis(gram):
+        counts["_reduced_basis"] += 1
+        return lattice(gram)
+
     for module in (radial, cli, charclass):
         monkeypatch.setattr(module, "curvature_at", curvature)
     monkeypatch.setattr(cutoff, "_bump", per_element("_bump", cutoff._bump))
     monkeypatch.setattr(Jet2, "sqrt", per_element("sqrt", Jet2.sqrt))
+    monkeypatch.setattr(gluing, "_reduced_basis", reduced_basis)
     for experiment, params in (
         ("curvature", {"preset": "eguchi-hanson"}),
         ("curvature", {"preset": "burns"}),
@@ -245,6 +266,7 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
     assert counts["curvature_at"] <= 12
     assert counts["_bump"] <= 2100
     assert counts["sqrt"] <= 1500
+    assert counts["_reduced_basis"] == 15
 
 
 def test_benchmark_hooks(monkeypatch):

@@ -1,6 +1,6 @@
 """Golden payloads: the seed-1 artifacts of the nine radial experiments of
-the benchmark, plus the default ``flat`` and ``round`` curvature runs, carry
-pinned sha256 values.
+the benchmark, plus the default ``flat`` and ``round`` curvature runs and the
+collapse runs of the other bundle models, carry pinned sha256 values.
 
 Each summary's ``sha256`` (of its results) and each CSV's ``# sha256=``
 header (of its table) must repeat exactly, so a change that moves any bit of
@@ -26,6 +26,9 @@ RUNS = (
     ("charclass", {}),
     ("curvature", {"preset": "flat"}),
     ("curvature", {"preset": "round"}),
+    ("collapse", {"bundle": "twisted"}),
+    ("collapse", {"bundle": "nilmanifold"}),
+    ("glue", {"bundle": "nilmanifold", "fiber_sums": 0}),
 )
 
 GOLDEN = {
@@ -35,8 +38,14 @@ GOLDEN = {
     "charclass_wplus_sweep.csv": "11b03605161eebae966be9e98b31eec937ada9709b5222cdb5de7fea12622d29",
     "classify.json": "254b99e6a3d165e48814b67d6009b39cf3714816823c71c621ffa7ba8cab20c8",
     "classify_table.csv": "2ae5bbf3065c9c6f741af85c8a8af8217993480d1e028c41f1336ff1e072c859",
+    "collapse_nilmanifold.json": "655293830868c4dee5f2d328df7aaba1ea7e00a117a790572a1f8300a593a85e",
+    "collapse_nilmanifold_family.csv":
+        "64844e76d12fc532a0abeab51374a31f15a701677ee34650fd062897b751485f",
     "collapse_trivial.json": "7d9a5bdba06bbfc40b60d8db3928597e204044a3b6020fb963e4ff20e65fc90a",
     "collapse_trivial_family.csv": "ce39995a3c2874e644faa8daf63d0b22123dd8be07927eabce1178b51b0f7b93",
+    "collapse_twisted.json": "8a473804d29c604c3a8e30358202b9effaa5f2a1740a03796906d949857ca3be",
+    "collapse_twisted_family.csv":
+        "ce39995a3c2874e644faa8daf63d0b22123dd8be07927eabce1178b51b0f7b93",
     "decay_burns.json": "0a0a67ab6146d65a3981d27c84937cb48ab15e31e48e2a7a829a60b749e9f74c",
     "decay_burns_sweep.csv": "a9fe1c8c78e2ef5641cb34a5d2f5e9b29621a43a8e41ebca6af44a4674be4ce7",
     "decay_eguchi-hanson.json": "a84710a1917f10e7dd327bb71811f848f9ae2fdd52e2660c48ac0a1dd2343b11",
@@ -47,6 +56,8 @@ GOLDEN = {
         "a9dab7053f2bdf058f0e01dbc89c75fd6b98cbc35ede4ad8919230e4bd2e3f7b",
     "flat.json": "daff9470c9b15f878553ffc565efcc94affb7cf5a5ade6ff352ab74f46223981",
     "flat_profile.csv": "1b0df9cbdde7947ec7b07d76e4a69730ba9c84432064d685e5c1e558e58f8378",
+    "glue_k0_l0.json": "11d09ab5ceff23aa7817995bd553cc4d0b30f79c2f5373875c251a2e01632794",
+    "glue_k0_l0_certificate.csv": "b15b2f4caf0f6446f32bc7a3b6010a73e9c759e285481bf89edd3888dc5048ce",
     "glue_k1_l0.json": "7259054a9401909d83296897e06b1de948cc1a0d47d26b5eb5ad01a881619adc",
     "glue_k1_l0_certificate.csv": "e80841e623bcd94939216d9853e7629f41b0fc7a825cd93507fba653e467af3f",
     "glue_k1_l2.json": "d52df9f8d41dda85c712febdc30304ac0085f4304d78e50cc0fa74c13d8f8365",
