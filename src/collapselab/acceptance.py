@@ -3,8 +3,9 @@ tolerances, evaluated by ``collapselab report`` and tests/test_acceptance.py.
 
 Each criterion declares the (experiment, overrides) runs that produce its
 evidence and a predicate over run summaries (the ``<slug>.json`` files of
-``collapselab.cli.run``) that judges every matching summary; missing
-summaries make it SKIPPED.
+``collapselab.cli.run``) that judges every matching summary.  Missing
+summaries make it SKIPPED; a present summary that fails makes it FAIL even
+when others are missing, since full evidence is needed only for PASS.
 """
 
 from __future__ import annotations
@@ -64,20 +65,29 @@ def _criterion(number: int, description: str, runs):
     return register
 
 
-def _runs(summaries: list, experiment: str, least: int = 1, **params) -> list:
+def _runs(summaries: list, experiment: str, required: bool = True, **params) -> list:
     """Summaries of the runs of ``experiment`` whose parameters match
-    ``params``; raises _Missing when there are fewer than ``least``."""
+    ``params``; raises _Missing when there are none and they are
+    ``required``."""
     found = [s for s in summaries
              if s["config"]["experiment"] == experiment
              and all(s["config"]["parameters"].get(k) == v for k, v in params.items())]
-    if len(found) < least:
+    if required and not found:
         raise _Missing
     return found
 
 
-def _results(summaries: list, experiment: str, least: int = 1, **params) -> list:
+def _results(summaries: list, experiment: str, required: bool = True, **params) -> list:
     """The ``results`` of ``_runs``."""
-    return [s["results"] for s in _runs(summaries, experiment, least, **params)]
+    return [s["results"] for s in _runs(summaries, experiment, required, **params)]
+
+
+def _enough(ok: bool, complete: bool) -> bool:
+    """``ok`` once the evidence is ``complete``.  Part of it can fail a
+    criterion but not pass it: a passing verdict on part is SKIPPED."""
+    if ok and not complete:
+        raise _Missing
+    return ok
 
 
 @_criterion(1, "Eguchi-Hanson Ricci-flat to 1e-9",
@@ -104,16 +114,17 @@ _DECAY_RUNS = [("decay", {"base": "eguchi-hanson"}), ("decay", {"base": "burns"}
 
 @_criterion(3, "cutoff decay slopes in [1.8, 2.2]", _DECAY_RUNS)
 def _cutoff_decay_slopes(summaries):
-    runs = _results(summaries, "decay", least=2)
-    return (all(1.8 <= r["fitted_slope"] <= 2.2 for r in runs),
+    runs = _results(summaries, "decay")
+    return (_enough(all(1.8 <= r["fitted_slope"] <= 2.2 for r in runs), len(runs) >= 2),
             ", ".join(f"{r['base']}: {r['fitted_slope']:.3f}" for r in runs))
 
 
 @_criterion(4, "volume deficits match closed forms to 1e-10", _DECAY_RUNS)
 def _volume_deficits(summaries):
-    runs = _results(summaries, "decay", least=2)
+    runs = _results(summaries, "decay")
     worst = max(r["deficit_vs_closed_form_rel"] for r in runs)
-    return worst < 1e-10, f"max relative deviation {worst:.1e} over {len(runs)} runs"
+    detail = f"max relative deviation {worst:.1e} over {len(runs)} runs"
+    return _enough(worst < 1e-10, len(runs) >= 2), detail
 
 
 @_criterion(5, "collapse family volume and O'Neill limits",
@@ -135,14 +146,15 @@ def _collapse_family(summaries):
 @_criterion(6, "glued certificates (Ricci / scalar verdicts)",
             [("glue", {"blowups": 0}), ("glue", {"blowups": 2})])
 def _glued_certificates(summaries):
-    ricci = _results(summaries, "glue", blowups=0)
-    scalar = [r for r in _results(summaries, "glue") if r["blowups"] > 0]
-    if not scalar:
-        raise _Missing
-    ratio = max(r["rows"][-1]["total_volume"] / r["rows"][0]["total_volume"] for r in ricci)
-    ok = (all(r["verdict"] == "BoundedRicciCollapse" for r in ricci) and ratio < 1e-2
+    runs = _results(summaries, "glue")
+    ricci = [r for r in runs if r["blowups"] == 0]
+    scalar = [r for r in runs if r["blowups"] > 0]
+    ratios = [r["rows"][-1]["total_volume"] / r["rows"][0]["total_volume"] for r in ricci]
+    ok = (all(r["verdict"] == "BoundedRicciCollapse" for r in ricci)
+          and all(x < 1e-2 for x in ratios)
           and all(r["verdict"] == "BoundedScalarCollapse" for r in scalar))
-    return ok, f"l=0 volume ratio {ratio:.1e}"
+    detail = f"l=0 volume ratio {max(ratios, default=math.nan):.1e}"
+    return _enough(ok, bool(ricci and scalar)), detail
 
 
 _YAMABE_RUNS = [("yamabe", {})]
@@ -208,7 +220,7 @@ def _classifier_table_and_values(summaries):
     # the sign table of the canonical surfaces, read when no input file replaced them
     canonical = ["positive", "positive", "zero", "zero", "zero", "negative"]
     tables_ok = all([a["answer"]["sign"] for a in r["answers"]] == canonical
-                    for r in _results(summaries, "classify", least=0, input=None))
+                    for r in _results(summaries, "classify", required=False, input=None))
     return worst < 1e-12 and tables_ok, f"max deviation {worst:.1e}"
 
 

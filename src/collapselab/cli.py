@@ -7,7 +7,8 @@ be diffed and reproduced exactly.  Timestamps live only in a ``.meta.json``
 sidecar, keeping the payload byte-identical across reruns with the same
 configuration and seed.  The ``report`` subcommand evaluates the acceptance
 registry (``collapselab.acceptance``) on the summaries in an output
-directory, marking criteria with no corresponding artifact as SKIPPED.
+directory, marking criteria with no corresponding artifact as SKIPPED and
+failing a criterion on any present summary that fails it.
 
 Config files are flat ``key=value`` text; command-line ``key=value``
 arguments override them.  Unknown keys are rejected.

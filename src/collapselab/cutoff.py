@@ -154,6 +154,12 @@ class SweepTable:
         return buf.getvalue()
 
 
+#: largest relative noise bound 2^-52 / eps^4 of the engine on a cap's
+#: annulus that ``decay_sweep`` accepts: it refuses eps < 3.86e-3
+#: (docs/conventions.md, "Decay below float resolution")
+DECAY_NOISE_LIMIT = 1e-6
+
+
 def decay_sweep(
     base: BaseInstanton,
     eps_list: Sequence[float],
@@ -166,11 +172,17 @@ def decay_sweep(
     scalar-flat instanton, so it contributes exactly 0.  A sup norm that is
     not finite and positive has no logarithm and raises RuntimeError.  The
     sweep samples the engine, not ``unit_cap``, whose scaled constants
-    would fit the slope 2 by construction.
+    would fit the slope 2 by construction.  W = 1 - eps^4 H stores the cap
+    with about 16 + 4 log10(eps) digits, so an eps whose noise bound
+    2^-52 / eps^4 exceeds ``DECAY_NOISE_LIMIT`` raises ValueError.
     """
     eps_values = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(eps_values) < 3:
         raise ValueError("decay sweep needs at least 3 distinct epsilon values")
+    smallest = eps_values[-1]
+    if 0.0 < smallest and smallest**4 * DECAY_NOISE_LIMIT < 2.0**-52:
+        raise ValueError(f"epsilon={smallest} is below float resolution: the noise bound "
+                         f"2^-52 / eps^4 exceeds {DECAY_NOISE_LIMIT:g} for eps < 3.86e-3")
     rows: list[tuple[float, float]] = []
     for eps in eps_values:
         metric = modified_metric(CutoffFamily(base, eps))

@@ -112,6 +112,73 @@ def levi_civita_coefficients(struct: np.ndarray) -> np.ndarray:
     return 0.5 * (struct - c_bca + c_cab)
 
 
+def _product_factors():
+    """Factor rows of the 2 x 4 x 256 products of ``riemann_tensor``: one
+    row per sum and e (A = sum_e G_bce G_aed, then B = sum_e C_abe G_ecd),
+    one column per output slot 64 a + 16 b + 4 c + d.  Factor row
+    16 a + 4 b + c holds Gamma[a, b, c], and row 64 + 16 a + 4 b + c holds
+    C[a, b, c]."""
+    e, a, b, c, d = np.indices((4,) * 5).reshape(5, 4, 256)
+    left = np.concatenate([16 * b + 4 * c + e, 64 + 16 * a + 4 * b + e])
+    right = np.concatenate([16 * a + 4 * e + d, 16 * e + 4 * c + d])
+    return left, right
+
+
+_LEFT, _RIGHT = _product_factors()
+# the slot of (b, a, c, d) at the slot of (a, b, c, d)
+_SWAP = np.arange(256).reshape(4, 4, 16).transpose(1, 0, 2).ravel()
+
+
+@dataclass(frozen=True)
+class _RiemannPlan:
+    """The products of ``riemann_tensor`` that can change a bit.
+
+    ``terms`` holds, for the sum A and then the sum B, per e in order, the
+    (accumulator row, left factor row, right factor row) of each such
+    product.  The accumulator has ``rows`` rows, the last one zero.
+    ``slots`` are the output slots the products reach, and ``reads`` the
+    rows of A at each slot, of A at its swap (b, a, c, d) and of B at the
+    slot."""
+
+    terms: tuple
+    rows: int
+    slots: np.ndarray
+    reads: tuple
+
+    @property
+    def products(self) -> int:
+        """Products formed per batch point."""
+        return sum(rows.size for rows, _, _ in self.terms)
+
+
+def _factor_rows(struct: np.ndarray) -> np.ndarray:
+    """The 128 factor rows of ``riemann_tensor``: the 64 Gamma, then the
+    64 C, each over the batch, shape (128, points)."""
+    frames = (levi_civita_coefficients(struct), struct)
+    return np.concatenate([x.reshape(-1, 64).T for x in frames])
+
+
+def _riemann_plan(factors: np.ndarray) -> _RiemannPlan:
+    """The plan of ``riemann_tensor`` for the pattern of its factor rows.
+    A product is skipped only when one factor is +-0.0 at every batch point
+    and the other finite at every batch point: it is then +-0.0 at every
+    point, so NaN and inf propagate as in the full sums."""
+    zero, finite = ~factors.any(axis=1), np.isfinite(factors).all(axis=1)
+    live = ~((zero[_LEFT] & finite[_RIGHT]) | (zero[_RIGHT] & finite[_LEFT]))
+    reached = live.reshape(2, 4, 256).any(axis=1).ravel()  # A slots, then B slots
+    count = np.count_nonzero(reached)
+    row = np.full(512, count)  # a slot no product reaches reads the zero row
+    row[reached] = np.arange(count)
+    sum_e, slot = np.nonzero(live)  # sorted by sum, then e
+    plan = row[256 * (sum_e // 4) + slot], _LEFT[sum_e, slot], _RIGHT[sum_e, slot]
+    ends = np.cumsum(live.sum(axis=1)).tolist()
+    terms = tuple(tuple(x[start:end] for x in plan) for start, end in zip([0] + ends, ends))
+    a, b = reached[:256], reached[256:]
+    slots = np.flatnonzero(a | a[_SWAP] | b)
+    return _RiemannPlan(terms, count + 1, slots,
+                        (row[slots], row[_SWAP[slots]], row[256 + slots]))
+
+
 def riemann_tensor(
     struct: np.ndarray,
     struct_d1: np.ndarray | None = None,
@@ -128,22 +195,20 @@ def riemann_tensor(
         R_abcd = sum_e (G_bce G_aed - G_ace G_bed - C_abe G_ecd)
                  + E_a(G_bcd) - E_b(G_acd),
 
-    each sum over e taken from 0.0 in the order e = 0, 1, 2, 3, with the
-    batch as the last, contiguous axis while the sums run.
+    each sum over e taken from 0.0 in the order e = 0, 1, 2, 3.  Only the
+    products that can change a bit are formed (``_riemann_plan``, read from
+    the data on each call), and only the slots they reach are computed; the
+    rest are +0.0, as the full sums give (docs/conventions.md).
     """
-    gamma = levi_civita_coefficients(struct)
-    g = np.moveaxis(gamma, range(-3, 0), range(3))  # (4, 4, 4, *batch)
-    c = np.moveaxis(struct, range(-3, 0), range(3))
-    acc = np.zeros((4,) + g.shape)
-    for e in range(4):
-        acc += g[None, :, :, e, None] * g[:, None, None, e, :]  # G_bce G_aed
-    riem = acc - np.swapaxes(acc, 0, 1)
-    acc[...] = 0.0
-    for e in range(4):
-        acc += c[:, :, e, None, None] * g[None, None, e, :, :]  # C_abe G_ecd
-    riem -= acc
-    del acc
-    riem = np.ascontiguousarray(np.moveaxis(riem, range(4), range(-4, 0)))
+    factors = _factor_rows(struct)
+    plan = _riemann_plan(factors)
+    total = np.zeros((plan.rows, factors.shape[1]))
+    for rows, left, right in plan.terms:
+        total[rows] += factors[left] * factors[right]
+    a, swapped, b = (total[rows] for rows in plan.reads)
+    riem = np.zeros((factors.shape[1], 256))
+    riem[:, plan.slots] = ((a - swapped) - b).T
+    riem = riem.reshape(struct.shape[:-3] + (4, 4, 4, 4))
     if struct_d1 is not None:
         scale = np.asarray(e0_scale)[..., None, None, None]
         dgamma = scale * levi_civita_coefficients(struct_d1)

@@ -9,17 +9,19 @@ frame-based engine and the discrete conformal transformation law:
 * a periodic-lattice oracle for diagonal metrics on the flat torus, built
   entirely from np.roll central differences.
 
-Neither shares any code path with the library's curvature engine.  Two
-references that do use the engine check the closed forms built beside it:
-the Weyl energies of a radial metric by quadrature of ``curvature_at``
-(``weyl_integrals``), and the algebra su(2) + R of S^3 x R for the
-left-invariant engine (``su2_r``).
+Neither shares any code path with the library's curvature engine.  Three
+references that do use the engine check what is built beside it: the Weyl
+energies of a radial metric by quadrature of ``curvature_at``
+(``weyl_integrals``), the algebra su(2) + R of S^3 x R for the
+left-invariant engine (``su2_r``), and the dense contractions that the
+sparse ``riemann_tensor`` must match bit for bit (``dense_riemann_tensor``).
 """
 
 import math
 
 import numpy as np
 
+from collapselab.frame_curvature import levi_civita_coefficients
 from collapselab.radial import _CURVATURE_QUAD_TOL, RadialMetric, _integrate, curvature_at
 from collapselab.submersion import StructureConstants
 
@@ -197,3 +199,34 @@ def su2_r() -> StructureConstants:
         c[i, j, k] = -2.0
         c[j, i, k] = 2.0
     return StructureConstants(c, "su2+R")
+
+
+def dense_riemann_tensor(
+    struct: np.ndarray,
+    struct_d1: np.ndarray | None = None,
+    e0_scale=1.0,
+) -> np.ndarray:
+    """``frame_curvature.riemann_tensor`` with every (4, 4, 4, 4, batch)
+    product formed: each sum over e taken from 0.0 in the order
+    e = 0, 1, 2, 3, with the batch as the last, contiguous axis while the
+    sums run."""
+    gamma = levi_civita_coefficients(struct)
+    g = np.moveaxis(gamma, range(-3, 0), range(3))  # (4, 4, 4, *batch)
+    c = np.moveaxis(struct, range(-3, 0), range(3))
+    acc = np.zeros((4,) + g.shape)
+    for e in range(4):
+        acc += g[None, :, :, e, None] * g[:, None, None, e, :]  # G_bce G_aed
+    riem = acc - np.swapaxes(acc, 0, 1)
+    acc[...] = 0.0
+    for e in range(4):
+        acc += c[:, :, e, None, None] * g[None, None, e, :, :]  # C_abe G_ecd
+    riem -= acc
+    del acc
+    riem = np.ascontiguousarray(np.moveaxis(riem, range(4), range(-4, 0)))
+    if struct_d1 is not None:
+        scale = np.asarray(e0_scale)[..., None, None, None]
+        dgamma = scale * levi_civita_coefficients(struct_d1)
+        # E_a(Gamma[b,c,d]) contributes only when a = 0 (resp. b = 0).
+        riem[..., 0, :, :, :] += dgamma
+        riem[..., :, 0, :, :] -= dgamma
+    return riem

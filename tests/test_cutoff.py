@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapselab import cutoff
+from collapselab.cli import main
 from collapselab.cutoff import (
     BaseInstanton,
     CutoffFamily,
@@ -21,7 +22,7 @@ from collapselab.cutoff import (
     volume_deficit,
 )
 from collapselab.frame_curvature import frame_from_riemann
-from collapselab.jets import Jet2, variable
+from collapselab.jets import Jet2, _libm, variable
 from collapselab.radial import (
     CurvatureSupNorms, Preset, curvature_at, make_metric, sample_grid, sup_norms, volume,
     w_ansatz_riemann,
@@ -140,12 +141,11 @@ def _unit_cap_norms(base, rhos):
     q = 4 if base is BaseInstanton.EGUCHI_HANSON else 2
     basis = [frame_from_riemann(w_ansatz_riemann(Jet2(*e), 1.0))
              for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
-    coef = []
-    for rho in rhos:
-        x = variable(float(rho))
-        h = _bump(x) / x**q
-        coef.append((h.value / rho**2, h.d1 / rho, h.d2))
-    coef = np.array(coef)
+    x = variable(rhos)
+    h = _bump(x) / x**q
+    # rho^2 through libm's pow, as the jets take every power: numpy's square
+    # differs from it in the last bit at some radii
+    coef = np.stack([h.value / _libm(pow, rhos, 2), h.d1 / rhos, h.d2], axis=1)
     ricci = np.einsum("nk,kab->nab", coef, np.array([b.ricci for b in basis]))
     scalar = coef @ np.array([b.scalar for b in basis])
     return np.abs(ricci).max(axis=(1, 2)), np.abs(scalar)
@@ -168,7 +168,7 @@ def test_unit_cap_suprema_are_certified(base):
         assert sup >= coarse.max()
         peak = rhos[coarse.argmax()]
         zoom = np.linspace(max(peak - step, 1.0), min(peak + step, 2.0), 401)
-        fine = max(norm(unit_cap_curvature(base, float(rho))) for rho in zoom)
+        fine = np.max(norm(unit_cap_curvature(base, zoom)))
         assert sup == pytest.approx(fine, rel=1e-9)
     eps = 0.2
     sampled = sup_norms(modified_metric(CutoffFamily(base, eps)), 120,
@@ -216,6 +216,20 @@ def test_quadratic_curvature_decay(base):
 def test_decay_sweep_needs_three_epsilons():
     with pytest.raises(ValueError):
         decay_sweep(BaseInstanton.BURNS, [0.1, 0.05])
+
+
+def test_decay_sweep_refuses_eps_below_float_resolution(tmp_path):
+    """Below eps = 3.86e-3 the noise bound 2^-52 / eps^4 passes 1e-6: the
+    unguarded sweep of 2e-4, 1e-4 and 5e-5 fitted the slope -1.21 and
+    exited 0.  The sweep stops short of computing any row, and the CLI
+    exits 2 without writing a summary."""
+    with pytest.raises(ValueError, match="epsilon=5e-05 is below float resolution"):
+        decay_sweep(BaseInstanton.EGUCHI_HANSON, [0.0002, 0.0001, 0.00005])
+    with pytest.raises(ValueError, match="below float resolution"):
+        decay_sweep(BaseInstanton.BURNS, [0.2, 0.1, 0.0038])
+    assert 2.0**-52 / 0.025**4 < cutoff.DECAY_NOISE_LIMIT  # the default sweep's last eps
+    assert main(["decay", "--out", str(tmp_path), "eps=0.0002,0.0001,0.00005"]) == 2
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_decay_sweep_rejects_vanishing_sup(monkeypatch):

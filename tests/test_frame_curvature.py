@@ -7,16 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapselab.cutoff import BaseInstanton, CutoffFamily, modified_metric
 from collapselab.frame_curvature import (
     PAIR_BASIS,
+    _factor_rows,
+    _riemann_plan,
     curvature_operator,
     frame_curvature,
     frame_from_riemann,
     levi_civita_coefficients,
     riemann_tensor,
 )
-from collapselab.submersion import homogeneous_curvature
-from oracles import su2_r
+from collapselab.radial import Preset, _structure_functions, make_metric
+from collapselab.submersion import heisenberg_r, homogeneous_curvature, nilmanifold_frame
+from oracles import dense_riemann_tensor, su2_r
 
 
 def test_pair_basis_orientation():
@@ -136,3 +140,92 @@ def test_sectional_extremes_bound_random_planes(coeffs):
     width = fr.sec_max - fr.sec_min
     assert secs.min() - fr.sec_min <= 0.05 * width + tol
     assert fr.sec_max - secs.max() <= 0.05 * width + tol
+
+
+def _radial_frames():
+    """(name, structure functions, r-derivatives, E_0 scale) of every
+    preset and of both cutoff families, each on one batch of radii (the
+    cutoff radii cross the core, the bump interior and the flat end)."""
+    for preset in Preset:
+        metric = make_metric(preset)
+        hi = metric.r_max if math.isfinite(metric.r_max) else 20.0
+        lo = max(metric.r_min, 1e-4 * hi)
+        radii = lo + (hi - lo) * np.linspace(0.01, 0.99, 33)
+        yield preset.value, *_structure_functions(metric, radii)
+    for base in BaseInstanton:
+        fam = CutoffFamily(base, 0.3)
+        radii = np.linspace(1.01 * fam.r_bolt, 0.9, 33)
+        yield f"cutoff-{base.value}", *_structure_functions(modified_metric(fam), radii)
+
+
+def _nilmanifold_struct(t):
+    """The structure functions of ``nilmanifold_frame(t)``, as
+    ``homogeneous_curvature`` scales them."""
+    rt = np.sqrt([1.0, 1.0, 1.0 / t, 1.0 / t])
+    return heisenberg_r().c * rt[None, None, :] / (rt[:, None, None] * rt[None, :, None])
+
+
+def test_radial_frame_forms_84_products():
+    """Every radial frame has 12 nonzero structure functions and 12 nonzero
+    connection coefficients of 64, so 36 products G G and 48 products C G
+    can change a bit per radius, of the 1024 + 1024 a full contraction
+    forms; a frame with no zero entry forms all 2048."""
+    for name, struct, _, _ in _radial_frames():
+        assert _riemann_plan(_factor_rows(struct)).products == 84, name
+    dense = np.random.default_rng(3).standard_normal((5, 4, 4, 4))
+    assert _riemann_plan(_factor_rows(dense)).products == 2048
+    assert _riemann_plan(_factor_rows(np.zeros((4, 4, 4)))).products == 0
+
+
+def test_model_frames_match_the_dense_oracle_bit_for_bit():
+    for name, struct, struct_d1, scale in _radial_frames():
+        got = riemann_tensor(struct, struct_d1, scale)
+        assert got.tobytes() == dense_riemann_tensor(struct, struct_d1, scale).tobytes(), name
+    for t in (1.0, 0.1):
+        want = dense_riemann_tensor(_nilmanifold_struct(t)).tobytes()
+        assert riemann_tensor(_nilmanifold_struct(t)).tobytes() == want
+        assert nilmanifold_frame(t).riemann4.tobytes() == want
+
+
+def _random_field(rng, batch, p_zero, p_part, negative_zero, non_finite):
+    """Normal draws of shape batch + (4, 4, 4) with entries zero on the
+    whole batch (probability p_zero), zero on part of it (p_part), zeros
+    turned to -0.0 at random, and two NaN or infinite entries."""
+    x = rng.standard_normal(batch + (4, 4, 4))
+    x[..., rng.random((4, 4, 4)) < p_zero] = 0.0
+    x[rng.random(x.shape) < p_part] = 0.0
+    if negative_zero:
+        x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+    if non_finite:
+        x.flat[rng.integers(x.size, size=2)] = rng.choice([np.nan, np.inf, -np.inf], size=2)
+    return x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(), (1,), (7,), (2, 3)]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 0.5),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["constant", "float", "per point"]),
+)
+def test_riemann_tensor_matches_the_dense_oracle_bit_for_bit(
+        seed, batch, p_zero, p_part, negative_zero, non_finite, scale):
+    """Random zero patterns, zeros on part of the batch, -0.0, NaN and inf,
+    with no derivatives, a float E_0 scale or one per point: every bit
+    equal, but for the sign of a NaN."""
+    rng = np.random.default_rng(seed)
+    fields = [_random_field(rng, batch, p_zero, p_part, negative_zero, non_finite)
+              for _ in range(2)]
+    args = {"constant": (fields[0],),
+            "float": (*fields, float(rng.standard_normal())),
+            "per point": (*fields, rng.standard_normal(batch))}[scale]
+    with np.errstate(all="ignore"):  # NaN and inf draws raise no warning here
+        got, want = riemann_tensor(*args), dense_riemann_tensor(*args)
+    assert got.shape == want.shape == batch + (4, 4, 4, 4)
+    # numpy returns either operand's NaN from NaN + NaN, by the element's
+    # place in its vector loop, so the sign of a NaN depends on the layout
+    got, want = (np.where(np.isnan(x), np.nan, x).tobytes() for x in (got, want))
+    assert got == want
