@@ -225,71 +225,46 @@ def unit_cap_curvature(base: BaseInstanton, rho) -> CurvatureFrame:
     return frame_from_riemann(w_ansatz_riemann(_cap_h(base, 1.0)(variable(rho)), rho))
 
 
-def _brent_max(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Largest value of fn found by Brent's method (parabolic steps where
-    they fit the bracket, golden-section steps where they do not) for its
-    maximum on [lo, hi], to a bracket of about 1.5e-8 relative: Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 5."""
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    x = w = v = lo + golden * (hi - lo)
-    fx = fw = fv = -fn(x)
-    d = e = 0.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        tol = 1.5e-8 * abs(x) + 1e-12
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
-            return -fx
-        parabolic = False
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            parabolic = abs(p) < abs(0.5 * q * e_prev) and q * (lo - x) < p < q * (hi - x)
-        if parabolic:
-            d = p / q
-            if x + d - lo < 2.0 * tol or hi - (x + d) < 2.0 * tol:
-                d = tol if x < mid else -tol
-        else:
-            e = (hi - x) if x < mid else (lo - x)
-            d = golden * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = -fn(u)
-        if fu <= fx:
-            if u < x:
-                hi = x
-            else:
-                lo = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+#: rounds after which ``_refined_sup`` gives up: a smooth peak takes under
+#: 10 and a flat stretch, halved per round, about 20, so this is a fault
+_SEARCH_ROUNDS = 64
 
 
-def _refined_sup(values: Callable[[float], np.ndarray], lo: float, hi: float) -> np.ndarray:
+def _refined_sup(values: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> np.ndarray:
     """Per component, the supremum over [lo, hi] of the smooth vector function
-    ``values``: the best of a uniform grid of 64 cells (one batched call of
-    ``values`` on all 65 nodes), with every positive grid maximum bracketed
-    by its two neighbouring nodes and refined by Brent's method (one call
-    per step, on a float)."""
+    ``values`` (one row of components per point): the best of a uniform grid
+    of 64 cells, with every positive interior grid maximum refined by
+    successive parabolic interpolation, one call of ``values`` per round for
+    all brackets (docs/conventions.md, "Attained suprema")."""
     xs = np.linspace(lo, hi, 65)
     grid = values(xs)
     best = grid.max(axis=0)
-    padded = np.pad(grid, ((1, 1), (0, 0)), constant_values=-np.inf)
-    peak = (grid > 0.0) & (grid >= padded[:-2]) & (grid >= padded[2:])
-    for i, j in zip(*np.nonzero(peak)):
-        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, 64)])
-        best[j] = max(best[j], _brent_max(lambda x: float(values(x)[j]), a, b))
+    inner = grid[1:-1]
+    i, j = np.nonzero((inner > 0.0) & (inner >= grid[:-2]) & (inner >= grid[2:]))
+    near = i + np.arange(3)[:, None]  # node indices of (a, m, b)
+    x, f = xs[near], grid[near, j]
+    rounds = 0
+    while j.size:  # brackets (a, m, b) with f(m) >= f(a), f(b)
+        if rounds == _SEARCH_ROUNDS:
+            raise RuntimeError(f"parabolic search did not converge in {rounds} rounds")
+        rounds += 1
+        (a, m, b), (fa, fm, fb) = x, f
+        da, db = m - a, b - m
+        # the parabola's vertex is m - num / (2 den); den >= 0, and 0 only
+        # where fa = fm = fb; |num / den| <= max(da, db)
+        num = da * da * (fm - fb) - db * db * (fm - fa)
+        den = da * (fm - fb) + db * (fm - fa)
+        u = m - 0.5 * num / np.where(den > 0.0, den, 1.0)
+        fallback = np.where(db > da, 0.5 * (m + b), 0.5 * (a + m))
+        u = np.where((den > 0.0) & (a < u) & (u < b), u, fallback)
+        fu = values(u)[np.arange(u.size), j]
+        np.maximum.at(best, j, fu)
+        # keep the best of a < x1 < x2 < b (x1 or x2) and its two neighbours
+        x1, x2, f1, f2 = np.where(u < m, [u, m, fu, fm], [m, u, fm, fu])
+        live = np.abs(u - m) > 1.5e-8 * np.abs(m) + 1e-12
+        x = np.where(f2 > f1, [x1, x2, b], [a, x1, x2])[:, live]
+        f = np.where(f2 > f1, [f1, f2, fb], [fa, f1, f2])[:, live]
+        j = j[live]
     return best
 
 
@@ -317,10 +292,9 @@ def unit_cap(base: BaseInstanton) -> UnitCap:
     volume form at every scale.
     """
 
-    def norms(rho) -> np.ndarray:
+    def norms(rho: np.ndarray) -> np.ndarray:
         fr = unit_cap_curvature(base, rho)
-        ricci = fr.ricci.reshape(np.shape(rho) + (16,))
-        return np.abs(np.concatenate([ricci, np.expand_dims(fr.scalar, -1)], axis=-1))
+        return np.abs(np.column_stack([fr.ricci.reshape(-1, 16), fr.scalar]))
 
     sups = _refined_sup(norms, 1.0, 2.0)
 

@@ -2,7 +2,7 @@
 of the rational elliptic surface with 8 instanton caps, cylinder-end fiber
 sums, and Burns-cap blow-ups, with per-family collapse certificates.
 
-No global coordinates are ever built; each chart carries its own certified
+No global coordinates are ever built; each chart carries its own closed-form
 volume and curvature sup-norms, and gluing is bookkeeping: every neck and
 flat block ends on the same flat cylinder (circle x (T^2, f/t)), so the
 pieces match isometrically by construction.
@@ -186,7 +186,7 @@ def orbifold_family(fiber_gram: np.ndarray, t: float) -> ChartedFamily:
     if nearest < 4.0 * eps - 1e-12:
         raise ValueError(f"cap schedule violates disjointness: distance {nearest:.4g} < 4 eps")
 
-    ball_vol = math.pi**2 * (2.0 * eps) ** 4 / 4.0
+    ball_vol = CutoffFamily(BaseInstanton.EGUCHI_HANSON, eps).link_volume * (2.0 * eps) ** 4 / 4.0
     flat_vol = 2.0 * math.pi * 4.0 * alpha / t - 8.0 * ball_vol
     if flat_vol <= 0.0:
         raise ValueError("caps exceed the available flat volume")
@@ -244,14 +244,13 @@ def assemble_surface_model(
             raise ValueError("t must be >= 1")
         charts: list[Chart] = []
         removed = 0.0
-        burns_eps = None
+        burns = None
         if blowups > 0:
             # Euclidean balls of radius rho_t fit inside the collapsed flat
             # region; shrink the caps with the available room
             rho_t = min(inj, math.pi) / (2.0 * math.sqrt(t))
-            burns_eps = rho_t / (2.0 * blowups)
-            ball = 2.0 * math.pi**2 * (2.0 * burns_eps) ** 4 / 4.0
-            removed = blowups * ball
+            burns = CutoffFamily(BaseInstanton.BURNS, rho_t / (2.0 * blowups))
+            removed = blowups * (burns.link_volume * (2.0 * burns.epsilon) ** 4 / 4.0)
         if removed >= collapse_metric(bundle, t).total_volume():
             raise ValueError("requested caps exceed the available flat volume")
         charts.append(_bundle_block(bundle, t, removed=removed))
@@ -259,8 +258,8 @@ def assemble_surface_model(
         if fiber_sums > 0:
             neck = Chart(ChartKind.CYLINDER_NECK, 2.0 * math.pi * alpha / t, 0.0, 0.0)
             charts += [neck, *orbifold_family(fiber_gram, t).charts] * fiber_sums
-        if burns_eps is not None:
-            charts += [burns_cap(burns_eps)] * blowups
+        if burns is not None:
+            charts += [burns_cap(burns.epsilon)] * blowups
         return ChartedFamily(
             charts=tuple(charts),
             parameter=t,

@@ -209,17 +209,6 @@ class CurvatureSupNorms:
     sup_scalar: float
 
 
-def _vdc(k: int) -> float:
-    """Van der Corput base-2 point in (0,1); prefixes nest, so suprema are
-    monotone non-decreasing in the sample count."""
-    x, denom = 0.0, 0.5
-    while k:
-        x += (k & 1) * denom
-        k >>= 1
-        denom *= 0.5
-    return x
-
-
 def sample_grid(r_lo: float, r_hi: float, samples: int) -> np.ndarray:
     """Nested geometric grid in (r_lo, r_hi), a finite range."""
     if samples < 2:
@@ -227,8 +216,11 @@ def sample_grid(r_lo: float, r_hi: float, samples: int) -> np.ndarray:
     if not 0.0 < r_lo < r_hi < math.inf:
         raise ValueError("empty or invalid radial range")
     ratio = r_hi / r_lo
-    ts = np.array([_vdc(k + 1) for k in range(samples)])
-    return r_lo * ratio**ts
+    # van der Corput base 2: k's binary digits mirrored about the binary point,
+    # exact dyadics in (0, 1) whose prefixes nest: suprema never fall as samples grow
+    k, width = np.arange(1, samples + 1), int(samples).bit_length()
+    mirrored = sum(((k >> d) & 1) << (width - 1 - d) for d in range(width))
+    return r_lo * ratio ** (mirrored / 2.0**width)
 
 
 def sup_norms(metric: RadialMetric, samples: int, r_lo: float, r_hi: float) -> CurvatureSupNorms:

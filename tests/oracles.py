@@ -15,6 +15,9 @@ energies of a radial metric by quadrature of ``curvature_at``
 (``weyl_integrals``), the algebra su(2) + R of S^3 x R for the
 left-invariant engine (``su2_r``), and the dense contractions that the
 sparse ``riemann_tensor`` must match bit for bit (``dense_riemann_tensor``).
+Two scalar loops check batched searches: the van der Corput points of
+``radial.sample_grid`` (``van_der_corput``) and the interior peaks of
+``cutoff._refined_sup`` (``zoomed_peak``).
 """
 
 import math
@@ -230,3 +233,31 @@ def dense_riemann_tensor(
         riem[..., 0, :, :, :] += dgamma
         riem[..., :, 0, :, :] -= dgamma
     return riem
+
+
+def van_der_corput(k: int) -> float:
+    """Van der Corput base-2 point k in (0, 1), one binary digit at a time."""
+    x, denom = 0.0, 0.5
+    while k:
+        x += (k & 1) * denom
+        k >>= 1
+        denom *= 0.5
+    return x
+
+
+def zoomed_peak(values, lo: float, hi: float, node: int, component: int, zooms: int = 6) -> float:
+    """Largest value of one component of the vector function ``values`` about
+    node ``node`` of the 65-node grid of [lo, hi]: a 401-point grid over the
+    node's two cells, zoomed ``zooms`` times to the two steps about its best
+    point (each zoom shrinks the span 200-fold)."""
+    xs = np.linspace(lo, hi, 65)
+    a, b = xs[node - 1], xs[node + 1]
+    best = -math.inf
+    for _ in range(zooms):
+        pts = np.linspace(a, b, 401)
+        f = values(pts)[:, component]
+        k = int(np.argmax(f))
+        best = max(best, float(f[k]))
+        step = pts[1] - pts[0]
+        a, b = max(pts[k] - step, lo), min(pts[k] + step, hi)
+    return best

@@ -211,13 +211,16 @@ def test_glue_slug_and_verdict(tmp_path):
 
 def test_radial_run_work_budget(tmp_path, monkeypatch):
     """The nine radial experiments of the benchmark, in one process with an
-    empty unit-cap cache, stay within four deterministic work budgets:
+    empty unit-cap cache, stay within these deterministic work budgets:
     - at most 1500 radii of curvature evaluations: 201 per ``curvature``
       preset, 480 per ``decay`` sweep and 63 for the round S^4 of
       ``charclass``, 1425 in all; the cutoff caps take none;
     - at most 12 ``curvature_at`` calls for them, one batch per sample
       grid or quadrature round (12 measured);
-    - at most 2100 cutoff bump elements (2058 measured), one per cap radius;
+    - at most 30 ``cutoff.unit_cap_curvature`` calls, one batch per sup
+      grid, parabolic-search round or quadrature round of the two unit
+      caps (27 measured);
+    - at most 2000 cutoff bump elements (1904 measured), one per cap radius;
     - at most 1500 jet square-root elements (1488 measured), one per
       W-ansatz radius;
     - exactly 15 fiber-lattice reductions: one per family rule and one per
@@ -225,8 +228,10 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
       and ``charclass``.
     """
     unit_cap.cache_clear()
-    counts = {"curvature_at": 0, "radii": 0, "_bump": 0, "sqrt": 0, "_reduced_basis": 0}
+    counts = {"curvature_at": 0, "radii": 0, "unit_cap_curvature": 0, "_bump": 0, "sqrt": 0,
+              "_reduced_basis": 0}
     engine = radial.curvature_at
+    unit_engine = cutoff.unit_cap_curvature
 
     def curvature(metric, r):
         counts["curvature_at"] += 1
@@ -239,6 +244,10 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
             return fn(jet)
         return wrapper
 
+    def unit_curvature(base, rho):
+        counts["unit_cap_curvature"] += 1
+        return unit_engine(base, rho)
+
     lattice = gluing._reduced_basis
 
     def reduced_basis(gram):
@@ -247,6 +256,7 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
 
     for module in (radial, cli, charclass):
         monkeypatch.setattr(module, "curvature_at", curvature)
+    monkeypatch.setattr(cutoff, "unit_cap_curvature", unit_curvature)
     monkeypatch.setattr(cutoff, "_bump", per_element("_bump", cutoff._bump))
     monkeypatch.setattr(Jet2, "sqrt", per_element("sqrt", Jet2.sqrt))
     monkeypatch.setattr(gluing, "_reduced_basis", reduced_basis)
@@ -264,7 +274,8 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
         run(ExperimentConfig(experiment, params, str(tmp_path), 1))
     assert counts["radii"] <= 1500
     assert counts["curvature_at"] <= 12
-    assert counts["_bump"] <= 2100
+    assert counts["unit_cap_curvature"] <= 30
+    assert counts["_bump"] <= 2000
     assert counts["sqrt"] <= 1500
     assert counts["_reduced_basis"] == 15
 

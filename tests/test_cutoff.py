@@ -1,6 +1,7 @@
 """Cutoff-modified instanton families: decay rates and volume deficits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from collapselab.radial import (
     CurvatureSupNorms, Preset, curvature_at, make_metric, sample_grid, sup_norms, volume,
     w_ansatz_riemann,
 )
+from oracles import zoomed_peak
 
 
 def test_bump_boundary_values():
@@ -175,6 +177,51 @@ def test_unit_cap_suprema_are_certified(base):
                         r_lo=eps, r_hi=3.0 * eps)
     assert unit.sup_ricci >= sampled.sup_ricci / eps**2
     assert unit.sup_scalar >= sampled.sup_scalar / eps**2
+
+
+def _synthetic(gaussians, cosines, constant):
+    """Vector function over an array of points: one component per Gaussian
+    (centre, width, height) and per cosine (frequency, phase, height), and
+    one constant component."""
+    def values(x):
+        cols = [h * np.exp(-0.5 * ((x - c) / w) ** 2) for c, w, h in gaussians]
+        cols += [h * np.cos(k * x + p) for k, p, h in cosines]
+        return np.column_stack(cols + [np.full(np.shape(x), constant)])
+    return values
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    gaussians=st.lists(st.tuples(st.floats(0.7, 2.3), st.floats(0.1, 0.6), st.floats(0.1, 10.0)),
+                       min_size=1, max_size=4),
+    cosines=st.lists(st.tuples(st.floats(0.5, 25.0), st.floats(0.0, 2.0 * math.pi),
+                               st.floats(0.1, 10.0)), min_size=1, max_size=3),
+    constant=st.floats(0.1, 10.0),
+)
+def test_refined_sup_attains_the_interior_peaks(gaussians, cosines, constant):
+    """Every component is at least its 65-node grid maximum, and where the
+    grid has positive interior maxima, within 1e-10 of the best of them
+    zoomed by the brute-force oracle (or of the grid maximum, if larger).
+    The constant component, a flat parabola at every node, warns of
+    nothing."""
+    values = _synthetic(gaussians, cosines, constant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sup = cutoff._refined_sup(values, 1.0, 2.0)
+    grid = values(np.linspace(1.0, 2.0, 65))
+    assert np.all(sup >= grid.max(axis=0))
+    inner = grid[1:-1]
+    peaks = (inner > 0.0) & (inner >= grid[:-2]) & (inner >= grid[2:])
+    for j in np.flatnonzero(peaks.any(axis=0)):
+        zoomed = [zoomed_peak(values, 1.0, 2.0, i + 1, j) for i in np.flatnonzero(peaks[:, j])]
+        assert sup[j] == pytest.approx(max(grid[:, j].max(), *zoomed), rel=1e-10)
+
+
+def test_refined_sup_gives_up_after_its_round_limit(monkeypatch):
+    monkeypatch.setattr(cutoff, "_SEARCH_ROUNDS", 1)
+    values = _synthetic([(1.503, 0.2, 1.0)], [], 1.0)
+    with pytest.raises(RuntimeError, match="did not converge in 1 rounds"):
+        cutoff._refined_sup(values, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("base", list(BaseInstanton))

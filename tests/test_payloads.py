@@ -58,9 +58,9 @@ GOLDEN = {
     "flat_profile.csv": "1b0df9cbdde7947ec7b07d76e4a69730ba9c84432064d685e5c1e558e58f8378",
     "glue_k0_l0.json": "11d09ab5ceff23aa7817995bd553cc4d0b30f79c2f5373875c251a2e01632794",
     "glue_k0_l0_certificate.csv": "b15b2f4caf0f6446f32bc7a3b6010a73e9c759e285481bf89edd3888dc5048ce",
-    "glue_k1_l0.json": "7259054a9401909d83296897e06b1de948cc1a0d47d26b5eb5ad01a881619adc",
+    "glue_k1_l0.json": "7d0789edcfabf5e1cd883b9208f51080a7e207a5c042ff368412b2f88fa04654",
     "glue_k1_l0_certificate.csv": "e80841e623bcd94939216d9853e7629f41b0fc7a825cd93507fba653e467af3f",
-    "glue_k1_l2.json": "d52df9f8d41dda85c712febdc30304ac0085f4304d78e50cc0fa74c13d8f8365",
+    "glue_k1_l2.json": "e9ff345f9521ccf4f0039faf4dedb67385469adc36d55ec8cdd923c2afacb957",
     "glue_k1_l2_certificate.csv": "da4bc8ce0e3100414d8fa91028d63ec1ba22e19b424f47768b2f5180c788c881",
     "round.json": "38b9c44b7a83b8249ffcb1b455e4df64c7bebd54fde7c485661ab6e2b58f50c5",
     "round_profile.csv": "ce90eb530eb6ad99957a76f42f22085bef576b9a839aa77700183f2ad0728260",

@@ -20,7 +20,7 @@ from collapselab.radial import (
     w_ansatz_profile,
 )
 from collapselab.jets import Jet2
-from oracles import radial_invariants_fd, radial_metric_components
+from oracles import radial_invariants_fd, radial_metric_components, van_der_corput
 
 
 @pytest.mark.parametrize("A", [0.5, 1.0, 2.0])
@@ -123,6 +123,18 @@ def test_domain_guard():
 def test_sample_grid_needs_a_finite_range(lo, hi):
     with pytest.raises(ValueError, match="invalid radial range"):
         sample_grid(lo, hi, 10)
+
+
+def test_sample_grid_matches_the_scalar_van_der_corput_loop_bit_for_bit():
+    """The grid's exponents, mirrored binary digits formed for all k at once,
+    are the scalar loop's exact dyadics on every sample count from 2 to 513
+    and on each power of two up to 4096 and its two neighbours."""
+    lo, hi = 0.3, 7.0
+    points = np.array([van_der_corput(k) for k in range(1, 4098)])
+    counts = set(range(2, 514)) | {2**p + d for p in range(10, 13) for d in (-1, 0, 1)}
+    for n in sorted(counts):
+        expected = lo * (hi / lo) ** points[:n].copy()
+        assert sample_grid(lo, hi, n).tobytes() == expected.tobytes()
 
 
 def test_w_ansatz_profile_computes_one_square_root_per_radius(monkeypatch):
