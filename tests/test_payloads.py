@@ -1,6 +1,7 @@
 """Golden payloads: the seed-1 artifacts of the nine radial experiments of
-the benchmark, plus the default ``flat`` and ``round`` curvature runs and the
-collapse runs of the other bundle models, carry pinned sha256 values.
+the benchmark and its ``yamabe n=20`` run, plus the default ``flat`` and
+``round`` curvature runs and the collapse runs of the other bundle models,
+carry pinned sha256 values.
 
 Each summary's ``sha256`` (of its results) and each CSV's ``# sha256=``
 header (of its table) must repeat exactly, so a change that moves any bit of
@@ -29,6 +30,7 @@ RUNS = (
     ("collapse", {"bundle": "twisted"}),
     ("collapse", {"bundle": "nilmanifold"}),
     ("glue", {"bundle": "nilmanifold", "fiber_sums": 0}),
+    ("yamabe", {"n": 20}),
 )
 
 GOLDEN = {
@@ -64,6 +66,8 @@ GOLDEN = {
     "glue_k1_l2_certificate.csv": "da4bc8ce0e3100414d8fa91028d63ec1ba22e19b424f47768b2f5180c788c881",
     "round.json": "38b9c44b7a83b8249ffcb1b455e4df64c7bebd54fde7c485661ab6e2b58f50c5",
     "round_profile.csv": "ce90eb530eb6ad99957a76f42f22085bef576b9a839aa77700183f2ad0728260",
+    "yamabe.json": "29c1a4005e936d8ba6212bd78e7b681b4b5073b673bf70e99423ce027f5548ba",
+    "yamabe_descent.csv": "0ae761ee8339c0d301d2d8835682bb2b030dc7aa94b0092f3aa4434370faba41",
 }
 
 
