@@ -16,7 +16,9 @@ for base in BaseInstanton:
     table = decay_sweep(base, EPS)
     print(f"{base.value}: fitted decay slope = {table.fitted_slope:.3f} "
           f"(expect about 2)")
-    print(table.to_csv())
+    print("  epsilon   sup norm")
+    for eps, sup in table.rows:
+        print(f"  {eps:<8}  {sup:.6e}")
 
 print("volume deficits of the graft at eps = 0.5:")
 eps = 0.5

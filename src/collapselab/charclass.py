@@ -15,7 +15,6 @@ topological quantity -12 pi^2 tau.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ from .submersion import BundleKind, SubmersionMetric, nilmanifold_frame
 
 __all__ = [
     "CharDensities",
-    "WeylSweepTable",
     "densities_at",
     "product_surface_frame",
     "integrate_characteristics",
@@ -99,28 +97,11 @@ def integrate_characteristics(metric: RadialMetric | SubmersionMetric) -> dict[s
     return {"two_chi_plus_three_tau": float(gb), "tau": float(sig)}
 
 
-@dataclass(frozen=True)
-class WeylSweepTable:
-    """Rows (t, int |W+|^2 dmu, int |W-|^2 dmu, tau estimate) of a sweep."""
-
-    rows: tuple[tuple[float, float, float, float], ...]
-
-    @property
-    def wplus_values(self) -> tuple[float, ...]:
-        return tuple(r[1] for r in self.rows)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,wplus_integral,wminus_integral,tau_estimate\n")
-        for t, wp, wm, tau in self.rows:
-            buf.write(f"{t:.6e},{wp:.12e},{wm:.12e},{tau:.12e}\n")
-        return buf.getvalue()
-
-
-def wplus_sweep(family_rule, t_list) -> WeylSweepTable:
+def wplus_sweep(family_rule, t_list) -> tuple[tuple[float, float, float, float], ...]:
     """Evaluate int |W+|^2 dmu and int |W-|^2 dmu along a glued family.
 
-    ``family_rule`` maps t to a ChartedFamily.  Each row also reports
+    ``family_rule`` maps t to a ChartedFamily.  Returns one row
+    (t, int |W+|^2 dmu, int |W-|^2 dmu, tau estimate) per t: the last is
     tau = (int |W+|^2 - int |W-|^2) / 12 pi^2, the signature recovered from
     the sweep; when the self-dual part dies off the remaining anti-self-dual
     energy is -12 pi^2 tau.
@@ -135,4 +116,4 @@ def wplus_sweep(family_rule, t_list) -> WeylSweepTable:
             raise TypeError(f"family rule returned unsupported {type(model).__name__}")
         wp, wm = model.wplus_energy, model.wminus_energy
         rows.append((t, wp, wm, (wp - wm) / (12.0 * math.pi**2)))
-    return WeylSweepTable(tuple(rows))
+    return tuple(rows)

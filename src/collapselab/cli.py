@@ -1,9 +1,11 @@
 """Configuration-driven experiment runner.
 
-Each subcommand runs one experiment from the library, writes its tables as
-CSV and its summary as JSON under the output directory, and embeds the
-resolved configuration plus a content hash in every artifact so a run can
-be diffed and reproduced exactly.  Timestamps live only in a ``.meta.json``
+Each subcommand runs one experiment from the library.  Its runner returns
+every table as data, ``(header, specs, rows)`` with one ``format`` spec per
+column, and ``_write_artifacts`` alone turns the tables into CSV and the
+summary into JSON under the output directory, embedding the resolved
+configuration plus a content hash in every artifact so a run can be diffed
+and reproduced exactly.  Timestamps live only in a ``.meta.json``
 sidecar, keeping the payload byte-identical across reruns with the same
 configuration and seed.  The ``report`` subcommand evaluates the acceptance
 registry (``collapselab.acceptance``) on the summaries in an output
@@ -133,26 +135,20 @@ def _payload_hash(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _config_dict(config: ExperimentConfig) -> dict:
-    return {
-        "experiment": config.experiment,
-        "parameters": config.parameters,
-        "seed": config.seed,
-    }
-
-
 def _write_artifacts(config: ExperimentConfig, slug: str, tables: dict, results: dict):
+    """Write each table ``name: (header, specs, rows)`` as ``{slug}_{name}.csv``,
+    the cell in column j being ``format(row[j], specs[j])`` (an empty spec is
+    ``str``, so ``repr`` for a float), then the summary and its sidecar."""
     out = Path(config.output_path)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = _config_dict(config)
+    cfg = {"experiment": config.experiment, "parameters": config.parameters, "seed": config.seed}
+    head = "".join(f"# {k}={json.dumps(v, sort_keys=True)}\n" for k, v in sorted(cfg.items()))
     written = []
-    for name, csv_text in tables.items():
-        head = "".join(
-            f"# {k}={json.dumps(v, sort_keys=True)}\n" for k, v in sorted(cfg.items())
-        )
-        head += f"# sha256={hashlib.sha256(csv_text.encode()).hexdigest()}\n"
+    for name, (header, specs, rows) in tables.items():
+        csv_text = "\n".join([header, *(",".join(map(format, row, specs)) for row in rows)]) + "\n"
         path = out / f"{slug}_{name}.csv"
-        path.write_text(head + csv_text)
+        path.write_text(f"{head}# sha256={hashlib.sha256(csv_text.encode()).hexdigest()}\n"
+                        + csv_text)
         written.append(path)
     summary = {"config": cfg, "results": results, "sha256": _payload_hash(results)}
     path = out / f"{slug}.json"
@@ -183,9 +179,8 @@ def _run_curvature(params: dict, seed: int):
     at_2 = lo < 2.0 < hi
     fr = curvature_at(metric, np.append(radii, 2.0) if at_2 else radii)
     columns = (fr.scalar, fr.sup_ricci, fr.riemann_norm2, fr.w_plus_norm2, fr.w_minus_norm2)
-    rows = ["r,scalar,sup_ricci,riemann_norm2,wplus_norm2,wminus_norm2"]
-    for r, *values in zip(radii.tolist(), *(c.tolist() for c in columns)):
-        rows.append(",".join(f"{x:.12e}" for x in (r, *values)))
+    profile = ("r,scalar,sup_ricci,riemann_norm2,wplus_norm2,wminus_norm2", (".12e",) * 6,
+               list(zip(radii.tolist(), *(c.tolist() for c in columns))))
     n = len(radii)
     results = {
         "preset": preset.value,
@@ -194,7 +189,7 @@ def _run_curvature(params: dict, seed: int):
         "sup_ricci_at_r2": float(fr.sup_ricci[n]) if at_2 else None,
         "n_radii": n,
     }
-    return {"profile": "\n".join(rows) + "\n"}, results, params["preset"]
+    return {"profile": profile}, results, params["preset"]
 
 
 def _run_decay(params: dict, seed: int):
@@ -216,7 +211,9 @@ def _run_decay(params: dict, seed: int):
         "deficit_vs_closed_form_rel": abs(deficit - closed_form) / closed_form,
         "deficit_over_stated": deficit / stated,
     }
-    return {"sweep": table.to_csv()}, results, f"decay_{base.value}"
+    rows = [(eps, s, math.log(eps), math.log(s)) for eps, s in table.rows]
+    sweep = ("epsilon,sup_norm,log_eps,log_sup", ("",) * 4, rows)
+    return {"sweep": sweep}, results, f"decay_{base.value}"
 
 
 def _run_collapse(params: dict, seed: int):
@@ -224,25 +221,21 @@ def _run_collapse(params: dict, seed: int):
     t_list = [float(t) for t in params["t"]]
     if not t_list:
         raise ValueError("need at least one parameter value t")
-    rows = ["t,volume,volume_times_t,k_h,k_p"]
-    records = []
+    rows = []
     for t in t_list:
         m = collapse_metric(bundle, t)
         cur = oneill_at(m)
-        rows.append(
-            f"{t:.6e},{m.total_volume():.12e},{m.total_volume() * t:.12e},"
-            f"{cur.K_H:.12e},{cur.K_P:.12e}"
-        )
-        records.append((t, m.total_volume(), cur.K_H, cur.K_P))
-    vol1 = records[0][1] * records[0][0]
+        vol = m.total_volume()
+        rows.append((t, vol, vol * t, cur.K_H, cur.K_P))
     results = {
         "bundle": params["bundle"],
-        "volume_t_product_spread": max(abs(v * t - vol1) for t, v, *_ in records),
-        "k_h_values": [r[2] for r in records],
-        "k_p_values": [r[3] for r in records],
+        "volume_t_product_spread": max(abs(r[2] - rows[0][2]) for r in rows),
+        "k_h_values": [r[3] for r in rows],
+        "k_p_values": [r[4] for r in rows],
         "base_gauss_curvature": bundle.base.gauss_curvature,
     }
-    return {"family": "\n".join(rows) + "\n"}, results, f"collapse_{params['bundle']}"
+    family = ("t,volume,volume_times_t,k_h,k_p", (".6e",) + (".12e",) * 4, rows)
+    return {"family": family}, results, f"collapse_{params['bundle']}"
 
 
 def _run_glue(params: dict, seed: int):
@@ -251,13 +244,17 @@ def _run_glue(params: dict, seed: int):
         bundle, fiber_sums=int(params["fiber_sums"]), blowups=int(params["blowups"])
     )
     cert = certificate(fam, tuple(float(t) for t in params["t"]))
-    rows = ["t,volume,sup_ricci,sup_scalar"]
-    for t, vol, ric, s in cert.rows:
-        rows.append(f"{t:.6e},{vol:.12e},{ric:.12e},{s:.12e}")
-    results = json.loads(cert.to_json())
-    results["blowups"] = int(params["blowups"])
+    results = {
+        "schedule": cert.schedule,
+        "rows": [{"t": t, "total_volume": v, "sup_ricci": r, "sup_scalar": s}
+                 for t, v, r, s in cert.rows],
+        "verdict": cert.verdict.value,
+        "diagnostic": cert.diagnostic,
+        "blowups": int(params["blowups"]),
+    }
+    table = ("t,volume,sup_ricci,sup_scalar", (".6e",) + (".12e",) * 3, cert.rows)
     slug = f"glue_k{params['fiber_sums']}_l{params['blowups']}"
-    return {"certificate": "\n".join(rows) + "\n"}, results, slug
+    return {"certificate": table}, results, slug
 
 
 def _run_yamabe(params: dict, seed: int):
@@ -310,7 +307,8 @@ def _run_yamabe(params: dict, seed: int):
         "aubin_bounds": aubin,
         "aubin_n2_minus_4pi_chi_s2": aubin["2"] - 8.0 * math.pi,
     }
-    return {"descent": res.trace_csv()}, results, "yamabe"
+    descent = ("iteration,quotient,step", ("", ".16e", ".6e"), res.trace)
+    return {"descent": descent}, results, "yamabe"
 
 
 def _run_charclass(params: dict, seed: int):
@@ -324,8 +322,8 @@ def _run_charclass(params: dict, seed: int):
     fam = assemble_surface_model(
         bundle, fiber_sums=int(params["fiber_sums"]), blowups=int(params["blowups"])
     )
-    table = wplus_sweep(fam, [float(t) for t in params["t"]])
-    wp = table.wplus_values
+    rows = wplus_sweep(fam, [float(t) for t in params["t"]])
+    wp = [r[1] for r in rows]
     results = {
         "round_s4": s4,
         "flat_t4": flat,
@@ -333,10 +331,11 @@ def _run_charclass(params: dict, seed: int):
         "wplus_first": wp[0],
         "wplus_last": wp[-1],
         "wplus_monotone_decreasing": all(b < a for a, b in zip(wp, wp[1:])),
-        "wminus_last": table.rows[-1][2],
-        "tau_estimate": table.rows[-1][3],
+        "wminus_last": rows[-1][2],
+        "tau_estimate": rows[-1][3],
     }
-    return {"wplus_sweep": table.to_csv()}, results, "charclass"
+    table = ("t,wplus_integral,wminus_integral,tau_estimate", (".6e",) + (".12e",) * 3, rows)
+    return {"wplus_sweep": table}, results, "charclass"
 
 
 def _run_classify(params: dict, seed: int):
@@ -362,14 +361,11 @@ def _run_classify(params: dict, seed: int):
             value = yamabe_value(blow_up_surface(minimal, k)).value
             worst = max(worst, abs(value - expected), abs(value - alt))
     results = {"answers": answers, "value_check_max_abs": worst}
-    rows = ["name,kod,sign,value_known,value"]
+    rows = []
     for row in answers:
         ans = row["answer"]
-        rows.append(
-            f"{row['name']},{row['kod']},{ans['sign']},"
-            f"{ans['value_known']},{ans['value']}"
-        )
-    return {"table": "\n".join(rows) + "\n"}, results, "classify"
+        rows.append((row["name"], row["kod"], ans["sign"], ans["value_known"], ans["value"]))
+    return {"table": ("name,kod,sign,value_known,value", ("",) * 5, rows)}, results, "classify"
 
 
 _RUNNERS = {

@@ -17,7 +17,6 @@ just up to truncation error.
 
 from __future__ import annotations
 
-import io
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -213,13 +212,6 @@ class DescentResult:
     iterations: int
     converged: bool
     trace: list[tuple[int, float, float]] = field(default_factory=list)
-
-    def trace_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("iteration,quotient,step\n")
-        for it, q, step in self.trace:
-            buf.write(f"{it},{q:.16e},{step:.6e}\n")
-        return buf.getvalue()
 
 
 def minimize_yamabe(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -144,14 +143,6 @@ class SweepTable:
 
     rows: list[tuple[float, float]]
     fitted_slope: float
-    base: BaseInstanton
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("epsilon,sup_norm,log_eps,log_sup\n")
-        for eps, s in self.rows:
-            buf.write(f"{eps!r},{s!r},{math.log(eps)!r},{math.log(s)!r}\n")
-        return buf.getvalue()
 
 
 #: largest relative noise bound 2^-52 / eps^4 of the engine on a cap's
@@ -193,7 +184,7 @@ def decay_sweep(
         rows.append((eps, value))
     logs = np.log(np.asarray(rows))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
-    return SweepTable(rows=rows, fitted_slope=slope, base=base)
+    return SweepTable(rows=rows, fitted_slope=slope)
 
 
 def volume_deficit(family: CutoffFamily, R: float) -> float:

@@ -11,7 +11,6 @@ pieces match isometrically by construction.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -92,20 +91,6 @@ class CollapseCertificate:
     verdict: Verdict
     schedule: str = ""
     diagnostic: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schedule": self.schedule,
-                "rows": [
-                    {"t": t, "total_volume": v, "sup_ricci": r, "sup_scalar": s}
-                    for t, v, r, s in self.rows
-                ],
-                "verdict": self.verdict.value,
-                "diagnostic": self.diagnostic,
-            },
-            indent=2,
-        )
 
 
 # --------------------------------------------------------------------------

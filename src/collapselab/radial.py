@@ -345,8 +345,9 @@ def _adaptive_gk21(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, t
         return _adaptive_gk21(mapped, 0.0, 1.0, tol)
     ints, errs, rounds = _gk21(fn, np.array([a]), np.array([b]))
     integral, global_err, rounding = ints[0], errs[0], rounds[0]
-    panels = {(a, b): integral}
-    heap = [(-global_err, a, b)]
+    # distinct panels have distinct lo, and a NaN error decides the tuple
+    # comparison, so the panel integrals in the heap are never compared
+    heap = [(-global_err, a, b, integral)]
     status = 1
     while len(heap) < _PANEL_LIMIT:
         target = max(tol, tol * _max_norm(integral))
@@ -354,25 +355,23 @@ def _adaptive_gk21(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, t
         while heap and len(batch) < 128:
             if batch and err_sum > global_err - target / 8:
                 break
-            neg_err, lo, hi = heapq.heappop(heap)
-            batch.append((-neg_err, lo, hi, panels.pop((lo, hi))))
-            err_sum += -neg_err
+            batch.append(heapq.heappop(heap))
+            err_sum -= batch[-1][0]
         los = np.array([p[1] for p in batch])
         his = np.array([p[2] for p in batch])
         mids = 0.5 * (los + his)
         # the halves of panel k are panels 2k and 2k + 1
         ends = np.stack([los, mids, his], axis=1)
         ints, errs, rounds = _gk21(fn, ends[:, :2].ravel(), ends[:, 1:].ravel())
-        for k, (old_err, lo, hi, old_int) in enumerate(batch):
+        for k, (neg_err, lo, hi, old_int) in enumerate(batch):
             mid = float(mids[k])
             s1, s2 = ints[2 * k], ints[2 * k + 1]
             err1, err2 = errs[2 * k], errs[2 * k + 1]
             integral = integral + (s1 + s2 - old_int)
-            global_err += err1 + err2 - old_err
+            global_err += err1 + err2 + neg_err
             rounding += rounds[2 * k] + rounds[2 * k + 1]
-            for x1, x2, s, e in ((lo, mid, s1, err1), (mid, hi, s2, err2)):
-                panels[(x1, x2)] = s
-                heapq.heappush(heap, (-e, x1, x2))
+            heapq.heappush(heap, (-err1, lo, mid, s1))
+            heapq.heappush(heap, (-err2, mid, hi, s2))
         target = max(tol, tol * _max_norm(integral))
         if global_err < target / 8:
             status = 0

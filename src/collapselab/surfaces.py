@@ -7,7 +7,6 @@ scalar-curvature L^2 lower bound 32*pi^2*c1^2(X).
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, replace
 

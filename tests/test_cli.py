@@ -202,6 +202,37 @@ def test_report_runs_listed(tmp_path):
     assert table["runs"] == ["classify"]
 
 
+@pytest.mark.parametrize("experiment, params, name, header, n_rows", [
+    ("curvature", {"preset": "flat", "samples": 5}, "flat_profile",
+     "r,scalar,sup_ricci,riemann_norm2,wplus_norm2,wminus_norm2", 5),
+    ("decay", {"eps": [0.2, 0.1, 0.05], "samples": 60}, "decay_eguchi-hanson_sweep",
+     "epsilon,sup_norm,log_eps,log_sup", 3),
+    ("collapse", {"t": [1.0, 10.0]}, "collapse_trivial_family",
+     "t,volume,volume_times_t,k_h,k_p", 2),
+    ("glue", {"t": [1.0, 10.0, 100.0]}, "glue_k1_l0_certificate",
+     "t,volume,sup_ricci,sup_scalar", 3),
+    ("yamabe", {"n": 8, "max_iters": 3, "sweep_draws": 1}, "yamabe_descent",
+     "iteration,quotient,step", 4),
+    ("charclass", {"blowups": 1, "t": [1.0, 10.0]}, "charclass_wplus_sweep",
+     "t,wplus_integral,wminus_integral,tau_estimate", 2),
+    ("classify", {}, "classify_table", "name,kod,sign,value_known,value", 6),
+], ids=cli.EXPERIMENTS)
+def test_runner_tables(tmp_path, experiment, params, name, header, n_rows):
+    """Each runner's table reaches its CSV as the header line and one line
+    per row; the glue summary carries the certificate's verdict and rows."""
+    run(ExperimentConfig(experiment, params, str(tmp_path), 1))
+    text = (tmp_path / f"{name}.csv").read_text()
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    assert lines[0] == header
+    assert len(lines) == 1 + n_rows
+    if experiment == "glue":
+        results = _summary(tmp_path, "glue_k1_l0")["results"]
+        assert results["verdict"] == "BoundedRicciCollapse"
+        assert [row["t"] for row in results["rows"]] == params["t"]
+        vols = [row["total_volume"] for row in results["rows"]]
+        assert all(b < a for a, b in zip(vols, vols[1:]))
+
+
 def test_glue_slug_and_verdict(tmp_path):
     run(ExperimentConfig("glue", {"fiber_sums": 1, "blowups": 0,
                                   "t": [1.0, 10.0, 100.0]}, output_path=str(tmp_path)))

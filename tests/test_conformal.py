@@ -257,12 +257,6 @@ def test_descent_monotone_from_random_start():
     assert all(b <= a for a, b in zip(qs, qs[1:]))
 
 
-def test_descent_trace_csv(grid):
-    res = minimize_yamabe(grid, np.ones(grid.shape))
-    lines = res.trace_csv().splitlines()
-    assert lines[0] == "iteration,quotient,step"
-
-
 def test_holder_gap_cases(grid):
     u = 1.0 + 0.1 * np.cos(2.0 * np.pi * grid.axis_coordinate(1))
     const = np.full(grid.shape, 2.0)

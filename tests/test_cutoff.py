@@ -292,13 +292,6 @@ def test_decay_sweep_rejects_vanishing_sup(monkeypatch):
         decay_sweep(BaseInstanton.EGUCHI_HANSON, [0.2, 0.1, 0.05], samples=60)
 
 
-def test_sweep_table_csv():
-    table = decay_sweep(BaseInstanton.EGUCHI_HANSON, [0.2, 0.1, 0.05], samples=60)
-    lines = table.to_csv().splitlines()
-    assert lines[0] == "epsilon,sup_norm,log_eps,log_sup"
-    assert len(lines) == 4
-
-
 def test_volume_deficit_closed_forms():
     eps = 0.5
     eh = volume_deficit(CutoffFamily(BaseInstanton.EGUCHI_HANSON, eps), R=2.0)
