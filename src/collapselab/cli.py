@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,14 +32,7 @@ import numpy as np
 
 from .acceptance import evaluate, format_row
 from .charclass import densities_at, integrate_characteristics, product_surface_frame, wplus_sweep
-from .conformal import (
-    ConformalGrid,
-    aubin_bound,
-    conformal_scalar,
-    holder_gap,
-    minimize_yamabe,
-    negative_case_check,
-)
+from .conformal import ConformalGrid, _sign_sweeps, aubin_bound, conformal_scalar, minimize_yamabe
 from .cutoff import BaseInstanton, CutoffFamily, decay_sweep, volume_deficit
 from .gluing import assemble_surface_model, certificate
 from .radial import Preset, curvature_at, make_metric, sample_grid
@@ -253,8 +247,28 @@ def _run_glue(params: dict, seed: int):
         "blowups": int(params["blowups"]),
     }
     table = ("t,volume,sup_ricci,sup_scalar", (".6e",) + (".12e",) * 3, cert.rows)
-    slug = f"glue_k{params['fiber_sums']}_l{params['blowups']}"
+    slug = f"glue_{params['bundle']}_k{params['fiber_sums']}_l{params['blowups']}"
     return {"certificate": table}, results, slug
+
+
+def _conformal_law_orders() -> list:
+    """Convergence orders of the stencil transformation law to the closed form.
+
+    Over the flat base, u = 1 + a cos(2 pi x) has Delta u = a (2 pi)^2 cos(2 pi x),
+    so s_hat = (n-1) ell a (2 pi)^2 cos(2 pi x) / u^(ell+1).  u is constant
+    along axes 1-3, whose stencil terms are exactly 0.0, so the N^4 result
+    repeats one x-line bit for bit and (N, 8, 8, 8) gives the same errors.
+    """
+    a = 0.1
+    errs = []
+    for n_conv in (16, 32, 64):
+        g = ConformalGrid((n_conv, 8, 8, 8))
+        wave = np.cos(2.0 * np.pi * g.axis_coordinate(0))
+        u = 1.0 + a * wave
+        diff = conformal_scalar(g, u)
+        diff -= (g.n_dim - 1) * g.ell * a * (2.0 * np.pi) ** 2 * wave / u ** (g.ell + 1.0)
+        errs.append(float(np.max(np.abs(diff))))
+    return [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
 
 
 def _run_yamabe(params: dict, seed: int):
@@ -265,36 +279,17 @@ def _run_yamabe(params: dict, seed: int):
     grid = ConformalGrid(n_pts)
     x = grid.axis_coordinate(0)
     u0 = 1.0 + float(params["amplitude"]) * np.cos(2.0 * np.pi * x)
-    res = minimize_yamabe(grid, u0, int(params["max_iters"]), float(params["tolerance"]))
-    spread = float((res.u_star.max() - res.u_star.min()) / res.u_star.mean())
-
-    # convergence of the stencil transformation law to the closed form: over
-    # the flat base, u = 1 + a cos(2 pi x) has Delta u = a (2 pi)^2 cos(2 pi x),
-    # so s_hat = (n-1) ell a (2 pi)^2 cos(2 pi x) / u^(ell+1).  u is constant
-    # along axes 1-3, whose stencil terms are exactly 0.0, so the N^4 result
-    # repeats one x-line bit for bit and (N, 8, 8, 8) gives the same errors
-    a = 0.1
-    errs = []
-    for n_conv in (16, 32, 64):
-        g = ConformalGrid((n_conv, 8, 8, 8))
-        wave = np.cos(2.0 * np.pi * g.axis_coordinate(0))
-        u = 1.0 + a * wave
-        diff = conformal_scalar(g, u)
-        diff -= (g.n_dim - 1) * g.ell * a * (2.0 * np.pi) ** 2 * wave / u ** (g.ell + 1.0)
-        errs.append(float(np.max(np.abs(diff))))
-    orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
-
+    # built here, so a bad seed fails before the descent; from here on only
+    # the sweep thread draws from it
     rng = np.random.default_rng(seed)
-    min_gap = math.inf
-    small = ConformalGrid(8)
-    for _ in range(draws):
-        s_field = rng.standard_normal(small.shape)
-        u = rng.random(small.shape) + 0.5
-        min_gap = min(min_gap, holder_gap(small, s_field, u)["gap"])
-    max_ncc = -math.inf
-    for _ in range(min(draws, 100)):
-        u = rng.random(small.shape) + 0.5
-        max_ncc = max(max_ncc, negative_case_check(small, u))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # the seeded sign sweeps run on a second thread beside the descent
+        # and the conformal-law check, sharing no array with them
+        sweeps = pool.submit(_sign_sweeps, rng, draws)
+        res = minimize_yamabe(grid, u0, int(params["max_iters"]), float(params["tolerance"]))
+        orders = _conformal_law_orders()
+        min_gap, max_ncc = sweeps.result()
+    spread = float((res.u_star.max() - res.u_star.min()) / res.u_star.mean())
 
     aubin = {str(n): aubin_bound(n) for n in (2, 3, 4)}
     results = {
@@ -308,7 +303,7 @@ def _run_yamabe(params: dict, seed: int):
         "aubin_n2_minus_4pi_chi_s2": aubin["2"] - 8.0 * math.pi,
     }
     descent = ("iteration,quotient,step", ("", ".16e", ".6e"), res.trace)
-    return {"descent": descent}, results, "yamabe"
+    return {"descent": descent}, results, f"yamabe_n{n_pts}"
 
 
 def _run_charclass(params: dict, seed: int):

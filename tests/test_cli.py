@@ -1,11 +1,16 @@
 """Command-line experiment runner: artifacts, determinism, report collation."""
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
+import threading
 
 import numpy as np
 import pytest
 
+import collapselab
 from collapselab import charclass, cli, cutoff, frame_curvature, gluing, radial
 from collapselab.cli import ExperimentConfig, main, report, run
 from collapselab.cutoff import unit_cap
@@ -209,9 +214,9 @@ def test_report_runs_listed(tmp_path):
      "epsilon,sup_norm,log_eps,log_sup", 3),
     ("collapse", {"t": [1.0, 10.0]}, "collapse_trivial_family",
      "t,volume,volume_times_t,k_h,k_p", 2),
-    ("glue", {"t": [1.0, 10.0, 100.0]}, "glue_k1_l0_certificate",
+    ("glue", {"t": [1.0, 10.0, 100.0]}, "glue_trivial_k1_l0_certificate",
      "t,volume,sup_ricci,sup_scalar", 3),
-    ("yamabe", {"n": 8, "max_iters": 3, "sweep_draws": 1}, "yamabe_descent",
+    ("yamabe", {"n": 8, "max_iters": 3, "sweep_draws": 1}, "yamabe_n8_descent",
      "iteration,quotient,step", 4),
     ("charclass", {"blowups": 1, "t": [1.0, 10.0]}, "charclass_wplus_sweep",
      "t,wplus_integral,wminus_integral,tau_estimate", 2),
@@ -226,7 +231,7 @@ def test_runner_tables(tmp_path, experiment, params, name, header, n_rows):
     assert lines[0] == header
     assert len(lines) == 1 + n_rows
     if experiment == "glue":
-        results = _summary(tmp_path, "glue_k1_l0")["results"]
+        results = _summary(tmp_path, "glue_trivial_k1_l0")["results"]
         assert results["verdict"] == "BoundedRicciCollapse"
         assert [row["t"] for row in results["rows"]] == params["t"]
         vols = [row["total_volume"] for row in results["rows"]]
@@ -236,8 +241,82 @@ def test_runner_tables(tmp_path, experiment, params, name, header, n_rows):
 def test_glue_slug_and_verdict(tmp_path):
     run(ExperimentConfig("glue", {"fiber_sums": 1, "blowups": 0,
                                   "t": [1.0, 10.0, 100.0]}, output_path=str(tmp_path)))
-    summary = _summary(tmp_path, "glue_k1_l0")
+    summary = _summary(tmp_path, "glue_trivial_k1_l0")
     assert summary["results"]["verdict"] == "BoundedRicciCollapse"
+
+
+def test_runs_that_differ_in_bundle_or_size_keep_their_own_artifacts(tmp_path):
+    """The slug names the bundle of a glue run and the lattice size of a
+    yamabe run, so two such runs in one directory leave two summaries and
+    ``report`` reads both."""
+    for bundle in ("trivial", "twisted"):
+        run(ExperimentConfig("glue", {"bundle": bundle, "t": [1.0, 10.0, 100.0]},
+                             str(tmp_path), 1))
+    for n in (8, 9):
+        run(ExperimentConfig("yamabe", {"n": n, "max_iters": 3, "sweep_draws": 1},
+                             str(tmp_path), 1))
+    runs = ["glue_trivial_k1_l0", "glue_twisted_k1_l0", "yamabe_n8", "yamabe_n9"]
+    assert report(str(tmp_path))["runs"] == runs
+    for slug, (key, value) in zip(runs, [("bundle", "trivial"), ("bundle", "twisted"),
+                                         ("n", 8), ("n", 9)]):
+        assert _summary(tmp_path, slug)["config"]["parameters"][key] == value
+
+
+def _collapselab_modules():
+    return [importlib.import_module(f"collapselab.{m.name}")
+            for m in pkgutil.iter_modules(collapselab.__path__)]
+
+
+def test_yamabe_calls_public_functions_on_the_calling_thread(tmp_path, monkeypatch):
+    """The sweep thread of a yamabe run calls no public collapselab function.
+    Every such function, wrapped and rebound wherever a module names it (as
+    the benchmark's tracer does, with one span stack per process), is
+    called on the thread that runs the experiment."""
+    callers = []
+    wrapped = {}
+    modules = _collapselab_modules()
+    for mod in modules:
+        for name, obj in vars(mod).items():
+            if inspect.isfunction(obj) and obj.__module__ == mod.__name__ and name[0] != "_":
+                def recorder(*args, _fn=obj, **kwargs):
+                    callers.append(threading.get_ident())
+                    return _fn(*args, **kwargs)
+                wrapped[obj] = recorder
+    for mod in modules:
+        for name, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj) and obj in wrapped:
+                monkeypatch.setattr(mod, name, wrapped[obj])
+    run(ExperimentConfig("yamabe", {"n": 8, "sweep_draws": 20}, str(tmp_path), 1))
+    assert callers and set(callers) == {threading.get_ident()}
+
+
+def test_yamabe_leaves_no_thread_running(tmp_path):
+    before = threading.active_count()
+    run(ExperimentConfig("yamabe", {"n": 8, "sweep_draws": 20}, str(tmp_path), 1))
+    assert threading.active_count() == before
+
+
+def test_sweep_thread_value_error_exits_2(tmp_path, monkeypatch, capsys):
+    """A ValueError on the sweep thread reaches ``main`` as bad configuration."""
+    def failing(rng, draws):
+        raise ValueError("sweep refused")
+
+    monkeypatch.setattr(cli, "_sign_sweeps", failing)
+    before = threading.active_count()
+    assert main(["yamabe", "--out", str(tmp_path), "n=8"]) == 2
+    assert capsys.readouterr().err == "error: sweep refused\n"
+    assert threading.active_count() == before
+    assert not any(tmp_path.iterdir())
+
+
+def test_bad_seed_exits_2_before_the_descent(tmp_path, monkeypatch, capsys):
+    def descent(*args):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(cli, "minimize_yamabe", descent)
+    assert main(["yamabe", "--seed", "-1", "--out", str(tmp_path), "n=8"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_radial_run_work_budget(tmp_path, monkeypatch):

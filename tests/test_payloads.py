@@ -58,16 +58,19 @@ GOLDEN = {
         "a9dab7053f2bdf058f0e01dbc89c75fd6b98cbc35ede4ad8919230e4bd2e3f7b",
     "flat.json": "daff9470c9b15f878553ffc565efcc94affb7cf5a5ade6ff352ab74f46223981",
     "flat_profile.csv": "1b0df9cbdde7947ec7b07d76e4a69730ba9c84432064d685e5c1e558e58f8378",
-    "glue_k0_l0.json": "11d09ab5ceff23aa7817995bd553cc4d0b30f79c2f5373875c251a2e01632794",
-    "glue_k0_l0_certificate.csv": "b15b2f4caf0f6446f32bc7a3b6010a73e9c759e285481bf89edd3888dc5048ce",
-    "glue_k1_l0.json": "7d0789edcfabf5e1cd883b9208f51080a7e207a5c042ff368412b2f88fa04654",
-    "glue_k1_l0_certificate.csv": "e80841e623bcd94939216d9853e7629f41b0fc7a825cd93507fba653e467af3f",
-    "glue_k1_l2.json": "e9ff345f9521ccf4f0039faf4dedb67385469adc36d55ec8cdd923c2afacb957",
-    "glue_k1_l2_certificate.csv": "da4bc8ce0e3100414d8fa91028d63ec1ba22e19b424f47768b2f5180c788c881",
+    "glue_nilmanifold_k0_l0.json": "11d09ab5ceff23aa7817995bd553cc4d0b30f79c2f5373875c251a2e01632794",
+    "glue_nilmanifold_k0_l0_certificate.csv":
+        "b15b2f4caf0f6446f32bc7a3b6010a73e9c759e285481bf89edd3888dc5048ce",
+    "glue_trivial_k1_l0.json": "7d0789edcfabf5e1cd883b9208f51080a7e207a5c042ff368412b2f88fa04654",
+    "glue_trivial_k1_l0_certificate.csv":
+        "e80841e623bcd94939216d9853e7629f41b0fc7a825cd93507fba653e467af3f",
+    "glue_trivial_k1_l2.json": "e9ff345f9521ccf4f0039faf4dedb67385469adc36d55ec8cdd923c2afacb957",
+    "glue_trivial_k1_l2_certificate.csv":
+        "da4bc8ce0e3100414d8fa91028d63ec1ba22e19b424f47768b2f5180c788c881",
     "round.json": "38b9c44b7a83b8249ffcb1b455e4df64c7bebd54fde7c485661ab6e2b58f50c5",
     "round_profile.csv": "ce90eb530eb6ad99957a76f42f22085bef576b9a839aa77700183f2ad0728260",
-    "yamabe.json": "29c1a4005e936d8ba6212bd78e7b681b4b5073b673bf70e99423ce027f5548ba",
-    "yamabe_descent.csv": "0ae761ee8339c0d301d2d8835682bb2b030dc7aa94b0092f3aa4434370faba41",
+    "yamabe_n20.json": "29c1a4005e936d8ba6212bd78e7b681b4b5073b673bf70e99423ce027f5548ba",
+    "yamabe_n20_descent.csv": "0ae761ee8339c0d301d2d8835682bb2b030dc7aa94b0092f3aa4434370faba41",
 }
 
 
