@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -282,12 +283,18 @@ def _run_yamabe(params: dict, seed: int):
     # built here, so a bad seed fails before the descent; from here on only
     # the sweep thread draws from it
     rng = np.random.default_rng(seed)
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
         # the seeded sign sweeps run on a second thread beside the descent
-        # and the conformal-law check, sharing no array with them
-        sweeps = pool.submit(_sign_sweeps, rng, draws)
-        res = minimize_yamabe(grid, u0, int(params["max_iters"]), float(params["tolerance"]))
-        orders = _conformal_law_orders()
+        # and the conformal-law check, sharing no array with them; if those
+        # raise, the sweep stops at its next batch instead of running out
+        sweeps = pool.submit(_sign_sweeps, rng, draws, stop)
+        try:
+            res = minimize_yamabe(grid, u0, int(params["max_iters"]), float(params["tolerance"]))
+            orders = _conformal_law_orders()
+        except BaseException:
+            stop.set()
+            raise
         min_gap, max_ncc = sweeps.result()
     spread = float((res.u_star.max() - res.u_star.min()) / res.u_star.mean())
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,7 +344,8 @@ def negative_case_check(grid: ConformalGrid, u) -> float:
 _SWEEP_CHUNK = 8
 
 
-def _sign_sweeps(rng: np.random.Generator, draws: int) -> tuple[float, float]:
+def _sign_sweeps(rng: np.random.Generator, draws: int,
+                 stop: threading.Event) -> tuple[float, float]:
     """The seeded sign sweeps of the ``yamabe`` run on the 8^4 unit lattice:
     the least Hoelder gap over ``draws`` pairs s ~ N(0, 1), u ~ U[0.5, 1.5),
     then the largest negative-case integral over min(draws, 100) further u.
@@ -352,7 +354,8 @@ def _sign_sweeps(rng: np.random.Generator, draws: int) -> tuple[float, float]:
     from the same variates in the same order, evaluated _SWEEP_CHUNK draws
     at a time.  It runs on a worker thread beside the descent, so it calls
     no public function of the package: a tracer that wraps those keeps one
-    span stack per process.
+    span stack per process.  Once ``stop`` is set, which the run does when
+    the descent fails, the next batch returns (nan, nan) instead.
     """
     grid = ConformalGrid(8)
     cell = grid.cell_volume
@@ -360,6 +363,8 @@ def _sign_sweeps(rng: np.random.Generator, draws: int) -> tuple[float, float]:
     u = np.empty_like(s_field)
     min_gap = math.inf
     for start in range(0, draws, _SWEEP_CHUNK):
+        if stop.is_set():
+            return math.nan, math.nan
         k = min(_SWEEP_CHUNK, draws - start)
         for i in range(k):
             rng.standard_normal(out=s_field[i])
@@ -371,6 +376,8 @@ def _sign_sweeps(rng: np.random.Generator, draws: int) -> tuple[float, float]:
     max_negative = -math.inf
     checks = min(draws, 100)
     for start in range(0, checks, _SWEEP_CHUNK):
+        if stop.is_set():
+            return math.nan, math.nan
         k = min(_SWEEP_CHUNK, checks - start)
         rng.random(out=u[:k])
         u[:k] += 0.5

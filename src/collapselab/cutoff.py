@@ -29,7 +29,7 @@ from .radial import (
     _CURVATURE_QUAD_TOL,
     _integrate,
     flat_profile,
-    sup_norms,
+    sample_grid,
     volume,
     w_ansatz_profile,
     w_ansatz_riemann,
@@ -118,11 +118,14 @@ def _link_volume(base: BaseInstanton) -> float:
     return math.pi**2 if base is BaseInstanton.EGUCHI_HANSON else 2.0 * math.pi**2
 
 
-def _cap_h(base: BaseInstanton, eps: float) -> Callable[[Jet2], Jet2]:
-    """h(r) = phi(r/eps) eps^p / r^q of the cap of scale eps; eps = 1 is the
-    unit cap."""
+def _cap_h(base: BaseInstanton, eps) -> Callable[[Jet2], Jet2]:
+    """h(r) = phi(r/eps) eps^p / r^q of the cap of scale eps, one float or an
+    array of one eps per radius; eps = 1 is the unit cap.  Each eps^p is a
+    Python float power, so a batch over several eps keeps, radius by radius,
+    the bits of one call per eps."""
     p, q, _ = _FAMILY_EXPONENTS[base]
-    return lambda x: _bump(x / eps) * (eps**p) / x**q
+    scale = np.array([e**p for e in eps.tolist()]) if np.ndim(eps) else eps**p
+    return lambda x: _bump(x / eps) * scale / x**q
 
 
 def modified_metric(family: CutoffFamily) -> RadialMetric:
@@ -162,10 +165,12 @@ def decay_sweep(
     sampled on [eps, 3 eps]: the core r < eps is the Ricci-flat or
     scalar-flat instanton, so it contributes exactly 0.  A sup norm that is
     not finite and positive has no logarithm and raises RuntimeError.  The
-    sweep samples the engine, not ``unit_cap``, whose scaled constants
-    would fit the slope 2 by construction.  W = 1 - eps^4 H stores the cap
-    with about 16 + 4 log10(eps) digits, so an eps whose noise bound
-    2^-52 / eps^4 exceeds ``DECAY_NOISE_LIMIT`` raises ValueError.
+    cap of each eps is evaluated in closed form at the radii r of its own
+    grid, ``sample_grid(eps, 3 eps, samples)``, all eps in one batched
+    ``cap_curvature`` call; it is not read off ``unit_cap``'s constants,
+    which eps^2 scales to the slope 2 by construction.  An eps whose noise
+    bound 2^-52 / eps^4 exceeds ``DECAY_NOISE_LIMIT`` raises ValueError
+    (docs/conventions.md, "Decay below float resolution").
     """
     eps_values = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(eps_values) < 3:
@@ -174,14 +179,13 @@ def decay_sweep(
     if 0.0 < smallest and smallest**4 * DECAY_NOISE_LIMIT < 2.0**-52:
         raise ValueError(f"epsilon={smallest} is below float resolution: the noise bound "
                          f"2^-52 / eps^4 exceeds {DECAY_NOISE_LIMIT:g} for eps < 3.86e-3")
-    rows: list[tuple[float, float]] = []
-    for eps in eps_values:
-        metric = modified_metric(CutoffFamily(base, eps))
-        sn = sup_norms(metric, samples, r_lo=eps, r_hi=3.0 * eps)
-        value = sn.sup_ricci if base is BaseInstanton.EGUCHI_HANSON else sn.sup_scalar
+    r = np.concatenate([sample_grid(eps, 3.0 * eps, samples) for eps in eps_values])
+    fr = cap_curvature(base, r, np.repeat(eps_values, samples))
+    norm = fr.sup_ricci if base is BaseInstanton.EGUCHI_HANSON else np.abs(fr.scalar)
+    rows = list(zip(eps_values, norm.reshape(len(eps_values), samples).max(axis=1).tolist()))
+    for eps, value in rows:
         if not math.isfinite(value) or value <= 0.0:
             raise RuntimeError(f"epsilon={eps}: sup norm {value!r} is not finite and positive")
-        rows.append((eps, value))
     logs = np.log(np.asarray(rows))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
     return SweepTable(rows=rows, fitted_slope=slope)
@@ -204,16 +208,18 @@ def volume_deficit(family: CutoffFamily, R: float) -> float:
 # caps in closed form
 # --------------------------------------------------------------------------
 
-def unit_cap_curvature(base: BaseInstanton, rho) -> CurvatureFrame:
-    """Curvature at rho (a float, or an array of radii in one batch) of the
-    unit cap h = H(rho) = phi(rho) / rho^q.
+def cap_curvature(base: BaseInstanton, r, eps=1.0) -> CurvatureFrame:
+    """Curvature at r (a float, or an array of radii in one batch) of the cap
+    of ``CutoffFamily(base, eps)``, from the W-ansatz closed form of its
+    h = phi(r / eps) eps^p / r^q; eps is one scale, or an array of one per
+    radius (``_cap_h``).
 
-    At r = eps rho the cap of ``CutoffFamily(base, eps)`` is
-    W = 1 - eps^4 H(rho) (p - q = 4 in both families), a metric eps^2 times
-    one in the variable rho, so its frame Riemann tensor is exactly eps^2
-    times this one.
+    The unit cap is eps = 1, h = H(rho) = phi(rho) / rho^q.  At r = eps rho
+    the cap of scale eps is W = 1 - eps^4 H(rho) (p - q = 4 in both
+    families), a metric eps^2 times one in the variable rho, so its frame
+    Riemann tensor is exactly eps^2 times the unit cap's.
     """
-    return frame_from_riemann(w_ansatz_riemann(_cap_h(base, 1.0)(variable(rho)), rho))
+    return frame_from_riemann(w_ansatz_riemann(_cap_h(base, eps)(variable(r)), r))
 
 
 #: rounds after which ``_refined_sup`` gives up: a smooth peak takes under
@@ -279,18 +285,18 @@ def unit_cap(base: BaseInstanton) -> UnitCap:
     The modulus of each Ricci component and of the scalar is maximised
     separately over [1, 2] (``_refined_sup``; a peak of |f| is a peak of the
     smooth f or -f); the energies are one quadrature of
-    ``unit_cap_curvature`` against rho^3 drho times the link volume, the
+    ``cap_curvature`` against rho^3 drho times the link volume, the
     volume form at every scale.
     """
 
     def norms(rho: np.ndarray) -> np.ndarray:
-        fr = unit_cap_curvature(base, rho)
+        fr = cap_curvature(base, rho)
         return np.abs(np.column_stack([fr.ricci.reshape(-1, 16), fr.scalar]))
 
     sups = _refined_sup(norms, 1.0, 2.0)
 
     def weyl(rho: np.ndarray) -> np.ndarray:
-        fr = unit_cap_curvature(base, rho)
+        fr = cap_curvature(base, rho)
         return np.stack([fr.w_plus_norm2, fr.w_minus_norm2], axis=-1)
 
     flat = RadialMetric(flat_profile(), _link_volume(base))

@@ -119,7 +119,7 @@ class Jet2:
 def _coerce(x) -> Jet2:
     if isinstance(x, Jet2):
         return x
-    return Jet2(float(x))
+    return Jet2(np.asarray(x, dtype=float) if np.ndim(x) else float(x))
 
 
 def variable(r) -> Jet2:

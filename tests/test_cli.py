@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import collapselab
-from collapselab import charclass, cli, cutoff, frame_curvature, gluing, radial
+from collapselab import charclass, cli, conformal, cutoff, frame_curvature, gluing, radial
 from collapselab.cli import ExperimentConfig, main, report, run
 from collapselab.cutoff import unit_cap
 from collapselab.jets import Jet2
@@ -298,13 +298,33 @@ def test_yamabe_leaves_no_thread_running(tmp_path):
 
 def test_sweep_thread_value_error_exits_2(tmp_path, monkeypatch, capsys):
     """A ValueError on the sweep thread reaches ``main`` as bad configuration."""
-    def failing(rng, draws):
+    def failing(rng, draws, stop):
         raise ValueError("sweep refused")
 
     monkeypatch.setattr(cli, "_sign_sweeps", failing)
     before = threading.active_count()
     assert main(["yamabe", "--out", str(tmp_path), "n=8"]) == 2
     assert capsys.readouterr().err == "error: sweep refused\n"
+    assert threading.active_count() == before
+    assert not any(tmp_path.iterdir())
+
+
+def test_failed_descent_stops_the_sweep(tmp_path, monkeypatch, capsys):
+    """A descent that fails at once stops the sign sweep at its next batch:
+    of the 2500 Hoelder batches of 20 000 draws, the sweep thread runs a
+    handful before the run exits 2."""
+    batches = []
+
+    def counting(*args, _fn=conformal._holder_sums):
+        batches.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(conformal, "_holder_sums", counting)
+    before = threading.active_count()
+    assert main(["yamabe", "--out", str(tmp_path), "n=8", "tolerance=-1",
+                 "sweep_draws=20000"]) == 2
+    assert capsys.readouterr().err.startswith("error: tolerance must be")
+    assert len(batches) < 100
     assert threading.active_count() == before
     assert not any(tmp_path.iterdir())
 
@@ -322,29 +342,35 @@ def test_bad_seed_exits_2_before_the_descent(tmp_path, monkeypatch, capsys):
 def test_radial_run_work_budget(tmp_path, monkeypatch):
     """The nine radial experiments of the benchmark, in one process with an
     empty unit-cap cache, stay within these deterministic work budgets:
-    - at most 1500 radii of curvature evaluations: 201 per ``curvature``
-      preset, 480 per ``decay`` sweep and 63 for the round S^4 of
-      ``charclass``, 1425 in all; the cutoff caps take none;
-    - at most 12 ``curvature_at`` calls for them, one batch per sample
-      grid or quadrature round (12 measured);
-    - at most 30 ``cutoff.unit_cap_curvature`` calls, one batch per sup
-      grid, parabolic-search round or quadrature round of the two unit
-      caps (27 measured);
+    - at most 500 radii of curvature evaluations: 201 per ``curvature``
+      preset and 63 for the round S^4 of ``charclass``, 465 in all; the
+      ``decay`` sweeps and the cutoff caps take none;
+    - at most 4 ``curvature_at`` calls for them, one batch per sample grid
+      or quadrature round (4 measured), each one ``riemann_tensor`` call, as
+      the benchmark's traced run requires;
+    - at most 30 ``cutoff.cap_curvature`` calls, one batch per ``decay``
+      sweep, and per sup grid, parabolic-search round or quadrature round of
+      the two unit caps (29 measured);
     - at most 2000 cutoff bump elements (1904 measured), one per cap radius;
-    - at most 1500 jet square-root elements (1488 measured), one per
-      W-ansatz radius;
+    - at most 600 jet square-root elements (528 measured), one per W-ansatz
+      radius of ``curvature_at``;
     - exactly 15 fiber-lattice reductions: one per family rule and one per
       orbifold family, at each of the 4 parameters of the two ``glue`` runs
       and ``charclass``.
     """
     unit_cap.cache_clear()
-    counts = {"curvature_at": 0, "radii": 0, "unit_cap_curvature": 0, "_bump": 0, "sqrt": 0,
-              "_reduced_basis": 0}
-    engine = radial.curvature_at
-    unit_engine = cutoff.unit_cap_curvature
+    counts = {"curvature_at": 0, "radii": 0, "riemann_tensor": 0, "cap_curvature": 0,
+              "_bump": 0, "sqrt": 0, "_reduced_basis": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    engine = counting("curvature_at", radial.curvature_at)
 
     def curvature(metric, r):
-        counts["curvature_at"] += 1
         counts["radii"] += np.size(r)
         return engine(metric, r)
 
@@ -354,22 +380,15 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
             return fn(jet)
         return wrapper
 
-    def unit_curvature(base, rho):
-        counts["unit_cap_curvature"] += 1
-        return unit_engine(base, rho)
-
-    lattice = gluing._reduced_basis
-
-    def reduced_basis(gram):
-        counts["_reduced_basis"] += 1
-        return lattice(gram)
-
     for module in (radial, cli, charclass):
         monkeypatch.setattr(module, "curvature_at", curvature)
-    monkeypatch.setattr(cutoff, "unit_cap_curvature", unit_curvature)
+    monkeypatch.setattr(frame_curvature, "riemann_tensor",
+                        counting("riemann_tensor", frame_curvature.riemann_tensor))
+    monkeypatch.setattr(cutoff, "cap_curvature", counting("cap_curvature", cutoff.cap_curvature))
     monkeypatch.setattr(cutoff, "_bump", per_element("_bump", cutoff._bump))
     monkeypatch.setattr(Jet2, "sqrt", per_element("sqrt", Jet2.sqrt))
-    monkeypatch.setattr(gluing, "_reduced_basis", reduced_basis)
+    monkeypatch.setattr(gluing, "_reduced_basis",
+                        counting("_reduced_basis", gluing._reduced_basis))
     for experiment, params in (
         ("curvature", {"preset": "eguchi-hanson"}),
         ("curvature", {"preset": "burns"}),
@@ -382,11 +401,12 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
         ("charclass", {}),
     ):
         run(ExperimentConfig(experiment, params, str(tmp_path), 1))
-    assert counts["radii"] <= 1500
-    assert counts["curvature_at"] <= 12
-    assert counts["unit_cap_curvature"] <= 30
+    assert counts["radii"] <= 500
+    assert counts["curvature_at"] <= 4
+    assert counts["riemann_tensor"] == counts["curvature_at"]
+    assert counts["cap_curvature"] <= 30
     assert counts["_bump"] <= 2000
-    assert counts["sqrt"] <= 1500
+    assert counts["sqrt"] <= 600
     assert counts["_reduced_basis"] == 15
 
 

@@ -1,6 +1,7 @@
 """Discrete conformal geometry on the flat 4-torus."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -304,7 +305,7 @@ def test_negative_case_check(grid):
 def test_batched_sign_sweeps_equal_the_per_draw_loop(seed, draws):
     """``_sign_sweeps`` repeats one public call per draw bit for bit: across
     partial batches, and below and above the 100 negative-case draws."""
-    batched = conformal._sign_sweeps(np.random.default_rng(seed), draws)
+    batched = conformal._sign_sweeps(np.random.default_rng(seed), draws, threading.Event())
     loop = sign_sweeps_loop(np.random.default_rng(seed), draws)
     assert [x.hex() for x in batched] == [x.hex() for x in loop]
 

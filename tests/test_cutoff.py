@@ -8,24 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapselab import cutoff
+from collapselab import cli, cutoff
 from collapselab.cli import main
 from collapselab.cutoff import (
     BaseInstanton,
     CutoffFamily,
     _bump,
+    cap_curvature,
     cap_volume,
     decay_sweep,
     instanton_curvature,
     modified_metric,
     unit_cap,
-    unit_cap_curvature,
     volume_deficit,
 )
 from collapselab.frame_curvature import frame_from_riemann
 from collapselab.jets import Jet2, _libm, variable
 from collapselab.radial import (
-    CurvatureSupNorms, Preset, curvature_at, make_metric, sample_grid, sup_norms, volume,
+    Preset, curvature_at, make_metric, sample_grid, sup_norms, volume,
     w_ansatz_riemann,
 )
 from oracles import zoomed_peak
@@ -132,7 +132,7 @@ def test_cap_annulus_is_eps2_times_the_unit_cap(eps, rho, base):
     absolute, for the components that vanish)."""
     metric = modified_metric(CutoffFamily(base, eps))
     engine = curvature_at(metric, eps * rho).riemann4
-    unit = unit_cap_curvature(base, rho).riemann4
+    unit = cap_curvature(base, rho).riemann4
     assert engine == pytest.approx(eps**2 * unit, rel=1e-9, abs=1e-12)
 
 
@@ -170,7 +170,7 @@ def test_unit_cap_suprema_are_certified(base):
         assert sup >= coarse.max()
         peak = rhos[coarse.argmax()]
         zoom = np.linspace(max(peak - step, 1.0), min(peak + step, 2.0), 401)
-        fine = np.max(norm(unit_cap_curvature(base, zoom)))
+        fine = np.max(norm(cap_curvature(base, zoom)))
         assert sup == pytest.approx(fine, rel=1e-9)
     eps = 0.2
     sampled = sup_norms(modified_metric(CutoffFamily(base, eps)), 120,
@@ -279,15 +279,34 @@ def test_decay_sweep_refuses_eps_below_float_resolution(tmp_path):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("base", list(BaseInstanton))
+def test_decay_sweep_is_the_closed_form_per_eps_and_matches_the_engine(base):
+    """At every default epsilon the batched sweep repeats, bit for bit, one
+    ``cap_curvature`` call for that epsilon alone on its own grid, and its
+    sup norm equals the engine's (``sup_norms`` of the cutoff metric on the
+    same grid) to 1e-9 relative; the engine's rounding reaches 1.3e-10
+    (Burns, eps = 0.025)."""
+    eps_list = cli._DEFAULTS["decay"]["eps"]
+    table = decay_sweep(base, eps_list, samples=120)
+    assert [eps for eps, _ in table.rows] == sorted(eps_list, reverse=True)
+    ricci = base is BaseInstanton.EGUCHI_HANSON
+    for eps, sup in table.rows:
+        fr = cap_curvature(base, sample_grid(eps, 3.0 * eps, 120), eps)
+        assert sup == float(np.max(fr.sup_ricci if ricci else np.abs(fr.scalar)))
+        engine = sup_norms(modified_metric(CutoffFamily(base, eps)), 120, eps, 3.0 * eps)
+        assert sup == pytest.approx(engine.sup_ricci if ricci else engine.sup_scalar, rel=1e-9)
+
+
 def test_decay_sweep_rejects_vanishing_sup(monkeypatch):
     """A zero sup norm at one epsilon fails the sweep instead of dropping
     its row and fitting the slope on the others."""
-    def zero_at_tenth(metric, samples, r_lo, r_hi):
-        if r_lo == 0.1:
-            return CurvatureSupNorms(0.0, 0.0)
-        return sup_norms(metric, samples, r_lo=r_lo, r_hi=r_hi)
+    closed_form = cutoff.cap_curvature
 
-    monkeypatch.setattr(cutoff, "sup_norms", zero_at_tenth)
+    def flat_at_tenth(base, r, eps):
+        riem = closed_form(base, r, eps).riemann4
+        return frame_from_riemann(np.where((eps == 0.1)[:, None, None, None, None], 0.0, riem))
+
+    monkeypatch.setattr(cutoff, "cap_curvature", flat_at_tenth)
     with pytest.raises(RuntimeError, match="epsilon=0.1"):
         decay_sweep(BaseInstanton.EGUCHI_HANSON, [0.2, 0.1, 0.05], samples=60)
 

@@ -48,11 +48,11 @@ GOLDEN = {
     "collapse_twisted.json": "8a473804d29c604c3a8e30358202b9effaa5f2a1740a03796906d949857ca3be",
     "collapse_twisted_family.csv":
         "ce39995a3c2874e644faa8daf63d0b22123dd8be07927eabce1178b51b0f7b93",
-    "decay_burns.json": "0a0a67ab6146d65a3981d27c84937cb48ab15e31e48e2a7a829a60b749e9f74c",
-    "decay_burns_sweep.csv": "a9fe1c8c78e2ef5641cb34a5d2f5e9b29621a43a8e41ebca6af44a4674be4ce7",
-    "decay_eguchi-hanson.json": "a84710a1917f10e7dd327bb71811f848f9ae2fdd52e2660c48ac0a1dd2343b11",
+    "decay_burns.json": "1d20d4a23dc0ef42fccfe5aa29e6bafafedc5b58cca76b47ac564d2a8931a3e1",
+    "decay_burns_sweep.csv": "9d628d644670eb405c7f604b86e3e948640f3441fba169260e429325f181e46b",
+    "decay_eguchi-hanson.json": "2c78472e623bce3089e1cf3d46dd48f6d9c79bae2b6d3cda7fefaa3c5bdaa35b",
     "decay_eguchi-hanson_sweep.csv":
-        "6c925b85a585154554c6ac8ee2ecf7597efa5737f6fe9ebf7fd924617c9f4a33",
+        "3e2f325b835138f4ebf156e29fee81504ff971479c8bcd94ce96d5a293f68665",
     "eguchi-hanson.json": "536b798831c6c5baa74c34e54abf5deff1648026889635ec230f3ae261af4e3d",
     "eguchi-hanson_profile.csv":
         "a9dab7053f2bdf058f0e01dbc89c75fd6b98cbc35ede4ad8919230e4bd2e3f7b",
