@@ -100,9 +100,7 @@ class CutoffFamily:
     epsilon: float
 
     def __post_init__(self):
-        # above 1 the bolt radius eps^k would leave the cutoff region
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        _check_epsilon(self.epsilon)
 
     @property
     def r_bolt(self) -> float:
@@ -112,6 +110,13 @@ class CutoffFamily:
     def link_volume(self) -> float:
         """pi^2 for the Z2 quotient of S^3 (Eguchi-Hanson), 2 pi^2 for S^3."""
         return _link_volume(self.base)
+
+
+def _check_epsilon(eps: float) -> None:
+    # above 1 the bolt radius eps^k would leave the cutoff region, and
+    # W = 1 - eps^4 H turns negative near rho = 1: no metric
+    if not 0.0 < eps < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
 
 
 def _link_volume(base: BaseInstanton) -> float:
@@ -124,7 +129,7 @@ def _cap_h(base: BaseInstanton, eps) -> Callable[[Jet2], Jet2]:
     Python float power, so a batch over several eps keeps, radius by radius,
     the bits of one call per eps."""
     p, q, _ = _FAMILY_EXPONENTS[base]
-    scale = np.array([e**p for e in eps.tolist()]) if np.ndim(eps) else eps**p
+    scale = np.array([e**p for e in np.asarray(eps).tolist()]) if np.ndim(eps) else eps**p
     return lambda x: _bump(x / eps) * scale / x**q
 
 
@@ -167,16 +172,22 @@ def decay_sweep(
     not finite and positive has no logarithm and raises RuntimeError.  The
     cap of each eps is evaluated in closed form at the radii r of its own
     grid, ``sample_grid(eps, 3 eps, samples)``, all eps in one batched
-    ``cap_curvature`` call; it is not read off ``unit_cap``'s constants,
-    which eps^2 scales to the slope 2 by construction.  An eps whose noise
-    bound 2^-52 / eps^4 exceeds ``DECAY_NOISE_LIMIT`` raises ValueError
-    (docs/conventions.md, "Decay below float resolution").
+    ``cap_curvature`` call.  The closed form scales exactly (h(eps rho) =
+    eps^4 H(rho), so the cap is eps^2 times the unit cap on the same rho
+    grid), and the slope 2 follows from that scaling;
+    ``test_decay_sweep_is_the_closed_form_per_eps_and_matches_the_engine``
+    is the independent check, against the engine's ``sup_norms`` at every
+    default eps.  An eps outside (0, 1), where the cap is no metric, and
+    an eps whose noise bound 2^-52 / eps^4 exceeds ``DECAY_NOISE_LIMIT``
+    (docs/conventions.md, "Decay below float resolution") raise ValueError.
     """
     eps_values = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(eps_values) < 3:
         raise ValueError("decay sweep needs at least 3 distinct epsilon values")
+    for eps in eps_values:
+        _check_epsilon(eps)
     smallest = eps_values[-1]
-    if 0.0 < smallest and smallest**4 * DECAY_NOISE_LIMIT < 2.0**-52:
+    if smallest**4 * DECAY_NOISE_LIMIT < 2.0**-52:
         raise ValueError(f"epsilon={smallest} is below float resolution: the noise bound "
                          f"2^-52 / eps^4 exceeds {DECAY_NOISE_LIMIT:g} for eps < 3.86e-3")
     r = np.concatenate([sample_grid(eps, 3.0 * eps, samples) for eps in eps_values])

@@ -279,6 +279,19 @@ def test_decay_sweep_refuses_eps_below_float_resolution(tmp_path):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_decay_sweep_refuses_eps_outside_the_unit_interval(tmp_path, capsys):
+    """For eps >= 1 the cap's W = 1 - eps^4 H(rho) is negative near rho = 1,
+    no metric, yet its closed form still gives finite rows and the slope 2;
+    eps <= 0 has no cap.  Both are refused as ``CutoffFamily`` refuses them,
+    and the CLI exits 2 without writing anything."""
+    for eps_list in ([2.0, 1.0, 0.5], [0.2, 0.1, 0.0], [0.2, 0.1, -0.05]):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+            decay_sweep(BaseInstanton.BURNS, eps_list)
+    assert main(["decay", "--out", str(tmp_path), "eps=2,1,0.5"]) == 2
+    assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("base", list(BaseInstanton))
 def test_decay_sweep_is_the_closed_form_per_eps_and_matches_the_engine(base):
     """At every default epsilon the batched sweep repeats, bit for bit, one
