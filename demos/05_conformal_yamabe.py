@@ -36,15 +36,19 @@ print(f"\ndescent: quotient = {res.quotient_star:.3e} after {res.iterations} "
       f"iterations; u relative spread = {spread:.3e}")
 print("  the minimizer is the constant factor, i.e. the flat metric itself")
 
-print("\npointwise inequality checks (random fields on an 8^4 grid):")
+print("\nthe two sign inequalities at their equality cases (8^4 grid, u in [0.5, 1.5)):")
 small = ConformalGrid(8)
 rng = np.random.default_rng(1)
-gaps = [holder_gap(small, rng.standard_normal(small.shape),
-                   rng.random(small.shape) + 0.5)["gap"] for _ in range(200)]
-nccs = [negative_case_check(small, rng.random(small.shape) + 0.5)
-        for _ in range(100)]
-print(f"  min Hoelder gap over 200 draws:      {min(gaps):+.3e}  (always >= 0)")
-print(f"  max negative-case value, 100 draws:  {max(nccs):+.3e}  (always <= 0)")
+u = rng.random(small.shape) + 0.5
+one = np.ones(small.shape)
+at_one, at_minus_one = holder_gap(small, one, u), holder_gap(small, -one, u)
+print(f"  Hoelder gap at s = 1:         {at_one['gap']:+.3e}  (equality: 0)")
+print(f"  Hoelder gap at s = -1:        {at_minus_one['gap']:+.12f}"
+      f"  (2 lhs = {2.0 * at_minus_one['lhs']:.12f})")
+gap = holder_gap(small, rng.standard_normal(small.shape), u)["gap"]
+print(f"  Hoelder gap at random s:      {gap:+.3e}  (>= 0)")
+print(f"  negative case at u = 1:       {negative_case_check(small, one):+.3e}  (exactly 0)")
+print(f"  negative case at this u:      {negative_case_check(small, u):+.3e}  (<= 0)")
 
 print("\nsharp upper bounds from the round spheres:")
 for n in (2, 3, 4):

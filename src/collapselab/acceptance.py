@@ -166,16 +166,21 @@ def _conformal_law_convergence(summaries):
     return all(o >= 1.8 for o in orders), f"orders {[round(o, 2) for o in orders]}"
 
 
-@_criterion(8, "Hoelder gap and negative-case inequalities", _YAMABE_RUNS)
+_EQUALITY_EVIDENCE = ("holder_equality_deviation", "negative_case_edge_deviation",
+                      "max_negative_case", "negative_case_at_constant")
+
+
+@_criterion(8, "Hoelder gap and negative-case inequalities at equality", _YAMABE_RUNS)
 def _variational_inequalities(summaries):
     runs = _results(summaries, "yamabe")
-    # an empty sweep leaves the +-inf seeds of its min and max: no evidence
-    finite = all(math.isfinite(r["min_holder_gap"]) and math.isfinite(r["max_negative_case"])
-                 for r in runs)
-    gap = min(r["min_holder_gap"] for r in runs)
-    ncc = max(r["max_negative_case"] for r in runs)
-    ok = finite and gap >= -1e-12 and ncc <= 1e-12
-    return ok, f"min gap {gap:.1e}, max check {ncc:.1e}"
+    # a missing, null or non-finite value is no evidence
+    values = [[r.get(k) for k in _EQUALITY_EVIDENCE] for r in runs]
+    if not all(isinstance(v, (int, float)) and math.isfinite(v) for row in values for v in row):
+        return False, "missing or non-finite evidence"
+    holder, edge, ncc, const = zip(*values)
+    ok = max(holder + edge + ncc) <= 1e-12 and not any(const)
+    return ok, (f"Hoelder equality deviation {max(holder):.1e}, edge-form deviation "
+                f"{max(edge):.1e}, max check {max(ncc):.1e}, constant {max(const, key=abs):.1e}")
 
 
 @_criterion(9, "Yamabe descent reaches quotient < 1e-3", _YAMABE_RUNS)

@@ -23,9 +23,7 @@ import hashlib
 import json
 import math
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -33,10 +31,11 @@ import numpy as np
 
 from .acceptance import evaluate, format_row
 from .charclass import densities_at, integrate_characteristics, product_surface_frame, wplus_sweep
-from .conformal import ConformalGrid, _sign_sweeps, aubin_bound, conformal_scalar, minimize_yamabe
+from .conformal import (ConformalGrid, aubin_bound, conformal_scalar, holder_gap, minimize_yamabe,
+                        negative_case_check)
 from .cutoff import BaseInstanton, CutoffFamily, decay_sweep, volume_deficit
 from .gluing import assemble_surface_model, certificate
-from .radial import Preset, curvature_at, make_metric, sample_grid
+from .radial import Preset, _check_range, curvature_at, make_metric, sample_grid
 from .submersion import BundleKind, collapse_metric, make_bundle, oneill_at
 from .surfaces import CANONICAL_SURFACES, blow_up_surface, classify_records, yamabe_value
 
@@ -97,8 +96,7 @@ _DEFAULTS: dict[str, dict] = {
     "collapse": {"bundle": "trivial", "t": [1.0, 10.0, 100.0, 1000.0, 1e6]},
     "glue": {"bundle": "trivial", "fiber_sums": 1, "blowups": 0,
              "t": [1.0, 10.0, 100.0, 1000.0]},
-    "yamabe": {"n": 32, "amplitude": 0.2, "max_iters": 500, "tolerance": 1e-10,
-               "sweep_draws": 1000},
+    "yamabe": {"n": 32, "amplitude": 0.2, "max_iters": 500, "tolerance": 1e-10},
     "charclass": {"fiber_sums": 1, "blowups": 2, "t": [1.0, 10.0, 100.0, 1000.0]},
     "classify": {"input": None},
 }
@@ -169,6 +167,7 @@ def _run_curvature(params: dict, seed: int):
         lo = metric.r_min if metric.r_min > 0.0 else 1e-4 * hi
     elif not lo > 0.0:
         raise ValueError(f"r_lo must be positive, got {lo!r}")
+    _check_range(metric, lo, hi)
     radii = sample_grid(lo, hi, int(params["samples"]))
     # r = 2 rides in the same batch, as its last point
     at_2 = lo < 2.0 < hi
@@ -272,30 +271,52 @@ def _conformal_law_orders() -> list:
     return [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
 
 
+def _equality_evidence(fields: np.ndarray) -> dict:
+    """Criterion 8's evidence from positive fields u on the 8^4 unit lattice,
+    at the equality cases of its two inequalities and against a second
+    formula.
+
+    * Hoelder: at s = 1 the gap is 0, and at s = -1 it is 2 lhs; the
+      largest relative deviation of either over the fields.
+    * Negative case: the lattice sum of (n-1) ell Delta u / u equals its
+      edge form (n-1) ell sum_edges (2 - a - 1/a) / h^2 with
+      a = u(x + e) / u(x), each term <= 0; the largest relative deviation,
+      the largest value, and the value at u = 1, which is exactly 0.0.
+    """
+    grid = ConformalGrid(8)
+    n, ell = grid.n_dim, grid.ell
+    one = np.ones(grid.shape)
+    holder, edge, checks = [], [], []
+    for u in fields:
+        at_one, at_minus_one = holder_gap(grid, one, u), holder_gap(grid, -one, u)
+        holder.append(abs(at_one["gap"]) / at_one["lhs"])
+        holder.append(abs(at_minus_one["gap"] - 2.0 * at_minus_one["lhs"]) / at_minus_one["lhs"])
+        pairs = 0.0
+        for ax, h in enumerate(grid.spacings):
+            a = np.roll(u, -1, axis=ax) / u
+            pairs += float(np.sum(2.0 - a - 1.0 / a)) / h**2
+        closed = (n - 1) * ell * pairs * grid.cell_volume
+        checks.append(negative_case_check(grid, u))
+        edge.append(abs(checks[-1] - closed) / abs(closed))
+    # np.max, not max: a NaN deviation must reach the summary
+    return {
+        "holder_equality_deviation": float(np.max(holder)),
+        "negative_case_edge_deviation": float(np.max(edge)),
+        "max_negative_case": float(np.max(checks)),
+        "negative_case_at_constant": negative_case_check(grid, one),
+    }
+
+
 def _run_yamabe(params: dict, seed: int):
-    draws = int(params["sweep_draws"])
-    if draws < 1:
-        raise ValueError("sweep_draws must be at least 1")
     n_pts = int(params["n"])
     grid = ConformalGrid(n_pts)
     x = grid.axis_coordinate(0)
     u0 = 1.0 + float(params["amplitude"]) * np.cos(2.0 * np.pi * x)
-    # built here, so a bad seed fails before the descent; from here on only
-    # the sweep thread draws from it
-    rng = np.random.default_rng(seed)
-    stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # the seeded sign sweeps run on a second thread beside the descent
-        # and the conformal-law check, sharing no array with them; if those
-        # raise, the sweep stops at its next batch instead of running out
-        sweeps = pool.submit(_sign_sweeps, rng, draws, stop)
-        try:
-            res = minimize_yamabe(grid, u0, int(params["max_iters"]), float(params["tolerance"]))
-            orders = _conformal_law_orders()
-        except BaseException:
-            stop.set()
-            raise
-        min_gap, max_ncc = sweeps.result()
+    # drawn before the descent, so a bad seed fails before it runs
+    fields = np.random.default_rng(seed).random((8, 8, 8, 8, 8)) + 0.5
+    res = minimize_yamabe(grid, u0, int(params["max_iters"]), float(params["tolerance"]))
+    orders = _conformal_law_orders()
+    evidence = _equality_evidence(fields)
     spread = float((res.u_star.max() - res.u_star.min()) / res.u_star.mean())
 
     aubin = {str(n): aubin_bound(n) for n in (2, 3, 4)}
@@ -304,8 +325,7 @@ def _run_yamabe(params: dict, seed: int):
         "iterations": res.iterations,
         "u_spread": spread,
         "conformal_orders": orders,
-        "min_holder_gap": min_gap,
-        "max_negative_case": max_ncc,
+        **evidence,
         "aubin_bounds": aubin,
         "aubin_n2_minus_4pi_chi_s2": aubin["2"] - 8.0 * math.pi,
     }

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,12 +114,18 @@ def _as_factor(grid: ConformalGrid, u) -> np.ndarray:
     return u
 
 
-def _laplacian(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
-    """The stencil Laplacian over the trailing grid axes of ``u``; leading
-    axes index independent fields, each with the bits of its own call."""
+def laplacian(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
+    """Positive Laplacian Delta = d*d of a periodic lattice field.
+
+    The second-order central stencil: sum over axes of
+    (2u - u_plus - u_minus)/h^2, which annihilates constants exactly and is
+    symmetric, so sum(Delta u) = 0 in exact arithmetic.  Its symbol on
+    cos(2 pi x_j / L_j) is (2 - 2 cos(2 pi h_j / L_j)) / h_j^2.
+    """
+    u = grid.check_field(u)
     out = np.zeros_like(u)
     diff = np.empty_like(u)
-    for ax, h in enumerate(grid.spacings, start=u.ndim - grid.n_dim):
+    for ax, h in enumerate(grid.spacings):
         # (2u - u_minus - u_plus) / h^2 in one scratch array, the wrap
         # handled at the two ends of the axis
         d, v = np.moveaxis(diff, ax, 0), np.moveaxis(u, ax, 0)
@@ -132,17 +137,6 @@ def _laplacian(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
         diff /= h**2
         out += diff
     return out
-
-
-def laplacian(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
-    """Positive Laplacian Delta = d*d of a periodic lattice field.
-
-    The second-order central stencil: sum over axes of
-    (2u - u_plus - u_minus)/h^2, which annihilates constants exactly and is
-    symmetric, so sum(Delta u) = 0 in exact arithmetic.  Its symbol on
-    cos(2 pi x_j / L_j) is (2 - 2 cos(2 pi h_j / L_j)) / h_j^2.
-    """
-    return _laplacian(grid, grid.check_field(u))
 
 
 def gradient_energy_density(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
@@ -238,8 +232,11 @@ def minimize_yamabe(
     invariant, so a candidate is evaluated as it is, and only the accepted
     one is renormalized to unit conformal volume.  Stops on a zero L2
     gradient or once the relative decrease of the quotient falls below tol,
-    which must be finite and non-negative.
+    which must be finite and non-negative; ``max_iters`` must be
+    non-negative.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {max_iters!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     n, ell = grid.n_dim, grid.ell
@@ -284,31 +281,6 @@ def minimize_yamabe(
     return DescentResult(u, q, iterations, converged, trace)
 
 
-def _lattice_sums(grid: ConformalGrid, f: np.ndarray) -> np.ndarray:
-    """Sum of ``f`` over its trailing grid axes, one per leading index."""
-    return np.sum(f, axis=tuple(range(-grid.n_dim, 0)))
-
-
-def _holder_sums(grid: ConformalGrid, s_field: np.ndarray, u: np.ndarray):
-    """Lattice sums of |s|^(n/2) dmu_hat, s dmu_hat and dmu_hat = u^p,
-    p = 2n/(n-2), over the trailing grid axes."""
-    n = grid.n_dim
-    dmu_hat = u ** (2.0 * n / (n - 2))
-    # np.power, not **: numpy evaluates ** on a temporary of 256 KB or more
-    # (a batch of 8 draws) in place, by a power loop 8 times slower
-    return (_lattice_sums(grid, np.power(np.abs(s_field), n / 2.0) * dmu_hat),
-            _lattice_sums(grid, s_field * dmu_hat), _lattice_sums(grid, dmu_hat))
-
-
-def _holder_sides(grid: ConformalGrid, abs_sum: float, signed_sum: float, vol_sum: float):
-    """lhs and rhs of the Hoelder comparison from one field's three lattice
-    sums.  Python floats, so a batched draw takes its last powers by the same
-    pow as a single call."""
-    n, cell = grid.n_dim, grid.cell_volume
-    vol = vol_sum * cell
-    return (abs_sum * cell) ** (2.0 / n), signed_sum * cell / vol ** (1.0 - 2.0 / n)
-
-
 def holder_gap(grid: ConformalGrid, s_field: np.ndarray, u) -> dict[str, float]:
     """Both sides of the Hoelder comparison between the two total-scalar
     normalizations, for a metric with scalar curvature s_field and volume
@@ -316,15 +288,13 @@ def holder_gap(grid: ConformalGrid, s_field: np.ndarray, u) -> dict[str, float]:
     with equality exactly when s_field is a nonnegative constant.
     """
     u = _as_factor(grid, u)
-    sums = _holder_sums(grid, grid.check_field(s_field), u)
-    lhs, rhs = _holder_sides(grid, *map(float, sums))
+    s_field = grid.check_field(s_field)
+    n = grid.n_dim
+    dmu_hat = u ** (2.0 * n / (n - 2))
+    vol = grid.integrate(dmu_hat)
+    lhs = grid.integrate(np.abs(s_field) ** (n / 2.0) * dmu_hat) ** (2.0 / n)
+    rhs = grid.integrate(s_field * dmu_hat) / vol ** (1.0 - 2.0 / n)
     return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs}
-
-
-def _negative_case_sums(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
-    """Lattice sums of (n-1) ell Delta u / u over the trailing grid axes."""
-    n, ell = grid.n_dim, grid.ell
-    return _lattice_sums(grid, (n - 1) * ell * _laplacian(grid, u) / u)
 
 
 def negative_case_check(grid: ConformalGrid, u) -> float:
@@ -335,55 +305,9 @@ def negative_case_check(grid: ConformalGrid, u) -> float:
     therefore nonpositive for every positive u, with equality iff u is
     constant: the quantitative content of the negative-case comparison.
     """
-    return float(_negative_case_sums(grid, _as_factor(grid, u))) * grid.cell_volume
-
-
-# draws per batch of _sign_sweeps (256 KB per field buffer): beside the n=20
-# descent, batches of 2 ran slower, and 32 can page-fault its temporaries in
-# and out of the heap
-_SWEEP_CHUNK = 8
-
-
-def _sign_sweeps(rng: np.random.Generator, draws: int,
-                 stop: threading.Event) -> tuple[float, float]:
-    """The seeded sign sweeps of the ``yamabe`` run on the 8^4 unit lattice:
-    the least Hoelder gap over ``draws`` pairs s ~ N(0, 1), u ~ U[0.5, 1.5),
-    then the largest negative-case integral over min(draws, 100) further u.
-
-    Bit for bit one ``holder_gap`` or ``negative_case_check`` call per draw,
-    from the same variates in the same order, evaluated _SWEEP_CHUNK draws
-    at a time.  It runs on a worker thread beside the descent, so it calls
-    no public function of the package: a tracer that wraps those keeps one
-    span stack per process.  Once ``stop`` is set, which the run does when
-    the descent fails, the next batch returns (nan, nan) instead.
-    """
-    grid = ConformalGrid(8)
-    cell = grid.cell_volume
-    s_field = np.empty((_SWEEP_CHUNK, *grid.shape))
-    u = np.empty_like(s_field)
-    min_gap = math.inf
-    for start in range(0, draws, _SWEEP_CHUNK):
-        if stop.is_set():
-            return math.nan, math.nan
-        k = min(_SWEEP_CHUNK, draws - start)
-        for i in range(k):
-            rng.standard_normal(out=s_field[i])
-            rng.random(out=u[i])
-        u[:k] += 0.5
-        for sums in zip(*(a.tolist() for a in _holder_sums(grid, s_field[:k], u[:k]))):
-            lhs, rhs = _holder_sides(grid, *sums)
-            min_gap = min(min_gap, lhs - rhs)
-    max_negative = -math.inf
-    checks = min(draws, 100)
-    for start in range(0, checks, _SWEEP_CHUNK):
-        if stop.is_set():
-            return math.nan, math.nan
-        k = min(_SWEEP_CHUNK, checks - start)
-        rng.random(out=u[:k])
-        u[:k] += 0.5
-        for total in _negative_case_sums(grid, u[:k]).tolist():
-            max_negative = max(max_negative, total * cell)
-    return min_gap, max_negative
+    u = _as_factor(grid, u)
+    n, ell = grid.n_dim, grid.ell
+    return grid.integrate((n - 1) * ell * laplacian(grid, u) / u)
 
 
 def aubin_bound(n: int) -> float:

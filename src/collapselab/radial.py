@@ -209,6 +209,14 @@ class CurvatureSupNorms:
     sup_scalar: float
 
 
+def _check_range(metric: RadialMetric, r_lo: float, r_hi: float) -> None:
+    """Raise ValueError unless r_min <= r_lo < r_hi <= r_max: [r_lo, r_hi]
+    lies in the metric's domain, whatever grid is later laid on it."""
+    if not metric.r_min <= r_lo < r_hi <= metric.r_max:
+        raise ValueError(f"radial range [{r_lo}, {r_hi}] is inverted or outside the domain"
+                         f" [{metric.r_min}, {metric.r_max}]")
+
+
 def sample_grid(r_lo: float, r_hi: float, samples: int) -> np.ndarray:
     """Nested geometric grid in (r_lo, r_hi), a finite range."""
     if samples < 2:
@@ -227,6 +235,7 @@ def sup_norms(metric: RadialMetric, samples: int, r_lo: float, r_hi: float) -> C
     """Suprema of frame-component curvature norms over a nested radial grid
     strictly inside (r_lo, r_hi), which must lie in the metric's domain: one
     batched curvature evaluation."""
+    _check_range(metric, r_lo, r_hi)
     fr = curvature_at(metric, sample_grid(r_lo, r_hi, samples))
     return CurvatureSupNorms(float(np.max(fr.sup_ricci)), float(np.max(np.abs(fr.scalar))))
 
@@ -426,8 +435,5 @@ _CURVATURE_QUAD_TOL = 1e-10
 def volume(metric: RadialMetric, r_lo: float, r_hi: float) -> float:
     """int f a b c dr over [r_lo, r_hi], times the link volume, to 1e-12
     absolute or relative (see ``_integrate``)."""
-    if not (metric.r_min <= r_lo < r_hi):
-        raise ValueError("inverted or out-of-domain radial range")
-    if r_hi > metric.r_max:
-        raise ValueError("r_hi beyond the metric domain")
+    _check_range(metric, r_lo, r_hi)
     return float(_integrate(metric, lambda r: 1.0, r_lo, r_hi, 1e-12))

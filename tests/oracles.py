@@ -15,17 +15,15 @@ energies of a radial metric by quadrature of ``curvature_at``
 (``weyl_integrals``), the algebra su(2) + R of S^3 x R for the
 left-invariant engine (``su2_r``), and the dense contractions that the
 sparse ``riemann_tensor`` must match bit for bit (``dense_riemann_tensor``).
-Three scalar loops check batched code: the van der Corput points of
-``radial.sample_grid`` (``van_der_corput``), the interior peaks of
-``cutoff._refined_sup`` (``zoomed_peak``) and the seeded sign sweeps of
-``conformal._sign_sweeps``, one public call per draw (``sign_sweeps_loop``).
+Two scalar loops check batched code: the van der Corput points of
+``radial.sample_grid`` (``van_der_corput``) and the interior peaks of
+``cutoff._refined_sup`` (``zoomed_peak``).
 """
 
 import math
 
 import numpy as np
 
-from collapselab.conformal import ConformalGrid, holder_gap, negative_case_check
 from collapselab.frame_curvature import levi_civita_coefficients
 from collapselab.radial import _CURVATURE_QUAD_TOL, RadialMetric, _integrate, curvature_at
 from collapselab.submersion import StructureConstants
@@ -264,19 +262,3 @@ def zoomed_peak(values, lo: float, hi: float, node: int, component: int, zooms: 
         a, b = max(pts[k] - step, lo), min(pts[k] + step, hi)
     return best
 
-
-def sign_sweeps_loop(rng, draws: int) -> tuple[float, float]:
-    """The sign sweeps of the ``yamabe`` run one draw at a time, as the run
-    made them before they were batched: (least Hoelder gap, largest
-    negative-case integral)."""
-    min_gap = math.inf
-    small = ConformalGrid(8)
-    for _ in range(draws):
-        s_field = rng.standard_normal(small.shape)
-        u = rng.random(small.shape) + 0.5
-        min_gap = min(min_gap, holder_gap(small, s_field, u)["gap"])
-    max_ncc = -math.inf
-    for _ in range(min(draws, 100)):
-        u = rng.random(small.shape) + 0.5
-        max_ncc = max(max_ncc, negative_case_check(small, u))
-    return min_gap, max_ncc

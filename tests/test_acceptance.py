@@ -51,12 +51,46 @@ for _criterion in CRITERIA:
     globals()[_test.__name__] = _test
 
 
+_CRITERION_8 = next(c for c in CRITERIA if c.number == 8)
+
+
+def _yamabe_summary(**results):
+    evidence = {"holder_equality_deviation": 3.6e-16, "negative_case_edge_deviation": 1.9e-16,
+                "max_negative_case": -298.1, "negative_case_at_constant": 0.0}
+    return {"config": {"experiment": "yamabe", "parameters": {}},
+            "results": {**evidence, **results}}
+
+
 def test_criterion_08_fails_without_evidence():
-    """An empty sweep leaves min gap +inf and max check -inf: FAIL, not PASS."""
-    summary = {"config": {"experiment": "yamabe", "parameters": {}},
-               "results": {"min_holder_gap": float("inf"), "max_negative_case": -float("inf")}}
-    row = next(c for c in CRITERIA if c.number == 8).check([summary])
-    assert row["status"] == "FAIL", format_row(row)
+    """Missing, null or non-finite evidence FAILs criterion 8, as does a
+    summary of the random sweep that the equality evidence replaced."""
+    assert _CRITERION_8.check([_yamabe_summary()])["status"] == "PASS"
+    old = {"config": {"experiment": "yamabe", "parameters": {}},
+           "results": {"min_holder_gap": 1.115, "max_negative_case": -285.5}}
+    bad = [old, _yamabe_summary(negative_case_at_constant=None)]
+    for key in ("holder_equality_deviation", "negative_case_edge_deviation",
+                "max_negative_case", "negative_case_at_constant"):
+        bad += [_yamabe_summary(**{key: value})
+                for value in (float("nan"), float("inf"), -float("inf"))]
+    for summary in bad:
+        row = _CRITERION_8.check([summary])
+        assert row["status"] == "FAIL", format_row(row)
+        # one bad run among good ones fails the criterion too
+        assert _CRITERION_8.check([_yamabe_summary(), summary])["status"] == "FAIL"
+
+
+def test_criterion_08_fails_off_equality():
+    """A deviation of 2e-12 from either equality case, a positive
+    negative-case value or a nonzero value at constant u FAILs criterion 8."""
+    for results in ({"holder_equality_deviation": 2e-12},
+                    {"negative_case_edge_deviation": 2e-12},
+                    {"max_negative_case": 2e-12},
+                    {"negative_case_at_constant": -1e-300},
+                    {"negative_case_at_constant": 1e-300}):
+        row = _CRITERION_8.check([_yamabe_summary(**results)])
+        assert row["status"] == "FAIL", format_row(row)
+    assert _CRITERION_8.check([_yamabe_summary(holder_equality_deviation=1e-12)])[
+        "status"] == "PASS"
 
 
 def _decay_summary(slope, deficit_rel, **parameters):

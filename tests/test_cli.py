@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import collapselab
-from collapselab import charclass, cli, conformal, cutoff, frame_curvature, gluing, radial
+from collapselab import charclass, cli, cutoff, frame_curvature, gluing, radial
 from collapselab.cli import ExperimentConfig, main, report, run
 from collapselab.cutoff import unit_cap
 from collapselab.jets import Jet2
@@ -52,7 +52,7 @@ def test_mistyped_parameter_exits_2(tmp_path, capsys):
     for experiment, override in (("yamabe", "n=4"), ("collapse", "t=[]"), ("glue", "t=1,2"),
                                  ("decay", "eps=[]"), ("charclass", "t=[]"),
                                  ("curvature", "samples=1"), ("curvature", "preset=custom"),
-                                 ("yamabe", "sweep_draws=0"), ("yamabe", "tolerance=NaN"),
+                                 ("yamabe", "max_iters=-1"), ("yamabe", "tolerance=NaN"),
                                  ("yamabe", "tolerance=-1"), ("yamabe", "tolerance=Infinity")):
         assert main([experiment, "--out", str(tmp_path), override]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -111,6 +111,24 @@ def test_curvature_r_lo_must_be_positive(tmp_path, capsys):
     rows = (tmp_path / "round_profile.csv").read_text().splitlines()[-5:]
     grid = radial.sample_grid(1e-4 * math.pi, math.pi, 5)
     assert [row.split(",")[0] for row in rows] == [f"{r:.12e}" for r in grid]
+
+
+@pytest.mark.parametrize("overrides", [
+    ["preset=round", "r_lo=0.1", "r_hi=3.2"],
+    ["preset=round", "r_lo=0.1", "r_hi=3.2", "samples=2000"],
+    ["preset=burns", "r_lo=0.999", "r_hi=3", "samples=8"],
+])
+def test_curvature_range_outside_the_domain_exits_2(tmp_path, capsys, monkeypatch, overrides):
+    """A range past the preset's domain is bad configuration whatever the
+    sample count.  Before, round's r_hi = 3.2 > pi exited 0 at 200 samples
+    and 2 at 2000, as the grid happened to land, and Burns's r_lo = 0.999
+    below r_min = 1 exited 0.  The range is refused before any curvature
+    evaluation."""
+    calls = []
+    monkeypatch.setattr(cli, "curvature_at", lambda *args: calls.append(args))
+    assert main(["curvature", "--out", str(tmp_path), *overrides]) == 2
+    assert "outside the domain" in capsys.readouterr().err
+    assert not calls and not any(tmp_path.iterdir())
 
 
 def test_bad_override_syntax_exits_2(tmp_path, capsys):
@@ -216,7 +234,7 @@ def test_report_runs_listed(tmp_path):
      "t,volume,volume_times_t,k_h,k_p", 2),
     ("glue", {"t": [1.0, 10.0, 100.0]}, "glue_trivial_k1_l0_certificate",
      "t,volume,sup_ricci,sup_scalar", 3),
-    ("yamabe", {"n": 8, "max_iters": 3, "sweep_draws": 1}, "yamabe_n8_descent",
+    ("yamabe", {"n": 8, "max_iters": 3}, "yamabe_n8_descent",
      "iteration,quotient,step", 4),
     ("charclass", {"blowups": 1, "t": [1.0, 10.0]}, "charclass_wplus_sweep",
      "t,wplus_integral,wminus_integral,tau_estimate", 2),
@@ -253,8 +271,7 @@ def test_runs_that_differ_in_bundle_or_size_keep_their_own_artifacts(tmp_path):
         run(ExperimentConfig("glue", {"bundle": bundle, "t": [1.0, 10.0, 100.0]},
                              str(tmp_path), 1))
     for n in (8, 9):
-        run(ExperimentConfig("yamabe", {"n": n, "max_iters": 3, "sweep_draws": 1},
-                             str(tmp_path), 1))
+        run(ExperimentConfig("yamabe", {"n": n, "max_iters": 3}, str(tmp_path), 1))
     runs = ["glue_trivial_k1_l0", "glue_twisted_k1_l0", "yamabe_n8", "yamabe_n9"]
     assert report(str(tmp_path))["runs"] == runs
     for slug, (key, value) in zip(runs, [("bundle", "trivial"), ("bundle", "twisted"),
@@ -268,10 +285,10 @@ def _collapselab_modules():
 
 
 def test_yamabe_calls_public_functions_on_the_calling_thread(tmp_path, monkeypatch):
-    """The sweep thread of a yamabe run calls no public collapselab function.
-    Every such function, wrapped and rebound wherever a module names it (as
-    the benchmark's tracer does, with one span stack per process), is
-    called on the thread that runs the experiment."""
+    """Every public collapselab function that a yamabe run calls, wrapped and
+    rebound wherever a module names it (as the benchmark's tracer does, with
+    one span stack per process), is called on the thread that runs the
+    experiment."""
     callers = []
     wrapped = {}
     modules = _collapselab_modules()
@@ -286,47 +303,14 @@ def test_yamabe_calls_public_functions_on_the_calling_thread(tmp_path, monkeypat
         for name, obj in list(vars(mod).items()):
             if inspect.isfunction(obj) and obj in wrapped:
                 monkeypatch.setattr(mod, name, wrapped[obj])
-    run(ExperimentConfig("yamabe", {"n": 8, "sweep_draws": 20}, str(tmp_path), 1))
+    run(ExperimentConfig("yamabe", {"n": 8}, str(tmp_path), 1))
     assert callers and set(callers) == {threading.get_ident()}
 
 
 def test_yamabe_leaves_no_thread_running(tmp_path):
     before = threading.active_count()
-    run(ExperimentConfig("yamabe", {"n": 8, "sweep_draws": 20}, str(tmp_path), 1))
+    run(ExperimentConfig("yamabe", {"n": 8}, str(tmp_path), 1))
     assert threading.active_count() == before
-
-
-def test_sweep_thread_value_error_exits_2(tmp_path, monkeypatch, capsys):
-    """A ValueError on the sweep thread reaches ``main`` as bad configuration."""
-    def failing(rng, draws, stop):
-        raise ValueError("sweep refused")
-
-    monkeypatch.setattr(cli, "_sign_sweeps", failing)
-    before = threading.active_count()
-    assert main(["yamabe", "--out", str(tmp_path), "n=8"]) == 2
-    assert capsys.readouterr().err == "error: sweep refused\n"
-    assert threading.active_count() == before
-    assert not any(tmp_path.iterdir())
-
-
-def test_failed_descent_stops_the_sweep(tmp_path, monkeypatch, capsys):
-    """A descent that fails at once stops the sign sweep at its next batch:
-    of the 2500 Hoelder batches of 20 000 draws, the sweep thread runs a
-    handful before the run exits 2."""
-    batches = []
-
-    def counting(*args, _fn=conformal._holder_sums):
-        batches.append(1)
-        return _fn(*args)
-
-    monkeypatch.setattr(conformal, "_holder_sums", counting)
-    before = threading.active_count()
-    assert main(["yamabe", "--out", str(tmp_path), "n=8", "tolerance=-1",
-                 "sweep_draws=20000"]) == 2
-    assert capsys.readouterr().err.startswith("error: tolerance must be")
-    assert len(batches) < 100
-    assert threading.active_count() == before
-    assert not any(tmp_path.iterdir())
 
 
 def test_bad_seed_exits_2_before_the_descent(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,6 @@
 """Discrete conformal geometry on the flat 4-torus."""
 
 import math
-import threading
 import warnings
 
 import numpy as np
@@ -22,7 +21,7 @@ from collapselab.conformal import (
     negative_case_check,
     yamabe_quotient,
 )
-from oracles import conformal_scalar_fd, sign_sweeps_loop
+from oracles import conformal_scalar_fd
 
 
 @pytest.fixture
@@ -168,20 +167,20 @@ def test_descent_work_budget(grid, monkeypatch):
 
 
 def test_yamabe_run_work_budget(tmp_path, monkeypatch):
-    """A ``yamabe n=20`` run passes at most 1 200 000 grid points through the
-    stencil Laplacian (a deterministic work counter; 1 106 944 measured): the
-    descent, the conformal-law check on (N, 8, 8, 8) lattices and the
-    negative-case draws of the sweep thread.  The tally is a list, since
-    ``points +=`` from two threads could lose counts."""
-    points = []
+    """A ``yamabe n=20`` run passes at most 734 208 grid points through the
+    stencil Laplacian, a deterministic work counter: 4 descent iterations on
+    20^4 (640 000), the conformal-law check on (N, 8, 8, 8) lattices
+    (57 344) and nine negative-case calls on 8^4 (36 864)."""
+    points = 0
 
-    def counting(grid, u, _fn=conformal._laplacian):
-        points.append(np.size(u))
+    def counting(grid, u, _fn=conformal.laplacian):
+        nonlocal points
+        points += np.size(u)
         return _fn(grid, u)
 
-    monkeypatch.setattr(conformal, "_laplacian", counting)
+    monkeypatch.setattr(conformal, "laplacian", counting)
     cli.run(cli.ExperimentConfig("yamabe", {"n": 20}, str(tmp_path), 1))
-    assert sum(points) <= 1_200_000
+    assert points <= 734_208
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -251,6 +250,17 @@ def test_descent_constant_start_converges_immediately(grid):
     assert res.converged
 
 
+def test_descent_refuses_negative_max_iters():
+    """``max_iters=-3`` ran no iteration and returned the start as a result;
+    a negative count is refused like a bad tolerance, and 0 is allowed."""
+    g = ConformalGrid(8)
+    u0 = 1.0 + 0.2 * np.cos(2.0 * np.pi * g.axis_coordinate(0))
+    with pytest.raises(ValueError, match="max_iters"):
+        minimize_yamabe(g, u0, max_iters=-3)
+    res = minimize_yamabe(g, u0, max_iters=0)
+    assert res.iterations == 0 and len(res.trace) == 1
+
+
 def test_descent_monotone_from_random_start():
     g = ConformalGrid(8)
     rng = np.random.default_rng(2)
@@ -292,32 +302,6 @@ def test_negative_case_check(grid):
         assert negative_case_check(g, u) <= 1e-12
     u_near = 1.0 + 1e-7 * rng.random(g.shape)
     assert abs(negative_case_check(g, u_near)) < 1e-8
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 300))
-@example(0, 1)
-@example(1, 7)
-@example(2, 9)
-@example(3, 100)
-@example(4, 101)
-@example(5, 300)
-def test_batched_sign_sweeps_equal_the_per_draw_loop(seed, draws):
-    """``_sign_sweeps`` repeats one public call per draw bit for bit: across
-    partial batches, and below and above the 100 negative-case draws."""
-    batched = conformal._sign_sweeps(np.random.default_rng(seed), draws, threading.Event())
-    loop = sign_sweeps_loop(np.random.default_rng(seed), draws)
-    assert [x.hex() for x in batched] == [x.hex() for x in loop]
-
-
-@pytest.mark.parametrize("k", [1, 3, 8])
-def test_batched_laplacian_equals_per_field_calls(k):
-    """``_laplacian`` of a (k, 8, 8, 8, 8) stack is ``laplacian`` of each
-    field, bit for bit, on an anisotropic torus."""
-    g = ConformalGrid(8, periods=(0.7, 1.3, 1.0, 2.0))
-    stack = np.random.default_rng(k).random((k, *g.shape)) + 0.5
-    batched = conformal._laplacian(g, stack)
-    assert all(np.array_equal(batched[i], laplacian(g, stack[i])) for i in range(k))
 
 
 def test_aubin_bound_values():

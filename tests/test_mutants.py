@@ -1,0 +1,85 @@
+"""Mutation tests: each row is a slip in ``collapselab`` that a criterion must
+catch (DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE
+Computer 11(4), 1978).
+
+A test copies ``src/collapselab`` to a temporary directory, applies one row
+as an exact string replacement, runs the criterion's experiment and
+``report`` through ``collapselab.cli.main`` in a subprocess that imports the
+copy, and asserts that the criterion reads FAIL.  The unmutated copy must
+PASS, so a FAIL is the mutant's doing.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "collapselab"
+
+# name -> (file, original text, mutated text, criterion it must FAIL)
+MUTANTS = {
+    "holder lhs exponent 2/n -> 1/n": (
+        "conformal.py", "* dmu_hat) ** (2.0 / n)", "* dmu_hat) ** (1.0 / n)", 8),
+    "holder rhs volume exponent 1-2/n -> 1-1/n": (
+        "conformal.py", "vol ** (1.0 - 2.0 / n)", "vol ** (1.0 - 1.0 / n)", 8),
+    "holder factor 2 on the rhs": (
+        "conformal.py", "rhs = grid.integrate(", "rhs = 2.0 * grid.integrate(", 8),
+    "holder rhs sums |s|": (
+        "conformal.py", "grid.integrate(s_field * dmu_hat)",
+        "grid.integrate(np.abs(s_field) * dmu_hat)", 8),
+    "stencil wrap term dropped": (
+        "conformal.py", "        d[0] -= v[-1]\n", "", 8),
+    "negative case ell doubled": (
+        "conformal.py", "(n - 1) * ell * laplacian(grid, u) / u)",
+        "(n - 1) * 2.0 * ell * laplacian(grid, u) / u)", 8),
+    "negative case Delta u / u^2": (
+        "conformal.py", "laplacian(grid, u) / u)", "laplacian(grid, u) / u**2)", 8),
+    "stencil h not squared": (
+        "conformal.py", "diff /= h**2", "diff /= h", 8),
+}
+
+# the experiment run whose summary each criterion reads
+RUNS = {8: ["yamabe", "n=8", "max_iters=0"]}
+
+_SCRIPT = """
+import sys
+from collapselab.cli import main
+out = sys.argv[1]
+assert main([sys.argv[2], "--out", out, *sys.argv[3:]]) == 0
+assert main(["report", "--out", out]) in (0, 1)
+"""
+
+
+def _status(tmp_path: Path, criterion: int, mutant=None) -> str:
+    """Criterion ``criterion`` of ``report`` over a copy of the package with
+    ``mutant`` (file, old, new) applied."""
+    package = tmp_path / "src" / "collapselab"
+    shutil.copytree(SRC, package, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        name, old, new = mutant
+        path = package / name
+        text = path.read_text()
+        assert text.count(old) == 1, f"{old!r} is not unique in {name}"
+        path.write_text(text.replace(old, new))
+    out = tmp_path / "runs"
+    env = {**os.environ, "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(out), *RUNS[criterion]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads((out / "report.json").read_text())["criteria"]
+    return next(row["status"] for row in rows if row["criterion"] == criterion)
+
+
+@pytest.mark.parametrize("criterion", sorted(RUNS))
+def test_unmutated_copy_passes(tmp_path, criterion):
+    assert _status(tmp_path, criterion) == "PASS"
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_fails_its_criterion(tmp_path, name):
+    name_of_file, old, new, criterion = MUTANTS[name]
+    assert _status(tmp_path, criterion, (name_of_file, old, new)) == "FAIL"

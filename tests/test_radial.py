@@ -125,6 +125,23 @@ def test_sample_grid_needs_a_finite_range(lo, hi):
         sample_grid(lo, hi, 10)
 
 
+def test_sup_norms_refuses_a_range_outside_the_domain(monkeypatch):
+    """``sup_norms(round, 200, 0.1, 3.2)`` returned a value, since no point of
+    its 200-point grid passed r_max = pi; the range itself is now checked,
+    before any curvature is evaluated.  So is ``volume``'s."""
+    import collapselab.radial as radial
+
+    calls = []
+    monkeypatch.setattr(radial, "curvature_at", lambda *args: calls.append(args))
+    round_s4, burns = make_metric(Preset.ROUND), make_metric(Preset.BURNS)
+    for metric, lo, hi in ((round_s4, 0.1, 3.2), (burns, 0.999, 3.0), (burns, 3.0, 2.0)):
+        with pytest.raises(ValueError, match="outside the domain"):
+            sup_norms(metric, 200, lo, hi)
+        with pytest.raises(ValueError, match="outside the domain"):
+            volume(metric, lo, hi)
+    assert not calls
+
+
 def test_sample_grid_matches_the_scalar_van_der_corput_loop_bit_for_bit():
     """The grid's exponents, mirrored binary digits formed for all k at once,
     are the scalar loop's exact dyadics on every sample count from 2 to 513
