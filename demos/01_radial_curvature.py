@@ -8,6 +8,7 @@ nonzero Ricci curvature, so the two conditions are genuinely different.
 
 import numpy as np
 
+from collapselab.frame_curvature import curvature_operator
 from collapselab.radial import Preset, curvature_at, make_metric, sample_grid, sup_norms
 
 print("flat metric: every curvature quantity vanishes")
@@ -19,7 +20,9 @@ print(f"  scalar = {fr.scalar:.2e}, |Ric| = {fr.sup_ricci:.2e}, "
 print("\nround 4-sphere of radius 1: constant curvature, scalar = 12")
 s4 = make_metric(Preset.ROUND)
 fr = curvature_at(s4, 0.8)
-print(f"  scalar = {fr.scalar:.6f}, sec range = [{fr.sec_min:.4f}, {fr.sec_max:.4f}]")
+# every 2-plane has curvature 1, so the curvature operator on 2-forms is I_6
+dist = np.abs(curvature_operator(fr.riemann4) - np.eye(6)).max()
+print(f"  scalar = {fr.scalar:.6f}, max |operator - I_6| = {dist:.1e}")
 
 print("\nEguchi-Hanson, A = 1: Ricci-flat with anti-self-dual Weyl curvature")
 eh = make_metric(Preset.EGUCHI_HANSON, A=1.0)

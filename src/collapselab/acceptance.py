@@ -82,6 +82,14 @@ def _results(summaries: list, experiment: str, required: bool = True, **params) 
     return [s["results"] for s in _runs(summaries, experiment, required, **params)]
 
 
+def _worst(values, pick=max) -> float:
+    """``pick`` (max or min) of ``values``, or NaN if any value is NaN:
+    Python's max and min skip a NaN that is not first, so a NaN summary
+    would pass or fail a criterion by its place in the list."""
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else pick(values)
+
+
 def _enough(ok: bool, complete: bool) -> bool:
     """``ok`` once the evidence is ``complete``.  Part of it can fail a
     criterion but not pass it: a passing verdict on part is SKIPPED."""
@@ -95,7 +103,7 @@ def _enough(ok: bool, complete: bool) -> bool:
              for a in (0.5, 1.0, 2.0)])
 def _eguchi_hanson_ricci_flat(summaries):
     runs = _results(summaries, "curvature", preset="eguchi-hanson")
-    worst = max(r["sup_ricci"] for r in runs)
+    worst = _worst(r["sup_ricci"] for r in runs)
     return worst < 1e-9, f"sup_ricci={worst:.3e} over {len(runs)} runs"
 
 
@@ -103,8 +111,8 @@ def _eguchi_hanson_ricci_flat(summaries):
             [("curvature", {"preset": "burns", "samples": 500})])
 def _burns_scalar_flat_not_einstein(summaries):
     runs = _results(summaries, "curvature", preset="burns")
-    sup_s = max(r["sup_abs_scalar"] for r in runs)
-    ricci_2 = min(r["sup_ricci_at_r2"] or 0.0 for r in runs)
+    sup_s = _worst(r["sup_abs_scalar"] for r in runs)
+    ricci_2 = _worst((r["sup_ricci_at_r2"] or 0.0 for r in runs), min)
     return sup_s < 1e-9 and ricci_2 > 1e-3, f"sup |s|={sup_s:.2e}, |Ric|(r=2)={ricci_2:.2e}"
 
 
@@ -122,7 +130,7 @@ def _cutoff_decay_slopes(summaries):
 @_criterion(4, "volume deficits match closed forms to 1e-10", _DECAY_RUNS)
 def _volume_deficits(summaries):
     runs = _results(summaries, "decay")
-    worst = max(r["deficit_vs_closed_form_rel"] for r in runs)
+    worst = _worst(r["deficit_vs_closed_form_rel"] for r in runs)
     detail = f"max relative deviation {worst:.1e} over {len(runs)} runs"
     return _enough(worst < 1e-10, len(runs) >= 2), detail
 
@@ -186,8 +194,8 @@ def _variational_inequalities(summaries):
 @_criterion(9, "Yamabe descent reaches quotient < 1e-3", _YAMABE_RUNS)
 def _yamabe_descent(summaries):
     runs = _results(summaries, "yamabe")
-    quotient = max(r["quotient_star"] for r in runs)
-    spread = max(r["u_spread"] for r in runs)
+    quotient = _worst(r["quotient_star"] for r in runs)
+    spread = _worst(r["u_spread"] for r in runs)
     return quotient < 1e-3 and spread < 1e-3, f"quotient {quotient:.1e}, spread {spread:.1e}"
 
 
@@ -221,7 +229,7 @@ def _wplus_sweep_collapses(summaries):
 
 @_criterion(12, "classifier table and general-type values", [("classify", {})])
 def _classifier_table_and_values(summaries):
-    worst = max(r["value_check_max_abs"] for r in _results(summaries, "classify"))
+    worst = _worst(r["value_check_max_abs"] for r in _results(summaries, "classify"))
     # the sign table of the canonical surfaces, read when no input file replaced them
     canonical = ["positive", "positive", "zero", "zero", "zero", "negative"]
     tables_ok = all([a["answer"]["sign"] for a in r["answers"]] == canonical
@@ -234,6 +242,6 @@ def _aubin_bound_closed_forms(summaries):
     runs = _results(summaries, "yamabe")
     closed = {"2": 8.0 * math.pi, "3": 6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0),
               "4": 12.0 * math.sqrt(8.0 * math.pi**2 / 3.0)}
-    worst = max(abs(r["aubin_bounds"][n] - c) / c for r in runs for n, c in closed.items())
-    gauss_bonnet = max(abs(r["aubin_n2_minus_4pi_chi_s2"]) for r in runs)
+    worst = _worst(abs(r["aubin_bounds"][n] - c) / c for r in runs for n, c in closed.items())
+    gauss_bonnet = _worst(abs(r["aubin_n2_minus_4pi_chi_s2"]) for r in runs)
     return worst < 1e-12 and gauss_bonnet < 1e-12, f"max relative deviation {worst:.1e}"

@@ -183,7 +183,9 @@ def _run_curvature(params: dict, seed: int):
         "sup_ricci_at_r2": float(fr.sup_ricci[n]) if at_2 else None,
         "n_radii": n,
     }
-    return {"profile": profile}, results, params["preset"]
+    # Eguchi-Hanson runs differ by A; :g names a=2 and a=2.0 one run
+    slug = f"{preset.value}_a{params['a']:g}" if preset is Preset.EGUCHI_HANSON else preset.value
+    return {"profile": profile}, results, slug
 
 
 def _run_decay(params: dict, seed: int):
@@ -207,7 +209,7 @@ def _run_decay(params: dict, seed: int):
     }
     rows = [(eps, s, math.log(eps), math.log(s)) for eps, s in table.rows]
     sweep = ("epsilon,sup_norm,log_eps,log_sup", ("",) * 4, rows)
-    return {"sweep": sweep}, results, f"decay_{base.value}"
+    return {"sweep": sweep}, results, f"decay_{base.value}_d{eps0:g}"
 
 
 def _run_collapse(params: dict, seed: int):
@@ -276,8 +278,9 @@ def _equality_evidence(fields: np.ndarray) -> dict:
     at the equality cases of its two inequalities and against a second
     formula.
 
-    * Hoelder: at s = 1 the gap is 0, and at s = -1 it is 2 lhs; the
-      largest relative deviation of either over the fields.
+    * Hoelder: at s = 1 the gap is 0 and lhs^(n/2) is the volume
+      int u^(2n/(n-2)) dmu, and at s = -1 the gap is 2 lhs; the largest
+      relative deviation of any of the three over the fields.
     * Negative case: the lattice sum of (n-1) ell Delta u / u equals its
       edge form (n-1) ell sum_edges (2 - a - 1/a) / h^2 with
       a = u(x + e) / u(x), each term <= 0; the largest relative deviation,
@@ -291,6 +294,9 @@ def _equality_evidence(fields: np.ndarray) -> dict:
         at_one, at_minus_one = holder_gap(grid, one, u), holder_gap(grid, -one, u)
         holder.append(abs(at_one["gap"]) / at_one["lhs"])
         holder.append(abs(at_minus_one["gap"] - 2.0 * at_minus_one["lhs"]) / at_minus_one["lhs"])
+        # at s = 1, lhs^(n/2) is the volume: the weight itself, read twice
+        vol = grid.integrate((u * u) ** (n / (n - 2)))
+        holder.append(abs(at_one["lhs"] ** (n / 2.0) - vol) / vol)
         pairs = 0.0
         for ax, h in enumerate(grid.spacings):
             a = np.roll(u, -1, axis=ax) / u

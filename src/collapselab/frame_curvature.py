@@ -16,7 +16,6 @@ is ever needed.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ class CurvatureFrame:
 
     ``riemann4`` is the full (4,4,4,4) tensor
     R(E_a,E_b,E_c,E_d) = <R(E_a,E_b)E_c, E_d>, kept for oracles and for
-    ``sec_min`` / ``sec_max``, which are derived from it on first access.
+    ``curvature_operator``.
     W+/W- norms use the operator (Frobenius) normalisation that makes
 
         2*chi + 3*tau = (1/4pi^2) int [2|W+|^2 + s^2/24 - |ric0|^2/2] dmu
@@ -71,25 +70,6 @@ class CurvatureFrame:
             _point(self.w_minus_norm2[index]),
             _point(self.ricci_traceless_norm2[index]),
         )
-
-    @functools.cached_property
-    def _sectional_extremes(self):
-        riem = self.riemann4
-        if riem.ndim == 4:
-            return sectional_extremes(riem)
-        ext = np.array([sectional_extremes(x) for x in riem.reshape(-1, 4, 4, 4, 4)])
-        return ext[:, 0].reshape(riem.shape[:-4]), ext[:, 1].reshape(riem.shape[:-4])
-
-    @property
-    def sec_min(self) -> float | np.ndarray:
-        """Least sectional curvature (see ``sectional_extremes``), computed
-        point by point."""
-        return self._sectional_extremes[0]
-
-    @property
-    def sec_max(self) -> float | np.ndarray:
-        """Greatest sectional curvature (see ``sectional_extremes``)."""
-        return self._sectional_extremes[1]
 
     @property
     def sup_ricci(self) -> float | np.ndarray:
@@ -240,41 +220,6 @@ def weyl_blocks(op: np.ndarray):
     w_plus = a_block - (a_block.trace(axis1=-2, axis2=-1) / 3.0)[..., None, None] * _EYE3
     w_minus = c_block - (c_block.trace(axis1=-2, axis2=-1) / 3.0)[..., None, None] * _EYE3
     return w_plus, w_minus
-
-
-def _thorpe_min(op: np.ndarray) -> float:
-    """max_t lambda_min(op + t*) over |t| <= 2 ||op||_2, by bisection on the
-    sign of <*v, v> at the lowest eigenvector v (docs/conventions.md)."""
-    star = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(3))
-    hi = 2.0 * float(np.linalg.norm(op, 2))
-    lo, best = -hi, -np.inf
-    for _ in range(64):
-        t = 0.5 * (lo + hi)
-        lam, vec = np.linalg.eigh(op + t * star)
-        best = max(best, float(lam[0]))
-        v = vec[:, 0]
-        if v @ star @ v >= 0.0:
-            lo = t
-        else:
-            hi = t
-    return best
-
-
-def sectional_extremes(riem: np.ndarray) -> tuple[float, float]:
-    """Extremes of sectional curvature over all 2-planes, exact through
-    Thorpe's duality (docs/conventions.md), at one point."""
-    op = curvature_operator(riem)
-    op = 0.5 * (op + op.T)
-    return _thorpe_min(op), -_thorpe_min(-op)
-
-
-def frame_curvature(
-    struct: np.ndarray,
-    struct_d1: np.ndarray | None = None,
-    e0_scale=1.0,
-) -> CurvatureFrame:
-    """Assemble a CurvatureFrame from frame structure functions."""
-    return frame_from_riemann(riemann_tensor(struct, struct_d1, e0_scale))
 
 
 def frame_from_riemann(riem: np.ndarray) -> CurvatureFrame:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frame_curvature import CurvatureFrame, frame_curvature
+from .frame_curvature import CurvatureFrame, frame_from_riemann, riemann_tensor
 from .jets import Jet2, constant, variable
 
 # ds1 = 2 s2^s3 (cyclic) corresponds to [X_i, X_j] = -2 eps_ijk X_k for the
@@ -199,7 +199,7 @@ def curvature_at(metric: RadialMetric, r) -> CurvatureFrame:
     inside = (metric.r_min < rs) & (rs < metric.r_max)
     if not inside.all():
         raise ValueError(f"r={rs[~inside][0]} outside domain ({metric.r_min}, {metric.r_max})")
-    frame = frame_curvature(*_structure_functions(metric, rs))
+    frame = frame_from_riemann(riemann_tensor(*_structure_functions(metric, rs)))
     return frame if np.ndim(r) else frame[0]
 
 

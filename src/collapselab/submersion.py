@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frame_curvature import CurvatureFrame, frame_curvature
+from .frame_curvature import CurvatureFrame, frame_from_riemann, riemann_tensor
 
 
 # --------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def homogeneous_curvature(sc: StructureConstants, metric_diag: Sequence[float]) 
         raise ValueError("metric_diag must be positive and finite")
     rt = np.sqrt(d)
     struct = sc.c * rt[None, None, :] / (rt[:, None, None] * rt[None, :, None])
-    return frame_curvature(struct)
+    return frame_from_riemann(riemann_tensor(struct))
 
 
 # --------------------------------------------------------------------------

@@ -1,43 +1,42 @@
 """Acceptance gate: the 13 criteria of ``collapselab.acceptance``.
 
-Each test executes its criterion's declared runs through ``cli.run`` (every
-run once per session, shared between criteria), evaluates the criterion on
-their summaries and asserts PASS.  Each test prints its report row first,
-so the suite output doubles as the acceptance table.
+A session fixture executes every criterion's declared runs through
+``cli.run``, each run once, into one directory, and evaluates the registry
+on it as ``collapselab report`` does.  Each test asserts PASS for its
+criterion and prints its report row first, so the suite output doubles as
+the acceptance table.
 """
 
+import copy
 import json
+import math
 
 import pytest
 
 from collapselab.acceptance import CRITERIA, format_row
-from collapselab.cli import ExperimentConfig, main, run
+from collapselab.cli import ExperimentConfig, main, report, run
 
 
 @pytest.fixture(scope="session")
-def summaries_of(tmp_path_factory):
-    """Summaries of a list of (experiment, overrides) runs.  Each run writes
-    to its own directory, because runs of one experiment can share a slug."""
-    done = {}
-
-    def summaries_of(runs):
-        summaries = []
-        for experiment, overrides in runs:
-            key = (experiment, json.dumps(overrides, sort_keys=True))
-            if key not in done:
-                out = tmp_path_factory.mktemp(experiment)
-                run(ExperimentConfig(experiment, dict(overrides), str(out)))
-                done[key] = next(json.loads(p.read_text()) for p in out.glob("*.json")
-                                 if not p.name.endswith(".meta.json"))
-            summaries.append(done[key])
-        return summaries
-
-    return summaries_of
+def report_rows(tmp_path_factory):
+    """Report rows by criterion number over one directory holding every
+    declared run.  No two distinct runs may write one summary, since the
+    later would hide the earlier from ``report``."""
+    out = tmp_path_factory.mktemp("runs")
+    declared = {(experiment, json.dumps(overrides, sort_keys=True)): (experiment, overrides)
+                for c in CRITERIA for experiment, overrides in c.runs}
+    summaries = []
+    for experiment, overrides in declared.values():
+        written = run(ExperimentConfig(experiment, dict(overrides), str(out)))
+        summaries += [p for p in written
+                      if p.suffix == ".json" and not p.name.endswith(".meta.json")]
+    assert len(set(summaries)) == len(declared) == 14
+    return {row["criterion"]: row for row in report(str(out))["criteria"]}
 
 
 def _acceptance_test(criterion):
-    def test(summaries_of):
-        row = criterion.check(summaries_of(criterion.runs))
+    def test(report_rows):
+        row = report_rows[criterion.number]
         print(format_row(row))
         assert row["status"] == "PASS", format_row(row)
 
@@ -108,7 +107,7 @@ def test_a_lone_failing_run_fails_its_criteria(tmp_path):
     of the two runs criterion 4 needs, so that stays SKIPPED."""
     summary = _decay_summary(-1.2075187496394222, 1.9412920813377626e-12,
                              eps=[0.0002, 0.0001, 5e-05], deficit_eps=0.5, samples=120)
-    (tmp_path / "decay_eguchi-hanson.json").write_text(json.dumps(summary))
+    (tmp_path / "decay_eguchi-hanson_d0.5.json").write_text(json.dumps(summary))
     assert main(["report", "--out", str(tmp_path)]) == 1
     rows = json.loads((tmp_path / "report.json").read_text())["criteria"]
     status = {row["criterion"]: row["status"] for row in rows}
@@ -131,3 +130,45 @@ def test_part_of_the_evidence_fails_but_never_passes():
     assert status(6, [glue]) == "FAIL"
     glue["results"]["verdict"] = "BoundedScalarCollapse"
     assert status(6, [glue]) == "SKIPPED"
+
+
+def _summary(experiment, results, **parameters):
+    return {"config": {"experiment": experiment, "parameters": parameters}, "results": results}
+
+
+_AUBIN = {"aubin_bounds": {"2": 8.0 * math.pi, "3": 6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0),
+                           "4": 12.0 * math.sqrt(8.0 * math.pi**2 / 3.0)},
+          "aubin_n2_minus_4pi_chi_s2": 0.0}
+_BURNS = {"sup_abs_scalar": 1e-14, "sup_ricci_at_r2": 0.1}
+_DESCENT = {"quotient_star": 1e-20, "u_spread": 1e-12}
+
+# (criterion, passing summaries, result key, the value that makes it NaN)
+_NAN_CASES = [
+    (1, [_summary("curvature", {"sup_ricci": 1e-14}, preset="eguchi-hanson")], "sup_ricci",
+     math.nan),
+    (2, [_summary("curvature", _BURNS, preset="burns")], "sup_abs_scalar", math.nan),
+    (2, [_summary("curvature", _BURNS, preset="burns")], "sup_ricci_at_r2", math.nan),
+    (4, [_decay_summary(2.0, 1e-12), _decay_summary(2.0, 1e-12, base="burns")],
+     "deficit_vs_closed_form_rel", math.nan),
+    (9, [_yamabe_summary(**_DESCENT)], "quotient_star", math.nan),
+    (9, [_yamabe_summary(**_DESCENT)], "u_spread", math.nan),
+    (12, [_summary("classify", {"value_check_max_abs": 1e-15}, input="records.json")],
+     "value_check_max_abs", math.nan),
+    (13, [_yamabe_summary(**_AUBIN)], "aubin_n2_minus_4pi_chi_s2", math.nan),
+    (13, [_yamabe_summary(**_AUBIN)], "aubin_bounds", {**_AUBIN["aubin_bounds"], "3": math.nan}),
+]
+
+
+@pytest.mark.parametrize("number,good,key,value", _NAN_CASES,
+                         ids=[f"{case[0]}-{case[2]}" for case in _NAN_CASES])
+def test_a_nan_summary_fails_first_or_last(number, good, key, value):
+    """A NaN FAILs criteria 1, 2, 4, 9, 12 and 13 wherever its summary sits:
+    Python's max and min skip a NaN that is not first, so the criteria
+    passed a NaN in the last summary and failed one in the first."""
+    criterion = next(c for c in CRITERIA if c.number == number)
+    assert criterion.check(good)["status"] == "PASS"
+    bad = copy.deepcopy(good[-1])
+    bad["results"][key] = value
+    for summaries in ([bad, *good], [*good, bad]):
+        row = criterion.check(summaries)
+        assert row["status"] == "FAIL", format_row(row)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import collapselab
-from collapselab import charclass, cli, cutoff, frame_curvature, gluing, radial
+from collapselab import charclass, cli, cutoff, gluing, radial
 from collapselab.cli import ExperimentConfig, main, report, run
 from collapselab.cutoff import unit_cap
 from collapselab.jets import Jet2
@@ -186,7 +186,7 @@ def test_curvature_flags(tmp_path):
     code = main(["curvature", "--out", str(tmp_path), "samples=15",
                  "preset=eguchi-hanson"])
     assert code == 0
-    summary = _summary(tmp_path, "eguchi-hanson")
+    summary = _summary(tmp_path, "eguchi-hanson_a1")
     assert summary["config"]["parameters"]["samples"] == 15
     assert summary["results"]["sup_ricci"] < 1e-9
 
@@ -228,7 +228,7 @@ def test_report_runs_listed(tmp_path):
 @pytest.mark.parametrize("experiment, params, name, header, n_rows", [
     ("curvature", {"preset": "flat", "samples": 5}, "flat_profile",
      "r,scalar,sup_ricci,riemann_norm2,wplus_norm2,wminus_norm2", 5),
-    ("decay", {"eps": [0.2, 0.1, 0.05], "samples": 60}, "decay_eguchi-hanson_sweep",
+    ("decay", {"eps": [0.2, 0.1, 0.05], "samples": 60}, "decay_eguchi-hanson_d0.5_sweep",
      "epsilon,sup_norm,log_eps,log_sup", 3),
     ("collapse", {"t": [1.0, 10.0]}, "collapse_trivial_family",
      "t,volume,volume_times_t,k_h,k_p", 2),
@@ -276,6 +276,24 @@ def test_runs_that_differ_in_bundle_or_size_keep_their_own_artifacts(tmp_path):
     assert report(str(tmp_path))["runs"] == runs
     for slug, (key, value) in zip(runs, [("bundle", "trivial"), ("bundle", "twisted"),
                                          ("n", 8), ("n", 9)]):
+        assert _summary(tmp_path, slug)["config"]["parameters"][key] == value
+
+
+def test_runs_that_differ_in_a_or_deficit_eps_keep_their_own_artifacts(tmp_path):
+    """An Eguchi-Hanson slug names A, read with :g so that a=2 and a=2.0
+    name one run, and a decay slug names deficit_eps."""
+    for a in (0.5, 2, 2.0):
+        run(ExperimentConfig("curvature", {"preset": "eguchi-hanson", "a": a, "samples": 5},
+                             str(tmp_path), 1))
+    for eps in (0.5, 0.6):
+        run(ExperimentConfig("decay", {"eps": [0.2, 0.1, 0.05], "samples": 20,
+                                       "deficit_eps": eps},
+                             str(tmp_path), 1))
+    runs = ["decay_eguchi-hanson_d0.5", "decay_eguchi-hanson_d0.6",
+            "eguchi-hanson_a0.5", "eguchi-hanson_a2"]
+    assert report(str(tmp_path))["runs"] == runs
+    for slug, (key, value) in zip(runs, [("deficit_eps", 0.5), ("deficit_eps", 0.6),
+                                         ("a", 0.5), ("a", 2.0)]):
         assert _summary(tmp_path, slug)["config"]["parameters"][key] == value
 
 
@@ -366,8 +384,8 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
 
     for module in (radial, cli, charclass):
         monkeypatch.setattr(module, "curvature_at", curvature)
-    monkeypatch.setattr(frame_curvature, "riemann_tensor",
-                        counting("riemann_tensor", frame_curvature.riemann_tensor))
+    monkeypatch.setattr(radial, "riemann_tensor",
+                        counting("riemann_tensor", radial.riemann_tensor))
     monkeypatch.setattr(cutoff, "cap_curvature", counting("cap_curvature", cutoff.cap_curvature))
     monkeypatch.setattr(cutoff, "_bump", per_element("_bump", cutoff._bump))
     monkeypatch.setattr(Jet2, "sqrt", per_element("sqrt", Jet2.sqrt))
@@ -402,14 +420,14 @@ def test_benchmark_hooks(monkeypatch):
     jets = metric.profile.at(2.0)
     assert len(jets) == 4 and all(isinstance(j, Jet2) for j in jets)
     calls = 0
-    engine = frame_curvature.riemann_tensor
+    engine = radial.riemann_tensor
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return engine(*args)
 
-    monkeypatch.setattr(frame_curvature, "riemann_tensor", counting)
+    monkeypatch.setattr(radial, "riemann_tensor", counting)
     radial.curvature_at(metric, 2.0)
     assert calls == 1
     radial.curvature_at(metric, np.array([1.5, 2.0, 3.0]))

@@ -40,6 +40,8 @@ MUTANTS = {
         "conformal.py", "laplacian(grid, u) / u)", "laplacian(grid, u) / u**2)", 8),
     "stencil h not squared": (
         "conformal.py", "diff /= h**2", "diff /= h", 8),
+    "holder volume weight u^p -> u^2": (
+        "conformal.py", "dmu_hat = u ** (2.0 * n / (n - 2))", "dmu_hat = u**2", 8),
 }
 
 # the experiment run whose summary each criterion reads

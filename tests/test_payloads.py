@@ -48,13 +48,15 @@ GOLDEN = {
     "collapse_twisted.json": "8a473804d29c604c3a8e30358202b9effaa5f2a1740a03796906d949857ca3be",
     "collapse_twisted_family.csv":
         "ce39995a3c2874e644faa8daf63d0b22123dd8be07927eabce1178b51b0f7b93",
-    "decay_burns.json": "1d20d4a23dc0ef42fccfe5aa29e6bafafedc5b58cca76b47ac564d2a8931a3e1",
-    "decay_burns_sweep.csv": "9d628d644670eb405c7f604b86e3e948640f3441fba169260e429325f181e46b",
-    "decay_eguchi-hanson.json": "2c78472e623bce3089e1cf3d46dd48f6d9c79bae2b6d3cda7fefaa3c5bdaa35b",
-    "decay_eguchi-hanson_sweep.csv":
+    "decay_burns_d0.5.json": "1d20d4a23dc0ef42fccfe5aa29e6bafafedc5b58cca76b47ac564d2a8931a3e1",
+    "decay_burns_d0.5_sweep.csv":
+        "9d628d644670eb405c7f604b86e3e948640f3441fba169260e429325f181e46b",
+    "decay_eguchi-hanson_d0.5.json":
+        "2c78472e623bce3089e1cf3d46dd48f6d9c79bae2b6d3cda7fefaa3c5bdaa35b",
+    "decay_eguchi-hanson_d0.5_sweep.csv":
         "3e2f325b835138f4ebf156e29fee81504ff971479c8bcd94ce96d5a293f68665",
-    "eguchi-hanson.json": "536b798831c6c5baa74c34e54abf5deff1648026889635ec230f3ae261af4e3d",
-    "eguchi-hanson_profile.csv":
+    "eguchi-hanson_a1.json": "536b798831c6c5baa74c34e54abf5deff1648026889635ec230f3ae261af4e3d",
+    "eguchi-hanson_a1_profile.csv":
         "a9dab7053f2bdf058f0e01dbc89c75fd6b98cbc35ede4ad8919230e4bd2e3f7b",
     "flat.json": "daff9470c9b15f878553ffc565efcc94affb7cf5a5ade6ff352ab74f46223981",
     "flat_profile.csv": "1b0df9cbdde7947ec7b07d76e4a69730ba9c84432064d685e5c1e558e58f8378",

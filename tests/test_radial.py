@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from collapselab.frame_curvature import curvature_operator
 from collapselab.radial import (
     Preset,
     RadialMetric,
@@ -44,8 +45,8 @@ def test_round_sphere_curvature():
     metric = make_metric(Preset.ROUND, radius=1.0)
     fr = curvature_at(metric, 1.0)
     assert fr.scalar == pytest.approx(12.0, abs=1e-10)
-    assert fr.sec_min == pytest.approx(1.0, abs=1e-8)
-    assert fr.sec_max == pytest.approx(1.0, abs=1e-8)
+    # constant curvature 1: the curvature operator is the identity
+    assert np.abs(curvature_operator(fr.riemann4) - np.eye(6)).max() <= 1e-15
     assert fr.w_plus_norm2 < 1e-20 and fr.w_minus_norm2 < 1e-20
     big = make_metric(Preset.ROUND, radius=2.0)
     assert curvature_at(big, 2.0).scalar == pytest.approx(3.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from collapselab.frame_curvature import curvature_operator
 from collapselab.submersion import (
     BundleKind,
     StructureConstants,
@@ -35,20 +36,26 @@ def test_jacobi_holds_for_presets():
 
 
 def test_heisenberg_cross_r_sectional_curvatures():
+    """The curvature operator is diagonal in the frame's 2-form basis
+    (Milnor, Adv. Math. 21, 1976): K(X1, X2) = -3/4, the planes of X1 and
+    X2 with the center X3 give +1/4, and the planes with the R factor 0."""
     fr = homogeneous_curvature(heisenberg_r(), np.ones(4))
-    # K(X1, X2) = -3/4, the mixed planes with the center give +1/4
-    assert fr.sec_min == pytest.approx(-0.75, abs=1e-10)
-    assert fr.sec_max == pytest.approx(0.25, abs=1e-10)
+    assert np.array_equal(curvature_operator(fr.riemann4),
+                          np.diag([-0.75, 0.25, 0.0, 0.0, 0.0, 0.25]))
     assert fr.scalar == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_oneill_matches_homogeneous_engine():
+    """The engine's operator is diagonal, so its diagonal holds the
+    sectional extremes: the least is O'Neill's K_H, the greatest K_P."""
     bundle = make_bundle(BundleKind.NILMANIFOLD)
-    for t in (1.0, 4.0, 100.0):
+    for t in (1.0, 4.0, 3.7, 100.0):
         cur = oneill_at(collapse_metric(bundle, t))
-        fr = nilmanifold_frame(t)
-        assert cur.K_H == pytest.approx(fr.sec_min, abs=1e-10)
-        assert cur.K_P == pytest.approx(fr.sec_max, abs=1e-10)
+        op = curvature_operator(nilmanifold_frame(t).riemann4)
+        diag = np.diag(op)
+        assert np.all(op - np.diag(diag) == 0.0)
+        assert cur.K_H == pytest.approx(diag.min(), rel=0.0, abs=3e-17)
+        assert cur.K_P == pytest.approx(diag.max(), rel=0.0, abs=3e-17)
 
 
 def test_oneill_spec_values():
