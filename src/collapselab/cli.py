@@ -155,6 +155,13 @@ def _write_artifacts(config: ExperimentConfig, slug: str, tables: dict, results:
 # ---------------------------------------------------------------- runners
 
 
+def _slug_number(x) -> str:
+    """A parameter value as it appears in an artifact name: the shortest
+    repr of float(x), which tells every two distinct values apart, less a
+    trailing ".0", so that a=2 and a=2.0 name one run."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def _run_curvature(params: dict, seed: int):
     preset = Preset(params["preset"])
     metric = make_metric(preset, A=params["a"], radius=params["radius"])
@@ -183,8 +190,12 @@ def _run_curvature(params: dict, seed: int):
         "sup_ricci_at_r2": float(fr.sup_ricci[n]) if at_2 else None,
         "n_radii": n,
     }
-    # Eguchi-Hanson runs differ by A; :g names a=2 and a=2.0 one run
-    slug = f"{preset.value}_a{params['a']:g}" if preset is Preset.EGUCHI_HANSON else preset.value
+    # Eguchi-Hanson runs differ by A, round runs by a radius other than 1
+    slug = preset.value
+    if preset is Preset.EGUCHI_HANSON:
+        slug += f"_a{_slug_number(params['a'])}"
+    elif preset is Preset.ROUND and params["radius"] != 1.0:
+        slug += f"_r{_slug_number(params['radius'])}"
     return {"profile": profile}, results, slug
 
 
@@ -209,7 +220,7 @@ def _run_decay(params: dict, seed: int):
     }
     rows = [(eps, s, math.log(eps), math.log(s)) for eps, s in table.rows]
     sweep = ("epsilon,sup_norm,log_eps,log_sup", ("",) * 4, rows)
-    return {"sweep": sweep}, results, f"decay_{base.value}_d{eps0:g}"
+    return {"sweep": sweep}, results, f"decay_{base.value}_d{_slug_number(eps0)}"
 
 
 def _run_collapse(params: dict, seed: int):

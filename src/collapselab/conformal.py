@@ -143,15 +143,19 @@ def gradient_energy_density(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
     """Forward-difference |du|^2, the exact summation-by-parts partner of
     the stencil Laplacian: sum(u * Delta u) = sum(|du|^2) identically."""
     u = grid.check_field(u)
-    out = np.zeros_like(u)
+    out = np.empty_like(u)
     diff = np.empty_like(u)
     for ax, h in enumerate(grid.spacings):
-        d, v = np.moveaxis(diff, ax, 0), np.moveaxis(u, ax, 0)
+        # the first axis is written straight into out: its squares are never
+        # -0.0, so this is bit for bit the sum started from zeros
+        dst = diff if ax else out
+        d, v = np.moveaxis(dst, ax, 0), np.moveaxis(u, ax, 0)
         np.subtract(v[1:], v[:-1], out=d[:-1])
         np.subtract(v[0], v[-1], out=d[-1])
-        diff /= h
-        np.square(diff, out=diff)
-        out += diff
+        dst /= h
+        np.square(dst, out=dst)
+        if ax:
+            out += diff
     return out
 
 
@@ -198,9 +202,31 @@ def _sobolev_inverse(grid: ConformalGrid):
     inverse_symbol = 1.0 / (1.0 + 2.0 * (n - 1) * ell * sigma)
 
     def apply(g: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(np.fft.rfftn(g) * inverse_symbol, s=grid.shape, axes=axes)
+        spectrum = np.fft.rfftn(g)
+        spectrum *= inverse_symbol
+        return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
 
     return apply
+
+
+def _h1_gradient(grid: ConformalGrid, sobolev, u: np.ndarray, q: float) -> np.ndarray:
+    """H1 gradient of the quotient at u of unit volume, whose energy is q.
+
+    The L2 gradient is c Delta u - r with c = 2(n-1) ell and
+    r = ((n-2)/n) q p u^(p-1); the lattice measure cancels from the
+    direction and would only shrink the step by a factor N^-n.  ``sobolev``
+    is S = (1 + c Delta)^-1, so S(c Delta u - r) = u - S(u + r): the
+    direction needs one FFT pair and no Laplacian.
+    """
+    n = grid.n_dim
+    p = 2.0 * n / (n - 2)
+    w = (n - 2.0) / n
+    grad = u ** (p - 1.0)
+    grad *= w * q * p
+    grad += u
+    grad = sobolev(grad)
+    np.subtract(u, grad, out=grad)
+    return grad
 
 
 @dataclass
@@ -223,25 +249,25 @@ def minimize_yamabe(
     """Projected Sobolev-gradient descent on the Yamabe quotient.
 
     Each step moves against the H1 (Sobolev) gradient of the quotient: the
-    L2 gradient mapped through (1 + 2(n-1) ell sigma)^-1, where sigma is the
-    exact Fourier symbol of the stencil Laplacian, applied by FFT.  The
+    L2 gradient mapped through S = (1 + 2(n-1) ell sigma)^-1, where sigma is
+    the exact Fourier symbol of the stencil Laplacian, applied by FFT.  The
     factor 2(n-1) ell is the weight of Delta u in the L2 gradient, so the
     stiff high-frequency modes that would hold an L2 step near 2^-14 are
-    taken at unit step.  The step backtracks by halving from 1.0 until the
-    quotient does not increase and u stays positive.  The quotient is scale
-    invariant, so a candidate is evaluated as it is, and only the accepted
-    one is renormalized to unit conformal volume.  Stops on a zero L2
-    gradient or once the relative decrease of the quotient falls below tol,
-    which must be finite and non-negative; ``max_iters`` must be
-    non-negative.
+    taken at unit step, and S turns the gradient into u - S(u + r), with r
+    the volume term: an iteration costs one FFT pair and no Laplacian.  The
+    step backtracks by halving from 1.0 until the quotient does not increase
+    and u stays positive.  The quotient is scale invariant, so a candidate
+    is evaluated as it is, and only the accepted one is renormalized to unit
+    conformal volume.  Stops on a zero quotient (every lattice difference of
+    u is 0, where the L2 gradient is exactly 0) or once the relative
+    decrease of the quotient falls below tol, which must be finite and
+    non-negative; ``max_iters`` must be non-negative.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-    n, ell = grid.n_dim, grid.ell
-    p = 2.0 * n / (n - 2)
-    w = (n - 2.0) / n
+    p = 2.0 * grid.n_dim / (grid.n_dim - 2)
     sobolev = _sobolev_inverse(grid)
 
     def renormalize(v: np.ndarray) -> np.ndarray:
@@ -254,14 +280,11 @@ def minimize_yamabe(
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
-        # functional (L2) gradient of energy / vol^w at unit volume, where the
-        # energy is q; the lattice measure cancels from the direction and
-        # would only shrink the step by a factor N^-n
-        grad = 2.0 * (n - 1) * ell * laplacian(grid, u) - w * q * p * u ** (p - 1.0)
-        if not np.any(grad):
+        # the energy is a sum of squares, so q >= 0 and q == 0 is the minimum
+        if q == 0.0:
             converged = True
             break
-        grad = sobolev(grad)
+        grad = _h1_gradient(grid, sobolev, u, q)
         step = 1.0
         for _ in range(60):
             cand = u - step * grad
@@ -274,6 +297,9 @@ def minimize_yamabe(
             raise RuntimeError("line search failed: no positive decreasing step")
         iterations = it
         u, q_prev, q = renormalize(cand), q, q_new
+        # released here, neither is held while the next direction is formed,
+        # which sets the descent's peak memory
+        del grad, cand
         trace.append((it, q, step))
         if abs(q_prev - q) <= tol * max(abs(q_prev), 1.0):
             converged = True

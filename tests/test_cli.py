@@ -280,20 +280,28 @@ def test_runs_that_differ_in_bundle_or_size_keep_their_own_artifacts(tmp_path):
 
 
 def test_runs_that_differ_in_a_or_deficit_eps_keep_their_own_artifacts(tmp_path):
-    """An Eguchi-Hanson slug names A, read with :g so that a=2 and a=2.0
-    name one run, and a decay slug names deficit_eps."""
-    for a in (0.5, 2, 2.0):
+    """An Eguchi-Hanson slug names A, a round slug a radius other than 1 and
+    a decay slug deficit_eps, each by its shortest repr less a trailing
+    ".0": a=2 and a=2.0 name one run, while a=1 and a=1.0000001 (one name
+    under :g) and radius=1.0 and 2.0 (one name before radii were named) name
+    two."""
+    for a in (0.5, 2, 2.0, 1, 1.0000001):
         run(ExperimentConfig("curvature", {"preset": "eguchi-hanson", "a": a, "samples": 5},
+                             str(tmp_path), 1))
+    for radius in (1.0, 2.0):
+        run(ExperimentConfig("curvature", {"preset": "round", "radius": radius, "samples": 5},
                              str(tmp_path), 1))
     for eps in (0.5, 0.6):
         run(ExperimentConfig("decay", {"eps": [0.2, 0.1, 0.05], "samples": 20,
                                        "deficit_eps": eps},
                              str(tmp_path), 1))
     runs = ["decay_eguchi-hanson_d0.5", "decay_eguchi-hanson_d0.6",
-            "eguchi-hanson_a0.5", "eguchi-hanson_a2"]
+            "eguchi-hanson_a0.5", "eguchi-hanson_a1", "eguchi-hanson_a1.0000001",
+            "eguchi-hanson_a2", "round", "round_r2"]
     assert report(str(tmp_path))["runs"] == runs
     for slug, (key, value) in zip(runs, [("deficit_eps", 0.5), ("deficit_eps", 0.6),
-                                         ("a", 0.5), ("a", 2.0)]):
+                                         ("a", 0.5), ("a", 1), ("a", 1.0000001), ("a", 2.0),
+                                         ("radius", 1.0), ("radius", 2.0)]):
         assert _summary(tmp_path, slug)["config"]["parameters"][key] == value
 
 
