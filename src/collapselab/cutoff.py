@@ -7,8 +7,9 @@ schedules eps^8 and eps^6 make the curvature of the transition region decay
 like eps^2, which the sweep here measures.
 
 The caps that gluing and the Weyl sweep use are closed forms in eps: the
-core r < eps is the instanton (``instanton_curvature``), and the annulus
-[eps, 2 eps] is eps^2 times one unit-scale curvature (``unit_cap``).
+core r < eps is the instanton (``cap_sup_norms``, ``instanton_weyl_energy``),
+and the annulus [eps, 2 eps] is eps^2 times one unit-scale curvature
+(``unit_cap``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .frame_curvature import CurvatureFrame, frame_from_riemann
 from .jets import Jet2, variable
 from .radial import (
-    CurvatureSupNorms,
     RadialMetric,
     _CURVATURE_QUAD_TOL,
     _integrate,
@@ -66,29 +66,14 @@ _FAMILY_EXPONENTS = {
 }
 
 
-def instanton_curvature(base: BaseInstanton, r_bolt: float, r: float) -> tuple[float, float]:
-    """(sup |Ric|, |W-|^2) at radius r of the instanton W = 1 - (r_bolt / r)^q.
-
-    Both instantons are anti-self-dual (W+ = 0); Eguchi-Hanson is Ricci-flat
-    and Burns scalar-flat, and
-
-        |W-|^2 = 6 q^2 r_bolt^(2q) / r^(2q+4),   Burns sup |Ric| = 2 r_bolt^2 / r^4,
-
-    both largest at the bolt.  This is the unit instanton of ``make_metric``
-    at r_bolt = 1 and, exactly, the core r < eps of every cutoff cap.
-    """
-    q = _FAMILY_EXPONENTS[base][1]
-    ricci = 2.0 * r_bolt**2 / r**4 if base is BaseInstanton.BURNS else 0.0
-    return ricci, 6.0 * q * q * r_bolt ** (2 * q) / r ** (2 * q + 4)
-
-
 def instanton_weyl_energy(base: BaseInstanton, r_bolt: float, r_lo: float, r_hi: float) -> float:
-    """int |W-|^2 dmu over [r_lo, r_hi] of the same instanton,
+    """int |W-|^2 dmu over [r_lo, r_hi] of the instanton W = 1 - (r_bolt / r)^q,
 
         12 pi^2 ((r_bolt / r_lo)^(2q) - (r_bolt / r_hi)^(2q)):
 
-    the volume form is link_volume r^3 dr and link_volume * q = 4 pi^2 in
-    both families, so each whole instanton carries 12 pi^2 (signature -1).
+    |W-|^2 = 6 q^2 r_bolt^(2q) / r^(2q+4), the volume form is
+    link_volume r^3 dr and link_volume * q = 4 pi^2 in both families, so
+    each whole instanton carries 12 pi^2 (signature -1).
     """
     q = _FAMILY_EXPONENTS[base][1]
     return 12.0 * math.pi**2 * ((r_bolt / r_lo) ** (2 * q) - (r_bolt / r_hi) ** (2 * q))
@@ -176,10 +161,11 @@ def decay_sweep(
     eps^4 H(rho), so the cap is eps^2 times the unit cap on the same rho
     grid), and the slope 2 follows from that scaling;
     ``test_decay_sweep_is_the_closed_form_per_eps_and_matches_the_engine``
-    is the independent check, against the engine's ``sup_norms`` at every
-    default eps.  An eps outside (0, 1), where the cap is no metric, and
-    an eps whose noise bound 2^-52 / eps^4 exceeds ``DECAY_NOISE_LIMIT``
-    (docs/conventions.md, "Decay below float resolution") raise ValueError.
+    is the independent check, against the engine's ``curvature_at`` of the
+    cutoff metric on the same grid at every default eps.  An eps outside
+    (0, 1), where the cap is no metric, and an eps whose noise bound
+    2^-52 / eps^4 exceeds ``DECAY_NOISE_LIMIT`` (docs/conventions.md,
+    "Decay below float resolution") raise ValueError.
     """
     eps_values = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(eps_values) < 3:
@@ -315,14 +301,19 @@ def unit_cap(base: BaseInstanton) -> UnitCap:
     return UnitCap(float(sups[:-1].max()), float(sups[-1]), float(wp), float(wm))
 
 
-def cap_sup_norms(family: CutoffFamily) -> CurvatureSupNorms:
-    """Sup norms over the whole cap, bolt to flat: the core is the instanton,
-    with sup |Ric| = 2 / r_bolt^2 at the bolt (Burns) or 0 and zero scalar,
-    and the annulus gives eps^2 times the ``unit_cap`` suprema."""
+def cap_sup_norms(family: CutoffFamily) -> tuple[float, float]:
+    """(sup |Ric|, sup |s|) over the whole cap, bolt to flat: the core is the
+    instanton, Ricci-flat (Eguchi-Hanson) or with sup |Ric| = 2 / r_bolt^2
+    at the bolt (Burns), and scalar-flat; the annulus gives eps^2 times the
+    ``unit_cap`` suprema.  Once r_bolt^2 underflows to 0.0 the Burns sup
+    |Ric| is inf, as IEEE division gives it."""
     unit = unit_cap(family.base)
     eps2 = family.epsilon**2
-    core_ricci, _ = instanton_curvature(family.base, family.r_bolt, family.r_bolt)
-    return CurvatureSupNorms(max(unit.sup_ricci * eps2, core_ricci), unit.sup_scalar * eps2)
+    core_ricci = 0.0
+    if family.base is BaseInstanton.BURNS:
+        bolt2 = family.r_bolt**2
+        core_ricci = 2.0 / bolt2 if bolt2 else math.inf
+    return max(unit.sup_ricci * eps2, core_ricci), unit.sup_scalar * eps2
 
 
 def cap_volume(family: CutoffFamily) -> float:

@@ -109,54 +109,14 @@ _LEFT, _RIGHT = _product_factors()
 _SWAP = np.arange(256).reshape(4, 4, 16).transpose(1, 0, 2).ravel()
 
 
-@dataclass(frozen=True)
-class _RiemannPlan:
-    """The products of ``riemann_tensor`` that can change a bit.
-
-    ``terms`` holds, for the sum A and then the sum B, per e in order, the
-    (accumulator row, left factor row, right factor row) of each such
-    product.  The accumulator has ``rows`` rows, the last one zero.
-    ``slots`` are the output slots the products reach, and ``reads`` the
-    rows of A at each slot, of A at its swap (b, a, c, d) and of B at the
-    slot."""
-
-    terms: tuple
-    rows: int
-    slots: np.ndarray
-    reads: tuple
-
-    @property
-    def products(self) -> int:
-        """Products formed per batch point."""
-        return sum(rows.size for rows, _, _ in self.terms)
-
-
-def _factor_rows(struct: np.ndarray) -> np.ndarray:
-    """The 128 factor rows of ``riemann_tensor``: the 64 Gamma, then the
-    64 C, each over the batch, shape (128, points)."""
-    frames = (levi_civita_coefficients(struct), struct)
-    return np.concatenate([x.reshape(-1, 64).T for x in frames])
-
-
-def _riemann_plan(factors: np.ndarray) -> _RiemannPlan:
-    """The plan of ``riemann_tensor`` for the pattern of its factor rows.
-    A product is skipped only when one factor is +-0.0 at every batch point
-    and the other finite at every batch point: it is then +-0.0 at every
-    point, so NaN and inf propagate as in the full sums."""
+def _live_products(factors: np.ndarray) -> np.ndarray:
+    """Mask of the products of ``riemann_tensor`` that can change a bit, one
+    row per sum and e as in ``_product_factors``, over the factor rows
+    ``factors`` (128, points).  A product is dropped only when one factor is
+    +-0.0 at every point and the other finite at every point: it is then
+    +-0.0 at every point, so NaN and inf propagate as in the full sums."""
     zero, finite = ~factors.any(axis=1), np.isfinite(factors).all(axis=1)
-    live = ~((zero[_LEFT] & finite[_RIGHT]) | (zero[_RIGHT] & finite[_LEFT]))
-    reached = live.reshape(2, 4, 256).any(axis=1).ravel()  # A slots, then B slots
-    count = np.count_nonzero(reached)
-    row = np.full(512, count)  # a slot no product reaches reads the zero row
-    row[reached] = np.arange(count)
-    sum_e, slot = np.nonzero(live)  # sorted by sum, then e
-    plan = row[256 * (sum_e // 4) + slot], _LEFT[sum_e, slot], _RIGHT[sum_e, slot]
-    ends = np.cumsum(live.sum(axis=1)).tolist()
-    terms = tuple(tuple(x[start:end] for x in plan) for start, end in zip([0] + ends, ends))
-    a, b = reached[:256], reached[256:]
-    slots = np.flatnonzero(a | a[_SWAP] | b)
-    return _RiemannPlan(terms, count + 1, slots,
-                        (row[slots], row[_SWAP[slots]], row[256 + slots]))
+    return ~((zero[_LEFT] & finite[_RIGHT]) | (zero[_RIGHT] & finite[_LEFT]))
 
 
 def riemann_tensor(
@@ -176,18 +136,30 @@ def riemann_tensor(
                  + E_a(G_bcd) - E_b(G_acd),
 
     each sum over e taken from 0.0 in the order e = 0, 1, 2, 3.  Only the
-    products that can change a bit are formed (``_riemann_plan``, read from
-    the data on each call), and only the slots they reach are computed; the
-    rest are +0.0, as the full sums give (docs/conventions.md).
+    products that can change a bit are formed (``_live_products``, read from
+    the data on each call), each added into a compact accumulator through a
+    map from output slot to row whose last row is zero, and only the slots
+    they reach are computed; the rest are +0.0, as the full sums give
+    (docs/conventions.md).
     """
-    factors = _factor_rows(struct)
-    plan = _riemann_plan(factors)
-    total = np.zeros((plan.rows, factors.shape[1]))
-    for rows, left, right in plan.terms:
-        total[rows] += factors[left] * factors[right]
-    a, swapped, b = (total[rows] for rows in plan.reads)
+    # the 128 factor rows: the 64 Gamma, then the 64 C, each over the batch
+    frames = (levi_civita_coefficients(struct), struct)
+    factors = np.concatenate([x.reshape(-1, 64).T for x in frames])
+    live = _live_products(factors)
+    reached = live.reshape(2, 4, 256).any(axis=1).ravel()  # A slots, then B slots
+    count = np.count_nonzero(reached)
+    row = np.full(512, count)  # a slot no product reaches reads the zero row
+    row[reached] = np.arange(count)
+    total = np.zeros((count + 1, factors.shape[1]))
+    sum_e, slot = np.nonzero(live)  # sorted by sum, then e
+    rows, left, right = row[256 * (sum_e // 4) + slot], _LEFT[sum_e, slot], _RIGHT[sum_e, slot]
+    ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
+    for term in map(slice, [0] + ends, ends):
+        total[rows[term]] += factors[left[term]] * factors[right[term]]
+    a, b = reached[:256], reached[256:]
+    slots = np.flatnonzero(a | a[_SWAP] | b)
     riem = np.zeros((factors.shape[1], 256))
-    riem[:, plan.slots] = ((a - swapped) - b).T
+    riem[:, slots] = ((total[row[slots]] - total[row[_SWAP[slots]]]) - total[row[256 + slots]]).T
     riem = riem.reshape(struct.shape[:-3] + (4, 4, 4, 4))
     if struct_d1 is not None:
         scale = np.asarray(e0_scale)[..., None, None, None]

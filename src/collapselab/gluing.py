@@ -46,7 +46,7 @@ class Chart:
         if self.volume <= 0.0:
             raise ValueError(f"{self.kind.value} chart has non-positive volume")
         if not all(map(math.isfinite, (self.volume, self.sup_ricci, self.sup_scalar))):
-            raise ValueError("chart data must be finite")
+            raise ValueError(f"{self.kind.value} chart data must be finite")
         if self.kind in (ChartKind.FLAT_BLOCK, ChartKind.CYLINDER_NECK):
             if self.sup_ricci != 0.0 or self.sup_scalar != 0.0:
                 raise ValueError("flat charts must certify zero curvature")
@@ -125,9 +125,9 @@ def torus_systole(gram: np.ndarray) -> float:
 
 def _cap_chart(kind: ChartKind, base: BaseInstanton, eps: float) -> Chart:
     fam = CutoffFamily(base, eps)
-    sn = cap_sup_norms(fam)
+    sup_ricci, sup_scalar = cap_sup_norms(fam)
     wp, wm = cap_weyl_energies(fam)
-    return Chart(kind, cap_volume(fam), sn.sup_ricci, sn.sup_scalar, eps, wp, wm)
+    return Chart(kind, cap_volume(fam), sup_ricci, sup_scalar, eps, wp, wm)
 
 
 def eh_cap(eps: float) -> Chart:
@@ -161,8 +161,8 @@ def orbifold_family(fiber_gram: np.ndarray, t: float) -> ChartedFamily:
     disjointness"), so the 2 eps balls are disjoint when 4 eps is at most
     that; on this schedule the nearest caps touch whenever inj <= pi.
     """
-    if t < 1.0:
-        raise ValueError("t must be >= 1")
+    if not 1.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 1, got {t!r}")
     fiber_gram = np.asarray(fiber_gram, dtype=float)
     alpha = math.sqrt(float(np.linalg.det(fiber_gram)))
     systole = torus_systole(fiber_gram)
@@ -213,7 +213,8 @@ def assemble_surface_model(
 
     Fiber sums splice in one rational-elliptic orbifold family each through
     a flat cylinder neck; blow-ups replace small Euclidean balls in the flat
-    region with Burns caps on the schedule eps = rho_t / (2 l).
+    region with Burns caps on the schedule eps = rho_t / (2 l).  Every
+    refusal names t, such as a cap volume of 0.0 or an infinite sup norm.
     """
     if fiber_sums < 0 or blowups < 0:
         raise ValueError("fiber-sum and blow-up counts must be non-negative")
@@ -225,26 +226,29 @@ def assemble_surface_model(
     inj = 0.5 * torus_systole(fiber_gram)
 
     def family(t: float) -> ChartedFamily:
-        if t < 1.0:
-            raise ValueError("t must be >= 1")
-        charts: list[Chart] = []
-        removed = 0.0
-        burns = None
-        if blowups > 0:
-            # Euclidean balls of radius rho_t fit inside the collapsed flat
-            # region; shrink the caps with the available room
-            rho_t = min(inj, math.pi) / (2.0 * math.sqrt(t))
-            burns = CutoffFamily(BaseInstanton.BURNS, rho_t / (2.0 * blowups))
-            removed = blowups * (burns.link_volume * (2.0 * burns.epsilon) ** 4 / 4.0)
-        if removed >= collapse_metric(bundle, t).total_volume():
-            raise ValueError("requested caps exceed the available flat volume")
-        charts.append(_bundle_block(bundle, t, removed=removed))
-        # equal parameters give equal (immutable) charts: each is built once
-        if fiber_sums > 0:
-            neck = Chart(ChartKind.CYLINDER_NECK, 2.0 * math.pi * alpha / t, 0.0, 0.0)
-            charts += [neck, *orbifold_family(fiber_gram, t).charts] * fiber_sums
-        if burns is not None:
-            charts += [burns_cap(burns.epsilon)] * blowups
+        if not 1.0 <= t < math.inf:
+            raise ValueError(f"t must be finite and >= 1, got {t!r}")
+        try:  # a refusal names t: at large t a cap's data underflows or overflows
+            charts: list[Chart] = []
+            removed = 0.0
+            burns = None
+            if blowups > 0:
+                # Euclidean balls of radius rho_t fit inside the collapsed flat
+                # region; shrink the caps with the available room
+                rho_t = min(inj, math.pi) / (2.0 * math.sqrt(t))
+                burns = CutoffFamily(BaseInstanton.BURNS, rho_t / (2.0 * blowups))
+                removed = blowups * (burns.link_volume * (2.0 * burns.epsilon) ** 4 / 4.0)
+            if removed >= collapse_metric(bundle, t).total_volume():
+                raise ValueError("requested caps exceed the available flat volume")
+            charts.append(_bundle_block(bundle, t, removed=removed))
+            # equal parameters give equal (immutable) charts: each is built once
+            if fiber_sums > 0:
+                neck = Chart(ChartKind.CYLINDER_NECK, 2.0 * math.pi * alpha / t, 0.0, 0.0)
+                charts += [neck, *orbifold_family(fiber_gram, t).charts] * fiber_sums
+            if burns is not None:
+                charts += [burns_cap(burns.epsilon)] * blowups
+        except ValueError as exc:
+            raise ValueError(f"t={t!r}: {exc}") from exc
         return ChartedFamily(
             charts=tuple(charts),
             parameter=t,

@@ -203,12 +203,6 @@ def curvature_at(metric: RadialMetric, r) -> CurvatureFrame:
     return frame if np.ndim(r) else frame[0]
 
 
-@dataclass(frozen=True)
-class CurvatureSupNorms:
-    sup_ricci: float
-    sup_scalar: float
-
-
 def _check_range(metric: RadialMetric, r_lo: float, r_hi: float) -> None:
     """Raise ValueError unless r_min <= r_lo < r_hi <= r_max: [r_lo, r_hi]
     lies in the metric's domain, whatever grid is later laid on it."""
@@ -224,20 +218,13 @@ def sample_grid(r_lo: float, r_hi: float, samples: int) -> np.ndarray:
     if not 0.0 < r_lo < r_hi < math.inf:
         raise ValueError("empty or invalid radial range")
     ratio = r_hi / r_lo
+    if not math.isfinite(ratio):
+        raise ValueError(f"radial range [{r_lo}, {r_hi}] is too wide: r_hi / r_lo overflows")
     # van der Corput base 2: k's binary digits mirrored about the binary point,
     # exact dyadics in (0, 1) whose prefixes nest: suprema never fall as samples grow
     k, width = np.arange(1, samples + 1), int(samples).bit_length()
     mirrored = sum(((k >> d) & 1) << (width - 1 - d) for d in range(width))
     return r_lo * ratio ** (mirrored / 2.0**width)
-
-
-def sup_norms(metric: RadialMetric, samples: int, r_lo: float, r_hi: float) -> CurvatureSupNorms:
-    """Suprema of frame-component curvature norms over a nested radial grid
-    strictly inside (r_lo, r_hi), which must lie in the metric's domain: one
-    batched curvature evaluation."""
-    _check_range(metric, r_lo, r_hi)
-    fr = curvature_at(metric, sample_grid(r_lo, r_hi, samples))
-    return CurvatureSupNorms(float(np.max(fr.sup_ricci)), float(np.max(np.abs(fr.scalar))))
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983) on [-1, 1]: the 10 positive

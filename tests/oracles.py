@@ -9,12 +9,14 @@ frame-based engine and the discrete conformal transformation law:
 * a periodic-lattice oracle for diagonal metrics on the flat torus, built
   entirely from np.roll central differences.
 
-Neither shares any code path with the library's curvature engine.  Three
-references that do use the engine check what is built beside it: the Weyl
-energies of a radial metric by quadrature of ``curvature_at``
-(``weyl_integrals``), the algebra su(2) + R of S^3 x R for the
-left-invariant engine (``su2_r``), and the dense contractions that the
-sparse ``riemann_tensor`` must match bit for bit (``dense_riemann_tensor``).
+Neither shares any code path with the library's curvature engine, nor
+does the closed-form curvature of the two instantons
+(``instanton_curvature``).  Three references that do use the engine check
+what is built beside it: the Weyl energies of a radial metric by
+quadrature of ``curvature_at`` (``weyl_integrals``), the algebra
+su(2) + R of S^3 x R for the left-invariant engine (``su2_r``), and the
+dense contractions that the sparse ``riemann_tensor`` must match bit for
+bit (``dense_riemann_tensor``).
 Two scalar loops check batched code: the van der Corput points of
 ``radial.sample_grid`` (``van_der_corput``) and the interior peaks of
 ``cutoff._refined_sup`` (``zoomed_peak``).
@@ -24,6 +26,7 @@ import math
 
 import numpy as np
 
+from collapselab.cutoff import BaseInstanton
 from collapselab.frame_curvature import levi_civita_coefficients
 from collapselab.radial import _CURVATURE_QUAD_TOL, RadialMetric, _integrate, curvature_at
 from collapselab.submersion import StructureConstants
@@ -176,6 +179,20 @@ def conformal_scalar_fd(grid, u):
     prof = np.asarray(u, dtype=float).reshape(n, 1, 1, 1)
     gdiag = [prof**2] * 4
     return lattice_scalar_curvature(gdiag, grid.spacings)
+
+
+def instanton_curvature(base: BaseInstanton, r_bolt: float, r: float) -> tuple[float, float]:
+    """(sup |Ric|, |W-|^2) at radius r of the instanton W = 1 - (r_bolt / r)^q,
+    q = 4 (Eguchi-Hanson) or 2 (Burns).  Both are anti-self-dual (W+ = 0);
+    Eguchi-Hanson is Ricci-flat and Burns scalar-flat, and
+
+        |W-|^2 = 6 q^2 r_bolt^(2q) / r^(2q+4),   Burns sup |Ric| = 2 r_bolt^2 / r^4,
+
+    both largest at the bolt.  At r_bolt = 1 this is the unit instanton of
+    ``make_metric``, and it is exactly the core r < eps of every cutoff cap."""
+    q = 4 if base is BaseInstanton.EGUCHI_HANSON else 2
+    ricci = 2.0 * r_bolt**2 / r**4 if base is BaseInstanton.BURNS else 0.0
+    return ricci, 6.0 * q * q * r_bolt ** (2 * q) / r ** (2 * q + 4)
 
 
 # ------------------------------------------------------ engine references

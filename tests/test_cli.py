@@ -100,6 +100,31 @@ def test_non_finite_values_exit_2(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["charclass", "t=NaN,1"], "t must be finite and >= 1, got nan"),
+    (["curvature", "preset=flat", "r_lo=1e-300", "r_hi=1e300"], "[1e-300, 1e+300] is too wide"),
+    (["glue", "t=1,1e300,1e301"], "t=1e+300: eh_cap chart has non-positive volume"),
+    (["charclass", "t=1,1e120,1e121"], "t=1e+120: burns_cap chart data must be finite"),
+    (["charclass", "t=1,1e300,1e301"], "t=1e+300: "),
+])
+def test_exit_2_names_the_parameter_given(tmp_path, capsys, argv, needle):
+    """Bad configuration names the parameter the user gave.  Before, t = NaN
+    passed the family rule's t < 1 and failed as "epsilon must lie in
+    (0, 1)", the overflowing ratio r_hi / r_lo put r = inf on the grid, and
+    a t whose cap data a float cannot hold (a Burns r_bolt^2 or a cap volume
+    of 0.0) exited 1 with "float division by zero" or 2 with a chart message
+    that named no t."""
+    assert main(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 2
+    assert needle in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_glue_at_large_t_exits_0(tmp_path):
+    """The cap certificate no longer forms the core's |W-|^2 at the bolt,
+    whose r_bolt^12 underflowed to 0.0 and divided by zero (exit 1)."""
+    assert main(["glue", "--out", str(tmp_path), "t=1,1e25,1e26"]) == 0
+
+
 def test_curvature_r_lo_must_be_positive(tmp_path, capsys):
     """An explicit r_lo <= 0 is bad configuration; only an unset r_lo on a
     profile that closes up at r = 0 starts the grid at 1e-4 r_hi."""

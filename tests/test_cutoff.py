@@ -17,7 +17,6 @@ from collapselab.cutoff import (
     cap_curvature,
     cap_volume,
     decay_sweep,
-    instanton_curvature,
     modified_metric,
     unit_cap,
     volume_deficit,
@@ -25,10 +24,9 @@ from collapselab.cutoff import (
 from collapselab.frame_curvature import frame_from_riemann
 from collapselab.jets import Jet2, _libm, variable
 from collapselab.radial import (
-    Preset, curvature_at, make_metric, sample_grid, sup_norms, volume,
-    w_ansatz_riemann,
+    Preset, curvature_at, make_metric, sample_grid, volume, w_ansatz_riemann,
 )
-from oracles import zoomed_peak
+from oracles import instanton_curvature, zoomed_peak
 
 
 def test_bump_boundary_values():
@@ -173,10 +171,10 @@ def test_unit_cap_suprema_are_certified(base):
         fine = np.max(norm(cap_curvature(base, zoom)))
         assert sup == pytest.approx(fine, rel=1e-9)
     eps = 0.2
-    sampled = sup_norms(modified_metric(CutoffFamily(base, eps)), 120,
-                        r_lo=eps, r_hi=3.0 * eps)
-    assert unit.sup_ricci >= sampled.sup_ricci / eps**2
-    assert unit.sup_scalar >= sampled.sup_scalar / eps**2
+    sampled = curvature_at(modified_metric(CutoffFamily(base, eps)),
+                           sample_grid(eps, 3.0 * eps, 120))
+    assert unit.sup_ricci >= np.max(sampled.sup_ricci) / eps**2
+    assert unit.sup_scalar >= np.max(np.abs(sampled.scalar)) / eps**2
 
 
 def _synthetic(gaussians, cosines, constant):
@@ -296,18 +294,21 @@ def test_decay_sweep_refuses_eps_outside_the_unit_interval(tmp_path, capsys):
 def test_decay_sweep_is_the_closed_form_per_eps_and_matches_the_engine(base):
     """At every default epsilon the batched sweep repeats, bit for bit, one
     ``cap_curvature`` call for that epsilon alone on its own grid, and its
-    sup norm equals the engine's (``sup_norms`` of the cutoff metric on the
-    same grid) to 1e-9 relative; the engine's rounding reaches 1.3e-10
+    sup norm equals the engine's (``curvature_at`` of the cutoff metric on
+    the same grid) to 1e-9 relative; the engine's rounding reaches 1.3e-10
     (Burns, eps = 0.025)."""
     eps_list = cli._DEFAULTS["decay"]["eps"]
     table = decay_sweep(base, eps_list, samples=120)
     assert [eps for eps, _ in table.rows] == sorted(eps_list, reverse=True)
     ricci = base is BaseInstanton.EGUCHI_HANSON
     for eps, sup in table.rows:
-        fr = cap_curvature(base, sample_grid(eps, 3.0 * eps, 120), eps)
-        assert sup == float(np.max(fr.sup_ricci if ricci else np.abs(fr.scalar)))
-        engine = sup_norms(modified_metric(CutoffFamily(base, eps)), 120, eps, 3.0 * eps)
-        assert sup == pytest.approx(engine.sup_ricci if ricci else engine.sup_scalar, rel=1e-9)
+        grid = sample_grid(eps, 3.0 * eps, 120)
+        closed, engine = (
+            float(np.max(fr.sup_ricci if ricci else np.abs(fr.scalar)))
+            for fr in (cap_curvature(base, grid, eps),
+                       curvature_at(modified_metric(CutoffFamily(base, eps)), grid)))
+        assert sup == closed
+        assert sup == pytest.approx(engine, rel=1e-9)
 
 
 def test_decay_sweep_rejects_vanishing_sup(monkeypatch):

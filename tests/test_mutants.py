@@ -44,8 +44,25 @@ MUTANTS = {
         "conformal.py", "dmu_hat = u ** (2.0 * n / (n - 2))", "dmu_hat = u**2", 8),
 }
 
+# slips in the radial engine, each caught by criteria 1 and 2
+_ENGINE_MUTANTS = {
+    "structure sign -2 -> -1": (
+        "radial.py", "STRUCTURE_SIGN = -2.0", "STRUCTURE_SIGN = -1.0"),
+    "Koszul sign of C_bca flipped": (
+        "frame_curvature.py", "0.5 * (struct - c_bca + c_cab)", "0.5 * (struct + c_bca + c_cab)"),
+    "E_0 step sign flipped on b = 0": (
+        "frame_curvature.py", "-= dgamma", "+= dgamma"),
+}
+MUTANTS.update({f"{name}, {preset}": (*row, criterion)
+                for name, row in _ENGINE_MUTANTS.items()
+                for preset, criterion in (("Eguchi-Hanson", 1), ("Burns", 2))})
+
 # the experiment run whose summary each criterion reads
-RUNS = {8: ["yamabe", "n=8", "max_iters=0"]}
+RUNS = {
+    1: ["curvature", "preset=eguchi-hanson", "samples=50"],
+    2: ["curvature", "preset=burns", "samples=50"],
+    8: ["yamabe", "n=8", "max_iters=0"],
+}
 
 _SCRIPT = """
 import sys

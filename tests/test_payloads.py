@@ -66,7 +66,7 @@ GOLDEN = {
     "glue_trivial_k1_l0.json": "7d0789edcfabf5e1cd883b9208f51080a7e207a5c042ff368412b2f88fa04654",
     "glue_trivial_k1_l0_certificate.csv":
         "e80841e623bcd94939216d9853e7629f41b0fc7a825cd93507fba653e467af3f",
-    "glue_trivial_k1_l2.json": "e9ff345f9521ccf4f0039faf4dedb67385469adc36d55ec8cdd923c2afacb957",
+    "glue_trivial_k1_l2.json": "8b24f2009406b0dd083aba77faae502642eb99a35f89f02798e6c399f7d21bca",
     "glue_trivial_k1_l2_certificate.csv":
         "da4bc8ce0e3100414d8fa91028d63ec1ba22e19b424f47768b2f5180c788c881",
     "round.json": "38b9c44b7a83b8249ffcb1b455e4df64c7bebd54fde7c485661ab6e2b58f50c5",

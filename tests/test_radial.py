@@ -10,13 +10,13 @@ from collapselab.radial import (
     Preset,
     RadialMetric,
     RadialProfile,
+    _check_range,
     curvature_at,
     eguchi_hanson_profile,
     flat_profile,
     make_metric,
     round_profile,
     sample_grid,
-    sup_norms,
     volume,
     w_ansatz_profile,
 )
@@ -126,18 +126,20 @@ def test_sample_grid_needs_a_finite_range(lo, hi):
         sample_grid(lo, hi, 10)
 
 
-def test_sup_norms_refuses_a_range_outside_the_domain(monkeypatch):
-    """``sup_norms(round, 200, 0.1, 3.2)`` returned a value, since no point of
-    its 200-point grid passed r_max = pi; the range itself is now checked,
-    before any curvature is evaluated.  So is ``volume``'s."""
+def test_check_range_refuses_a_range_outside_the_domain(monkeypatch):
+    """The range itself is checked, whatever grid is later laid on it: the
+    200-point grid of round on [0.1, 3.2] has no point past r_max = pi, so
+    a check of the grid alone would pass it.  ``volume`` checks its range
+    before any quadrature."""
     import collapselab.radial as radial
 
     calls = []
-    monkeypatch.setattr(radial, "curvature_at", lambda *args: calls.append(args))
+    monkeypatch.setattr(radial, "_integrate", lambda *args: calls.append(args))
     round_s4, burns = make_metric(Preset.ROUND), make_metric(Preset.BURNS)
+    assert sample_grid(0.1, 3.2, 200).max() < math.pi
     for metric, lo, hi in ((round_s4, 0.1, 3.2), (burns, 0.999, 3.0), (burns, 3.0, 2.0)):
         with pytest.raises(ValueError, match="outside the domain"):
-            sup_norms(metric, 200, lo, hi)
+            _check_range(metric, lo, hi)
         with pytest.raises(ValueError, match="outside the domain"):
             volume(metric, lo, hi)
     assert not calls
@@ -183,11 +185,13 @@ def test_profile_parameters_must_be_positive_and_finite(bad):
         round_profile(bad)
 
 
-def test_sup_norms_monotone_in_samples():
+def test_sampled_sup_never_falls_as_samples_grow():
+    """Nested grids only add points, so the sup over a batched curvature
+    evaluation never falls as the sample count grows."""
     metric = make_metric(Preset.BURNS)
-    sups = [sup_norms(metric, n, r_lo=metric.r_min, r_hi=10.0).sup_ricci
+    sups = [np.max(curvature_at(metric, sample_grid(metric.r_min, 10.0, n)).sup_ricci)
             for n in (25, 50, 100)]
-    assert sups[0] <= sups[1] <= sups[2]  # nested grids only add points
+    assert sups[0] <= sups[1] <= sups[2]
 
 
 def test_volume_against_closed_forms():
