@@ -33,7 +33,8 @@ from .acceptance import evaluate, format_row
 from .charclass import densities_at, integrate_characteristics, product_surface_frame, wplus_sweep
 from .conformal import (ConformalGrid, aubin_bound, conformal_scalar, holder_gap, minimize_yamabe,
                         negative_case_check)
-from .cutoff import BaseInstanton, CutoffFamily, decay_sweep, volume_deficit
+from .cutoff import (DEFICIT_FLOOR_LIMIT, BaseInstanton, CutoffFamily, decay_sweep, deficit_floor,
+                     volume_deficit)
 from .gluing import assemble_surface_model, certificate
 from .radial import Preset, _check_range, curvature_at, make_metric, sample_grid
 from .submersion import BundleKind, collapse_metric, make_bundle, oneill_at
@@ -178,7 +179,16 @@ def _run_curvature(params: dict, seed: int):
     radii = sample_grid(lo, hi, int(params["samples"]))
     # r = 2 rides in the same batch, as its last point
     at_2 = lo < 2.0 < hi
-    fr = curvature_at(metric, np.append(radii, 2.0) if at_2 else radii)
+    try:
+        with np.errstate(over="raise"):
+            fr = curvature_at(metric, np.append(radii, 2.0) if at_2 else radii)
+    except (OverflowError, FloatingPointError) as exc:
+        # the run's scale, set by the preset's parameter or by r_lo, is out of
+        # a float's range for the engine's products
+        scale = {Preset.EGUCHI_HANSON: "a", Preset.ROUND: "radius"}.get(preset)
+        given = [f"{k}={params[k]!r}" for k in (scale, "r_lo") if k and params[k] is not None]
+        raise ValueError(f"{', '.join(given) or 'this range'}: the curvature at r in "
+                         f"[{lo:g}, {hi:g}] overflows a float ({exc})") from exc
     columns = (fr.scalar, fr.sup_ricci, fr.riemann_norm2, fr.w_plus_norm2, fr.w_minus_norm2)
     profile = ("r,scalar,sup_ricci,riemann_norm2,wplus_norm2,wminus_norm2", (".12e",) * 6,
                list(zip(radii.tolist(), *(c.tolist() for c in columns))))
@@ -206,8 +216,18 @@ def _run_decay(params: dict, seed: int):
     # a large cap keeps the deficit above the cancellation floor of the
     # flat-ball subtraction, so the 1e-10 relative comparison is meaningful
     eps0 = float(params["deficit_eps"])
-    fam = CutoffFamily(base, eps0)
-    deficit = volume_deficit(fam, R=4.0 * eps0)
+    try:
+        fam = CutoffFamily(base, eps0)
+    except ValueError as exc:
+        raise ValueError(f"deficit_eps={eps0!r}: {exc}") from exc
+    R = 4.0 * eps0
+    # criterion 4 reads the deficit to DEFICIT_FLOOR_LIMIT, which the
+    # subtraction's rounding floor must not exceed
+    floor = deficit_floor(fam, R)
+    if floor > DEFICIT_FLOOR_LIMIT:
+        raise ValueError(f"deficit_eps={eps0!r}: the rounding floor {floor:.1e} of the "
+                         f"flat-ball subtraction exceeds {DEFICIT_FLOOR_LIMIT:g}")
+    deficit = volume_deficit(fam, R)
     # link_volume r_bolt^4 / 4, against the full-sphere value 2 pi^2 r_bolt^4 / 4
     closed_form = fam.link_volume * fam.r_bolt**4 / 4.0
     stated = 2.0 * math.pi**2 * fam.r_bolt**4 / 4.0

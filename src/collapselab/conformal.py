@@ -166,29 +166,43 @@ def conformal_scalar(grid: ConformalGrid, u) -> np.ndarray:
     return (n - 1) * ell * laplacian(grid, u) / u ** (ell + 1.0)
 
 
-def yamabe_quotient(grid: ConformalGrid, u) -> float:
+def yamabe_quotient(grid: ConformalGrid, u, energy: float | None = None) -> float:
     """Normalized total scalar curvature of u^ell g, the Yamabe functional.
 
     The total scalar curvature reduces to the energy int (n-1) ell |du|^2 dmu
     for every n: the pullback leaves exactly one power of u, and summation
     by parts trades u * Delta u for |du|^2 exactly.  Dividing by the volume
     int u^(2n/(n-2)) dmu to the power (n-2)/n makes it invariant under u -> cu.
+    ``energy``, when given, is the lattice sum of |du|^2 computed elsewhere
+    (the descent takes it from u's spectrum); without it the sum is the
+    stencil's, ``gradient_energy_density``, which defines the quotient.
     """
     u = _as_factor(grid, u)
     n, ell = grid.n_dim, grid.ell
-    energy = grid.integrate((n - 1) * ell * gradient_energy_density(grid, u))
+    # |du|^2 point by point, or its lattice sum: integrate sums either
+    du2 = gradient_energy_density(grid, u) if energy is None else energy
+    total = grid.integrate((n - 1) * ell * du2)
     vol = grid.integrate(u ** (2.0 * n / (n - 2)))
-    return energy / vol ** ((n - 2.0) / n)
+    return total / vol ** ((n - 2.0) / n)
 
 
 def _sobolev_inverse(grid: ConformalGrid):
-    """The map g -> v solving v + 2(n-1) ell Delta v = g, Delta the stencil.
+    """The map g -> v solving v + 2(n-1) ell Delta v = g, Delta the stencil,
+    and the stencil energy by Parseval.
 
     Applied by FFT with the stencil's exact symbol
     sigma = sum_j (2 - 2 cos k_j h_j) / h_j^2, so it inverts the lattice
     operator to rounding, not a continuum approximation of it.  sigma is
     built once, as a broadcast of one factor per axis over the rfftn
-    half-spectrum.
+    half-spectrum.  The same sigma prices a field v: the lattice sum of
+    |dv|^2 is sum_k sigma(k) |v_hat(k)|^2 / N over the N lattice points.
+
+    Returns ``(apply, field_energy)``.  ``apply(g)`` is ``(S g, energy of
+    S g)``, the energy read off the spectrum the inverse already forms; it
+    uses g as scratch, so no second copy of it is held.  ``field_energy(v)``
+    takes one rfftn of v.  Both transform the field minus one of its
+    values, which changes no k != 0 coefficient and sigma(0) = 0, so a
+    constant has spectrum, energy and image exactly 0.0, 0.0 and itself.
     """
     n, ell = grid.n_dim, grid.ell
     axes = tuple(range(n))
@@ -200,33 +214,64 @@ def _sobolev_inverse(grid: ConformalGrid):
         shape[ax] = freq.size
         sigma = sigma + ((2.0 - 2.0 * np.cos(2.0 * np.pi * freq)) / h**2).reshape(shape)
     inverse_symbol = 1.0 / (1.0 + 2.0 * (n - 1) * ell * sigma)
+    # the half-spectrum holds each interior plane of the last axis for itself
+    # and its conjugate; the zero plane, and the Nyquist plane of an even
+    # count, stand for themselves alone
+    planes = np.full(grid.shape[-1] // 2 + 1, 2.0)
+    planes[0] = 1.0
+    if grid.shape[-1] % 2 == 0:
+        planes[-1] = 1.0
+    points = math.prod(grid.shape)
+    weight = sigma * planes / points
 
-    def apply(g: np.ndarray) -> np.ndarray:
+    def spectral_energy(spectrum: np.ndarray) -> float:
+        # |c|^2 formed in the spectrum's own storage, which the caller no
+        # longer needs, so no half-spectrum is allocated
+        power = spectrum.real
+        np.square(power, out=power)
+        np.square(spectrum.imag, out=spectrum.imag)
+        power += spectrum.imag
+        # einsum reads the strided view in place, where a dot would copy it
+        return float(np.einsum(weight, list(axes), power, list(axes), []))
+
+    def field_energy(v: np.ndarray) -> float:
+        return spectral_energy(np.fft.rfftn(v - v.flat[0]))
+
+    def apply(g: np.ndarray) -> tuple[np.ndarray, float]:
+        shift = g.flat[0]
+        g -= shift
         spectrum = np.fft.rfftn(g)
         spectrum *= inverse_symbol
-        return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+        # S fixes constants: the mean goes back as one scalar after the
+        # transform, so a large mean costs the varying part no digits
+        mean = shift + spectrum.flat[0].real / points
+        spectrum.flat[0] = 0.0
+        v = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+        v += mean
+        return v, spectral_energy(spectrum)
 
-    return apply
+    return apply, field_energy
 
 
-def _h1_gradient(grid: ConformalGrid, sobolev, u: np.ndarray, q: float) -> np.ndarray:
-    """H1 gradient of the quotient at u of unit volume, whose energy is q.
+def _h1_gradient(grid: ConformalGrid, sobolev, u: np.ndarray, q: float) -> tuple[np.ndarray, float]:
+    """Full step against the H1 gradient of the quotient at u of unit
+    volume, whose energy is q, and the stencil energy of that step.
 
     The L2 gradient is c Delta u - r with c = 2(n-1) ell and
     r = ((n-2)/n) q p u^(p-1); the lattice measure cancels from the
     direction and would only shrink the step by a factor N^-n.  ``sobolev``
-    is S = (1 + c Delta)^-1, so S(c Delta u - r) = u - S(u + r): the
-    direction needs one FFT pair and no Laplacian.
+    is the ``apply`` of S = (1 + c Delta)^-1, so the H1 gradient is
+    S(c Delta u - r) = u - S(u + r), and the full step u - (u - S(u + r))
+    is S(u + r) itself: one FFT pair, no Laplacian, and its energy from the
+    spectrum S already forms.
     """
     n = grid.n_dim
     p = 2.0 * n / (n - 2)
     w = (n - 2.0) / n
-    grad = u ** (p - 1.0)
-    grad *= w * q * p
-    grad += u
-    grad = sobolev(grad)
-    np.subtract(u, grad, out=grad)
-    return grad
+    g = u ** (p - 1.0)
+    g *= w * q * p
+    g += u
+    return sobolev(g)
 
 
 @dataclass
@@ -258,17 +303,22 @@ def minimize_yamabe(
     step backtracks by halving from 1.0 until the quotient does not increase
     and u stays positive.  The quotient is scale invariant, so a candidate
     is evaluated as it is, and only the accepted one is renormalized to unit
-    conformal volume.  Stops on a zero quotient (every lattice difference of
-    u is 0, where the L2 gradient is exactly 0) or once the relative
-    decrease of the quotient falls below tol, which must be finite and
-    non-negative; ``max_iters`` must be non-negative.
+    conformal volume.  Every candidate is priced by ``yamabe_quotient`` with
+    its energy by Parseval: the full step is S(u + r), whose spectrum S
+    forms (its price is that of S(u + r) before irfftn rounds it, which at a
+    quotient of rounding size, about 1e-20 on 20^4, reads a few digits off
+    the stencil's), and a halved step takes one rfftn of its own.  Only the
+    starting quotient is taken by the stencil.  Stops on a zero quotient
+    (every lattice difference of u is 0, where the L2 gradient is exactly
+    0) or once the relative decrease of the quotient falls below tol, which
+    must be finite and non-negative; ``max_iters`` must be non-negative.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     p = 2.0 * grid.n_dim / (grid.n_dim - 2)
-    sobolev = _sobolev_inverse(grid)
+    sobolev, field_energy = _sobolev_inverse(grid)
 
     def renormalize(v: np.ndarray) -> np.ndarray:
         vol = grid.integrate(v**p)
@@ -284,22 +334,25 @@ def minimize_yamabe(
         if q == 0.0:
             converged = True
             break
-        grad = _h1_gradient(grid, sobolev, u, q)
-        step = 1.0
+        full, energy = _h1_gradient(grid, sobolev, u, q)
+        cand, step = full, 1.0
         for _ in range(60):
-            cand = u - step * grad
             if np.all(cand > 0.0):
-                q_new = yamabe_quotient(grid, cand)
+                if step < 1.0:
+                    # u - step (u - S(u + r)) is priced by one rfftn of its own
+                    energy = field_energy(cand)
+                q_new = yamabe_quotient(grid, cand, energy=energy)
                 if q_new <= q:
                     break
             step *= 0.5
+            cand = u - step * (u - full)
         else:
             raise RuntimeError("line search failed: no positive decreasing step")
         iterations = it
         u, q_prev, q = renormalize(cand), q, q_new
         # released here, neither is held while the next direction is formed,
         # which sets the descent's peak memory
-        del grad, cand
+        del full, cand
         trace.append((it, q, step))
         if abs(q_prev - q) <= tol * max(abs(q_prev), 1.0):
             converged = True

@@ -193,12 +193,33 @@ def volume_deficit(family: CutoffFamily, R: float) -> float:
 
     Both volume forms are Euclidean (f a b c = r^3 exactly), so the deficit
     is link_volume * r_bolt^4 / 4 in closed form; computed here by adaptive
-    quadrature of the cap from its bolt, and independent of R.
+    quadrature of the cap from its bolt, and independent of R.  It carries
+    the rounding of the flat-ball subtraction, ``deficit_floor``.
     """
     if R <= 2.0 * family.epsilon:
         raise ValueError("R must lie beyond the modified region (R > 2 eps)")
     flat_part = family.link_volume * R**4 / 4.0
     return flat_part - volume(modified_metric(family), family.r_bolt, R)
+
+
+#: largest ``deficit_floor`` the decay run accepts: criterion 4's bound on
+#: the deficit's relative deviation from its closed form
+DEFICIT_FLOOR_LIMIT = 1e-10
+
+
+def deficit_floor(family: CutoffFamily, R: float) -> float:
+    """Relative rounding floor of ``volume_deficit(family, R)``.
+
+    The deficit is the difference of two volumes of size
+    link_volume * R^4 / 4, so it carries their rounding, a few units in the
+    last place of the flat part: relative to the deficit, 2^-50
+    (R / r_bolt)^4 (over epsilon in [0.15, 0.99] the measured deviation
+    reaches 3.3 2^-52 (R / r_bolt)^4).  inf once that overflows, or once
+    r_bolt underflows to 0.0 (docs/conventions.md, "Volume deficit floor").
+    """
+    ratio = R / family.r_bolt if family.r_bolt > 0.0 else math.inf
+    # products, not a power: a float product overflows to inf, a power raises
+    return 2.0**-50 * (ratio * ratio) * (ratio * ratio)
 
 
 # --------------------------------------------------------------------------

@@ -168,16 +168,17 @@ def orbifold_family(fiber_gram: np.ndarray, t: float) -> ChartedFamily:
     systole = torus_systole(fiber_gram)
     eps = _eh_schedule(systole, t)
     nearest = min(math.pi, 0.5 * systole / math.sqrt(t))
-    if nearest < 4.0 * eps - 1e-12:
-        raise ValueError(f"cap schedule violates disjointness: distance {nearest:.4g} < 4 eps")
-
-    ball_vol = CutoffFamily(BaseInstanton.EGUCHI_HANSON, eps).link_volume * (2.0 * eps) ** 4 / 4.0
-    flat_vol = 2.0 * math.pi * 4.0 * alpha / t - 8.0 * ball_vol
-    if flat_vol <= 0.0:
-        raise ValueError("caps exceed the available flat volume")
-
-    charts = [Chart(ChartKind.FLAT_BLOCK, flat_vol, 0.0, 0.0)]
-    charts += [eh_cap(eps)] * 8
+    try:  # a refusal names t: at large t a cap's data underflows
+        if nearest < 4.0 * eps - 1e-12:
+            raise ValueError(f"cap schedule violates disjointness: distance {nearest:.4g} < 4 eps")
+        ball_vol = CutoffFamily(BaseInstanton.EGUCHI_HANSON, eps).link_volume * (2.0 * eps) ** 4 / 4.0
+        flat_vol = 2.0 * math.pi * 4.0 * alpha / t - 8.0 * ball_vol
+        if flat_vol <= 0.0:
+            raise ValueError("caps exceed the available flat volume")
+        charts = [Chart(ChartKind.FLAT_BLOCK, flat_vol, 0.0, 0.0)]
+        charts += [eh_cap(eps)] * 8
+    except ValueError as exc:
+        raise ValueError(f"t={t!r}: {exc}") from exc
     return ChartedFamily(
         charts=tuple(charts),
         parameter=t,
@@ -228,6 +229,8 @@ def assemble_surface_model(
     def family(t: float) -> ChartedFamily:
         if not 1.0 <= t < math.inf:
             raise ValueError(f"t must be finite and >= 1, got {t!r}")
+        # its refusals name t already
+        orbifold = orbifold_family(fiber_gram, t).charts if fiber_sums > 0 else ()
         try:  # a refusal names t: at large t a cap's data underflows or overflows
             charts: list[Chart] = []
             removed = 0.0
@@ -244,7 +247,7 @@ def assemble_surface_model(
             # equal parameters give equal (immutable) charts: each is built once
             if fiber_sums > 0:
                 neck = Chart(ChartKind.CYLINDER_NECK, 2.0 * math.pi * alpha / t, 0.0, 0.0)
-                charts += [neck, *orbifold_family(fiber_gram, t).charts] * fiber_sums
+                charts += [neck, *orbifold] * fiber_sums
             if burns is not None:
                 charts += [burns_cap(burns.epsilon)] * blowups
         except ValueError as exc:

@@ -106,6 +106,15 @@ def test_non_finite_values_exit_2(tmp_path, capsys, argv):
     (["glue", "t=1,1e300,1e301"], "t=1e+300: eh_cap chart has non-positive volume"),
     (["charclass", "t=1,1e120,1e121"], "t=1e+120: burns_cap chart data must be finite"),
     (["charclass", "t=1,1e300,1e301"], "t=1e+300: "),
+    (["curvature", "preset=eguchi-hanson", "a=1e-300"], "a=1e-300: the curvature"),
+    (["curvature", "preset=round", "radius=1e-300"], "radius=1e-300: the curvature"),
+    (["curvature", "preset=flat", "r_lo=1e-200", "r_hi=1"], "r_lo=1e-200: the curvature"),
+    (["decay", "deficit_eps=0.01"], "deficit_eps=0.01: the rounding floor 2.3e-05"),
+    (["decay", "deficit_eps=1e-5"], "deficit_eps=1e-05: the rounding floor"),
+    (["decay", "deficit_eps=1e-40"], "deficit_eps=1e-40: the rounding floor"),
+    (["decay", "deficit_eps=1e-80"], "deficit_eps=1e-80: the rounding floor 2.3e+307"),
+    (["decay", "deficit_eps=1e-120"], "deficit_eps=1e-120: the rounding floor inf"),
+    (["decay", "base=burns", "deficit_eps=0.45"], "deficit_eps=0.45: the rounding floor"),
 ])
 def test_exit_2_names_the_parameter_given(tmp_path, capsys, argv, needle):
     """Bad configuration names the parameter the user gave.  Before, t = NaN
@@ -113,7 +122,10 @@ def test_exit_2_names_the_parameter_given(tmp_path, capsys, argv, needle):
     (0, 1)", the overflowing ratio r_hi / r_lo put r = inf on the grid, and
     a t whose cap data a float cannot hold (a Burns r_bolt^2 or a cap volume
     of 0.0) exited 1 with "float division by zero" or 2 with a chart message
-    that named no t."""
+    that named no t.  A scale too small for the jets (a, radius or r_lo)
+    exited 1 with "Numerical result out of range", and so did deficit_eps
+    1e-40 and 1e-80; deficit_eps 0.01 and 1e-5 exited 0 with a deficit off
+    its closed form by 7.9e-6 and 3.1e6 relative."""
     assert main(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 2
     assert needle in capsys.readouterr().err
     assert not any(tmp_path.iterdir())

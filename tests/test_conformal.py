@@ -151,51 +151,64 @@ def test_descent_reaches_flat_metric(grid):
 
 def test_descent_work_budget(grid, monkeypatch):
     """The descent of ``test_descent_reaches_flat_metric`` evaluates the
-    quotient at most 10 times (a deterministic work counter), the energy
-    once per quotient, the Sobolev inverse once per iteration and the
-    Laplacian never."""
-    calls = {"yamabe_quotient": 0, "gradient_energy_density": 0, "laplacian": 0}
+    quotient 5 times (a deterministic work counter): the stencil energy once,
+    at the start, and each later candidate priced from its spectrum.  Per
+    iteration it forms one full step and applies the Sobolev inverse once;
+    every step is 1.0, so no candidate takes an rfftn of its own, and the
+    Laplacian is never called."""
+    calls = {"yamabe_quotient": 0, "gradient_energy_density": 0, "laplacian": 0,
+             "_h1_gradient": 0}
     for name in calls:
-        def counting(*args, _fn=getattr(conformal, name), _name=name):
+        def counting(*args, _fn=getattr(conformal, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(conformal, name, counting)
-    calls["sobolev"] = 0
+    calls["sobolev"] = calls["field_energy"] = 0
 
     def counting_inverse(g, _fn=conformal._sobolev_inverse):
-        apply = _fn(g)
+        apply, energy = _fn(g)
 
-        def counted(field):
+        def counted_apply(field):
             calls["sobolev"] += 1
             return apply(field)
-        return counted
+
+        def counted_energy(field):
+            calls["field_energy"] += 1
+            return energy(field)
+        return counted_apply, counted_energy
 
     monkeypatch.setattr(conformal, "_sobolev_inverse", counting_inverse)
     u0 = 1.0 + 0.2 * np.cos(2.0 * np.pi * grid.axis_coordinate(0))
     res = conformal.minimize_yamabe(grid, u0, max_iters=500, tol=1e-12)
-    assert calls["yamabe_quotient"] <= 10
-    assert calls["gradient_energy_density"] == calls["yamabe_quotient"]
+    assert res.iterations == 4
+    assert calls["yamabe_quotient"] == res.iterations + 1
+    assert calls["gradient_energy_density"] == 1
     assert calls["laplacian"] == 0
-    assert calls["sobolev"] == res.iterations > 0
+    assert calls["_h1_gradient"] == calls["sobolev"] == res.iterations
+    assert calls["field_energy"] == 0
 
 
 def test_yamabe_run_work_budget(tmp_path, monkeypatch):
     """A ``yamabe n=20`` run passes at most 94 208 grid points through the
-    stencil Laplacian and 800 000 through the energy density, deterministic
+    stencil Laplacian and 160 000 through the energy density, deterministic
     work counters.  The Laplacian sees the conformal-law check on
     (N, 8, 8, 8) lattices (57 344) and nine negative-case calls on 8^4
-    (36 864), the descent none; the energy density sees the descent's five
-    quotients on 20^4.  A stencil or a second quotient added back into a
-    descent iteration exceeds one of them."""
+    (36 864), the descent none; the energy density sees only the descent's
+    starting quotient on 20^4, in one call.  A stencil added back into a
+    descent iteration, or a candidate priced by the stencil, exceeds one of
+    them."""
     points = {"laplacian": 0, "gradient_energy_density": 0}
+    calls = {"laplacian": 0, "gradient_energy_density": 0}
     for name in points:
         def counting(grid, u, _fn=getattr(conformal, name), _name=name):
             points[_name] += np.size(u)
+            calls[_name] += 1
             return _fn(grid, u)
         monkeypatch.setattr(conformal, name, counting)
     cli.run(cli.ExperimentConfig("yamabe", {"n": 20}, str(tmp_path), 1))
     assert points["laplacian"] <= 94_208
-    assert points["gradient_energy_density"] <= 800_000
+    assert points["gradient_energy_density"] <= 160_000
+    assert calls["gradient_energy_density"] <= 1
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -208,7 +221,7 @@ def test_sobolev_inverse_inverts_stencil(seed, n_points):
     last axis exercises the half-spectrum's rfftfreq and irfftn length)."""
     g = ConformalGrid(n_points, periods=(0.7, 1.3, 1.0, 2.0))
     field = np.random.default_rng(seed).standard_normal(g.shape)
-    v = conformal._sobolev_inverse(g)(field)
+    v, _ = conformal._sobolev_inverse(g)[0](field.copy())
     weight = 2.0 * (g.n_dim - 1) * g.ell
     residual = v + weight * laplacian(g, v) - field
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(field))
@@ -229,10 +242,94 @@ def test_h1_gradient_is_the_sobolev_image_of_the_l2_gradient(seed, n_points):
     u /= g.integrate(u**p) ** (1.0 / p)
     q = yamabe_quotient(g, u)
     r = (n - 2.0) / n * q * p * u ** (p - 1.0)
-    sobolev = conformal._sobolev_inverse(g)
-    oracle = sobolev(2.0 * (n - 1) * ell * laplacian(g, u) - r)
-    grad = conformal._h1_gradient(g, sobolev, u, q)
-    assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(u + r))
+    sobolev, _ = conformal._sobolev_inverse(g)
+    oracle, _ = sobolev(2.0 * (n - 1) * ell * laplacian(g, u) - r)
+    full, _ = conformal._h1_gradient(g, sobolev, u, q)
+    assert np.max(np.abs((u - full) - oracle)) <= 1e-12 * np.max(np.abs(u + r))
+
+
+def _energy_lattice(seed, counts, last):
+    rng = np.random.default_rng(seed)
+    periods = tuple(rng.uniform(0.5, 2.0, 4))
+    return ConformalGrid((*counts, last), periods=periods), rng
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.tuples(*[st.integers(8, 11)] * 3), st.integers(8, 13))
+@example(0, (10, 8, 11), 8)
+@example(0, (10, 8, 11), 9)
+def test_spectral_energy_is_the_stencil_energy(seed, counts, last):
+    """Parseval prices a field as the stencil does: sum_k sigma(k)
+    |v_hat(k)|^2 / N over the rfftn half-spectrum equals
+    sum(gradient_energy_density) to 1e-13 relative, on anisotropic lattices
+    with an odd or even count on the last axis (only an even count has a
+    Nyquist plane, of weight 1; largest deviation measured over 300 draws:
+    6.0e-15).  The image of the Sobolev inverse is priced from the spectrum
+    before irfftn rounds it to a lattice field, so it is the energy of the
+    exact S g, not of the rounded image: that price is checked through the
+    descent, in ``test_descent_properties_from_random_starts``."""
+    g, rng = _energy_lattice(seed, counts, last)
+    _, energy = conformal._sobolev_inverse(g)
+    v = rng.random(g.shape) + 0.5
+    stencil = float(np.sum(gradient_energy_density(g, v)))
+    assert abs(energy(v) - stencil) <= 1e-13 * stencil
+
+
+def test_spectral_energy_of_a_constant_is_exactly_zero():
+    """A lattice constant has energy exactly 0.0 and is its own Sobolev
+    image: the spectrum is taken of the field minus one of its values.  The
+    plain FFT round trip does not return the constant, and its spectrum is
+    not 0, so without the shift a constant would read a rounding energy."""
+    g = ConformalGrid((20, 9, 10, 11), periods=(0.7, 1.3, 1.0, 2.0))
+    apply, energy = conformal._sobolev_inverse(g)
+    for value in (0.7, 1.0, 3.1e5):
+        c = np.full(g.shape, value)
+        assert energy(c) == 0.0
+        image, image_energy = apply(c.copy())
+        assert image_energy == 0.0
+        assert np.array_equal(image, c)
+    c = np.full(g.shape, 0.7)
+    assert np.any(np.fft.irfftn(np.fft.rfftn(c), s=g.shape, axes=range(4)) != c)
+
+
+def test_halved_candidates_are_priced_by_their_own_spectrum(monkeypatch):
+    """The line search's halving branch.  No start found reaches it (the
+    full Sobolev step has always decreased the quotient), so the full step
+    is stretched to three times the H1 gradient, u - 3(u - S(u + r)): that
+    step raises the quotient, and the descent halves it.  Every candidate
+    the descent prices from a spectrum, the halved ones from one rfftn of
+    their own, reads the stencil quotient of the same field to 1e-12
+    relative, and the trace records the halved steps."""
+    g = ConformalGrid((10, 8, 9, 8), periods=(0.7, 1.3, 1.0, 2.0))
+    u0 = (1.0 + 0.3 * np.cos(2.0 * np.pi * g.axis_coordinate(0) / 0.7)
+          + 0.2 * np.sin(2.0 * np.pi * g.axis_coordinate(3) / 2.0))
+
+    def stretched(grid, sobolev, u, q, _fn=conformal._h1_gradient):
+        full, _ = _fn(grid, sobolev, u, q)
+        full = u - 3.0 * (u - full)
+        return full, float(np.sum(gradient_energy_density(grid, full)))
+
+    priced = []
+
+    def recording(grid, u, energy=None, _fn=conformal.yamabe_quotient):
+        value = _fn(grid, u, energy=energy)
+        if energy is not None:
+            priced.append((np.array(u), value))
+        return value
+
+    monkeypatch.setattr(conformal, "_h1_gradient", stretched)
+    monkeypatch.setattr(conformal, "yamabe_quotient", recording)
+    res = conformal.minimize_yamabe(g, u0, max_iters=3, tol=0.0)
+    assert any(row[2] < 1.0 for row in res.trace[1:])
+    qs = [row[1] for row in res.trace]
+    assert all(b < a for a, b in zip(qs, qs[1:]))
+    # at least one candidate was priced and refused
+    assert len(priced) > res.iterations
+    for cand, value in priced:
+        stencil = yamabe_quotient(g, cand)
+        assert abs(value - stencil) <= 1e-12 * stencil
+    accepted = [value for _, value in priced]
+    assert all(q in accepted for q in qs[1:])
 
 
 def test_descent_converges_on_anisotropic_torus():
@@ -297,7 +394,27 @@ def test_descent_constant_start_converges_immediately(grid):
     assert np.all(res.u_star == res.u_star.flat[0])
     p = 2.0 * g.n_dim / (g.n_dim - 2)
     assert abs(g.integrate(res.u_star**p) - 1.0) <= 1e-12
-    assert np.any(conformal._sobolev_inverse(g)(res.u_star) != res.u_star)
+    assert np.any(np.fft.irfftn(np.fft.rfftn(res.u_star), s=g.shape, axes=range(4)) != res.u_star)
+
+
+@pytest.mark.parametrize("g, u0", [
+    (ConformalGrid(12), None),
+    (ConformalGrid((12, 9, 10, 11), periods=(0.7, 1.3, 1.0, 2.0)),
+     np.random.default_rng(0).random((12, 9, 10, 11)) + 0.5),
+])
+def test_descent_with_tol_0_ends_on_exact_zero(g, u0):
+    """With tol = 0 the descent runs until a candidate is priced exactly
+    0.0, then stops on q == 0.0 with a constant u_star.  Each candidate's
+    spectrum is taken of the field minus one of its values; without that,
+    a lattice constant reads a rounding energy (1.2e-25 for u = 0.7 on
+    20^4), and a tol = 0 descent of ``yamabe n=20`` ended at 1.16e-38, not
+    0.0."""
+    if u0 is None:
+        u0 = 1.0 + 0.2 * np.cos(2.0 * np.pi * g.axis_coordinate(0))
+    res = minimize_yamabe(g, u0, max_iters=50, tol=0.0)
+    assert res.converged and res.iterations < 50
+    assert res.quotient_star == 0.0
+    assert np.all(res.u_star == res.u_star.flat[0])
 
 
 def test_descent_refuses_negative_max_iters():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collapselab import cli, cutoff
@@ -352,3 +352,31 @@ def test_deficit_independent_of_radius():
     d1 = volume_deficit(fam, R=1.0)
     d2 = volume_deficit(fam, R=2.0)
     assert d1 == pytest.approx(d2, rel=1e-6)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(list(BaseInstanton)), st.floats(0.15, 0.999))
+@example(BaseInstanton.BURNS, 0.46)
+@example(BaseInstanton.BURNS, 0.48)
+@example(BaseInstanton.EGUCHI_HANSON, 0.21)
+@example(BaseInstanton.EGUCHI_HANSON, 0.23)
+def test_deficit_within_its_floor_meets_criterion_4(base, eps):
+    """Every deficit whose rounding floor 2^-50 (R / r_bolt)^4, with the
+    decay run's R = 4 eps, is at most ``DEFICIT_FLOOR_LIMIT`` lies within
+    criterion 4's 1e-10 of its closed form: the floor bounds the deviation.
+    EH accepts eps >= 0.218 and Burns eps >= 0.467."""
+    fam = CutoffFamily(base, eps)
+    R = 4.0 * eps
+    floor = cutoff.deficit_floor(fam, R)
+    assert floor == pytest.approx(2.0**-50 * (R / fam.r_bolt) ** 4, rel=1e-14)
+    if floor <= cutoff.DEFICIT_FLOOR_LIMIT:
+        closed_form = fam.link_volume * fam.r_bolt**4 / 4.0
+        assert abs(volume_deficit(fam, R) - closed_form) <= 1e-10 * closed_form
+
+
+def test_deficit_floor_is_inf_where_it_overflows():
+    """Tiny eps: (R / r_bolt)^4 overflows, and a Burns r_bolt = eps^3
+    underflows to 0.0; the floor is inf in both, not an exception."""
+    assert cutoff.deficit_floor(CutoffFamily(BaseInstanton.EGUCHI_HANSON, 1e-100), 4e-100) == math.inf
+    assert CutoffFamily(BaseInstanton.BURNS, 1e-120).r_bolt == 0.0
+    assert cutoff.deficit_floor(CutoffFamily(BaseInstanton.BURNS, 1e-120), 4e-120) == math.inf

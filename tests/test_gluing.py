@@ -203,6 +203,20 @@ def test_orbifold_family_charts():
     assert fam100.sup_ricci < fam.sup_ricci
 
 
+def test_orbifold_family_refusals_name_t():
+    """A t whose Eguchi-Hanson caps a float cannot hold is refused with the
+    t in the message, called directly or through the family rule of
+    ``assemble_surface_model``, which names it once."""
+    with pytest.raises(ValueError, match=r"^t=1e\+300: eh_cap chart has non-positive volume$"):
+        _orbifold(1e300)
+    with pytest.raises(ValueError, match="t must be finite and >= 1, got nan"):
+        _orbifold(math.nan)
+    family = assemble_surface_model(_trivial_bundle(), fiber_sums=1, blowups=0)
+    with pytest.raises(ValueError) as info:
+        family(1e300)
+    assert str(info.value) == "t=1e+300: eh_cap chart has non-positive volume"
+
+
 def test_orbifold_certificate_is_ricci_bounded():
     cert = certificate(_orbifold, (1.0, 10.0, 100.0, 1000.0))
     assert cert.verdict is Verdict.BOUNDED_RICCI_COLLAPSE

@@ -71,8 +71,8 @@ GOLDEN = {
         "da4bc8ce0e3100414d8fa91028d63ec1ba22e19b424f47768b2f5180c788c881",
     "round.json": "38b9c44b7a83b8249ffcb1b455e4df64c7bebd54fde7c485661ab6e2b58f50c5",
     "round_profile.csv": "ce90eb530eb6ad99957a76f42f22085bef576b9a839aa77700183f2ad0728260",
-    "yamabe_n20.json": "aa18b503b1a0cf98c827fba2333bbfe97053052824ab53777d6c90d8cdbc6598",
-    "yamabe_n20_descent.csv": "e3aea317613dd2773b3178a31a77550e4772c1b59f47399473e364fb7d009cd8",
+    "yamabe_n20.json": "606451f3a61542dd6d185e6195a0640821692f66c1ad49dab9f16f4b7d3ff15e",
+    "yamabe_n20_descent.csv": "db1119de7e3da1acce69578797af65043fcfbe66a0f71e7d94b7ce71c5438b6c",
 }
 
 
