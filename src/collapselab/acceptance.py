@@ -5,7 +5,8 @@ Each criterion declares the (experiment, overrides) runs that produce its
 evidence and a predicate over run summaries (the ``<slug>.json`` files of
 ``collapselab.cli.run``) that judges every matching summary.  Missing
 summaries make it SKIPPED; a present summary that fails makes it FAIL even
-when others are missing, since full evidence is needed only for PASS.
+when others are missing, since full evidence is needed only for PASS.  A
+present summary that lacks a value the predicate reads fails it too.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class Criterion:
             status = "PASS" if ok else "FAIL"
         except _Missing:
             status, detail = "SKIPPED", ""
+        except KeyError as exc:  # a summary lacks a value the predicate reads
+            status, detail = "FAIL", f"missing key {exc.args[0]!r}"
         return {"criterion": self.number, "description": self.description,
                 "status": status, "detail": detail}
 

@@ -75,10 +75,13 @@ _CHOICES = {"preset": Preset, "base": BaseInstanton, "bundle": BundleKind}
 
 def _check_value(key: str, default, value):
     """Raise ValueError unless ``value`` has the type of ``default`` (an int
-    passes for a float, anything for a None default, list elements are checked
-    against the first default element) and names a member of ``key``'s enum."""
+    passes for a float, a None default stands for null or its key's type,
+    list elements are checked against the first default element) and names a
+    member of ``key``'s enum."""
     want, got = type(default), type(value)
-    if default is not None and got is not want and (want, got) != (float, int):
+    if default is None and value is not None:  # null leaves the key unset
+        want = {"r_lo": float, "r_hi": float, "input": str}[key]
+    if got is not want and (want, got) != (float, int):
         raise ValueError(f"parameter '{key}' must be {want.__name__}, got {value!r}")
     if isinstance(default, list):
         for item in value:

@@ -117,45 +117,26 @@ def _as_factor(grid: ConformalGrid, u) -> np.ndarray:
 def laplacian(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
     """Positive Laplacian Delta = d*d of a periodic lattice field.
 
-    The second-order central stencil: sum over axes of
-    (2u - u_plus - u_minus)/h^2, which annihilates constants exactly and is
-    symmetric, so sum(Delta u) = 0 in exact arithmetic.  Its symbol on
-    cos(2 pi x_j / L_j) is (2 - 2 cos(2 pi h_j / L_j)) / h_j^2.
+    The second-order central stencil: sum over axes, in order from zeros,
+    of (2u - roll(u, 1) - roll(u, -1)) / h^2, which annihilates constants
+    exactly and is symmetric, so sum(Delta u) = 0 in exact arithmetic.  Its
+    symbol on cos(2 pi x_j / L_j) is (2 - 2 cos(2 pi h_j / L_j)) / h_j^2.
     """
     u = grid.check_field(u)
     out = np.zeros_like(u)
-    diff = np.empty_like(u)
     for ax, h in enumerate(grid.spacings):
-        # (2u - u_minus - u_plus) / h^2 in one scratch array, the wrap
-        # handled at the two ends of the axis
-        d, v = np.moveaxis(diff, ax, 0), np.moveaxis(u, ax, 0)
-        np.multiply(u, 2.0, out=diff)
-        d[1:] -= v[:-1]
-        d[0] -= v[-1]
-        d[:-1] -= v[1:]
-        d[-1] -= v[0]
-        diff /= h**2
-        out += diff
+        out += (2.0 * u - np.roll(u, 1, ax) - np.roll(u, -1, ax)) / h**2
     return out
 
 
 def gradient_energy_density(grid: ConformalGrid, u: np.ndarray) -> np.ndarray:
-    """Forward-difference |du|^2, the exact summation-by-parts partner of
-    the stencil Laplacian: sum(u * Delta u) = sum(|du|^2) identically."""
+    """Forward-difference |du|^2, the sum over axes, in order from zeros, of
+    ((roll(u, -1) - u) / h)^2: the exact summation-by-parts partner of the
+    stencil Laplacian, sum(u * Delta u) = sum(|du|^2) identically."""
     u = grid.check_field(u)
-    out = np.empty_like(u)
-    diff = np.empty_like(u)
+    out = np.zeros_like(u)
     for ax, h in enumerate(grid.spacings):
-        # the first axis is written straight into out: its squares are never
-        # -0.0, so this is bit for bit the sum started from zeros
-        dst = diff if ax else out
-        d, v = np.moveaxis(dst, ax, 0), np.moveaxis(u, ax, 0)
-        np.subtract(v[1:], v[:-1], out=d[:-1])
-        np.subtract(v[0], v[-1], out=d[-1])
-        dst /= h
-        np.square(dst, out=dst)
-        if ax:
-            out += diff
+        out += ((np.roll(u, -1, ax) - u) / h) ** 2
     return out
 
 

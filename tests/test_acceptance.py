@@ -115,6 +115,20 @@ def test_a_lone_failing_run_fails_its_criteria(tmp_path):
     assert [n for n, s in status.items() if s != "SKIPPED"] == [3]
 
 
+def test_a_summary_without_its_value_fails_the_criterion(tmp_path):
+    """A curvature summary with no ``sup_ricci`` made ``report`` exit 1 on
+    a KeyError traceback.  It now FAILs criterion 1, whose detail names the
+    key, and leaves every other criterion SKIPPED."""
+    summary = {"config": {"experiment": "curvature",
+                          "parameters": {"preset": "eguchi-hanson", "a": 1.0}},
+               "results": {"sup_abs_scalar": 1e-14}}
+    (tmp_path / "eguchi-hanson.json").write_text(json.dumps(summary))
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    rows = json.loads((tmp_path / "report.json").read_text())["criteria"]
+    assert rows[0]["status"] == "FAIL" and "sup_ricci" in rows[0]["detail"]
+    assert all(row["status"] == "SKIPPED" for row in rows[1:])
+
+
 def test_part_of_the_evidence_fails_but_never_passes():
     """Criteria 3, 4 and 6 need two runs to PASS; one run can FAIL them."""
     def status(number, summaries):

@@ -9,9 +9,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import collapselab
-from collapselab import charclass, cli, cutoff, gluing, radial
+from collapselab import charclass, cli, conformal, cutoff, gluing, radial
 from collapselab.cli import ExperimentConfig, main, report, run
 from collapselab.cutoff import unit_cap
 from collapselab.jets import Jet2
@@ -82,8 +84,38 @@ def test_mistyped_parameter_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and needle in err
     with pytest.raises(ValueError, match="must be int"):
         ExperimentConfig("yamabe", {"n": 20.5})
-    # an int is a valid float; a None default accepts anything
+    # an int is a valid float; a None default takes null or its key's type
     assert ExperimentConfig("curvature", {"a": 2, "r_lo": 0.5}).parameters["a"] == 2
+
+
+# the type of each key whose default is None (unset)
+_UNSET_TYPES = {"r_lo": float, "r_hi": float, "input": str}
+_JSON_VALUES = {
+    str: st.text(max_size=6),
+    bool: st.booleans(),
+    list: st.lists(st.integers(), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    float: st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_key_refuses_another_json_type(tmp_path, capsys, data):
+    """A value of another JSON type than a key's default exits 2 with a
+    message that names the key, for every key of every experiment.  Before,
+    a None default took anything: ``curvature r_lo=abc`` and ``classify
+    input=5`` failed inside the run (exit 1) and ``r_hi=true`` read 1.0."""
+    for experiment, defaults in cli._DEFAULTS.items():
+        for key, default in defaults.items():
+            want = _UNSET_TYPES[key] if default is None else type(default)
+            others = [s for kind, s in _JSON_VALUES.items()
+                      if kind is not want and {kind, want} != {float, int}]
+            value = data.draw(st.one_of(others), label=f"{experiment} {key}")
+            argv = [experiment, "--out", str(tmp_path), f"{key}={json.dumps(value)}"]
+            assert main(argv) == 2, argv
+            assert f"'{key}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -459,7 +491,11 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
 
 def test_benchmark_hooks(monkeypatch):
     """The names the benchmark's tracer wraps by hand exist, and its check
-    that every curvature evaluation is one Riemann-tensor evaluation holds."""
+    that every curvature evaluation is one Riemann-tensor evaluation holds.
+    The conformal names it reads keep their shape: each stencil kernel takes
+    the field second, as the tracer counts ``args[1].size`` stencil points,
+    and the descent prices its candidates through ``yamabe_quotient``, whose
+    float results the traced run matches against the descent trace."""
     assert callable(cli._write_artifacts)
     metric = radial.make_metric(radial.Preset.BURNS)
     jets = metric.profile.at(2.0)
@@ -477,3 +513,19 @@ def test_benchmark_hooks(monkeypatch):
     assert calls == 1
     radial.curvature_at(metric, np.array([1.5, 2.0, 3.0]))
     assert calls == 2
+    grid = conformal.ConformalGrid((8, 9, 10), (1.0, 1.0, 1.0))
+    u = 1.0 + 0.2 * np.sin(2.0 * np.pi * grid.axis_coordinate(1))
+    for kernel in (conformal.laplacian, conformal.gradient_energy_density):
+        assert list(inspect.signature(kernel).parameters)[:2] == ["grid", "u"]
+        assert kernel(grid, u).shape == u.shape
+    evaluated = []
+    quotient = conformal.yamabe_quotient
+
+    def recording(*args, **kwargs):
+        evaluated.append(quotient(*args, **kwargs))
+        return evaluated[-1]
+
+    monkeypatch.setattr(conformal, "yamabe_quotient", recording)
+    trace = [q for _, q, _ in conformal.minimize_yamabe(grid, u, max_iters=3).trace]
+    assert all(type(q) is float for q in evaluated)
+    assert evaluated[0] == trace[0] and set(trace) <= set(evaluated)

@@ -31,15 +31,16 @@ MUTANTS = {
     "holder rhs sums |s|": (
         "conformal.py", "grid.integrate(s_field * dmu_hat)",
         "grid.integrate(np.abs(s_field) * dmu_hat)", 8),
-    "stencil wrap term dropped": (
-        "conformal.py", "        d[0] -= v[-1]\n", "", 8),
+    "stencil u_plus read as u_minus": (
+        "conformal.py", "np.roll(u, 1, ax) - np.roll(u, -1, ax)",
+        "np.roll(u, 1, ax) - np.roll(u, 1, ax)", 8),
     "negative case ell doubled": (
         "conformal.py", "(n - 1) * ell * laplacian(grid, u) / u)",
         "(n - 1) * 2.0 * ell * laplacian(grid, u) / u)", 8),
     "negative case Delta u / u^2": (
         "conformal.py", "laplacian(grid, u) / u)", "laplacian(grid, u) / u**2)", 8),
     "stencil h not squared": (
-        "conformal.py", "diff /= h**2", "diff /= h", 8),
+        "conformal.py", "np.roll(u, -1, ax)) / h**2", "np.roll(u, -1, ax)) / h", 8),
     "holder volume weight u^p -> u^2": (
         "conformal.py", "dmu_hat = u ** (2.0 * n / (n - 2))", "dmu_hat = u**2", 8),
 }
