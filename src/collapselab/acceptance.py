@@ -6,7 +6,8 @@ evidence and a predicate over run summaries (the ``<slug>.json`` files of
 ``collapselab.cli.run``) that judges every matching summary.  Missing
 summaries make it SKIPPED; a present summary that fails makes it FAIL even
 when others are missing, since full evidence is needed only for PASS.  A
-present summary that lacks a value the predicate reads fails it too.
+present summary that lacks a value the predicate reads, or holds one of a
+type it cannot use, fails it too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ class Criterion:
     predicate: Callable
 
     def check(self, summaries: list) -> dict:
-        """This criterion's report row over ``summaries``."""
+        """This criterion's report row over ``summaries``.  A value of a
+        type the predicate cannot use (a null or a string where it computes
+        with a number) fails the criterion; the row names the key when the
+        predicate read the value through ``_number``."""
         try:
             ok, detail = self.predicate(summaries)
             status = "PASS" if ok else "FAIL"
@@ -38,6 +42,10 @@ class Criterion:
             status, detail = "SKIPPED", ""
         except KeyError as exc:  # a summary lacks a value the predicate reads
             status, detail = "FAIL", f"missing key {exc.args[0]!r}"
+        except _NotANumber as exc:
+            status, detail = "FAIL", f"key {exc.args[0]!r} is not a number"
+        except TypeError as exc:  # a summary holds a value the predicate cannot use
+            status, detail = "FAIL", f"wrong type: {exc}"
         return {"criterion": self.number, "description": self.description,
                 "status": status, "detail": detail}
 
@@ -58,6 +66,10 @@ def format_row(row: dict) -> str:
 
 class _Missing(Exception):
     """A criterion's summaries are absent."""
+
+
+class _NotANumber(Exception):
+    """A summary's value, named by its key, is not a real number."""
 
 
 def _criterion(number: int, description: str, runs):
@@ -85,6 +97,15 @@ def _results(summaries: list, experiment: str, required: bool = True, **params) 
     return [s["results"] for s in _runs(summaries, experiment, required, **params)]
 
 
+def _number(results: dict, key: str) -> float:
+    """``results[key]``, which must be a real number (a JSON number, not a
+    null, a string or a boolean)."""
+    value = results[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _NotANumber(key)
+    return value
+
+
 def _worst(values, pick=max) -> float:
     """``pick`` (max or min) of ``values``, or NaN if any value is NaN:
     Python's max and min skip a NaN that is not first, so a NaN summary
@@ -106,7 +127,7 @@ def _enough(ok: bool, complete: bool) -> bool:
              for a in (0.5, 1.0, 2.0)])
 def _eguchi_hanson_ricci_flat(summaries):
     runs = _results(summaries, "curvature", preset="eguchi-hanson")
-    worst = _worst(r["sup_ricci"] for r in runs)
+    worst = _worst(_number(r, "sup_ricci") for r in runs)
     return worst < 1e-9, f"sup_ricci={worst:.3e} over {len(runs)} runs"
 
 
@@ -114,7 +135,7 @@ def _eguchi_hanson_ricci_flat(summaries):
             [("curvature", {"preset": "burns", "samples": 500})])
 def _burns_scalar_flat_not_einstein(summaries):
     runs = _results(summaries, "curvature", preset="burns")
-    sup_s = _worst(r["sup_abs_scalar"] for r in runs)
+    sup_s = _worst(_number(r, "sup_abs_scalar") for r in runs)
     ricci_2 = _worst((r["sup_ricci_at_r2"] or 0.0 for r in runs), min)
     return sup_s < 1e-9 and ricci_2 > 1e-3, f"sup |s|={sup_s:.2e}, |Ric|(r=2)={ricci_2:.2e}"
 
@@ -133,7 +154,7 @@ def _cutoff_decay_slopes(summaries):
 @_criterion(4, "volume deficits match closed forms to 1e-10", _DECAY_RUNS)
 def _volume_deficits(summaries):
     runs = _results(summaries, "decay")
-    worst = _worst(r["deficit_vs_closed_form_rel"] for r in runs)
+    worst = _worst(_number(r, "deficit_vs_closed_form_rel") for r in runs)
     detail = f"max relative deviation {worst:.1e} over {len(runs)} runs"
     return _enough(worst < 1e-10, len(runs) >= 2), detail
 
@@ -197,8 +218,8 @@ def _variational_inequalities(summaries):
 @_criterion(9, "Yamabe descent reaches quotient < 1e-3", _YAMABE_RUNS)
 def _yamabe_descent(summaries):
     runs = _results(summaries, "yamabe")
-    quotient = _worst(r["quotient_star"] for r in runs)
-    spread = _worst(r["u_spread"] for r in runs)
+    quotient = _worst(_number(r, "quotient_star") for r in runs)
+    spread = _worst(_number(r, "u_spread") for r in runs)
     return quotient < 1e-3 and spread < 1e-3, f"quotient {quotient:.1e}, spread {spread:.1e}"
 
 
@@ -232,7 +253,7 @@ def _wplus_sweep_collapses(summaries):
 
 @_criterion(12, "classifier table and general-type values", [("classify", {})])
 def _classifier_table_and_values(summaries):
-    worst = _worst(r["value_check_max_abs"] for r in _results(summaries, "classify"))
+    worst = _worst(_number(r, "value_check_max_abs") for r in _results(summaries, "classify"))
     # the sign table of the canonical surfaces, read when no input file replaced them
     canonical = ["positive", "positive", "zero", "zero", "zero", "negative"]
     tables_ok = all([a["answer"]["sign"] for a in r["answers"]] == canonical

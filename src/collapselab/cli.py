@@ -350,8 +350,14 @@ def _equality_evidence(fields: np.ndarray) -> dict:
 def _run_yamabe(params: dict, seed: int):
     n_pts = int(params["n"])
     grid = ConformalGrid(n_pts)
-    x = grid.axis_coordinate(0)
-    u0 = 1.0 + float(params["amplitude"]) * np.cos(2.0 * np.pi * x)
+    amplitude = float(params["amplitude"])
+    # u0 varies along x alone: cos runs on the x-line, broadcast to the grid
+    x = np.linspace(0.0, grid.periods[0], n_pts, endpoint=False).reshape(-1, 1, 1, 1)
+    line = 1.0 + amplitude * np.cos(2.0 * np.pi * x)
+    if not np.all(line > 0.0):
+        raise ValueError(f"amplitude={amplitude!r}: the start 1 + amplitude cos 2 pi x "
+                         "must be positive at every lattice point")
+    u0 = np.broadcast_to(line, grid.shape)
     # drawn before the descent, so a bad seed fails before it runs
     fields = np.random.default_rng(seed).random((8, 8, 8, 8, 8)) + 0.5
     res = minimize_yamabe(grid, u0, int(params["max_iters"]), float(params["tolerance"]))

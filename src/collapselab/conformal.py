@@ -147,7 +147,8 @@ def conformal_scalar(grid: ConformalGrid, u) -> np.ndarray:
     return (n - 1) * ell * laplacian(grid, u) / u ** (ell + 1.0)
 
 
-def yamabe_quotient(grid: ConformalGrid, u, energy: float | None = None) -> float:
+def yamabe_quotient(grid: ConformalGrid, u, energy: float | None = None,
+                    volume: float | None = None) -> float:
     """Normalized total scalar curvature of u^ell g, the Yamabe functional.
 
     The total scalar curvature reduces to the energy int (n-1) ell |du|^2 dmu
@@ -157,13 +158,15 @@ def yamabe_quotient(grid: ConformalGrid, u, energy: float | None = None) -> floa
     ``energy``, when given, is the lattice sum of |du|^2 computed elsewhere
     (the descent takes it from u's spectrum); without it the sum is the
     stencil's, ``gradient_energy_density``, which defines the quotient.
+    ``volume``, when given, is that volume integral computed elsewhere (the
+    descent reuses it to renormalize); without it the u^p pass is taken here.
     """
     u = _as_factor(grid, u)
     n, ell = grid.n_dim, grid.ell
     # |du|^2 point by point, or its lattice sum: integrate sums either
     du2 = gradient_energy_density(grid, u) if energy is None else energy
     total = grid.integrate((n - 1) * ell * du2)
-    vol = grid.integrate(u ** (2.0 * n / (n - 2)))
+    vol = grid.integrate(u ** (2.0 * n / (n - 2))) if volume is None else volume
     return total / vol ** ((n - 2.0) / n)
 
 
@@ -178,12 +181,18 @@ def _sobolev_inverse(grid: ConformalGrid):
     half-spectrum.  The same sigma prices a field v: the lattice sum of
     |dv|^2 is sum_k sigma(k) |v_hat(k)|^2 / N over the N lattice points.
 
-    Returns ``(apply, field_energy)``.  ``apply(g)`` is ``(S g, energy of
-    S g)``, the energy read off the spectrum the inverse already forms; it
-    uses g as scratch, so no second copy of it is held.  ``field_energy(v)``
-    takes one rfftn of v.  Both transform the field minus one of its
-    values, which changes no k != 0 coefficient and sigma(0) = 0, so a
-    constant has spectrum, energy and image exactly 0.0, 0.0 and itself.
+    Returns ``(apply, field_energy)``, which share one half-spectrum and one
+    scratch spectrum, allocated here: every transform writes into them, so
+    no call allocates a spectrum.  ``apply(g, out)`` writes S g into
+    ``out`` and returns its energy, read off the spectrum the inverse
+    already forms; it uses g as scratch, so ``out`` may be g.  The inverse
+    runs numpy's irfftn stage by stage, ifft over the leading axes into the
+    scratch spectrum, then irfft over the last axis into ``out``, so its
+    result is irfftn's bit for bit.  ``field_energy(v, shifted)`` takes one
+    rfftn of v, shifted in the real lattice array ``shifted``.  Both
+    transform the field minus one of its values, which changes no k != 0
+    coefficient and sigma(0) = 0, so a constant has spectrum, energy and
+    image exactly 0.0, 0.0 and itself.
     """
     n, ell = grid.n_dim, grid.ell
     axes = tuple(range(n))
@@ -204,10 +213,12 @@ def _sobolev_inverse(grid: ConformalGrid):
         planes[-1] = 1.0
     points = math.prod(grid.shape)
     weight = sigma * planes / points
+    spectrum = np.empty(weight.shape, dtype=complex)
+    scratch = np.empty_like(spectrum)
 
-    def spectral_energy(spectrum: np.ndarray) -> float:
-        # |c|^2 formed in the spectrum's own storage, which the caller no
-        # longer needs, so no half-spectrum is allocated
+    def spectral_energy() -> float:
+        # |c|^2 formed in the spectrum's own storage, which no later stage
+        # reads, so no half-spectrum is allocated
         power = spectrum.real
         np.square(power, out=power)
         np.square(spectrum.imag, out=spectrum.imag)
@@ -215,28 +226,35 @@ def _sobolev_inverse(grid: ConformalGrid):
         # einsum reads the strided view in place, where a dot would copy it
         return float(np.einsum(weight, list(axes), power, list(axes), []))
 
-    def field_energy(v: np.ndarray) -> float:
-        return spectral_energy(np.fft.rfftn(v - v.flat[0]))
+    def field_energy(v: np.ndarray, shifted: np.ndarray) -> float:
+        np.subtract(v, v.flat[0], out=shifted)
+        np.fft.rfftn(shifted, out=spectrum)
+        return spectral_energy()
 
-    def apply(g: np.ndarray) -> tuple[np.ndarray, float]:
+    def apply(g: np.ndarray, out: np.ndarray) -> float:
         shift = g.flat[0]
         g -= shift
-        spectrum = np.fft.rfftn(g)
-        spectrum *= inverse_symbol
+        np.fft.rfftn(g, out=spectrum)
+        np.multiply(spectrum, inverse_symbol, out=spectrum)
         # S fixes constants: the mean goes back as one scalar after the
         # transform, so a large mean costs the varying part no digits
         mean = shift + spectrum.flat[0].real / points
         spectrum.flat[0] = 0.0
-        v = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
-        v += mean
-        return v, spectral_energy(spectrum)
+        # irfftn's stages in its order, each into preallocated storage
+        np.fft.ifft(spectrum, axis=0, out=scratch)
+        for ax in axes[1:-1]:
+            np.fft.ifft(scratch, axis=ax, out=scratch)
+        np.fft.irfft(scratch, n=grid.shape[-1], axis=n - 1, out=out)
+        out += mean
+        return spectral_energy()
 
     return apply, field_energy
 
 
-def _h1_gradient(grid: ConformalGrid, sobolev, u: np.ndarray, q: float) -> tuple[np.ndarray, float]:
+def _h1_gradient(grid: ConformalGrid, sobolev, u: np.ndarray, q: float, out: np.ndarray) -> float:
     """Full step against the H1 gradient of the quotient at u of unit
-    volume, whose energy is q, and the stencil energy of that step.
+    volume, whose energy is q, written into ``out``; returns the stencil
+    energy of that step.
 
     The L2 gradient is c Delta u - r with c = 2(n-1) ell and
     r = ((n-2)/n) q p u^(p-1); the lattice measure cancels from the
@@ -244,15 +262,16 @@ def _h1_gradient(grid: ConformalGrid, sobolev, u: np.ndarray, q: float) -> tuple
     is the ``apply`` of S = (1 + c Delta)^-1, so the H1 gradient is
     S(c Delta u - r) = u - S(u + r), and the full step u - (u - S(u + r))
     is S(u + r) itself: one FFT pair, no Laplacian, and its energy from the
-    spectrum S already forms.
+    spectrum S already forms.  u + r is formed in ``out``, u^(p-1) first,
+    and S overwrites it there with its image.
     """
     n = grid.n_dim
     p = 2.0 * n / (n - 2)
     w = (n - 2.0) / n
-    g = u ** (p - 1.0)
-    g *= w * q * p
-    g += u
-    return sobolev(g)
+    np.power(u, p - 1.0, out=out)
+    out *= w * q * p
+    out += u
+    return sobolev(out, out)
 
 
 @dataclass
@@ -284,28 +303,31 @@ def minimize_yamabe(
     step backtracks by halving from 1.0 until the quotient does not increase
     and u stays positive.  The quotient is scale invariant, so a candidate
     is evaluated as it is, and only the accepted one is renormalized to unit
-    conformal volume.  Every candidate is priced by ``yamabe_quotient`` with
+    conformal volume, by the volume its quotient already took: one u^p pass
+    per candidate.  Every candidate is priced by ``yamabe_quotient`` with
     its energy by Parseval: the full step is S(u + r), whose spectrum S
     forms (its price is that of S(u + r) before irfftn rounds it, which at a
     quotient of rounding size, about 1e-20 on 20^4, reads a few digits off
     the stencil's), and a halved step takes one rfftn of its own.  Only the
-    starting quotient is taken by the stencil.  Stops on a zero quotient
-    (every lattice difference of u is 0, where the L2 gradient is exactly
-    0) or once the relative decrease of the quotient falls below tol, which
-    must be finite and non-negative; ``max_iters`` must be non-negative.
+    starting quotient is taken by the stencil.  Each lattice array, real or
+    spectral, is allocated once per call and written in place by every
+    iteration, so u0 may be read-only (a broadcast view, say) and
+    ``u_star`` is a fresh array.  Stops on a zero quotient (every lattice
+    difference of u is 0, where the L2 gradient is exactly 0) or once the
+    relative decrease of the quotient falls below tol, which must be finite
+    and non-negative; ``max_iters`` must be non-negative.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     p = 2.0 * grid.n_dim / (grid.n_dim - 2)
+    u0 = _as_factor(grid, u0)
     sobolev, field_energy = _sobolev_inverse(grid)
-
-    def renormalize(v: np.ndarray) -> np.ndarray:
-        vol = grid.integrate(v**p)
-        return v / vol ** (1.0 / p)
-
-    u = renormalize(_as_factor(grid, u0))
+    # the iterate, the full step, a halved step, and the scratch for u^p and
+    # for a halved step's shifted copy
+    u, full, halved, work = (np.empty(grid.shape) for _ in range(4))
+    np.divide(u0, grid.integrate(np.power(u0, p, out=work)) ** (1.0 / p), out=u)
     q = yamabe_quotient(grid, u)
     trace = [(0, q, 0.0)]
     converged = False
@@ -315,25 +337,26 @@ def minimize_yamabe(
         if q == 0.0:
             converged = True
             break
-        full, energy = _h1_gradient(grid, sobolev, u, q)
+        energy = _h1_gradient(grid, sobolev, u, q, full)
         cand, step = full, 1.0
         for _ in range(60):
             if np.all(cand > 0.0):
                 if step < 1.0:
                     # u - step (u - S(u + r)) is priced by one rfftn of its own
-                    energy = field_energy(cand)
-                q_new = yamabe_quotient(grid, cand, energy=energy)
+                    energy = field_energy(cand, work)
+                vol = grid.integrate(np.power(cand, p, out=work))
+                q_new = yamabe_quotient(grid, cand, energy=energy, volume=vol)
                 if q_new <= q:
                     break
             step *= 0.5
-            cand = u - step * (u - full)
+            cand = np.subtract(u, full, out=halved)
+            cand *= step
+            np.subtract(u, cand, out=cand)
         else:
             raise RuntimeError("line search failed: no positive decreasing step")
         iterations = it
-        u, q_prev, q = renormalize(cand), q, q_new
-        # released here, neither is held while the next direction is formed,
-        # which sets the descent's peak memory
-        del full, cand
+        np.divide(cand, vol ** (1.0 / p), out=u)
+        q_prev, q = q, q_new
         trace.append((it, q, step))
         if abs(q_prev - q) <= tol * max(abs(q_prev), 1.0):
             converged = True

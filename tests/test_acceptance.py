@@ -117,16 +117,32 @@ def test_a_lone_failing_run_fails_its_criteria(tmp_path):
 
 def test_a_summary_without_its_value_fails_the_criterion(tmp_path):
     """A curvature summary with no ``sup_ricci`` made ``report`` exit 1 on
-    a KeyError traceback.  It now FAILs criterion 1, whose detail names the
-    key, and leaves every other criterion SKIPPED."""
-    summary = {"config": {"experiment": "curvature",
-                          "parameters": {"preset": "eguchi-hanson", "a": 1.0}},
-               "results": {"sup_abs_scalar": 1e-14}}
-    (tmp_path / "eguchi-hanson.json").write_text(json.dumps(summary))
-    assert main(["report", "--out", str(tmp_path)]) == 1
-    rows = json.loads((tmp_path / "report.json").read_text())["criteria"]
-    assert rows[0]["status"] == "FAIL" and "sup_ricci" in rows[0]["detail"]
-    assert all(row["status"] == "SKIPPED" for row in rows[1:])
+    a KeyError traceback, and one whose ``sup_ricci`` is null or a string
+    on a TypeError from ``_worst``, with no report written.  Each now FAILs
+    criterion 1, whose detail names the key, and leaves every other
+    criterion SKIPPED."""
+    for i, value in enumerate([{}, {"sup_ricci": None}, {"sup_ricci": "x"}]):
+        out = tmp_path / str(i)
+        out.mkdir()
+        summary = {"config": {"experiment": "curvature",
+                              "parameters": {"preset": "eguchi-hanson", "a": 1.0}},
+                   "results": {"sup_abs_scalar": 1e-14, **value}}
+        (out / "eguchi-hanson.json").write_text(json.dumps(summary))
+        assert main(["report", "--out", str(out)]) == 1
+        rows = json.loads((out / "report.json").read_text())["criteria"]
+        assert rows[0]["status"] == "FAIL" and "'sup_ricci'" in rows[0]["detail"]
+        assert all(row["status"] == "SKIPPED" for row in rows[1:])
+
+
+def test_a_wrong_type_inside_a_value_fails_the_criterion():
+    """A null inside a collapse summary's ``k_h_values`` made ``report``
+    exit 1 on a TypeError traceback.  It now FAILs criterion 5, whose detail
+    quotes the error."""
+    summary = {"config": {"experiment": "collapse", "parameters": {"bundle": "trivial"}},
+               "results": {"bundle": "trivial", "k_h_values": [1.0, None], "k_p_values": [0.0],
+                           "base_gauss_curvature": 0.0, "volume_t_product_spread": 0.0}}
+    row = next(c for c in CRITERIA if c.number == 5).check([summary])
+    assert row["status"] == "FAIL" and row["detail"].startswith("wrong type: ")
 
 
 def test_part_of_the_evidence_fails_but_never_passes():

@@ -147,6 +147,11 @@ def test_non_finite_values_exit_2(tmp_path, capsys, argv):
     (["decay", "deficit_eps=1e-80"], "deficit_eps=1e-80: the rounding floor 2.3e+307"),
     (["decay", "deficit_eps=1e-120"], "deficit_eps=1e-120: the rounding floor inf"),
     (["decay", "base=burns", "deficit_eps=0.45"], "deficit_eps=0.45: the rounding floor"),
+    (["yamabe", "n=8", "amplitude=1.0"], "amplitude=1.0: "),
+    (["yamabe", "n=8", "amplitude=-1"], "amplitude=-1.0: "),
+    (["yamabe", "n=8", "amplitude=1.5"], "amplitude=1.5: "),
+    (["yamabe", "n=8", "amplitude=NaN"], "amplitude=nan: "),
+    (["yamabe", "n=8", "amplitude=Infinity"], "amplitude=inf: "),
 ])
 def test_exit_2_names_the_parameter_given(tmp_path, capsys, argv, needle):
     """Bad configuration names the parameter the user gave.  Before, t = NaN
@@ -157,7 +162,10 @@ def test_exit_2_names_the_parameter_given(tmp_path, capsys, argv, needle):
     that named no t.  A scale too small for the jets (a, radius or r_lo)
     exited 1 with "Numerical result out of range", and so did deficit_eps
     1e-40 and 1e-80; deficit_eps 0.01 and 1e-5 exited 0 with a deficit off
-    its closed form by 7.9e-6 and 3.1e6 relative."""
+    its closed form by 7.9e-6 and 3.1e6 relative.  A yamabe amplitude whose
+    start is not positive at every lattice point, NaN or infinite exited 2
+    with "conformal factor must be positive everywhere", which named no
+    parameter."""
     assert main(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 2
     assert needle in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
@@ -406,6 +414,27 @@ def test_yamabe_leaves_no_thread_running(tmp_path):
     before = threading.active_count()
     run(ExperimentConfig("yamabe", {"n": 8}, str(tmp_path), 1))
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1.05])
+def test_an_amplitude_positive_on_the_lattice_starts_the_descent(tmp_path, monkeypatch,
+                                                                 amplitude):
+    """An odd n puts no lattice point at x = 1/2, so for n = 9 the start
+    1 + amplitude cos 2 pi x stays positive up to amplitude 1.064, and such
+    a start reaches the descent."""
+    class Reached(Exception):
+        pass
+
+    starts = []
+
+    def descent(grid, u0, *args):
+        starts.append(u0)
+        raise Reached
+
+    monkeypatch.setattr(cli, "minimize_yamabe", descent)
+    with pytest.raises(Reached):
+        run(ExperimentConfig("yamabe", {"n": 9, "amplitude": amplitude}, str(tmp_path), 1))
+    assert np.all(starts[0] > 0.0)
 
 
 def test_bad_seed_exits_2_before_the_descent(tmp_path, monkeypatch, capsys):

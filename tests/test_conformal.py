@@ -155,26 +155,30 @@ def test_descent_work_budget(grid, monkeypatch):
     at the start, and each later candidate priced from its spectrum.  Per
     iteration it forms one full step and applies the Sobolev inverse once;
     every step is 1.0, so no candidate takes an rfftn of its own, and the
-    Laplacian is never called."""
+    Laplacian is never called.  Only the starting quotient takes its own
+    u^p volume pass: every candidate's volume is passed in, the one the
+    descent renormalizes by."""
     calls = {"yamabe_quotient": 0, "gradient_energy_density": 0, "laplacian": 0,
              "_h1_gradient": 0}
     for name in calls:
         def counting(*args, _fn=getattr(conformal, name), _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "yamabe_quotient" and kwargs.get("volume") is None:
+                calls["without_volume"] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(conformal, name, counting)
-    calls["sobolev"] = calls["field_energy"] = 0
+    calls["sobolev"] = calls["field_energy"] = calls["without_volume"] = 0
 
     def counting_inverse(g, _fn=conformal._sobolev_inverse):
         apply, energy = _fn(g)
 
-        def counted_apply(field):
+        def counted_apply(*args):
             calls["sobolev"] += 1
-            return apply(field)
+            return apply(*args)
 
-        def counted_energy(field):
+        def counted_energy(*args):
             calls["field_energy"] += 1
-            return energy(field)
+            return energy(*args)
         return counted_apply, counted_energy
 
     monkeypatch.setattr(conformal, "_sobolev_inverse", counting_inverse)
@@ -182,10 +186,55 @@ def test_descent_work_budget(grid, monkeypatch):
     res = conformal.minimize_yamabe(grid, u0, max_iters=500, tol=1e-12)
     assert res.iterations == 4
     assert calls["yamabe_quotient"] == res.iterations + 1
+    assert calls["without_volume"] == 1
     assert calls["gradient_energy_density"] == 1
     assert calls["laplacian"] == 0
     assert calls["_h1_gradient"] == calls["sobolev"] == res.iterations
     assert calls["field_energy"] == 0
+
+
+def test_descent_transforms_write_into_one_workspace(grid, monkeypatch):
+    """Every transform of a descent writes into storage allocated once per
+    call: each rfftn, ifft and irfft stage of its 4 iterations passes an
+    ``out`` array, and one array per stage serves every iteration.  Before,
+    each stage allocated a fresh spectrum or lattice field."""
+    outs = {"rfftn": [], "ifft": [], "irfft": []}
+    for name in outs:
+        def recording(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            outs[_name].append(kwargs.get("out"))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recording)
+    u0 = 1.0 + 0.2 * np.cos(2.0 * np.pi * grid.axis_coordinate(0))
+    res = minimize_yamabe(grid, u0, max_iters=500, tol=1e-12)
+    assert res.iterations == 4
+    assert len(outs["rfftn"]) == len(outs["irfft"]) == res.iterations
+    assert len(outs["ifft"]) == (grid.n_dim - 1) * res.iterations
+    for name, arrays in outs.items():
+        assert all(a is not None for a in arrays), name
+        assert len({id(a) for a in arrays}) == 1, name
+
+
+def test_descent_takes_a_read_only_start_and_returns_its_own_field():
+    """A start that varies along x alone can be the x-line broadcast to the
+    grid, a read-only view: the descent reads it, leaves it unchanged, and
+    returns a writeable u_star of its own.  The result is bit for bit that
+    of the full-size start, and a second descent repeats it exactly, so no
+    workspace state leaks from one call into the next."""
+    g = ConformalGrid(12)
+    x = np.linspace(0.0, 1.0, 12, endpoint=False).reshape(-1, 1, 1, 1)
+    u0 = np.broadcast_to(1.0 + 0.2 * np.cos(2.0 * np.pi * x), g.shape)
+    assert not u0.flags.writeable
+    before = u0.copy()
+    first = minimize_yamabe(g, u0, max_iters=10, tol=0.0)
+    assert np.array_equal(u0, before)
+    assert first.u_star.flags.writeable
+    assert not np.shares_memory(first.u_star, u0)
+    second = minimize_yamabe(g, u0, max_iters=10, tol=0.0)
+    full = minimize_yamabe(g, before, max_iters=10, tol=0.0)
+    for res in (second, full):
+        assert np.array_equal(res.u_star, first.u_star)
+        assert res.trace == first.trace
+    assert not np.shares_memory(first.u_star, second.u_star)
 
 
 def test_yamabe_run_work_budget(tmp_path, monkeypatch):
@@ -196,7 +245,11 @@ def test_yamabe_run_work_budget(tmp_path, monkeypatch):
     (36 864), the descent none; the energy density sees only the descent's
     starting quotient on 20^4, in one call.  A stencil added back into a
     descent iteration, or a candidate priced by the stencil, exceeds one of
-    them."""
+    them.  Its descent takes at most 10 power passes on 20^4 (u^p or
+    u^(p-1)): the start's volume and quotient, then per iteration the
+    volume term of the step and the candidate's volume, which the quotient
+    and the renormalization share; a quotient passed no ``volume`` takes a
+    pass of its own."""
     points = {"laplacian": 0, "gradient_energy_density": 0}
     calls = {"laplacian": 0, "gradient_energy_density": 0}
     for name in points:
@@ -205,10 +258,24 @@ def test_yamabe_run_work_budget(tmp_path, monkeypatch):
             calls[_name] += 1
             return _fn(grid, u)
         monkeypatch.setattr(conformal, name, counting)
+    powers = []
+
+    def counting_power(x, *args, _fn=np.power, **kwargs):
+        powers.append(np.size(x))
+        return _fn(x, *args, **kwargs)
+
+    def counting_quotient(grid, u, energy=None, volume=None, _fn=conformal.yamabe_quotient):
+        if volume is None:
+            powers.append(np.size(u))
+        return _fn(grid, u, energy=energy, volume=volume)
+
+    monkeypatch.setattr(np, "power", counting_power)
+    monkeypatch.setattr(conformal, "yamabe_quotient", counting_quotient)
     cli.run(cli.ExperimentConfig("yamabe", {"n": 20}, str(tmp_path), 1))
     assert points["laplacian"] <= 94_208
     assert points["gradient_energy_density"] <= 160_000
     assert calls["gradient_energy_density"] <= 1
+    assert powers.count(20**4) <= 10
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -221,7 +288,8 @@ def test_sobolev_inverse_inverts_stencil(seed, n_points):
     last axis exercises the half-spectrum's rfftfreq and irfftn length)."""
     g = ConformalGrid(n_points, periods=(0.7, 1.3, 1.0, 2.0))
     field = np.random.default_rng(seed).standard_normal(g.shape)
-    v, _ = conformal._sobolev_inverse(g)[0](field.copy())
+    v = np.empty(g.shape)
+    conformal._sobolev_inverse(g)[0](field.copy(), v)
     weight = 2.0 * (g.n_dim - 1) * g.ell
     residual = v + weight * laplacian(g, v) - field
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(field))
@@ -243,8 +311,9 @@ def test_h1_gradient_is_the_sobolev_image_of_the_l2_gradient(seed, n_points):
     q = yamabe_quotient(g, u)
     r = (n - 2.0) / n * q * p * u ** (p - 1.0)
     sobolev, _ = conformal._sobolev_inverse(g)
-    oracle, _ = sobolev(2.0 * (n - 1) * ell * laplacian(g, u) - r)
-    full, _ = conformal._h1_gradient(g, sobolev, u, q)
+    oracle, full = np.empty(g.shape), np.empty(g.shape)
+    sobolev(2.0 * (n - 1) * ell * laplacian(g, u) - r, oracle)
+    conformal._h1_gradient(g, sobolev, u, q, full)
     assert np.max(np.abs((u - full) - oracle)) <= 1e-12 * np.max(np.abs(u + r))
 
 
@@ -272,7 +341,7 @@ def test_spectral_energy_is_the_stencil_energy(seed, counts, last):
     _, energy = conformal._sobolev_inverse(g)
     v = rng.random(g.shape) + 0.5
     stencil = float(np.sum(gradient_energy_density(g, v)))
-    assert abs(energy(v) - stencil) <= 1e-13 * stencil
+    assert abs(energy(v, np.empty(g.shape)) - stencil) <= 1e-13 * stencil
 
 
 def test_spectral_energy_of_a_constant_is_exactly_zero():
@@ -282,11 +351,11 @@ def test_spectral_energy_of_a_constant_is_exactly_zero():
     not 0, so without the shift a constant would read a rounding energy."""
     g = ConformalGrid((20, 9, 10, 11), periods=(0.7, 1.3, 1.0, 2.0))
     apply, energy = conformal._sobolev_inverse(g)
+    image = np.empty(g.shape)
     for value in (0.7, 1.0, 3.1e5):
         c = np.full(g.shape, value)
-        assert energy(c) == 0.0
-        image, image_energy = apply(c.copy())
-        assert image_energy == 0.0
+        assert energy(c, image) == 0.0
+        assert apply(c.copy(), image) == 0.0
         assert np.array_equal(image, c)
     c = np.full(g.shape, 0.7)
     assert np.any(np.fft.irfftn(np.fft.rfftn(c), s=g.shape, axes=range(4)) != c)
@@ -304,15 +373,15 @@ def test_halved_candidates_are_priced_by_their_own_spectrum(monkeypatch):
     u0 = (1.0 + 0.3 * np.cos(2.0 * np.pi * g.axis_coordinate(0) / 0.7)
           + 0.2 * np.sin(2.0 * np.pi * g.axis_coordinate(3) / 2.0))
 
-    def stretched(grid, sobolev, u, q, _fn=conformal._h1_gradient):
-        full, _ = _fn(grid, sobolev, u, q)
-        full = u - 3.0 * (u - full)
-        return full, float(np.sum(gradient_energy_density(grid, full)))
+    def stretched(grid, sobolev, u, q, out, _fn=conformal._h1_gradient):
+        _fn(grid, sobolev, u, q, out)
+        out[...] = u - 3.0 * (u - out)
+        return float(np.sum(gradient_energy_density(grid, out)))
 
     priced = []
 
-    def recording(grid, u, energy=None, _fn=conformal.yamabe_quotient):
-        value = _fn(grid, u, energy=energy)
+    def recording(grid, u, energy=None, volume=None, _fn=conformal.yamabe_quotient):
+        value = _fn(grid, u, energy=energy, volume=volume)
         if energy is not None:
             priced.append((np.array(u), value))
         return value
