@@ -2,8 +2,10 @@
 
 Shrinking an instanton by a small parameter eps and grafting it into a
 flat ball leaves the curvature of the modified metric uniformly O(eps^2).
-The sweep below fits the decay exponent; the volume deficit of the graft
-against a flat ball has an exact closed form.
+The sweep below reads each cap's certified sup norm, eps^2 times that of
+the unit cap (the number gluing certifies), and fits the decay exponent;
+the volume deficit of the graft against a flat ball has an exact closed
+form.
 """
 
 import math

@@ -95,8 +95,7 @@ def _check_value(key: str, default, value):
 _DEFAULTS: dict[str, dict] = {
     "curvature": {"preset": "flat", "a": 1.0, "radius": 1.0, "samples": 200,
                   "r_lo": None, "r_hi": None},
-    "decay": {"base": "eguchi-hanson", "eps": [0.2, 0.1, 0.05, 0.025], "samples": 120,
-              "deficit_eps": 0.5},
+    "decay": {"base": "eguchi-hanson", "eps": [0.2, 0.1, 0.05, 0.025], "deficit_eps": 0.5},
     "collapse": {"bundle": "trivial", "t": [1.0, 10.0, 100.0, 1000.0, 1e6]},
     "glue": {"bundle": "trivial", "fiber_sums": 1, "blowups": 0,
              "t": [1.0, 10.0, 100.0, 1000.0]},
@@ -215,7 +214,7 @@ def _run_curvature(params: dict, seed: int):
 def _run_decay(params: dict, seed: int):
     base = BaseInstanton(params["base"])
     eps_list = [float(e) for e in params["eps"]]
-    table = decay_sweep(base, eps_list, samples=int(params["samples"]))
+    table = decay_sweep(base, eps_list)
     # a large cap keeps the deficit above the cancellation floor of the
     # flat-ball subtraction, so the 1e-10 relative comparison is meaningful
     eps0 = float(params["deficit_eps"])
@@ -418,11 +417,12 @@ def _run_classify(params: dict, seed: int):
     answers = classify_records(records)
 
     # general-type values against -4 pi sqrt(2 c1^2) and -sqrt(32 pi^2 c1^2),
-    # for minimal models c1^2 = 1..9 and 0..5 blow-ups
+    # for minimal models c1^2 = 1..9 with chi(O) = 1 (c1^2 = 1 has a Godeaux
+    # surface's invariants, 9 a fake projective plane's) and 0..5 blow-ups
     general = CANONICAL_SURFACES[-1]
     worst = 0.0
     for c1 in range(1, 10):
-        minimal = replace(general, c1sq_min=c1, chi=2 * c1, tau=-c1, name=f"c1^2={c1}")
+        minimal = replace(general, c1sq_min=c1, chi=12 - c1, tau=c1 - 8, name=f"c1^2={c1}")
         expected = -4.0 * math.pi * math.sqrt(2.0 * c1)
         alt = -math.sqrt(32.0 * math.pi**2 * c1)
         for k in range(6):

@@ -4,12 +4,12 @@ The modification multiplies the 1/r^4 (Eguchi-Hanson) or 1/r^2 (Burns)
 profile term by a bump phi(r/eps), so the metric is exactly the unmodified
 instanton for r < eps and exactly Euclidean for r > 2*eps.  The epsilon
 schedules eps^8 and eps^6 make the curvature of the transition region decay
-like eps^2, which the sweep here measures.
+like eps^2.
 
-The caps that gluing and the Weyl sweep use are closed forms in eps: the
-core r < eps is the instanton (``cap_sup_norms``, ``instanton_weyl_energy``),
-and the annulus [eps, 2 eps] is eps^2 times one unit-scale curvature
-(``unit_cap``).
+The caps that gluing, the decay sweep and the Weyl sweep use are closed
+forms in eps: the core r < eps is the instanton (``cap_sup_norms``,
+``instanton_weyl_energy``), and the annulus [eps, 2 eps] is eps^2 times one
+unit-scale curvature (``unit_cap``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .radial import (
     _CURVATURE_QUAD_TOL,
     _integrate,
     flat_profile,
-    sample_grid,
     volume,
     w_ansatz_profile,
     w_ansatz_riemann,
@@ -85,7 +84,10 @@ class CutoffFamily:
     epsilon: float
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        # above 1 the bolt radius eps^k would leave the cutoff region, and
+        # W = 1 - eps^4 H turns negative near rho = 1: no metric
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("epsilon must lie in (0, 1)")
 
     @property
     def r_bolt(self) -> float:
@@ -97,24 +99,15 @@ class CutoffFamily:
         return _link_volume(self.base)
 
 
-def _check_epsilon(eps: float) -> None:
-    # above 1 the bolt radius eps^k would leave the cutoff region, and
-    # W = 1 - eps^4 H turns negative near rho = 1: no metric
-    if not 0.0 < eps < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-
-
 def _link_volume(base: BaseInstanton) -> float:
     return math.pi**2 if base is BaseInstanton.EGUCHI_HANSON else 2.0 * math.pi**2
 
 
-def _cap_h(base: BaseInstanton, eps) -> Callable[[Jet2], Jet2]:
-    """h(r) = phi(r/eps) eps^p / r^q of the cap of scale eps, one float or an
-    array of one eps per radius; eps = 1 is the unit cap.  Each eps^p is a
-    Python float power, so a batch over several eps keeps, radius by radius,
-    the bits of one call per eps."""
+def _cap_h(base: BaseInstanton, eps: float) -> Callable[[Jet2], Jet2]:
+    """h(r) = phi(r/eps) eps^p / r^q of the cap of scale eps; eps = 1 is the
+    unit cap."""
     p, q, _ = _FAMILY_EXPONENTS[base]
-    scale = np.array([e**p for e in np.asarray(eps).tolist()]) if np.ndim(eps) else eps**p
+    scale = eps**p
     return lambda x: _bump(x / eps) * scale / x**q
 
 
@@ -138,52 +131,49 @@ class SweepTable:
     fitted_slope: float
 
 
-#: largest relative noise bound 2^-52 / eps^4 of the engine on a cap's
-#: annulus that ``decay_sweep`` accepts: it refuses eps < 3.86e-3
-#: (docs/conventions.md, "Decay below float resolution")
+#: largest relative noise bound that ``decay_sweep`` accepts: of the engine
+#: on a cap's annulus, 2^-52 / eps^4, so it refuses eps < 3.86e-3
+#: (docs/conventions.md, "Decay below float resolution"), and of the fitted
+#: slope, so it refuses eps values too close to fit
 DECAY_NOISE_LIMIT = 1e-6
 
 
-def decay_sweep(
-    base: BaseInstanton,
-    eps_list: Sequence[float],
-    samples: int = 160,
-) -> SweepTable:
+def decay_sweep(base: BaseInstanton, eps_list: Sequence[float]) -> SweepTable:
     """Sup-norm decay of the family as eps -> 0, with least-squares slope.
 
-    The tracked norm is sup |Ric| for Eguchi-Hanson and sup |s| for Burns,
-    sampled on [eps, 3 eps]: the core r < eps is the Ricci-flat or
-    scalar-flat instanton, so it contributes exactly 0.  A sup norm that is
-    not finite and positive has no logarithm and raises RuntimeError.  The
-    cap of each eps is evaluated in closed form at the radii r of its own
-    grid, ``sample_grid(eps, 3 eps, samples)``, all eps in one batched
-    ``cap_curvature`` call.  The closed form scales exactly (h(eps rho) =
-    eps^4 H(rho), so the cap is eps^2 times the unit cap on the same rho
-    grid), and the slope 2 follows from that scaling;
-    ``test_decay_sweep_is_the_closed_form_per_eps_and_matches_the_engine``
-    is the independent check, against the engine's ``curvature_at`` of the
-    cutoff metric on the same grid at every default eps.  An eps outside
-    (0, 1), where the cap is no metric, and an eps whose noise bound
-    2^-52 / eps^4 exceeds ``DECAY_NOISE_LIMIT`` (docs/conventions.md,
-    "Decay below float resolution") raise ValueError.
+    Each row is the cap certificate of ``CutoffFamily(base, eps)``
+    (``cap_sup_norms``): sup |Ric| for Eguchi-Hanson and sup |s| for Burns,
+    eps^2 times the ``unit_cap`` suprema, so the slope 2 follows from the
+    exact scaling of the closed form.  The core r < eps is the Ricci-flat or
+    scalar-flat instanton, so the annulus alone carries the norm.  A sup
+    norm that is not finite and positive has no logarithm and raises
+    RuntimeError.  An eps outside (0, 1), where the cap is no metric, an eps
+    whose noise bound 2^-52 / eps^4 exceeds ``DECAY_NOISE_LIMIT``
+    (docs/conventions.md, "Decay below float resolution"), and eps values
+    too close for the fit to resolve a slope raise ValueError.
     """
     eps_values = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(eps_values) < 3:
         raise ValueError("decay sweep needs at least 3 distinct epsilon values")
-    for eps in eps_values:
-        _check_epsilon(eps)
+    families = [CutoffFamily(base, eps) for eps in eps_values]
     smallest = eps_values[-1]
     if smallest**4 * DECAY_NOISE_LIMIT < 2.0**-52:
         raise ValueError(f"epsilon={smallest} is below float resolution: the noise bound "
                          f"2^-52 / eps^4 exceeds {DECAY_NOISE_LIMIT:g} for eps < 3.86e-3")
-    r = np.concatenate([sample_grid(eps, 3.0 * eps, samples) for eps in eps_values])
-    fr = cap_curvature(base, r, np.repeat(eps_values, samples))
-    norm = fr.sup_ricci if base is BaseInstanton.EGUCHI_HANSON else np.abs(fr.scalar)
-    rows = list(zip(eps_values, norm.reshape(len(eps_values), samples).max(axis=1).tolist()))
+    column = 0 if base is BaseInstanton.EGUCHI_HANSON else 1
+    rows = [(fam.epsilon, cap_sup_norms(fam)[column]) for fam in families]
     for eps, value in rows:
         if not math.isfinite(value) or value <= 0.0:
             raise RuntimeError(f"epsilon={eps}: sup norm {value!r} is not finite and positive")
     logs = np.log(np.asarray(rows))
+    # each log carries a few ulps of the largest, which the fitted slope
+    # multiplies by sum |dx| / sum dx^2 (docs/conventions.md, "Epsilons too
+    # close to fit")
+    dx = logs[:, 0] - logs[:, 0].mean()
+    noise = 2.0**-50 * (1.0 + np.abs(logs).max())
+    if not noise * np.abs(dx).sum() < DECAY_NOISE_LIMIT * (dx @ dx):
+        raise ValueError(f"epsilon values {eps_values} are too close for the fit to resolve "
+                         f"a slope: its rounding bound exceeds {DECAY_NOISE_LIMIT:g}")
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
     return SweepTable(rows=rows, fitted_slope=slope)
 
@@ -226,11 +216,10 @@ def deficit_floor(family: CutoffFamily, R: float) -> float:
 # caps in closed form
 # --------------------------------------------------------------------------
 
-def cap_curvature(base: BaseInstanton, r, eps=1.0) -> CurvatureFrame:
+def cap_curvature(base: BaseInstanton, r, eps: float = 1.0) -> CurvatureFrame:
     """Curvature at r (a float, or an array of radii in one batch) of the cap
     of ``CutoffFamily(base, eps)``, from the W-ansatz closed form of its
-    h = phi(r / eps) eps^p / r^q; eps is one scale, or an array of one per
-    radius (``_cap_h``).
+    h = phi(r / eps) eps^p / r^q.
 
     The unit cap is eps = 1, h = H(rho) = phi(rho) / rho^q.  At r = eps rho
     the cap of scale eps is W = 1 - eps^4 H(rho) (p - q = 4 in both

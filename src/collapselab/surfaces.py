@@ -37,7 +37,16 @@ class OddFirstBettiError(ValueError):
 
 @dataclass(frozen=True)
 class SurfaceData:
-    """Diffeomorphism-level invariants of a compact complex surface."""
+    """Diffeomorphism-level invariants of a compact complex surface.
+
+    Refused with ValueError: invariants with c1^2 != 2 chi + 3 tau, a
+    non-integral chi(O) = (chi + tau) / 4 (Noether's formula
+    12 chi(O) = c1^2 + c2), c1^2(X) other than 0 in Kodaira dimension 0 or 1,
+    and in general type a minimal model with c1^2 <= 0, c1^2 < 2 chi(O) - 6
+    (Noether's inequality) or c1^2 > 3 c2 (Bogomolov-Miyaoka-Yau).  See
+    Barth, Hulek, Peters and Van de Ven, *Compact Complex Surfaces*, 2nd ed.
+    (Springer, 2004), ch. VII.
+    """
 
     kod: KodairaDimension
     b1_parity: Parity
@@ -55,10 +64,29 @@ class SurfaceData:
                 f"inconsistent invariants: c1^2 = {self.c1sq} but 2chi+3tau = "
                 f"{2 * self.chi + 3 * self.tau}"
             )
+        if (self.chi + self.tau) % 4:
+            raise ValueError(
+                f"Noether's formula: chi(O) = (chi + tau) / 4 = ({self.chi} + {self.tau}) / 4 "
+                "must be an integer"
+            )
         if self.kod is KodairaDimension.TWO and self.c1sq_min <= 0:
             raise ValueError("general type requires c1^2 of the minimal model > 0")
         if self.kod in (KodairaDimension.ZERO, KodairaDimension.ONE) and self.c1sq_min != 0:
             raise ValueError("Kodaira dimension 0 or 1 forces c1^2(X) = 0")
+        if self.kod is KodairaDimension.TWO:
+            # on the minimal model: blow-ups keep chi(O) and add one to c2 each
+            chi_o = (self.chi + self.tau) // 4
+            c2_min = self.chi - self.blowups
+            if self.c1sq_min < 2 * chi_o - 6:
+                raise ValueError(
+                    f"Noether's inequality: general type requires c1^2 >= 2 chi(O) - 6 on the "
+                    f"minimal model, got c1^2 = {self.c1sq_min} < {2 * chi_o - 6}"
+                )
+            if self.c1sq_min > 3 * c2_min:
+                raise ValueError(
+                    f"Bogomolov-Miyaoka-Yau: general type requires c1^2 <= 3 c2 on the "
+                    f"minimal model, got c1^2 = {self.c1sq_min} > {3 * c2_min}"
+                )
 
     @property
     def c1sq(self) -> int:
@@ -194,7 +222,7 @@ CANONICAL_SURFACES = [
     SurfaceData(KodairaDimension.ZERO, Parity.EVEN, 0, 24, -16, name="K3"),
     SurfaceData(KodairaDimension.ZERO, Parity.EVEN, 0, 0, 0, name="4-torus"),
     SurfaceData(KodairaDimension.ONE, Parity.EVEN, 0, 12, -8, name="minimal elliptic (Dolgachev-like)"),
-    SurfaceData(KodairaDimension.TWO, Parity.EVEN, 5, 565, -375, name="general type c1^2=5"),
+    SurfaceData(KodairaDimension.TWO, Parity.EVEN, 5, 7, -3, name="general type c1^2=5"),
 ]
 
 

@@ -177,6 +177,69 @@ def test_glue_at_large_t_exits_0(tmp_path):
     assert main(["glue", "--out", str(tmp_path), "t=1,1e25,1e26"]) == 0
 
 
+# the edge values among the property test's draws, with one just below the
+# noise guard's 3.86e-3 and one below both deficit floor limits
+_EDGE_FLOATS = [0.0, -0.5, 1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, 3.8e-3, 0.2]
+
+
+def _log_uniform(lo: float, hi: float):
+    """10^x with x uniform in [log10 lo, log10 hi]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+# the largest float below 1, so that no exponent draw is -0.0, which maps to 1
+_BELOW_1 = math.nextafter(1.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(list(cutoff.BaseInstanton)),
+       eps=st.lists(_log_uniform(4e-3, _BELOW_1), min_size=3, max_size=6, unique=True),
+       deficit_eps=_log_uniform(0.22, _BELOW_1),
+       edge=st.sampled_from([None] * 2 * len(_EDGE_FLOATS) + _EDGE_FLOATS),
+       edge_is_deficit=st.booleans())
+def test_decay_run_is_right_or_exits_2(tmp_path, base, eps, deficit_eps, edge,
+                                       edge_is_deficit):
+    """Every ``decay`` run exits 0 or 2.  Its distinct epsilons are drawn
+    over [4e-3, 1), inside the range the noise guard accepts,
+    [3.86e-3, 1), and its deficit_eps over [0.22, 1), inside the range the
+    rounding-floor limit accepts for Eguchi-Hanson, [0.218, 1), which
+    straddles the Burns limit 0.467; in a third of the runs an edge value
+    replaces deficit_eps or the last epsilon.  A run that exits 0 fits a
+    slope in criterion 3's [1.8, 2.2], meets criterion 4's 1e-10 on the
+    deficit, and writes each sweep row as the cap certificate
+    ``cap_sup_norms`` of its epsilon, bit for bit; one that exits 2 writes
+    nothing."""
+    if edge is not None and edge_is_deficit:
+        deficit_eps = edge
+    elif edge is not None:
+        eps[-1] = edge
+    out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    argv = ["decay", "--out", str(out), f"base={base.value}", f"eps={json.dumps(eps)}",
+            f"deficit_eps={json.dumps(deficit_eps)}"]
+    code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert not out.exists()
+        return
+    slug = f"decay_{base.value}_d{cli._slug_number(deficit_eps)}"
+    results = _summary(out, slug)["results"]
+    assert 1.8 <= results["fitted_slope"] <= 2.2
+    assert results["deficit_vs_closed_form_rel"] < 1e-10
+    column = 0 if base is cutoff.BaseInstanton.EGUCHI_HANSON else 1
+    lines = (out / f"{slug}_sweep.csv").read_text().splitlines()
+    for line in lines[lines.index("epsilon,sup_norm,log_eps,log_sup") + 1:]:
+        epsilon, sup = map(float, line.split(",")[:2])
+        assert sup == cutoff.cap_sup_norms(cutoff.CutoffFamily(base, epsilon))[column]
+
+
+def test_decay_has_no_samples_key(tmp_path, capsys):
+    """The sweep reads the cap certificates, so it samples nothing."""
+    assert main(["decay", "--out", str(tmp_path), "samples=120"]) == 2
+    assert "unknown key 'samples'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_curvature_r_lo_must_be_positive(tmp_path, capsys):
     """An explicit r_lo <= 0 is bad configuration; only an unset r_lo on a
     profile that closes up at r = 0 starts the grid at 1e-4 r_hi."""
@@ -305,7 +368,7 @@ def test_report_runs_listed(tmp_path):
 @pytest.mark.parametrize("experiment, params, name, header, n_rows", [
     ("curvature", {"preset": "flat", "samples": 5}, "flat_profile",
      "r,scalar,sup_ricci,riemann_norm2,wplus_norm2,wminus_norm2", 5),
-    ("decay", {"eps": [0.2, 0.1, 0.05], "samples": 60}, "decay_eguchi-hanson_d0.5_sweep",
+    ("decay", {"eps": [0.2, 0.1, 0.05]}, "decay_eguchi-hanson_d0.5_sweep",
      "epsilon,sup_norm,log_eps,log_sup", 3),
     ("collapse", {"t": [1.0, 10.0]}, "collapse_trivial_family",
      "t,volume,volume_times_t,k_h,k_p", 2),
@@ -369,8 +432,7 @@ def test_runs_that_differ_in_a_or_deficit_eps_keep_their_own_artifacts(tmp_path)
         run(ExperimentConfig("curvature", {"preset": "round", "radius": radius, "samples": 5},
                              str(tmp_path), 1))
     for eps in (0.5, 0.6):
-        run(ExperimentConfig("decay", {"eps": [0.2, 0.1, 0.05], "samples": 20,
-                                       "deficit_eps": eps},
+        run(ExperimentConfig("decay", {"eps": [0.2, 0.1, 0.05], "deficit_eps": eps},
                              str(tmp_path), 1))
     runs = ["decay_eguchi-hanson_d0.5", "decay_eguchi-hanson_d0.6",
             "eguchi-hanson_a0.5", "eguchi-hanson_a1", "eguchi-hanson_a1.0000001",
@@ -456,10 +518,11 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
     - at most 4 ``curvature_at`` calls for them, one batch per sample grid
       or quadrature round (4 measured), each one ``riemann_tensor`` call, as
       the benchmark's traced run requires;
-    - at most 30 ``cutoff.cap_curvature`` calls, one batch per ``decay``
-      sweep, and per sup grid, parabolic-search round or quadrature round of
-      the two unit caps (29 measured);
-    - at most 2000 cutoff bump elements (1904 measured), one per cap radius;
+    - at most 27 ``cutoff.cap_curvature`` calls, one batch per sup grid,
+      parabolic-search round or quadrature round of the two unit caps (27
+      measured); the ``decay`` sweeps read the cached unit caps and take
+      none;
+    - at most 944 cutoff bump elements (944 measured), one per cap radius;
     - at most 600 jet square-root elements (528 measured), one per W-ansatz
       radius of ``curvature_at``;
     - exactly 15 fiber-lattice reductions: one per family rule and one per
@@ -512,8 +575,8 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
     assert counts["radii"] <= 500
     assert counts["curvature_at"] <= 4
     assert counts["riemann_tensor"] == counts["curvature_at"]
-    assert counts["cap_curvature"] <= 30
-    assert counts["_bump"] <= 2000
+    assert counts["cap_curvature"] <= 27
+    assert counts["_bump"] <= 944
     assert counts["sqrt"] <= 600
     assert counts["_reduced_basis"] == 15
 

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collapselab import cli, cutoff
+from collapselab import cli, cutoff, gluing
 from collapselab.cli import main
 from collapselab.cutoff import (
     BaseInstanton,
     CutoffFamily,
     _bump,
     cap_curvature,
+    cap_sup_norms,
     cap_volume,
     decay_sweep,
     modified_metric,
@@ -252,7 +253,7 @@ def test_family_exponents(base, bolt_pow, deficit_pow):
 
 @pytest.mark.parametrize("base", list(BaseInstanton))
 def test_quadratic_curvature_decay(base):
-    table = decay_sweep(base, [0.2, 0.1, 0.05, 0.025], samples=120)
+    table = decay_sweep(base, [0.2, 0.1, 0.05, 0.025])
     assert abs(table.fitted_slope - 2.0) < 1e-6
     sups = [row[1] for row in table.rows]
     assert all(b < a for a, b in zip(sups, sups[1:]))
@@ -292,37 +293,67 @@ def test_decay_sweep_refuses_eps_outside_the_unit_interval(tmp_path, capsys):
 
 @pytest.mark.parametrize("base", list(BaseInstanton))
 def test_decay_sweep_is_the_closed_form_per_eps_and_matches_the_engine(base):
-    """At every default epsilon the batched sweep repeats, bit for bit, one
-    ``cap_curvature`` call for that epsilon alone on its own grid, and its
-    sup norm equals the engine's (``curvature_at`` of the cutoff metric on
-    the same grid) to 1e-9 relative; the engine's rounding reaches 1.3e-10
-    (Burns, eps = 0.025)."""
+    """Each row is, bit for bit, the cap certificate ``cap_sup_norms`` of its
+    epsilon (sup |Ric| for Eguchi-Hanson, sup |s| for Burns), the value the
+    glue certificate's cap charts carry.  At every default epsilon the
+    engine (``curvature_at`` of the cutoff metric) on 120 radii of
+    [eps, 3 eps] matches the closed form ``cap_curvature`` on the same grid
+    to 1e-9 relative, its rounding reaching 1.3e-10 (Burns, eps = 0.025),
+    and its sampled sup lies at or below the row."""
     eps_list = cli._DEFAULTS["decay"]["eps"]
-    table = decay_sweep(base, eps_list, samples=120)
+    table = decay_sweep(base, eps_list)
     assert [eps for eps, _ in table.rows] == sorted(eps_list, reverse=True)
     ricci = base is BaseInstanton.EGUCHI_HANSON
+    chart = gluing.eh_cap if ricci else gluing.burns_cap
     for eps, sup in table.rows:
+        family = CutoffFamily(base, eps)
+        assert sup == cap_sup_norms(family)[0 if ricci else 1]
+        assert sup == (chart(eps).sup_ricci if ricci else chart(eps).sup_scalar)
         grid = sample_grid(eps, 3.0 * eps, 120)
         closed, engine = (
             float(np.max(fr.sup_ricci if ricci else np.abs(fr.scalar)))
             for fr in (cap_curvature(base, grid, eps),
-                       curvature_at(modified_metric(CutoffFamily(base, eps)), grid)))
-        assert sup == closed
-        assert sup == pytest.approx(engine, rel=1e-9)
+                       curvature_at(modified_metric(family), grid)))
+        assert engine == pytest.approx(closed, rel=1e-9)
+        assert engine <= sup
 
 
 def test_decay_sweep_rejects_vanishing_sup(monkeypatch):
     """A zero sup norm at one epsilon fails the sweep instead of dropping
     its row and fitting the slope on the others."""
-    closed_form = cutoff.cap_curvature
+    certificate = cutoff.cap_sup_norms
 
-    def flat_at_tenth(base, r, eps):
-        riem = closed_form(base, r, eps).riemann4
-        return frame_from_riemann(np.where((eps == 0.1)[:, None, None, None, None], 0.0, riem))
+    def flat_at_tenth(family):
+        return (0.0, 0.0) if family.epsilon == 0.1 else certificate(family)
 
-    monkeypatch.setattr(cutoff, "cap_curvature", flat_at_tenth)
+    monkeypatch.setattr(cutoff, "cap_sup_norms", flat_at_tenth)
     with pytest.raises(RuntimeError, match="epsilon=0.1"):
-        decay_sweep(BaseInstanton.EGUCHI_HANSON, [0.2, 0.1, 0.05], samples=60)
+        decay_sweep(BaseInstanton.EGUCHI_HANSON, [0.2, 0.1, 0.05])
+
+
+@pytest.mark.parametrize("base", list(BaseInstanton))
+def test_decay_sweep_refuses_eps_too_close_to_fit(tmp_path, capsys, base):
+    """Unguarded, three epsilons one and two ulps apart exited 0 with only
+    numpy's RankWarning, writing ``fitted_slope`` 0.851 (Burns: 0.551)
+    that criterion 3 then failed, and the Burns sweep of 0.9 and the next
+    two floats above it raised no warning at all and wrote -8.82.  The
+    slope's rounding bound exceeds ``DECAY_NOISE_LIMIT``, so the sweep
+    refuses both, naming the values, and the CLI exits 2 without writing a
+    summary.  Spread by 1e-8 relative, the same three fit 2 to within
+    1e-6."""
+    close = [0.1, 0.10000000000000002, 0.10000000000000003]
+    with pytest.raises(ValueError, match=r"0\.10000000000000002.*too close for the fit"):
+        decay_sweep(base, close)
+    near = [0.9, 0.9000000000000001, 0.9000000000000002]
+    with pytest.raises(ValueError, match="too close for the fit"):
+        decay_sweep(base, near)
+    spread = decay_sweep(base, [0.9, 0.9 * (1.0 + 1e-8), 0.9 * (1.0 + 2e-8)])
+    assert abs(spread.fitted_slope - 2.0) < 1e-6
+    argv = ["decay", "--out", str(tmp_path), f"base={base.value}",
+            "eps=0.1,0.10000000000000002,0.10000000000000003"]
+    assert main(argv) == 2
+    assert "0.10000000000000002" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_volume_deficit_closed_forms():

@@ -3,7 +3,7 @@ catch (DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE
 Computer 11(4), 1978).
 
 A test copies ``src/collapselab`` to a temporary directory, applies one row
-as an exact string replacement, runs the criterion's experiment and
+as an exact string replacement, runs the criterion's experiments and
 ``report`` through ``collapselab.cli.main`` in a subprocess that imports the
 copy, and asserts that the criterion reads FAIL.  The unmutated copy must
 PASS, so a FAIL is the mutant's doing.
@@ -58,18 +58,30 @@ MUTANTS.update({f"{name}, {preset}": (*row, criterion)
                 for name, row in _ENGINE_MUTANTS.items()
                 for preset, criterion in (("Eguchi-Hanson", 1), ("Burns", 2))})
 
-# the experiment run whose summary each criterion reads
+# slips in the cutoff decay, caught by criterion 3
+MUTANTS.update({
+    "cap sup norms scale as eps^3": (
+        "cutoff.py", "eps2 = family.epsilon**2", "eps2 = family.epsilon**3", 3),
+    "decay fit of log eps against log sup": (
+        "cutoff.py", "np.polyfit(logs[:, 0], logs[:, 1], 1)",
+        "np.polyfit(logs[:, 1], logs[:, 0], 1)", 3),
+})
+
+# the experiment runs whose summaries each criterion reads
 RUNS = {
-    1: ["curvature", "preset=eguchi-hanson", "samples=50"],
-    2: ["curvature", "preset=burns", "samples=50"],
-    8: ["yamabe", "n=8", "max_iters=0"],
+    1: [["curvature", "preset=eguchi-hanson", "samples=50"]],
+    2: [["curvature", "preset=burns", "samples=50"]],
+    3: [["decay", "base=eguchi-hanson"], ["decay", "base=burns"]],
+    8: [["yamabe", "n=8", "max_iters=0"]],
 }
 
 _SCRIPT = """
+import json
 import sys
 from collapselab.cli import main
 out = sys.argv[1]
-assert main([sys.argv[2], "--out", out, *sys.argv[3:]]) == 0
+for experiment, *overrides in json.loads(sys.argv[2]):
+    assert main([experiment, "--out", out, *overrides]) == 0
 assert main(["report", "--out", out]) in (0, 1)
 """
 
@@ -87,7 +99,7 @@ def _status(tmp_path: Path, criterion: int, mutant=None) -> str:
         path.write_text(text.replace(old, new))
     out = tmp_path / "runs"
     env = {**os.environ, "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(out), *RUNS[criterion]],
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(out), json.dumps(RUNS[criterion])],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rows = json.loads((out / "report.json").read_text())["criteria"]

@@ -38,7 +38,7 @@ GOLDEN = {
     "burns_profile.csv": "656a8217e4502405902e8767697c337ac0537184670854c3b60d22c8ea6f64f6",
     "charclass.json": "cedcfe3e579283cd864002b641a84cb57588364b98c805a64be4d17589ca07a7",
     "charclass_wplus_sweep.csv": "11b03605161eebae966be9e98b31eec937ada9709b5222cdb5de7fea12622d29",
-    "classify.json": "254b99e6a3d165e48814b67d6009b39cf3714816823c71c621ffa7ba8cab20c8",
+    "classify.json": "fd64d3a376c50935a6c624df3470d395f609580b1c79718dfc5b16edd4ec7ceb",
     "classify_table.csv": "2ae5bbf3065c9c6f741af85c8a8af8217993480d1e028c41f1336ff1e072c859",
     "collapse_nilmanifold.json": "655293830868c4dee5f2d328df7aaba1ea7e00a117a790572a1f8300a593a85e",
     "collapse_nilmanifold_family.csv":
@@ -50,11 +50,11 @@ GOLDEN = {
         "ce39995a3c2874e644faa8daf63d0b22123dd8be07927eabce1178b51b0f7b93",
     "decay_burns_d0.5.json": "1d20d4a23dc0ef42fccfe5aa29e6bafafedc5b58cca76b47ac564d2a8931a3e1",
     "decay_burns_d0.5_sweep.csv":
-        "9d628d644670eb405c7f604b86e3e948640f3441fba169260e429325f181e46b",
+        "6ed08ba91562d74b3d3f3f10d62879dd67edab927891185a1b9fc927571ec51b",
     "decay_eguchi-hanson_d0.5.json":
         "2c78472e623bce3089e1cf3d46dd48f6d9c79bae2b6d3cda7fefaa3c5bdaa35b",
     "decay_eguchi-hanson_d0.5_sweep.csv":
-        "3e2f325b835138f4ebf156e29fee81504ff971479c8bcd94ce96d5a293f68665",
+        "e57c63d5e882ee3eea9c9442eaa4dc2b0aa2e9c093bfb02361f85e550fd7fead",
     "eguchi-hanson_a1.json": "536b798831c6c5baa74c34e54abf5deff1648026889635ec230f3ae261af4e3d",
     "eguchi-hanson_a1_profile.csv":
         "a9dab7053f2bdf058f0e01dbc89c75fd6b98cbc35ede4ad8919230e4bd2e3f7b",

@@ -2,9 +2,13 @@
 
 import json
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from collapselab.cli import main
 from collapselab.surfaces import (
     CANONICAL_SURFACES,
     KodairaDimension,
@@ -66,6 +70,80 @@ def test_odd_first_betti_refused():
         classify_sign(s)
     with pytest.raises(OddFirstBettiError):
         yamabe_value(s)
+
+
+def _broken(kod, c1sq_min, chi, tau, blowups):
+    """The words that name the first condition the invariants break, in the
+    order ``SurfaceData`` checks them, or None: the blow-up count, c1^2 =
+    2 chi + 3 tau, Noether's formula (chi(O) = (chi + tau) / 4 integral),
+    the sign of c1^2 by Kodaira dimension, and for general type, on the
+    minimal model (c2 = chi - blow-ups), Noether's inequality
+    c1^2 >= 2 chi(O) - 6 and Bogomolov-Miyaoka-Yau c1^2 <= 3 c2."""
+    general = kod is KodairaDimension.TWO
+    conditions = [
+        (blowups >= 0, "non-negative"),
+        (c1sq_min - blowups == 2 * chi + 3 * tau, "2chi+3tau"),
+        ((chi + tau) % 4 == 0, "Noether's formula"),
+        (not general or c1sq_min > 0, "general type requires c1^2"),
+        (kod not in (KodairaDimension.ZERO, KodairaDimension.ONE) or c1sq_min == 0,
+         "forces c1^2(X) = 0"),
+        (not general or c1sq_min >= 2 * ((chi + tau) // 4) - 6, "Noether's inequality"),
+        (not general or c1sq_min <= 3 * (chi - blowups), "Bogomolov-Miyaoka-Yau"),
+    ]
+    return next((name for holds, name in conditions if not holds), None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kod=st.sampled_from(list(KodairaDimension)), c1sq_min=st.integers(-3, 12),
+       chi_o=st.integers(-2, 8), blowups=st.integers(-1, 4),
+       shift=st.sampled_from([(0, 0), (0, 0), (0, 0), (3, -2), (1, 0), (0, 1)]))
+@example(kod=KodairaDimension.TWO, c1sq_min=1, chi_o=4, blowups=0, shift=(0, 0))
+@example(kod=KodairaDimension.TWO, c1sq_min=11, chi_o=1, blowups=0, shift=(0, 0))
+def test_only_invariants_of_surfaces_are_accepted(kod, c1sq_min, chi_o, blowups, shift):
+    """An accepted record satisfies Noether's formula and, in general type,
+    Noether's inequality and Bogomolov-Miyaoka-Yau on its minimal model; a
+    refused record's message names the first condition it breaks.  A record
+    is drawn by its minimal model's c1^2 and chi(O), with
+    c2 = 12 chi(O) - c1^2, so that most draws reach the checks of general
+    type; a shift of (chi, tau) by (3, -2) then breaks Noether's formula
+    alone, and by (1, 0) or (0, 1) c1^2 = 2 chi + 3 tau."""
+    chi = 12 * chi_o - c1sq_min + blowups + shift[0]
+    tau = c1sq_min - 8 * chi_o - blowups + shift[1]
+    broken = _broken(kod, c1sq_min, chi, tau, blowups)
+    rec = {"kod": kod.value, "c1sq_min": c1sq_min, "chi": chi, "tau": tau, "blowups": blowups}
+    if broken is not None:
+        with pytest.raises(ValueError, match=re.escape(broken)):
+            SurfaceData.from_json(rec)
+        return
+    s = SurfaceData.from_json(rec)
+    assert (s.chi + s.tau) % 4 == 0
+    if kod is KodairaDimension.TWO:
+        chi_o = (s.chi + s.tau) // 4
+        assert 2 * chi_o - 6 <= s.c1sq_min <= 3 * (s.chi - s.blowups)
+
+
+@pytest.mark.parametrize("record, condition", [
+    ({"kod": "2", "c1sq_min": 1, "chi": 2, "tau": -1}, "Noether's formula"),
+    ({"kod": "2", "c1sq_min": 5, "chi": 565, "tau": -375}, "Noether's formula"),
+    ({"kod": "2", "c1sq_min": 1, "chi": 47, "tau": -31}, "Noether's inequality"),
+    ({"kod": "2", "c1sq_min": 11, "chi": 1, "tau": 3}, "Bogomolov-Miyaoka-Yau"),
+])
+def test_classify_input_refuses_invariants_of_no_surface(tmp_path, capsys, record, condition):
+    """``classify input=`` exits 2 on such a record, naming the condition,
+    and writes nothing."""
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([record]))
+    out = tmp_path / "runs"
+    assert main(["classify", "--out", str(out), f"input={json.dumps(str(path))}"]) == 2
+    assert condition in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_canonical_general_type_is_a_surface():
+    """chi = 7, tau = -3: c1^2 = 5, chi(O) = 1 and c2 = 7, within
+    2 chi(O) - 6 <= c1^2 <= 3 c2."""
+    gt = CANONICAL_SURFACES[5]
+    assert (gt.chi, gt.tau, gt.c1sq) == (7, -3, 5)
 
 
 def test_invariant_consistency_enforced():
