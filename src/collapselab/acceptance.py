@@ -97,13 +97,25 @@ def _results(summaries: list, experiment: str, required: bool = True, **params) 
     return [s["results"] for s in _runs(summaries, experiment, required, **params)]
 
 
+def _is_real(value) -> bool:
+    """A JSON number, not a null, a string or a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(results: dict, key: str) -> float:
-    """``results[key]``, which must be a real number (a JSON number, not a
-    null, a string or a boolean)."""
+    """``results[key]``, which must be a real number."""
     value = results[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise _NotANumber(key)
     return value
+
+
+def _numbers(results: dict, key: str) -> list:
+    """``results[key]``, which must be a list of real numbers."""
+    values = results[key]
+    if not isinstance(values, list) or not all(map(_is_real, values)):
+        raise _NotANumber(key)
+    return values
 
 
 def _worst(values, pick=max) -> float:
@@ -136,7 +148,7 @@ def _eguchi_hanson_ricci_flat(summaries):
 def _burns_scalar_flat_not_einstein(summaries):
     runs = _results(summaries, "curvature", preset="burns")
     sup_s = _worst(_number(r, "sup_abs_scalar") for r in runs)
-    ricci_2 = _worst((r["sup_ricci_at_r2"] or 0.0 for r in runs), min)
+    ricci_2 = _worst((_number(r, "sup_ricci_at_r2") for r in runs), min)
     return sup_s < 1e-9 and ricci_2 > 1e-3, f"sup |s|={sup_s:.2e}, |Ric|(r=2)={ricci_2:.2e}"
 
 
@@ -147,8 +159,9 @@ _DECAY_RUNS = [("decay", {"base": "eguchi-hanson"}), ("decay", {"base": "burns"}
 @_criterion(3, "cutoff decay slopes in [1.8, 2.2]", _DECAY_RUNS)
 def _cutoff_decay_slopes(summaries):
     runs = _results(summaries, "decay")
-    return (_enough(all(1.8 <= r["fitted_slope"] <= 2.2 for r in runs), len(runs) >= 2),
-            ", ".join(f"{r['base']}: {r['fitted_slope']:.3f}" for r in runs))
+    slopes = [_number(r, "fitted_slope") for r in runs]
+    return (_enough(all(1.8 <= k <= 2.2 for k in slopes), len(runs) >= 2),
+            ", ".join(f"{r['base']}: {k:.3f}" for r, k in zip(runs, slopes)))
 
 
 @_criterion(4, "volume deficits match closed forms to 1e-10", _DECAY_RUNS)
@@ -164,15 +177,16 @@ def _volume_deficits(summaries):
 def _collapse_family(summaries):
     runs = _results(summaries, "collapse")
     ok = True
-    for r in runs:
-        kh, kp = r["k_h_values"], r["k_p_values"]
-        gaps = [abs(h - r["base_gauss_curvature"]) for h in kh]
-        ok &= (r["volume_t_product_spread"] < 1e-12
+    spreads = [_number(r, "volume_t_product_spread") for r in runs]
+    for r, spread in zip(runs, spreads):
+        kh, kp = _numbers(r, "k_h_values"), _numbers(r, "k_p_values")
+        gaps = [abs(h - _number(r, "base_gauss_curvature")) for h in kh]
+        ok &= (spread < 1e-12
                and all(math.isfinite(k) for k in kh + kp)
                and all(abs(b) <= abs(a) + 1e-15 for a, b in zip(kp, kp[1:]))
                and all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:])))
-    return ok, "; ".join(f"{r['bundle']}: Vol*t spread {r['volume_t_product_spread']:.1e}"
-                         for r in runs)
+    return ok, "; ".join(f"{r['bundle']}: Vol*t spread {spread:.1e}"
+                         for r, spread in zip(runs, spreads))
 
 
 @_criterion(6, "glued certificates (Ricci / scalar verdicts)",
@@ -181,7 +195,8 @@ def _glued_certificates(summaries):
     runs = _results(summaries, "glue")
     ricci = [r for r in runs if r["blowups"] == 0]
     scalar = [r for r in runs if r["blowups"] > 0]
-    ratios = [r["rows"][-1]["total_volume"] / r["rows"][0]["total_volume"] for r in ricci]
+    ratios = [_number(r["rows"][-1], "total_volume") / _number(r["rows"][0], "total_volume")
+              for r in ricci]
     ok = (all(r["verdict"] == "BoundedRicciCollapse" for r in ricci)
           and all(x < 1e-2 for x in ratios)
           and all(r["verdict"] == "BoundedScalarCollapse" for r in scalar))
@@ -194,7 +209,7 @@ _YAMABE_RUNS = [("yamabe", {})]
 
 @_criterion(7, "conformal law convergence order >= 1.8", _YAMABE_RUNS)
 def _conformal_law_convergence(summaries):
-    orders = [o for r in _results(summaries, "yamabe") for o in r["conformal_orders"]]
+    orders = [o for r in _results(summaries, "yamabe") for o in _numbers(r, "conformal_orders")]
     return all(o >= 1.8 for o in orders), f"orders {[round(o, 2) for o in orders]}"
 
 
@@ -205,10 +220,10 @@ _EQUALITY_EVIDENCE = ("holder_equality_deviation", "negative_case_edge_deviation
 @_criterion(8, "Hoelder gap and negative-case inequalities at equality", _YAMABE_RUNS)
 def _variational_inequalities(summaries):
     runs = _results(summaries, "yamabe")
-    # a missing, null or non-finite value is no evidence
-    values = [[r.get(k) for k in _EQUALITY_EVIDENCE] for r in runs]
-    if not all(isinstance(v, (int, float)) and math.isfinite(v) for row in values for v in row):
-        return False, "missing or non-finite evidence"
+    values = [[_number(r, k) for k in _EQUALITY_EVIDENCE] for r in runs]
+    # a non-finite value is no evidence
+    if not all(math.isfinite(v) for row in values for v in row):
+        return False, "non-finite evidence"
     holder, edge, ncc, const = zip(*values)
     ok = max(holder + edge + ncc) <= 1e-12 and not any(const)
     return ok, (f"Hoelder equality deviation {max(holder):.1e}, edge-form deviation "
@@ -226,13 +241,14 @@ def _yamabe_descent(summaries):
 @_criterion(10, "characteristic-class convention lock", [("charclass", {})])
 def _characteristic_convention_lock(summaries):
     runs = _results(summaries, "charclass")
-    ok = all(abs(r["round_s4"]["two_chi_plus_three_tau"] - 4.0) < 1e-6
-             and abs(r["round_s4"]["tau"]) < 1e-8
-             and r["flat_t4"]["two_chi_plus_three_tau"] == 0.0
-             and r["flat_t4"]["tau"] == 0.0
-             and abs(r["s2xs2_two_chi_plus_three_tau"] - 8.0) < 1e-6 for r in runs)
-    return ok, (f"S^4 {runs[0]['round_s4']['two_chi_plus_three_tau']:.8f}, "
-                f"S^2xS^2 {runs[0]['s2xs2_two_chi_plus_three_tau']:.8f}")
+    s4 = [_number(r["round_s4"], "two_chi_plus_three_tau") for r in runs]
+    s2xs2 = [_number(r, "s2xs2_two_chi_plus_three_tau") for r in runs]
+    ok = all(abs(a - 4.0) < 1e-6
+             and abs(_number(r["round_s4"], "tau")) < 1e-8
+             and _number(r["flat_t4"], "two_chi_plus_three_tau") == 0.0
+             and _number(r["flat_t4"], "tau") == 0.0
+             and abs(b - 8.0) < 1e-6 for r, a, b in zip(runs, s4, s2xs2))
+    return ok, f"S^4 {s4[0]:.8f}, S^2xS^2 {s2xs2[0]:.8f}"
 
 
 @_criterion(11, "self-dual Weyl energy collapse sweep, signature to 1e-8", [("charclass", {})])
@@ -243,9 +259,10 @@ def _wplus_sweep_collapses(summaries):
         r, p = run["results"], run["config"]["parameters"]
         # tau = -8 per rational elliptic fibre sum and -1 per blow-up (the
         # torus-bundle base has tau = 0)
-        tau_error = abs(r["tau_estimate"] + 8 * p["fiber_sums"] + p["blowups"])
+        tau_error = abs(_number(r, "tau_estimate") + 8 * p["fiber_sums"] + p["blowups"])
         worst = max(worst, tau_error)
-        ok &= (r["wplus_monotone_decreasing"] and r["wplus_last"] < 1e-3 * r["wplus_first"]
+        ok &= (r["wplus_monotone_decreasing"]
+               and _number(r, "wplus_last") < 1e-3 * _number(r, "wplus_first")
                and tau_error < 1e-8)
     r = runs[0]["results"]
     return ok, f"{r['wplus_first']:.3e} -> {r['wplus_last']:.3e}, |tau error| {worst:.1e}"
@@ -266,6 +283,7 @@ def _aubin_bound_closed_forms(summaries):
     runs = _results(summaries, "yamabe")
     closed = {"2": 8.0 * math.pi, "3": 6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0),
               "4": 12.0 * math.sqrt(8.0 * math.pi**2 / 3.0)}
-    worst = _worst(abs(r["aubin_bounds"][n] - c) / c for r in runs for n, c in closed.items())
-    gauss_bonnet = _worst(abs(r["aubin_n2_minus_4pi_chi_s2"]) for r in runs)
+    worst = _worst(abs(_number(r["aubin_bounds"], n) - c) / c
+                   for r in runs for n, c in closed.items())
+    gauss_bonnet = _worst(abs(_number(r, "aubin_n2_minus_4pi_chi_s2")) for r in runs)
     return worst < 1e-12 and gauss_bonnet < 1e-12, f"max relative deviation {worst:.1e}"

@@ -107,9 +107,14 @@ class ConformalGrid:
         return float(np.sum(f)) * self.cell_volume
 
 
+def _positive(u: np.ndarray) -> bool:
+    """Whether every value of u is positive: one comparison pass."""
+    return bool(np.all(u > 0.0))
+
+
 def _as_factor(grid: ConformalGrid, u) -> np.ndarray:
     u = grid.check_field(u)
-    if not np.all(u > 0.0):
+    if not _positive(u):
         raise ValueError("conformal factor must be positive everywhere")
     return u
 
@@ -160,8 +165,10 @@ def yamabe_quotient(grid: ConformalGrid, u, energy: float | None = None,
     stencil's, ``gradient_energy_density``, which defines the quotient.
     ``volume``, when given, is that volume integral computed elsewhere (the
     descent reuses it to renormalize); without it the u^p pass is taken here.
+    u must be positive where its values are read: given both, only its
+    shape is checked, as the descent has checked each candidate it prices.
     """
-    u = _as_factor(grid, u)
+    u = grid.check_field(u) if energy is not None and volume is not None else _as_factor(grid, u)
     n, ell = grid.n_dim, grid.ell
     # |du|^2 point by point, or its lattice sum: integrate sums either
     du2 = gradient_energy_density(grid, u) if energy is None else energy
@@ -345,7 +352,7 @@ def minimize_yamabe(
         energy = _h1_gradient(grid, sobolev, u, q, full)
         cand, step = full, 1.0
         for _ in range(60):
-            if np.all(cand > 0.0):
+            if _positive(cand):
                 if step < 1.0:
                     # u - step (u - S(u + r)) is priced by one rfftn of its own
                     energy = field_energy(cand, work)

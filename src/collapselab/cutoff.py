@@ -65,17 +65,20 @@ _FAMILY_EXPONENTS = {
 }
 
 
-def instanton_weyl_energy(base: BaseInstanton, r_bolt: float, r_lo: float, r_hi: float) -> float:
-    """int |W-|^2 dmu over [r_lo, r_hi] of the instanton W = 1 - (r_bolt / r)^q,
+def instanton_weyl_energy(base: BaseInstanton, r_bolt: float, r_hi: float) -> float:
+    """int |W-|^2 dmu from the bolt out to r_hi of the instanton
+    W = 1 - (r_bolt / r)^q,
 
-        12 pi^2 ((r_bolt / r_lo)^(2q) - (r_bolt / r_hi)^(2q)):
+        12 pi^2 (1 - (r_bolt / r_hi)^(2q)):
 
     |W-|^2 = 6 q^2 r_bolt^(2q) / r^(2q+4), the volume form is
     link_volume r^3 dr and link_volume * q = 4 pi^2 in both families, so
-    each whole instanton carries 12 pi^2 (signature -1).
+    each whole instanton carries 12 pi^2 (signature -1).  A bolt radius that
+    underflows to 0.0 leaves the whole 12 pi^2, where a ratio r_bolt / r_bolt
+    would divide by zero.
     """
     q = _FAMILY_EXPONENTS[base][1]
-    return 12.0 * math.pi**2 * ((r_bolt / r_lo) ** (2 * q) - (r_bolt / r_hi) ** (2 * q))
+    return 12.0 * math.pi**2 * (1.0 - (r_bolt / r_hi) ** (2 * q))
 
 
 @dataclass(frozen=True)
@@ -338,5 +341,5 @@ def cap_weyl_energies(family: CutoffFamily) -> tuple[float, float]:
     ``unit_cap`` energies, and the metric is flat beyond 2 eps."""
     unit = unit_cap(family.base)
     eps8 = family.epsilon**8
-    core = instanton_weyl_energy(family.base, family.r_bolt, family.r_bolt, family.epsilon)
+    core = instanton_weyl_energy(family.base, family.r_bolt, family.epsilon)
     return unit.wplus_energy * eps8, core + unit.wminus_energy * eps8

@@ -13,12 +13,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .cutoff import BaseInstanton, CutoffFamily, cap_sup_norms, cap_volume, cap_weyl_energies
-from .submersion import BundleKind, BundleModel, collapse_metric, nilmanifold_frame, oneill_at
+from .submersion import (BundleKind, BundleModel, SubmersionMetric, collapse_metric,
+                         nilmanifold_frame)
 from .surfaces import SurfaceData
 
 
@@ -97,26 +99,39 @@ class CollapseCertificate:
 # flat-torus lattice helpers
 # --------------------------------------------------------------------------
 
-def _reduced_basis(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange-Gauss reduced basis (b1, b2) of Z^2 under the inner product
-    ``gram``: |b1| <= |b2| and |<b1, b2>| <= |b1|^2 / 2, so b1 is a shortest
-    nonzero lattice vector."""
-    gram = np.asarray(gram, dtype=float)
-    b1, b2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    if b1 @ gram @ b1 > b2 @ gram @ b2:
+def _lattice_form(gram: np.ndarray) -> Callable[[tuple, tuple], Fraction]:
+    """The inner product of integer vectors under ``gram``, exactly: the
+    symmetric part of the float entries, in rationals.  Float sums of a
+    sheared Gram's large entries cancel (at shear 50 they put the systole
+    8e-6 relative off)."""
+    g = np.asarray(gram, dtype=float)
+    a, c = Fraction(g[0, 0]), Fraction(g[1, 1])
+    b = (Fraction(g[0, 1]) + Fraction(g[1, 0])) / 2
+    return lambda u, v: a * u[0] * v[0] + b * (u[0] * v[1] + u[1] * v[0]) + c * u[1] * v[1]
+
+
+def _reduced_basis(form: Callable[[tuple, tuple], Fraction]) -> tuple[tuple, tuple]:
+    """Lagrange-Gauss reduced basis (b1, b2) of Z^2 under the exact inner
+    product ``form``: |b1| <= |b2| and |<b1, b2>| <= |b1|^2 / 2, so b1 is a
+    shortest nonzero lattice vector."""
+    b1, b2 = (1, 0), (0, 1)
+    if form(b1, b1) > form(b2, b2):
         b1, b2 = b2, b1
     while True:
-        b2 = b2 - round(float(b1 @ gram @ b2) / float(b1 @ gram @ b1)) * b1
-        if b2 @ gram @ b2 >= b1 @ gram @ b1:
+        m = round(form(b1, b2) / form(b1, b1))
+        b2 = (b2[0] - m * b1[0], b2[1] - m * b1[1])
+        if form(b2, b2) >= form(b1, b1):
             return b1, b2
         b1, b2 = b2, b1
 
 
 def torus_systole(gram: np.ndarray) -> float:
     """Length of the shortest closed geodesic of the flat torus R^2/Z^2 with
-    Gram matrix ``gram``."""
-    b1, _ = _reduced_basis(gram)
-    return math.sqrt(float(b1 @ np.asarray(gram, dtype=float) @ b1))
+    Gram matrix ``gram``: the square root of its exact squared length,
+    rounded once."""
+    form = _lattice_form(gram)
+    b1, _ = _reduced_basis(form)
+    return math.sqrt(form(b1, b1))
 
 
 # --------------------------------------------------------------------------
@@ -139,69 +154,44 @@ def burns_cap(eps: float) -> Chart:
 
 
 # --------------------------------------------------------------------------
-# the rational-elliptic orbifold model
+# the rational-elliptic orbifold model, fiber sums and blow-ups
 # --------------------------------------------------------------------------
 
-def eh_schedule(fiber_gram: np.ndarray, t: float) -> float:
-    """eps_t = min(injectivity radius of (T^2, f), pi) / (4 sqrt t)."""
-    return _eh_schedule(torus_systole(fiber_gram), t)
+def _cap_ball_volume(base: BaseInstanton, eps: float) -> float:
+    """Volume of the flat ball of radius 2 eps that a cap of scale eps replaces."""
+    return CutoffFamily(base, eps).link_volume * (2.0 * eps) ** 4 / 4.0
 
 
-def _eh_schedule(systole: float, t: float) -> float:
-    return min(0.5 * systole, math.pi) / (4.0 * math.sqrt(t))
-
-
-def orbifold_family(fiber_gram: np.ndarray, t: float) -> ChartedFamily:
+def _orbifold_charts(alpha: float, inj: float, rho_t: float, t: float) -> tuple[Chart, ...]:
     """The blown-up flat orbifold (R x T^3)/Z2 with 8 Eguchi-Hanson caps.
 
-    The flat block carries dx^2 + dtheta^2 + f/t truncated at |x| = 4; the
-    8 singular points sit in the x = 0 slice at the 2-torsion points of T^3
-    and are capped at scale eps_t <= pi / 4.  The nearest two of them are
-    min(pi, systole / (2 sqrt t)) apart (docs/conventions.md, "Cap
-    disjointness"), so the 2 eps balls are disjoint when 4 eps is at most
-    that; on this schedule the nearest caps touch whenever inj <= pi.
+    The flat block carries dx^2 + dtheta^2 + f/t truncated at |x| = 4, of
+    fiber area alpha; the 8 singular points sit in the x = 0 slice at the
+    2-torsion points of T^3 and are capped at scale eps_t = rho_t / 2 <= pi / 4.
+    The nearest two of them are min(pi, inj / sqrt t) apart
+    (docs/conventions.md, "Cap disjointness"), so the 2 eps balls are
+    disjoint when 4 eps is at most that; on this schedule the nearest caps
+    touch whenever inj <= pi.
     """
-    if not 1.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 1, got {t!r}")
-    fiber_gram = np.asarray(fiber_gram, dtype=float)
-    alpha = math.sqrt(float(np.linalg.det(fiber_gram)))
-    systole = torus_systole(fiber_gram)
-    eps = _eh_schedule(systole, t)
-    nearest = min(math.pi, 0.5 * systole / math.sqrt(t))
-    try:  # a refusal names t: at large t a cap's data underflows
-        if nearest < 4.0 * eps - 1e-12:
-            raise ValueError(f"cap schedule violates disjointness: distance {nearest:.4g} < 4 eps")
-        ball_vol = CutoffFamily(BaseInstanton.EGUCHI_HANSON, eps).link_volume * (2.0 * eps) ** 4 / 4.0
-        flat_vol = 2.0 * math.pi * 4.0 * alpha / t - 8.0 * ball_vol
-        if flat_vol <= 0.0:
-            raise ValueError("caps exceed the available flat volume")
-        charts = [Chart(ChartKind.FLAT_BLOCK, flat_vol, 0.0, 0.0)]
-        charts += [eh_cap(eps)] * 8
-    except ValueError as exc:
-        raise ValueError(f"t={t!r}: {exc}") from exc
-    return ChartedFamily(
-        charts=tuple(charts),
-        parameter=t,
-        schedule="eps_t = min(inj, pi) / (4 sqrt(t))",
-    )
+    eps = 0.5 * rho_t
+    nearest = min(math.pi, inj / math.sqrt(t))
+    if nearest < 4.0 * eps - 1e-12:
+        raise ValueError(f"cap schedule violates disjointness: distance {nearest:.4g} < 4 eps")
+    flat_vol = 2.0 * math.pi * 4.0 * alpha / t - 8.0 * _cap_ball_volume(
+        BaseInstanton.EGUCHI_HANSON, eps)
+    if flat_vol <= 0.0:
+        raise ValueError("caps exceed the available flat volume")
+    return (Chart(ChartKind.FLAT_BLOCK, flat_vol, 0.0, 0.0), *[eh_cap(eps)] * 8)
 
 
-# --------------------------------------------------------------------------
-# fiber sums and blow-ups
-# --------------------------------------------------------------------------
-
-def _bundle_block(bundle: BundleModel, t: float, removed: float = 0.0) -> Chart:
-    metric = collapse_metric(bundle, t)
-    o = oneill_at(metric)
+def _bundle_block(metric: SubmersionMetric, removed: float) -> Chart:
     vol = metric.total_volume() - removed
-    if bundle.kind is BundleKind.NILMANIFOLD:
-        # crude but uniform bound on the Ricci components from the O'Neill data
-        sup_ric = abs(o.K_H) + 2.0 * abs(o.K_P)
-        sup_s = 2.0 * abs(o.K_H) + 4.0 * abs(o.K_P)
-        frame = nilmanifold_frame(t)
-        return Chart(ChartKind.BUNDLE_BLOCK, vol, sup_ric, sup_s, None,
-                     frame.w_plus_norm2 * vol, frame.w_minus_norm2 * vol)
-    return Chart(ChartKind.BUNDLE_BLOCK, vol, 0.0, 0.0)
+    if metric.bundle.kind is not BundleKind.NILMANIFOLD:
+        return Chart(ChartKind.BUNDLE_BLOCK, vol, 0.0, 0.0)
+    # the exact curvature of the homogeneous Heisenberg x S^1 metric at this t
+    frame = nilmanifold_frame(metric.t)
+    return Chart(ChartKind.BUNDLE_BLOCK, vol, frame.sup_ricci, abs(frame.scalar), None,
+                 frame.w_plus_norm2 * vol, frame.w_minus_norm2 * vol)
 
 
 def assemble_surface_model(
@@ -212,44 +202,43 @@ def assemble_surface_model(
     """Family rule t -> ChartedFamily for (chi=0 model) # k (rational
     elliptic) # l (reversed projective planes).
 
-    Fiber sums splice in one rational-elliptic orbifold family each through
-    a flat cylinder neck; blow-ups replace small Euclidean balls in the flat
-    region with Burns caps on the schedule eps = rho_t / (2 l).  Every
-    refusal names t, such as a cap volume of 0.0 or an infinite sup norm.
+    Euclidean balls of radius rho_t = min(inj, pi) / (2 sqrt t) fit inside
+    the collapsed flat region, and every cap scales with it: fiber sums
+    splice in one rational-elliptic orbifold family each through a flat
+    cylinder neck, with its 8 Eguchi-Hanson caps at eps = rho_t / 2, and
+    blow-ups replace small Euclidean balls in the flat region with Burns
+    caps at eps = rho_t / (2 l).  The fiber lattice is reduced once per rule.
+    Every refusal names t, such as a cap volume of 0.0 or an infinite sup
+    norm.
     """
     if fiber_sums < 0 or blowups < 0:
         raise ValueError("fiber-sum and blow-up counts must be non-negative")
     needs_flat = fiber_sums > 0 or blowups > 0
     if needs_flat and bundle.kind is BundleKind.NILMANIFOLD:
         raise ValueError("gluing requires a model with product-flat regions")
-    fiber_gram = bundle.fiber_metric
-    alpha = math.sqrt(float(np.linalg.det(fiber_gram)))
-    inj = 0.5 * torus_systole(fiber_gram)
+    alpha = math.sqrt(float(np.linalg.det(bundle.fiber_metric)))
+    inj = 0.5 * torus_systole(bundle.fiber_metric)
 
     def family(t: float) -> ChartedFamily:
         if not 1.0 <= t < math.inf:
             raise ValueError(f"t must be finite and >= 1, got {t!r}")
-        # its refusals name t already
-        orbifold = orbifold_family(fiber_gram, t).charts if fiber_sums > 0 else ()
         try:  # a refusal names t: at large t a cap's data underflows or overflows
-            charts: list[Chart] = []
+            rho_t = min(inj, math.pi) / (2.0 * math.sqrt(t))
+            orbifold = _orbifold_charts(alpha, inj, rho_t, t) if fiber_sums > 0 else ()
             removed = 0.0
-            burns = None
             if blowups > 0:
-                # Euclidean balls of radius rho_t fit inside the collapsed flat
-                # region; shrink the caps with the available room
-                rho_t = min(inj, math.pi) / (2.0 * math.sqrt(t))
-                burns = CutoffFamily(BaseInstanton.BURNS, rho_t / (2.0 * blowups))
-                removed = blowups * (burns.link_volume * (2.0 * burns.epsilon) ** 4 / 4.0)
-            if removed >= collapse_metric(bundle, t).total_volume():
+                burns_eps = rho_t / (2.0 * blowups)
+                removed = blowups * _cap_ball_volume(BaseInstanton.BURNS, burns_eps)
+            metric = collapse_metric(bundle, t)
+            if removed >= metric.total_volume():
                 raise ValueError("requested caps exceed the available flat volume")
-            charts.append(_bundle_block(bundle, t, removed=removed))
+            charts = [_bundle_block(metric, removed)]
             # equal parameters give equal (immutable) charts: each is built once
             if fiber_sums > 0:
                 neck = Chart(ChartKind.CYLINDER_NECK, 2.0 * math.pi * alpha / t, 0.0, 0.0)
                 charts += [neck, *orbifold] * fiber_sums
-            if burns is not None:
-                charts += [burns_cap(burns.epsilon)] * blowups
+            if blowups > 0:
+                charts += [burns_cap(burns_eps)] * blowups
         except ValueError as exc:
             raise ValueError(f"t={t!r}: {exc}") from exc
         return ChartedFamily(

@@ -43,9 +43,14 @@ class SurfaceData:
     non-integral chi(O) = (chi + tau) / 4 (Noether's formula
     12 chi(O) = c1^2 + c2), c1^2(X) other than 0 in Kodaira dimension 0 or 1,
     and in general type a minimal model with c1^2 <= 0, c1^2 < 2 chi(O) - 6
-    (Noether's inequality) or c1^2 > 3 c2 (Bogomolov-Miyaoka-Yau).  See
-    Barth, Hulek, Peters and Van de Ven, *Compact Complex Surfaces*, 2nd ed.
-    (Springer, 2004), ch. VII.
+    (Noether's inequality) or c1^2 > 3 c2 (Bogomolov-Miyaoka-Yau).  With b1
+    even the minimal model must also be one of the table's (blow-ups keep
+    chi(O)): in Kodaira dimension -inf P^2 (c1^2 = 9, chi(O) = 1) or a
+    ruled surface over a curve of genus 1 - chi(O) >= 0 (c1^2 = 8 chi(O));
+    in Kodaira dimension 0 a torus or hyperelliptic surface, an Enriques or
+    a K3 surface (chi(O) = 0, 1 or 2); in Kodaira dimension 1 chi(O) >= 0.
+    See Barth, Hulek, Peters and Van de Ven, *Compact Complex Surfaces*,
+    2nd ed. (Springer, 2004), ch. VI and VII.
     """
 
     kod: KodairaDimension
@@ -73,9 +78,11 @@ class SurfaceData:
             raise ValueError("general type requires c1^2 of the minimal model > 0")
         if self.kod in (KodairaDimension.ZERO, KodairaDimension.ONE) and self.c1sq_min != 0:
             raise ValueError("Kodaira dimension 0 or 1 forces c1^2(X) = 0")
+        # on the minimal model: blow-ups keep chi(O) and add one to c2 each
+        chi_o = (self.chi + self.tau) // 4
+        if self.b1_parity is Parity.EVEN:
+            self._check_minimal_model_table(chi_o)
         if self.kod is KodairaDimension.TWO:
-            # on the minimal model: blow-ups keep chi(O) and add one to c2 each
-            chi_o = (self.chi + self.tau) // 4
             c2_min = self.chi - self.blowups
             if self.c1sq_min < 2 * chi_o - 6:
                 raise ValueError(
@@ -87,6 +94,22 @@ class SurfaceData:
                     f"Bogomolov-Miyaoka-Yau: general type requires c1^2 <= 3 c2 on the "
                     f"minimal model, got c1^2 = {self.c1sq_min} > {3 * c2_min}"
                 )
+
+    def _check_minimal_model_table(self, chi_o: int) -> None:
+        """The minimal models with b1 even in Kodaira dimension -inf, 0 and 1."""
+        kod, c1sq = self.kod, self.c1sq_min
+        if (kod is KodairaDimension.MINUS_INFINITY and (c1sq, chi_o) != (9, 1)
+                and not (c1sq == 8 * chi_o and chi_o <= 1)):
+            raise ValueError(
+                "Kodaira dimension -inf requires a minimal model P^2 (c1^2 = 9, chi(O) = 1) "
+                "or ruled over genus 1 - chi(O) >= 0 (c1^2 = 8 chi(O)), got "
+                f"c1^2 = {c1sq}, chi(O) = {chi_o}")
+        if kod is KodairaDimension.ZERO and chi_o not in (0, 1, 2):
+            raise ValueError(
+                "Kodaira dimension 0 requires chi(O) in {0, 1, 2} (tori and hyperelliptic, "
+                f"Enriques and K3 surfaces), got chi(O) = {chi_o}")
+        if kod is KodairaDimension.ONE and chi_o < 0:
+            raise ValueError(f"Kodaira dimension 1 requires chi(O) >= 0, got chi(O) = {chi_o}")
 
     @property
     def c1sq(self) -> int:

@@ -19,7 +19,9 @@ dense contractions that the sparse ``riemann_tensor`` must match bit for
 bit (``dense_riemann_tensor``).
 Two scalar loops check batched code: the van der Corput points of
 ``radial.sample_grid`` (``van_der_corput``) and the interior peaks of
-``cutoff._refined_sup`` (``zoomed_peak``).
+``cutoff._refined_sup`` (``zoomed_peak``).  ``surface_invariants`` lists the
+invariants of complex surfaces from the classification table, for the
+classifier's input checks.
 """
 
 import math
@@ -279,3 +281,35 @@ def zoomed_peak(values, lo: float, hi: float, node: int, component: int, zooms: 
         a, b = max(pts[k] - step, lo), min(pts[k] + step, hi)
     return best
 
+
+
+def surface_invariants(chi_o_range: range, max_blowups: int) -> set:
+    """(kod, c1sq_min, chi, tau, blowups) of the b1-even complex surfaces
+    whose minimal model has chi(O) in ``chi_o_range``, with at most
+    ``max_blowups`` blow-ups.  The minimal models (c1^2, chi(O)) come from
+    the table of Barth, Hulek, Peters and Van de Ven, *Compact Complex
+    Surfaces*, 2nd ed. (Springer, 2004), ch. VI and VII:
+
+    * Kod -inf: P^2 (9, 1), and the ruled surfaces over a curve of genus
+      g >= 0, (8 (1 - g), 1 - g);
+    * Kod 0: tori and hyperelliptic surfaces (0, 0), Enriques (0, 1), K3 (0, 2);
+    * Kod 1: (0, chi(O)) for every chi(O) >= 0;
+    * Kod 2: 2 chi(O) - 6 <= c1^2 <= 9 chi(O) and c1^2 >= 1 (Noether's
+      inequality, and Bogomolov-Miyaoka-Yau c1^2 <= 3 c2 with
+      c2 = 12 chi(O) - c1^2).
+
+    Each blow-up keeps chi(O) and c1^2 of the minimal model and adds
+    (1, -1) to (chi, tau) = (c2, (c1^2 - 2 c2) / 3).
+    """
+    minimal = {("-inf", 9, 1)}
+    for chi_o in chi_o_range:
+        if chi_o <= 1:
+            minimal.add(("-inf", 8 * chi_o, chi_o))
+        if chi_o in (0, 1, 2):
+            minimal.add(("0", 0, chi_o))
+        if chi_o >= 0:
+            minimal.add(("1", 0, chi_o))
+        minimal |= {("2", c1sq, chi_o) for c1sq in range(max(1, 2 * chi_o - 6), 9 * chi_o + 1)}
+    return {(kod, c1sq, 12 * chi_o - c1sq + b, c1sq - 8 * chi_o - b, b)
+            for kod, c1sq, chi_o in minimal if chi_o in chi_o_range
+            for b in range(max_blowups + 1)}

@@ -61,8 +61,9 @@ def _yamabe_summary(**results):
 
 
 def test_criterion_08_fails_without_evidence():
-    """Missing, null or non-finite evidence FAILs criterion 8, as does a
-    summary of the random sweep that the equality evidence replaced."""
+    """Missing, null, boolean or non-finite evidence FAILs criterion 8, as
+    does a summary of the random sweep that the equality evidence replaced.
+    A JSON false passed it: its own type gate admitted booleans."""
     assert _CRITERION_8.check([_yamabe_summary()])["status"] == "PASS"
     old = {"config": {"experiment": "yamabe", "parameters": {}},
            "results": {"min_holder_gap": 1.115, "max_negative_case": -285.5}}
@@ -70,7 +71,7 @@ def test_criterion_08_fails_without_evidence():
     for key in ("holder_equality_deviation", "negative_case_edge_deviation",
                 "max_negative_case", "negative_case_at_constant"):
         bad += [_yamabe_summary(**{key: value})
-                for value in (float("nan"), float("inf"), -float("inf"))]
+                for value in (float("nan"), float("inf"), -float("inf"), False)]
     for summary in bad:
         row = _CRITERION_8.check([summary])
         assert row["status"] == "FAIL", format_row(row)
@@ -137,12 +138,12 @@ def test_a_summary_without_its_value_fails_the_criterion(tmp_path):
 def test_a_wrong_type_inside_a_value_fails_the_criterion():
     """A null inside a collapse summary's ``k_h_values`` made ``report``
     exit 1 on a TypeError traceback.  It now FAILs criterion 5, whose detail
-    quotes the error."""
+    names the key."""
     summary = {"config": {"experiment": "collapse", "parameters": {"bundle": "trivial"}},
                "results": {"bundle": "trivial", "k_h_values": [1.0, None], "k_p_values": [0.0],
                            "base_gauss_curvature": 0.0, "volume_t_product_spread": 0.0}}
     row = next(c for c in CRITERIA if c.number == 5).check([summary])
-    assert row["status"] == "FAIL" and row["detail"].startswith("wrong type: ")
+    assert row["status"] == "FAIL" and row["detail"] == "key 'k_h_values' is not a number"
 
 
 def test_part_of_the_evidence_fails_but_never_passes():
@@ -171,8 +172,15 @@ _AUBIN = {"aubin_bounds": {"2": 8.0 * math.pi, "3": 6.0 * (2.0 * math.pi**2) ** 
           "aubin_n2_minus_4pi_chi_s2": 0.0}
 _BURNS = {"sup_abs_scalar": 1e-14, "sup_ricci_at_r2": 0.1}
 _DESCENT = {"quotient_star": 1e-20, "u_spread": 1e-12}
+_COLLAPSE = {"bundle": "trivial", "k_h_values": [0.0, 0.0], "k_p_values": [0.0, 0.0],
+             "base_gauss_curvature": 0.0, "volume_t_product_spread": 0.0}
+# one rational elliptic fiber sum and two blow-ups: tau = -8 - 2
+_CHARCLASS = {"round_s4": {"two_chi_plus_three_tau": 4.0, "tau": 0.0},
+              "flat_t4": {"two_chi_plus_three_tau": 0.0, "tau": 0.0},
+              "s2xs2_two_chi_plus_three_tau": 8.0, "tau_estimate": -10.0,
+              "wplus_monotone_decreasing": True, "wplus_first": 1.0, "wplus_last": 1e-4}
 
-# (criterion, passing summaries, result key, the value that makes it NaN)
+# (criterion, passing summaries, result key, the NaN or JSON false that breaks it)
 _NAN_CASES = [
     (1, [_summary("curvature", {"sup_ricci": 1e-14}, preset="eguchi-hanson")], "sup_ricci",
      math.nan),
@@ -186,15 +194,29 @@ _NAN_CASES = [
      "value_check_max_abs", math.nan),
     (13, [_yamabe_summary(**_AUBIN)], "aubin_n2_minus_4pi_chi_s2", math.nan),
     (13, [_yamabe_summary(**_AUBIN)], "aubin_bounds", {**_AUBIN["aubin_bounds"], "3": math.nan}),
+    # a JSON false compared as the number 0 and passed each of these
+    (5, [_summary("collapse", _COLLAPSE, bundle="trivial")], "volume_t_product_spread", False),
+    (5, [_summary("collapse", _COLLAPSE, bundle="trivial")], "k_h_values", [False, False]),
+    (5, [_summary("collapse", _COLLAPSE, bundle="trivial")], "k_p_values", [False, False]),
+    (10, [_summary("charclass", _CHARCLASS, fiber_sums=1, blowups=2)], "flat_t4",
+     {"two_chi_plus_three_tau": False, "tau": False}),
+    (11, [_summary("charclass", _CHARCLASS, fiber_sums=1, blowups=2)], "wplus_last", False),
+    (13, [_yamabe_summary(**_AUBIN)], "aubin_n2_minus_4pi_chi_s2", False),
 ]
 
 
+def _case_id(case) -> str:
+    number, _, key, value = case
+    return f"{number}-{key}" + ("-false" if "False" in repr(value) else "")
+
+
 @pytest.mark.parametrize("number,good,key,value", _NAN_CASES,
-                         ids=[f"{case[0]}-{case[2]}" for case in _NAN_CASES])
+                         ids=[_case_id(case) for case in _NAN_CASES])
 def test_a_nan_summary_fails_first_or_last(number, good, key, value):
     """A NaN FAILs criteria 1, 2, 4, 9, 12 and 13 wherever its summary sits:
     Python's max and min skip a NaN that is not first, so the criteria
-    passed a NaN in the last summary and failed one in the first."""
+    passed a NaN in the last summary and failed one in the first.  A JSON
+    false FAILs criteria 5, 10, 11 and 13, which compared it as 0."""
     criterion = next(c for c in CRITERIA if c.number == number)
     assert criterion.check(good)["status"] == "PASS"
     bad = copy.deepcopy(good[-1])

@@ -152,6 +152,8 @@ def test_non_finite_values_exit_2(tmp_path, capsys, argv):
     (["yamabe", "n=8", "amplitude=1.5"], "amplitude=1.5: "),
     (["yamabe", "n=8", "amplitude=NaN"], "amplitude=nan: "),
     (["yamabe", "n=8", "amplitude=Infinity"], "amplitude=inf: "),
+    (["glue", "fiber_sums=0", "blowups=2", "t=1,1e300,1e301"],
+     "t=1e+300: burns_cap chart has non-positive volume"),
 ])
 def test_exit_2_names_the_parameter_given(tmp_path, capsys, argv, needle):
     """Bad configuration names the parameter the user gave.  Before, t = NaN
@@ -165,7 +167,9 @@ def test_exit_2_names_the_parameter_given(tmp_path, capsys, argv, needle):
     its closed form by 7.9e-6 and 3.1e6 relative.  A yamabe amplitude whose
     start is not positive at every lattice point, NaN or infinite exited 2
     with "conformal factor must be positive everywhere", which named no
-    parameter."""
+    parameter.  Blow-ups without a fiber sum at t = 1e300 exited 1 with
+    "float division by zero": the Burns core's Weyl energy divided its
+    underflowed bolt radius by itself."""
     assert main(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 2
     assert needle in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
@@ -525,9 +529,8 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
     - at most 944 cutoff bump elements (944 measured), one per cap radius;
     - at most 600 jet square-root elements (528 measured), one per W-ansatz
       radius of ``curvature_at``;
-    - exactly 15 fiber-lattice reductions: one per family rule and one per
-      orbifold family, at each of the 4 parameters of the two ``glue`` runs
-      and ``charclass``.
+    - exactly 3 fiber-lattice reductions: one per family rule, of the two
+      ``glue`` runs and ``charclass``; every parameter t reuses it.
     """
     unit_cap.cache_clear()
     counts = {"curvature_at": 0, "radii": 0, "riemann_tensor": 0, "cap_curvature": 0,
@@ -578,7 +581,7 @@ def test_radial_run_work_budget(tmp_path, monkeypatch):
     assert counts["cap_curvature"] <= 27
     assert counts["_bump"] <= 944
     assert counts["sqrt"] <= 600
-    assert counts["_reduced_basis"] == 15
+    assert counts["_reduced_basis"] == 3
 
 
 def test_benchmark_hooks(monkeypatch):

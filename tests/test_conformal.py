@@ -100,6 +100,20 @@ def test_conformal_scalar_positivity_guard(grid):
         conformal_scalar(grid, u)
 
 
+def test_yamabe_quotient_checks_the_values_it_reads(grid):
+    """A non-positive u is refused where the quotient reads its values:
+    alone, or with only one of ``energy`` and ``volume`` given.  Given both,
+    the quotient reads only u's shape, which it still checks."""
+    u = np.ones(grid.shape)
+    u[0, 0, 0, 0] = -1.0
+    for given_values in ({}, {"energy": 0.0}, {"volume": 1.0}):
+        with pytest.raises(ValueError, match="positive everywhere"):
+            yamabe_quotient(grid, u, **given_values)
+    assert yamabe_quotient(grid, u, energy=0.0, volume=1.0) == 0.0
+    with pytest.raises(ValueError, match="field shape"):
+        yamabe_quotient(grid, np.ones(3), energy=0.0, volume=1.0)
+
+
 def test_conformal_law_matches_lattice_oracle():
     """Measured convergence order >= 1.8 as N doubles through 16, 32, 64, on
     (N, 8, 8, 8) lattices (u varies along x only)."""
@@ -157,9 +171,11 @@ def test_descent_work_budget(grid, monkeypatch):
     every step is 1.0, so no candidate takes an rfftn of its own, and the
     Laplacian is never called.  Only the starting quotient takes its own
     u^p volume pass: every candidate's volume is passed in, the one the
-    descent renormalizes by."""
+    descent renormalizes by.  Positivity is one comparison pass per priced
+    candidate, made by the line search, plus the start's: one of u0 and one
+    of the normalized u its quotient reads."""
     calls = {"yamabe_quotient": 0, "gradient_energy_density": 0, "laplacian": 0,
-             "_h1_gradient": 0}
+             "_h1_gradient": 0, "_positive": 0}
     for name in calls:
         def counting(*args, _fn=getattr(conformal, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -191,6 +207,7 @@ def test_descent_work_budget(grid, monkeypatch):
     assert calls["laplacian"] == 0
     assert calls["_h1_gradient"] == calls["sobolev"] == res.iterations
     assert calls["field_energy"] == 0
+    assert calls["_positive"] == res.iterations + 2
 
 
 def test_descent_transforms_write_into_one_workspace(grid, monkeypatch):

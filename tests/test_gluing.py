@@ -18,8 +18,6 @@ from collapselab.gluing import (
     burns_cap,
     certificate,
     eh_cap,
-    eh_schedule,
-    orbifold_family,
     ricci_obstruction,
     torus_systole,
 )
@@ -32,6 +30,20 @@ def _trivial_bundle():
 
 
 UNIT = np.eye(2)
+
+
+def _orbifold_rule(gram=UNIT):
+    """The family rule of one rational-elliptic fiber sum over the trivial
+    bundle with fiber Gram ``gram``: its bundle block and neck, then the
+    orbifold's flat block and 8 Eguchi-Hanson caps."""
+    return assemble_surface_model(make_bundle(BundleKind.TRIVIAL_TORUS_OVER_TORUS, gram),
+                                  fiber_sums=1)
+
+
+def _eh_schedule(rule, t):
+    """eps_t of the Eguchi-Hanson caps of ``rule(t)``, read off their charts."""
+    (eps,) = {c.epsilon for c in rule(t).charts if c.kind is ChartKind.EH_CAP}
+    return eps
 
 
 def test_torus_systole():
@@ -105,6 +117,8 @@ SHEARED = _SHEARED_BASIS.T @ _SHEARED_BASIS
 @example(_skewed_gram(1.7797686545397169, 0.5, 0.5, -9, -9))
 @example(_skewed_gram(1.970703125, 1.0934233540974223, 0.3333333333333333, -11, 12))
 @example(SHEARED)
+# float sums put this systole 4.1e-8 relative too long
+@example(_skewed_gram(1.9, 0.5, 0.3, 20, -19))
 def test_lattice_helpers_match_brute_force(gram):
     # the basis vectors are lattice vectors, so the systole is at most the shorter
     basis_bound = min(math.sqrt(gram[0, 0]), math.sqrt(gram[1, 1]))
@@ -118,19 +132,29 @@ def test_lattice_helpers_match_brute_force(gram):
 @example(_skewed_gram(0.5, 0.5, -0.5, -12, -12), 10.0)
 @example(SHEARED, 1.0)
 @example(SHEARED, 10.0)
+# the brute force on gram / 3.0, rounded, was off by 1e-9 relative on these
+@example(_skewed_gram(1.9, 0.5, 0.0, 10, 10), 3.0)
+@example(_skewed_gram(2.0, 0.5, 0.0, 9, 11), 3.0)
+@example(_skewed_gram(1.9, 0.5, 0.0, 12, 10), 3.0)
+@example(_skewed_gram(1.0, 0.5, 0.0, 12, 11), 3.0)
 def test_skewed_fiber_caps_are_disjoint(gram, t):
-    """The family builds, and the nearest two of its 8 cap centres, by exact
-    brute force over all 28 pairs, are min(pi, systole / (2 sqrt t)) apart:
-    at least 4 eps, so the 2 eps balls do not overlap."""
-    assert len(orbifold_family(gram, t).charts) == 9
-    eps = eh_schedule(gram, t)
-    gram_t = gram / t
+    """The family rule builds its 8 caps, and the nearest two of their
+    centres, by exact brute force over all 28 pairs, are
+    min(pi, systole / (2 sqrt t)) apart: at least 4 eps, so the 2 eps balls
+    do not overlap."""
+    rule = _orbifold_rule(gram)
+    kinds = [c.kind for c in rule(t).charts]
+    assert kinds.count(ChartKind.EH_CAP) == 8 and kinds.count(ChartKind.FLAT_BLOCK) == 1
+    eps = _eh_schedule(rule, t)
+    # torus distances at t are those of the fiber Gram over sqrt t; a Gram
+    # rounded to gram / t would have a lattice of its own, whose sheared
+    # distances differ by 1e-9 relative
     torsion = [np.array([x, y]) for x in (0.0, 0.5) for y in (0.0, 0.5)]
     centres = [(theta, p) for theta in (0.0, math.pi) for p in torsion]
     nearest = math.inf
     for (theta_p, p), (theta_q, q) in itertools.combinations(centres, 2):
         d = p - q
-        torus = _shortest(d, gram_t, _window_bound(d, gram_t)) if d.any() else 0.0
+        torus = _shortest(d, gram, _window_bound(d, gram)) / math.sqrt(t) if d.any() else 0.0
         # the theta = 0 and theta = pi slices are pi apart on the circle
         nearest = min(nearest, torus if theta_p == theta_q else math.hypot(math.pi, torus))
     assert nearest >= 4.0 * eps * (1.0 - 1e-9)
@@ -139,7 +163,8 @@ def test_skewed_fiber_caps_are_disjoint(gram, t):
 
 
 def test_eh_schedule_shrinks():
-    eps = [eh_schedule(UNIT, t) for t in (1.0, 4.0, 100.0)]
+    rule = _orbifold_rule()
+    eps = [_eh_schedule(rule, t) for t in (1.0, 4.0, 100.0)]
     assert eps[0] == pytest.approx(0.125)  # min(systole/2, pi) / 4 on the unit torus
     assert eps[1] == pytest.approx(eps[0] / 2.0)
     assert all(b < a for a, b in zip(eps, eps[1:]))
@@ -189,47 +214,39 @@ def test_cap_sup_norms_scale_exactly(blowups):
     assert len(kinds) == (2 if blowups else 1)
 
 
-def _orbifold(t):
-    return orbifold_family(UNIT, t)
-
-
 def test_orbifold_family_charts():
-    fam = _orbifold(1.0)
+    """One fiber sum adds the orbifold's flat block and 8 Eguchi-Hanson caps
+    to the bundle block and the neck; its volume collapses like 1 / t and
+    its curvature falls with eps_t^2."""
+    rule = _orbifold_rule()
+    fam = rule(1.0)
     kinds = [c.kind for c in fam.charts]
     assert kinds.count(ChartKind.EH_CAP) == 8
     assert kinds.count(ChartKind.FLAT_BLOCK) == 1
-    fam100 = _orbifold(100.0)
+    assert kinds.count(ChartKind.BUNDLE_BLOCK) == kinds.count(ChartKind.CYLINDER_NECK) == 1
+    fam100 = rule(100.0)
     assert fam100.total_volume < fam.total_volume / 50.0
     assert fam100.sup_ricci < fam.sup_ricci
 
 
 def test_orbifold_family_refusals_name_t():
-    """A t whose Eguchi-Hanson caps a float cannot hold is refused with the
-    t in the message, called directly or through the family rule of
-    ``assemble_surface_model``, which names it once."""
-    with pytest.raises(ValueError, match=r"^t=1e\+300: eh_cap chart has non-positive volume$"):
-        _orbifold(1e300)
-    with pytest.raises(ValueError, match="t must be finite and >= 1, got nan"):
-        _orbifold(math.nan)
-    family = assemble_surface_model(_trivial_bundle(), fiber_sums=1, blowups=0)
+    """A t whose Eguchi-Hanson caps a float cannot hold is refused by the
+    family rule with the t in the message, named once, and so is a t that is
+    not finite and >= 1."""
+    rule = _orbifold_rule()
     with pytest.raises(ValueError) as info:
-        family(1e300)
+        rule(1e300)
     assert str(info.value) == "t=1e+300: eh_cap chart has non-positive volume"
+    with pytest.raises(ValueError, match="t must be finite and >= 1, got nan"):
+        rule(math.nan)
 
 
-def test_orbifold_certificate_is_ricci_bounded():
-    cert = certificate(_orbifold, (1.0, 10.0, 100.0, 1000.0))
+def test_surface_model_ricci_verdict():
+    cert = certificate(_orbifold_rule(), (1.0, 10.0, 100.0, 1000.0))
     assert cert.verdict is Verdict.BOUNDED_RICCI_COLLAPSE
     vols = [row[1] for row in cert.rows]
     assert all(b < a for a, b in zip(vols, vols[1:]))
     assert vols[-1] < 1e-2 * vols[0]
-
-
-def test_surface_model_ricci_verdict():
-    fam = assemble_surface_model(_trivial_bundle(), fiber_sums=1, blowups=0)
-    cert = certificate(fam, (1.0, 10.0, 100.0, 1000.0))
-    assert cert.verdict is Verdict.BOUNDED_RICCI_COLLAPSE
-    assert cert.rows[-1][1] < 1e-2 * cert.rows[0][1]
 
 
 def test_surface_model_scalar_verdict_with_blowups():
@@ -242,9 +259,14 @@ def test_surface_model_scalar_verdict_with_blowups():
 
 
 def test_nilmanifold_family_collapses():
+    """The nilmanifold block certifies the exact curvature of Heisenberg x S^1
+    at diag(1, 1, 1/t, 1/t): sup |Ric| = |s| = 1 / (2t)."""
     fam = assemble_surface_model(make_bundle(BundleKind.NILMANIFOLD))
     cert = certificate(fam, (1.0, 10.0, 100.0))
     assert cert.verdict is Verdict.BOUNDED_RICCI_COLLAPSE
+    for t, _, sup_ricci, sup_scalar in cert.rows:
+        assert sup_ricci == pytest.approx(0.5 / t, rel=1e-14)
+        assert sup_scalar == pytest.approx(0.5 / t, rel=1e-14)
 
 
 def test_nilmanifold_rejects_gluing():
@@ -254,9 +276,9 @@ def test_nilmanifold_rejects_gluing():
 
 def test_certificate_needs_increasing_parameters():
     with pytest.raises(ValueError):
-        certificate(_orbifold, (10.0, 1.0, 100.0))
+        certificate(_orbifold_rule(), (10.0, 1.0, 100.0))
     with pytest.raises(ValueError):
-        certificate(_orbifold, (1.0, 2.0))
+        certificate(_orbifold_rule(), (1.0, 2.0))
 
 
 def test_ricci_obstruction_sign():

@@ -60,9 +60,9 @@ GOLDEN = {
         "a9dab7053f2bdf058f0e01dbc89c75fd6b98cbc35ede4ad8919230e4bd2e3f7b",
     "flat.json": "daff9470c9b15f878553ffc565efcc94affb7cf5a5ade6ff352ab74f46223981",
     "flat_profile.csv": "1b0df9cbdde7947ec7b07d76e4a69730ba9c84432064d685e5c1e558e58f8378",
-    "glue_nilmanifold_k0_l0.json": "11d09ab5ceff23aa7817995bd553cc4d0b30f79c2f5373875c251a2e01632794",
+    "glue_nilmanifold_k0_l0.json": "91a9ff1f7ac15a755e5ab4578b28158a7792baaa1036066aadeff88c95e723c9",
     "glue_nilmanifold_k0_l0_certificate.csv":
-        "b15b2f4caf0f6446f32bc7a3b6010a73e9c759e285481bf89edd3888dc5048ce",
+        "060f1683a87ed97eb5ba57eb2fb48a3e3e0e51c7bf19a7c97e567a98a8f781ab",
     "glue_trivial_k1_l0.json": "7d0789edcfabf5e1cd883b9208f51080a7e207a5c042ff368412b2f88fa04654",
     "glue_trivial_k1_l0_certificate.csv":
         "e80841e623bcd94939216d9853e7629f41b0fc7a825cd93507fba653e467af3f",

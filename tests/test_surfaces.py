@@ -1,5 +1,6 @@
 """Yamabe-invariant classifier for compact complex surfaces."""
 
+import itertools
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from collapselab.surfaces import (
     sw_bound,
     yamabe_value,
 )
+from oracles import surface_invariants
 
 
 def surf(kod, c1sq_min, chi, tau, **kw):
@@ -76,10 +78,12 @@ def _broken(kod, c1sq_min, chi, tau, blowups):
     """The words that name the first condition the invariants break, in the
     order ``SurfaceData`` checks them, or None: the blow-up count, c1^2 =
     2 chi + 3 tau, Noether's formula (chi(O) = (chi + tau) / 4 integral),
-    the sign of c1^2 by Kodaira dimension, and for general type, on the
+    the sign of c1^2 by Kodaira dimension, the minimal models of Kodaira
+    dimension -inf, 0 and 1 (b1 even), and for general type, on the
     minimal model (c2 = chi - blow-ups), Noether's inequality
     c1^2 >= 2 chi(O) - 6 and Bogomolov-Miyaoka-Yau c1^2 <= 3 c2."""
     general = kod is KodairaDimension.TWO
+    chi_o = (chi + tau) // 4
     conditions = [
         (blowups >= 0, "non-negative"),
         (c1sq_min - blowups == 2 * chi + 3 * tau, "2chi+3tau"),
@@ -87,6 +91,10 @@ def _broken(kod, c1sq_min, chi, tau, blowups):
         (not general or c1sq_min > 0, "general type requires c1^2"),
         (kod not in (KodairaDimension.ZERO, KodairaDimension.ONE) or c1sq_min == 0,
          "forces c1^2(X) = 0"),
+        (kod is not KodairaDimension.MINUS_INFINITY or (c1sq_min, chi_o) == (9, 1)
+         or (c1sq_min == 8 * chi_o and chi_o <= 1), "Kodaira dimension -inf requires"),
+        (kod is not KodairaDimension.ZERO or chi_o in (0, 1, 2), "Kodaira dimension 0 requires"),
+        (kod is not KodairaDimension.ONE or chi_o >= 0, "Kodaira dimension 1 requires"),
         (not general or c1sq_min >= 2 * ((chi + tau) // 4) - 6, "Noether's inequality"),
         (not general or c1sq_min <= 3 * (chi - blowups), "Bogomolov-Miyaoka-Yau"),
     ]
@@ -127,6 +135,12 @@ def test_only_invariants_of_surfaces_are_accepted(kod, c1sq_min, chi_o, blowups,
     ({"kod": "2", "c1sq_min": 5, "chi": 565, "tau": -375}, "Noether's formula"),
     ({"kod": "2", "c1sq_min": 1, "chi": 47, "tau": -31}, "Noether's inequality"),
     ({"kod": "2", "c1sq_min": 11, "chi": 1, "tau": 3}, "Bogomolov-Miyaoka-Yau"),
+    # no rational or ruled surface has c1^2 = 5; chi(O) = 4 and -1
+    ({"kod": "-inf", "c1sq_min": 5, "chi": 7, "tau": -3},
+     "Kodaira dimension -inf requires a minimal model P^2 (c1^2 = 9, chi(O) = 1) or ruled"),
+    ({"kod": "0", "c1sq_min": 0, "chi": 48, "tau": -32},
+     "Kodaira dimension 0 requires chi(O) in {0, 1, 2}"),
+    ({"kod": "1", "c1sq_min": 0, "chi": -12, "tau": 8}, "Kodaira dimension 1 requires chi(O) >= 0"),
 ])
 def test_classify_input_refuses_invariants_of_no_surface(tmp_path, capsys, record, condition):
     """``classify input=`` exits 2 on such a record, naming the condition,
@@ -137,6 +151,30 @@ def test_classify_input_refuses_invariants_of_no_surface(tmp_path, capsys, recor
     assert main(["classify", "--out", str(out), f"input={json.dumps(str(path))}"]) == 2
     assert condition in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_classifier_accepts_exactly_the_table():
+    """Over an integer box of (kod, c1sq_min, chi, tau, blow-ups), b1 even,
+    ``SurfaceData`` accepts exactly the records of the classification table
+    (``oracles.surface_invariants``) and refuses every other one.  The box
+    holds P^2, the ruled surfaces over genus 0, 1 and 2, K3, Enriques, tori,
+    elliptic and general-type surfaces with up to two blow-ups, and
+    chi(O) = -1 in every Kodaira dimension."""
+    box = itertools.product(KodairaDimension, range(-8, 11), range(-12, 39), range(-26, 9),
+                            range(3))
+    table = surface_invariants(range(-10, 12), max_blowups=2)
+    accepted = set()
+    for kod, c1sq_min, chi, tau, blowups in box:
+        try:
+            surf(kod, c1sq_min, chi, tau, blowups=blowups)
+        except ValueError:
+            continue
+        accepted.add((kod.value, c1sq_min, chi, tau, blowups))
+    in_box = {r for r in table if -8 <= r[1] <= 10 and -12 <= r[2] <= 38 and -26 <= r[3] <= 8}
+    assert accepted == in_box
+    assert {r[0] for r in accepted} == {k.value for k in KodairaDimension}
+    assert {("-inf", 9, 3, 1, 0), ("-inf", -8, -4, 0, 0), ("0", 0, 24, -16, 0),
+            ("0", 0, 12, -8, 0), ("1", 0, 2, -2, 2)} <= accepted
 
 
 def test_canonical_general_type_is_a_surface():
