@@ -241,12 +241,21 @@ def test_orbifold_family_refusals_name_t():
         rule(math.nan)
 
 
-def test_surface_model_ricci_verdict():
-    cert = certificate(_orbifold_rule(), (1.0, 10.0, 100.0, 1000.0))
+def test_orbifold_certificate_is_ricci_bounded():
+    """The orbifold rule over the sheared fiber keeps Ricci bounded while its
+    volume falls at every step."""
+    cert = certificate(_orbifold_rule(SHEARED), (1.0, 10.0, 100.0, 1000.0))
     assert cert.verdict is Verdict.BOUNDED_RICCI_COLLAPSE
     vols = [row[1] for row in cert.rows]
     assert all(b < a for a, b in zip(vols, vols[1:]))
     assert vols[-1] < 1e-2 * vols[0]
+
+
+def test_surface_model_ricci_verdict():
+    fam = assemble_surface_model(_trivial_bundle(), fiber_sums=1, blowups=0)
+    cert = certificate(fam, (1.0, 10.0, 100.0, 1000.0))
+    assert cert.verdict is Verdict.BOUNDED_RICCI_COLLAPSE
+    assert cert.rows[-1][1] < 1e-2 * cert.rows[0][1]
 
 
 def test_surface_model_scalar_verdict_with_blowups():
