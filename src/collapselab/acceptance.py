@@ -34,7 +34,8 @@ class Criterion:
         """This criterion's report row over ``summaries``.  A value of a
         type the predicate cannot use (a null or a string where it computes
         with a number) fails the criterion; the row names the key when the
-        predicate read the value through ``_number``."""
+        predicate read the value through a typed reader (``_number``,
+        ``_numbers``, ``_integer`` or ``_flag``)."""
         try:
             ok, detail = self.predicate(summaries)
             status = "PASS" if ok else "FAIL"
@@ -42,8 +43,9 @@ class Criterion:
             status, detail = "SKIPPED", ""
         except KeyError as exc:  # a summary lacks a value the predicate reads
             status, detail = "FAIL", f"missing key {exc.args[0]!r}"
-        except _NotANumber as exc:
-            status, detail = "FAIL", f"key {exc.args[0]!r} is not a number"
+        except _WrongType as exc:
+            key, kind = exc.args
+            status, detail = "FAIL", f"key {key!r} is not {kind}"
         except TypeError as exc:  # a summary holds a value the predicate cannot use
             status, detail = "FAIL", f"wrong type: {exc}"
         return {"criterion": self.number, "description": self.description,
@@ -68,8 +70,9 @@ class _Missing(Exception):
     """A criterion's summaries are absent."""
 
 
-class _NotANumber(Exception):
-    """A summary's value, named by its key, is not a real number."""
+class _WrongType(Exception):
+    """A summary's value, named by its key, is not of the kind a criterion
+    reads: ``_WrongType(key, "a number")``."""
 
 
 def _criterion(number: int, description: str, runs):
@@ -106,7 +109,7 @@ def _number(results: dict, key: str) -> float:
     """``results[key]``, which must be a real number."""
     value = results[key]
     if not _is_real(value):
-        raise _NotANumber(key)
+        raise _WrongType(key, "a number")
     return value
 
 
@@ -114,8 +117,24 @@ def _numbers(results: dict, key: str) -> list:
     """``results[key]``, which must be a list of real numbers."""
     values = results[key]
     if not isinstance(values, list) or not all(map(_is_real, values)):
-        raise _NotANumber(key)
+        raise _WrongType(key, "a number")
     return values
+
+
+def _integer(results: dict, key: str) -> int:
+    """``results[key]``, which must be a JSON integer, not a boolean."""
+    value = results[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _WrongType(key, "an integer")
+    return value
+
+
+def _flag(results: dict, key: str) -> bool:
+    """``results[key]``, which must be a JSON boolean."""
+    value = results[key]
+    if not isinstance(value, bool):
+        raise _WrongType(key, "a boolean")
+    return value
 
 
 def _worst(values, pick=max) -> float:
@@ -259,11 +278,11 @@ def _wplus_sweep_collapses(summaries):
         r, p = run["results"], run["config"]["parameters"]
         # tau = -8 per rational elliptic fibre sum and -1 per blow-up (the
         # torus-bundle base has tau = 0)
-        tau_error = abs(_number(r, "tau_estimate") + 8 * p["fiber_sums"] + p["blowups"])
+        tau_error = abs(_number(r, "tau_estimate") + 8 * _integer(p, "fiber_sums")
+                        + _integer(p, "blowups"))
         worst = max(worst, tau_error)
-        ok &= (r["wplus_monotone_decreasing"]
-               and _number(r, "wplus_last") < 1e-3 * _number(r, "wplus_first")
-               and tau_error < 1e-8)
+        first, last = _number(r, "wplus_first"), _number(r, "wplus_last")
+        ok &= _flag(r, "wplus_monotone_decreasing") and last < 1e-3 * first and tau_error < 1e-8
     r = runs[0]["results"]
     return ok, f"{r['wplus_first']:.3e} -> {r['wplus_last']:.3e}, |tau error| {worst:.1e}"
 

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_curvature import CurvatureFrame, frame_from_riemann
+from .frame_curvature import CurvatureFrame, diagonal_frame
 from .gluing import ChartedFamily
 from .jets import _libm
 from .radial import RadialMetric, _CURVATURE_QUAD_TOL, _integrate, curvature_at
-from .submersion import BundleKind, SubmersionMetric, nilmanifold_frame
+from .submersion import BundleKind, SubmersionMetric, oneill_frame
 
 __all__ = [
     "CharDensities",
@@ -64,11 +64,7 @@ def densities_at(frame: CurvatureFrame) -> CharDensities:
 def product_surface_frame(k1: float, k2: float) -> CurvatureFrame:
     """Curvature frame of a product of two surfaces with Gauss curvatures
     k1 and k2; the only nonzero sectional curvatures are within the factors."""
-    riem = np.zeros((4, 4, 4, 4))
-    for (a, b), k in (((0, 1), k1), ((2, 3), k2)):
-        riem[a, b, b, a] = riem[b, a, a, b] = k
-        riem[a, b, a, b] = riem[b, a, b, a] = -k
-    return frame_from_riemann(riem)
+    return diagonal_frame((k1, 0.0, 0.0, k2, 0.0, 0.0))
 
 
 def integrate_characteristics(metric: RadialMetric | SubmersionMetric) -> dict[str, float]:
@@ -80,7 +76,7 @@ def integrate_characteristics(metric: RadialMetric | SubmersionMetric) -> dict[s
     """
     if isinstance(metric, SubmersionMetric):
         if metric.bundle.kind is BundleKind.NILMANIFOLD:
-            dens = densities_at(nilmanifold_frame(metric.t))
+            dens = densities_at(oneill_frame(metric))
         else:
             dens = CharDensities(0.0, 0.0, 0.0)
         vol = metric.total_volume()

@@ -165,8 +165,15 @@ def _slug_number(x) -> str:
     return repr(float(x)).removesuffix(".0")
 
 
+# the scale key each preset reads; the other presets read neither
+_SCALE_KEYS = {Preset.EGUCHI_HANSON: "a", Preset.ROUND: "radius"}
+
+
 def _run_curvature(params: dict, seed: int):
     preset = Preset(params["preset"])
+    for key in ("a", "radius"):
+        if params[key] != 1.0 and _SCALE_KEYS.get(preset) != key:
+            raise ValueError(f"{key}={params[key]!r}: preset {preset.value} does not read {key}")
     metric = make_metric(preset, A=params["a"], radius=params["radius"])
     hi = params["r_hi"]
     if hi is None:
@@ -187,7 +194,7 @@ def _run_curvature(params: dict, seed: int):
     except (OverflowError, FloatingPointError) as exc:
         # the run's scale, set by the preset's parameter or by r_lo, is out of
         # a float's range for the engine's products
-        scale = {Preset.EGUCHI_HANSON: "a", Preset.ROUND: "radius"}.get(preset)
+        scale = _SCALE_KEYS.get(preset)
         given = [f"{k}={params[k]!r}" for k in (scale, "r_lo") if k and params[k] is not None]
         raise ValueError(f"{', '.join(given) or 'this range'}: the curvature at r in "
                          f"[{lo:g}, {hi:g}] overflows a float ({exc})") from exc

@@ -1,6 +1,6 @@
 """Curvature of a metric presented in an orthonormal frame.
 
-Everything here works from the structure functions of the frame,
+The radial engine works from the structure functions of the frame,
 
     [E_a, E_b] = C^d_{ab} E_d,
 
@@ -8,10 +8,12 @@ via the Koszul formula specialised to orthonormal frames,
 
     <nabla_{E_a} E_b, E_c> = (C_{abc} - C_{bca} + C_{cab}) / 2 ,
 
-so the same core serves both the cohomogeneity-one radial engine (where the
-structure functions depend on r) and the left-invariant homogeneous oracle
-(where they are constants).  Frame indices are Euclidean; no index raising
-is ever needed.
+with structure functions that depend on r (``riemann_tensor``; the
+left-invariant oracle of tests/oracles.py feeds it constants).  A metric
+whose curvature operator is diagonal in ``PAIR_BASIS``, such as a product
+of surfaces or an O'Neill collapse frame, is built from its six sectional
+curvatures instead (``diagonal_frame``).  Frame indices are Euclidean; no
+index raising is ever needed.
 """
 
 from __future__ import annotations
@@ -213,3 +215,15 @@ def frame_from_riemann(riem: np.ndarray) -> CurvatureFrame:
         w_minus_norm2=_point((w_minus * w_minus).sum(axis=(-2, -1))),
         ricci_traceless_norm2=_point((ric0 * ric0).sum(axis=(-2, -1))),
     )
+
+
+def diagonal_frame(sectional) -> CurvatureFrame:
+    """The CurvatureFrame of a curvature operator that is diagonal in
+    ``PAIR_BASIS``, from its six diagonal entries, the sectional curvatures
+    of the frame planes.  The tensor entries of a zero plane stay +0.0."""
+    riem = np.zeros((4, 4, 4, 4))
+    for (a, b), k in zip(PAIR_BASIS, sectional, strict=True):
+        if k != 0.0:
+            riem[a, b, b, a] = riem[b, a, a, b] = k
+            riem[a, b, a, b] = riem[b, a, b, a] = -k
+    return frame_from_riemann(riem)

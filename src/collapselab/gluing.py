@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cutoff import BaseInstanton, CutoffFamily, cap_sup_norms, cap_volume, cap_weyl_energies
-from .submersion import (BundleKind, BundleModel, SubmersionMetric, collapse_metric,
-                         nilmanifold_frame)
+from .submersion import BundleKind, BundleModel, SubmersionMetric, collapse_metric, oneill_frame
 from .surfaces import SurfaceData
 
 
@@ -57,7 +56,6 @@ class Chart:
 @dataclass(frozen=True)
 class ChartedFamily:
     charts: tuple[Chart, ...]
-    parameter: float
     schedule: str
 
     @property
@@ -189,7 +187,7 @@ def _bundle_block(metric: SubmersionMetric, removed: float) -> Chart:
     if metric.bundle.kind is not BundleKind.NILMANIFOLD:
         return Chart(ChartKind.BUNDLE_BLOCK, vol, 0.0, 0.0)
     # the exact curvature of the homogeneous Heisenberg x S^1 metric at this t
-    frame = nilmanifold_frame(metric.t)
+    frame = oneill_frame(metric)
     return Chart(ChartKind.BUNDLE_BLOCK, vol, frame.sup_ricci, abs(frame.scalar), None,
                  frame.w_plus_norm2 * vol, frame.w_minus_norm2 * vol)
 
@@ -243,7 +241,6 @@ def assemble_surface_model(
             raise ValueError(f"t={t!r}: {exc}") from exc
         return ChartedFamily(
             charts=tuple(charts),
-            parameter=t,
             schedule="eps_t = min(inj, pi) / (4 sqrt(t)); burns eps = rho_t / (2 l)",
         )
 

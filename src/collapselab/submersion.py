@@ -1,6 +1,9 @@
-"""Collapsing torus-bundle metrics g_t = (1/t) g + (1 - 1/t) pi*h and the
-O'Neill sectional-curvature formulas, plus a Koszul-formula engine for
-left-invariant metrics used as an independent cross-check.
+"""Collapsing torus-bundle metrics g_t = (1/t) g + (1 - 1/t) pi*h and their
+curvature in closed form: O'Neill's sectional curvatures K_H and K_P
+(``oneill_at``) and the curvature frame they fix (``oneill_frame``).  On
+these models the curvature operator is diagonal in the frame's 2-form
+basis, so the two numbers determine all of it; the left-invariant Koszul
+engine that checks this lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -8,60 +11,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .frame_curvature import CurvatureFrame, frame_from_riemann, riemann_tensor
-
-
-# --------------------------------------------------------------------------
-# homogeneous (left-invariant) curvature oracle
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StructureConstants:
-    """Lie-algebra structure constants c[i,j,k]: [X_i, X_j] = c[i,j,k] X_k."""
-
-    c: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        c = self.c
-        if c.shape != (4, 4, 4):
-            raise ValueError(f"dimension must be 4: structure constants of shape {c.shape}")
-        if np.max(np.abs(c + np.transpose(c, (1, 0, 2)))) != 0.0:
-            raise ValueError("structure constants must be antisymmetric in (i,j)")
-        if self.jacobi_defect() > 1e-12:
-            raise ValueError("Jacobi identity violated")
-
-    def jacobi_defect(self) -> float:
-        c = self.c
-        # [[X_i,X_j],X_k] cyclic sum
-        term = np.einsum("ijm,mkl->ijkl", c, c)
-        cyc = term + np.transpose(term, (1, 2, 0, 3)) + np.transpose(term, (2, 0, 1, 3))
-        return float(np.max(np.abs(cyc)))
-
-
-def heisenberg_r() -> StructureConstants:
-    """Heisenberg algebra times R: [X_1, X_2] = X_3, X_4 central."""
-    c = np.zeros((4, 4, 4))
-    c[0, 1, 2] = 1.0
-    c[1, 0, 2] = -1.0
-    return StructureConstants(c, "heis3+R")
-
-
-def homogeneous_curvature(sc: StructureConstants, metric_diag: Sequence[float]) -> CurvatureFrame:
-    """Curvature of the left-invariant metric diag(metric_diag) on the group
-    with structure constants sc, in the orthonormal frame X_i / sqrt(d_i)."""
-    d = np.asarray(metric_diag, dtype=float)
-    if d.shape != (4,):
-        raise ValueError("metric_diag must have 4 entries")
-    if not np.all((d > 0.0) & (d < np.inf)):
-        raise ValueError("metric_diag must be positive and finite")
-    rt = np.sqrt(d)
-    struct = sc.c * rt[None, None, :] / (rt[:, None, None] * rt[None, :, None])
-    return frame_from_riemann(riemann_tensor(struct))
+from .frame_curvature import CurvatureFrame, diagonal_frame
 
 
 # --------------------------------------------------------------------------
@@ -162,8 +115,13 @@ def oneill_at(metric: SubmersionMetric) -> ONeillCurvatures:
     return ONeillCurvatures(K_H=metric.bundle.base.gauss_curvature - 0.75 * gvv, K_P=0.25 * gvv)
 
 
-def nilmanifold_frame(t: float = 1.0) -> CurvatureFrame:
-    """Full curvature of the Heisenberg x R collapse metric diag(1,1,1/t,1/t)
-    via the left-invariant engine (independent of the O'Neill formulas)."""
-    return homogeneous_curvature(heisenberg_r(), [1.0, 1.0, 1.0 / t, 1.0 / t])
+def oneill_frame(metric: SubmersionMetric) -> CurvatureFrame:
+    """The curvature frame of g_t in an orthonormal frame (w_1, w_2, v, u):
+    w_1, w_2 horizontal, v along the vertical part of [w_1, w_2] and u the
+    other fiber direction.  Its operator is diag(K_H, K_P, 0, 0, 0, K_P) in
+    ``PAIR_BASIS``: the planes (w_1, v) and (w_2, v) carry K_P, and the
+    planes through u and the fiber plane are flat (Milnor, Adv. Math. 21,
+    1976, for Heisenberg x R)."""
+    cur = oneill_at(metric)
+    return diagonal_frame((cur.K_H, cur.K_P, 0.0, 0.0, 0.0, cur.K_P))
 

@@ -13,10 +13,12 @@ Neither shares any code path with the library's curvature engine, nor
 does the closed-form curvature of the two instantons
 (``instanton_curvature``).  Three references that do use the engine check
 what is built beside it: the Weyl energies of a radial metric by
-quadrature of ``curvature_at`` (``weyl_integrals``), the algebra
-su(2) + R of S^3 x R for the left-invariant engine (``su2_r``), and the
-dense contractions that the sparse ``riemann_tensor`` must match bit for
-bit (``dense_riemann_tensor``).
+quadrature of ``curvature_at`` (``weyl_integrals``), the left-invariant
+Koszul engine ``homogeneous_curvature`` on the algebras su(2) + R of
+S^3 x R (``su2_r``) and Heisenberg x R (``heisenberg_r``), which the
+O'Neill frames of ``submersion.oneill_frame`` must match, and the dense
+contractions that the sparse ``riemann_tensor`` must match bit for bit
+(``dense_riemann_tensor``).
 Two scalar loops check batched code: the van der Corput points of
 ``radial.sample_grid`` (``van_der_corput``) and the interior peaks of
 ``cutoff._refined_sup`` (``zoomed_peak``).  ``surface_invariants`` lists the
@@ -25,13 +27,15 @@ classifier's input checks.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from collapselab.cutoff import BaseInstanton
-from collapselab.frame_curvature import levi_civita_coefficients
+from collapselab.frame_curvature import (CurvatureFrame, frame_from_riemann,
+                                         levi_civita_coefficients, riemann_tensor)
 from collapselab.radial import _CURVATURE_QUAD_TOL, RadialMetric, _integrate, curvature_at
-from collapselab.submersion import StructureConstants
 
 
 def _euler_coframe(r, th, ps, profile):
@@ -210,6 +214,54 @@ def weyl_integrals(metric: RadialMetric, r_lo: float, r_hi: float) -> tuple[floa
 
     wp, wm = _integrate(metric, weyl, r_lo, r_hi, _CURVATURE_QUAD_TOL)
     return float(wp), float(wm)
+
+
+@dataclass(frozen=True)
+class StructureConstants:
+    """Lie-algebra structure constants c[i,j,k]: [X_i, X_j] = c[i,j,k] X_k."""
+
+    c: np.ndarray
+    name: str = ""
+
+    def __post_init__(self):
+        c = self.c
+        if c.shape != (4, 4, 4):
+            raise ValueError(f"dimension must be 4: structure constants of shape {c.shape}")
+        if np.max(np.abs(c + np.transpose(c, (1, 0, 2)))) != 0.0:
+            raise ValueError("structure constants must be antisymmetric in (i,j)")
+        if self.jacobi_defect() > 1e-12:
+            raise ValueError("Jacobi identity violated")
+
+    def jacobi_defect(self) -> float:
+        c = self.c
+        # [[X_i,X_j],X_k] cyclic sum
+        term = np.einsum("ijm,mkl->ijkl", c, c)
+        cyc = term + np.transpose(term, (1, 2, 0, 3)) + np.transpose(term, (2, 0, 1, 3))
+        return float(np.max(np.abs(cyc)))
+
+
+def homogeneous_curvature(sc: StructureConstants, metric_diag: Sequence[float]) -> CurvatureFrame:
+    """Curvature of the left-invariant metric diag(metric_diag) on the group
+    with structure constants sc, in the orthonormal frame X_i / sqrt(d_i),
+    by the Koszul formula (``riemann_tensor`` on constant structure
+    functions)."""
+    d = np.asarray(metric_diag, dtype=float)
+    if d.shape != (4,):
+        raise ValueError("metric_diag must have 4 entries")
+    if not np.all((d > 0.0) & (d < np.inf)):
+        raise ValueError("metric_diag must be positive and finite")
+    rt = np.sqrt(d)
+    struct = sc.c * rt[None, None, :] / (rt[:, None, None] * rt[None, :, None])
+    return frame_from_riemann(riemann_tensor(struct))
+
+
+def heisenberg_r() -> StructureConstants:
+    """Heisenberg algebra times R: [X_1, X_2] = X_3, X_4 central.  The
+    metric diag(1, 1, 1/t, 1/t) is the nilmanifold's collapse metric g_t."""
+    c = np.zeros((4, 4, 4))
+    c[0, 1, 2] = 1.0
+    c[1, 0, 2] = -1.0
+    return StructureConstants(c, "heis3+R")
 
 
 def su2_r() -> StructureConstants:

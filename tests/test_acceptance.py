@@ -224,3 +224,31 @@ def test_a_nan_summary_fails_first_or_last(number, good, key, value):
     for summaries in ([bad, *good], [*good, bad]):
         row = criterion.check(summaries)
         assert row["status"] == "FAIL", format_row(row)
+
+
+_CRITERION_11 = next(c for c in CRITERIA if c.number == 11)
+
+
+@pytest.mark.parametrize("where, key, value, kind", [
+    ("results", "wplus_monotone_decreasing", "no", "a boolean"),
+    ("results", "wplus_monotone_decreasing", 1, "a boolean"),
+    ("results", "wplus_monotone_decreasing", [0], "a boolean"),
+    ("results", "wplus_monotone_decreasing", None, "a boolean"),
+    ("parameters", "fiber_sums", True, "an integer"),
+    ("parameters", "fiber_sums", 1.0, "an integer"),
+    ("parameters", "fiber_sums", "1", "an integer"),
+    ("parameters", "blowups", True, "an integer"),
+    ("parameters", "blowups", 2.0, "an integer"),
+    ("parameters", "blowups", None, "an integer"),
+])
+def test_criterion_11_reads_typed_values(where, key, value, kind):
+    """Criterion 11 read its flag by truthiness and its counts unchecked, so
+    a flag of "no", 1 or [0] PASSed, and so did a run of fiber_sums true
+    (read as 1) with tau = -10.  Each now FAILs, naming the key."""
+    good = _summary("charclass", _CHARCLASS, fiber_sums=1, blowups=2)
+    assert _CRITERION_11.check([good])["status"] == "PASS"
+    bad = copy.deepcopy(good)
+    (bad["results"] if where == "results" else bad["config"]["parameters"])[key] = value
+    for summaries in ([bad], [good, bad], [bad, good]):
+        row = _CRITERION_11.check(summaries)
+        assert row["status"] == "FAIL" and row["detail"] == f"key {key!r} is not {kind}", row

@@ -24,7 +24,7 @@ from collapselab.cutoff import (
 )
 from collapselab.gluing import assemble_surface_model
 from collapselab.radial import Preset, curvature_at, make_metric
-from collapselab.submersion import BundleKind, collapse_metric, make_bundle, nilmanifold_frame
+from collapselab.submersion import BundleKind, collapse_metric, make_bundle, oneill_frame
 from oracles import weyl_integrals
 
 FOUR_PI2 = 4.0 * math.pi**2
@@ -154,9 +154,10 @@ def test_nilmanifold_sweep_is_the_frame_energy_over_t():
     """A nilmanifold family is one bundle block of volume 1/t with a
     left-invariant curvature frame, so each row carries that frame's
     |W+-|^2 / t."""
-    rule = assemble_surface_model(make_bundle(BundleKind.NILMANIFOLD))
+    bundle = make_bundle(BundleKind.NILMANIFOLD)
+    rule = assemble_surface_model(bundle)
     for t, wp, wm, tau in wplus_sweep(rule, (1.0, 10.0, 100.0)):
-        frame = nilmanifold_frame(t)
+        frame = oneill_frame(collapse_metric(bundle, t))
         assert frame.w_plus_norm2 > 0.0 and frame.w_minus_norm2 > 0.0
         assert wp == pytest.approx(frame.w_plus_norm2 / t, rel=1e-15)
         assert wm == pytest.approx(frame.w_minus_norm2 / t, rel=1e-15)

@@ -17,6 +17,7 @@ from collapselab import charclass, cli, conformal, cutoff, gluing, radial
 from collapselab.cli import ExperimentConfig, main, report, run
 from collapselab.cutoff import unit_cap
 from collapselab.jets import Jet2
+from collapselab.submersion import BundleKind
 
 
 def _summary(out_dir, slug):
@@ -237,6 +238,59 @@ def test_decay_run_is_right_or_exits_2(tmp_path, base, eps, deficit_eps, edge,
         assert sup == cutoff.cap_sup_norms(cutoff.CutoffFamily(base, epsilon))[column]
 
 
+def _finite(value) -> bool:
+    """Every number in a JSON value is finite."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiment=st.sampled_from(["collapse", "glue"]),
+       bundle=st.sampled_from(list(BundleKind)),
+       fiber_sums=st.integers(0, 3),
+       blowups=st.integers(0, 3),
+       t=st.lists(_log_uniform(1.0, 1e300), min_size=3, max_size=6, unique=True),
+       edge=st.sampled_from([None] * 6 + [math.nan, math.inf, 0.5]),
+       edge_at=st.integers(0, 5))
+def test_collapse_and_glue_runs_are_right_or_exit_2(tmp_path, experiment, bundle, fiber_sums,
+                                                    blowups, t, edge, edge_at):
+    """Every ``collapse`` and ``glue`` run exits 0 or 2.  Its t values are
+    drawn log-uniformly over [1, 1e300] and sorted; in a third of the runs
+    NaN, inf or 0.5 replaces one of them.  A run that exits 0 writes a
+    finite summary: ``collapse`` meets criterion 5's volume spread, ``glue``
+    states one of the three verdicts, and the nilmanifold's glued rows
+    carry its exact sup |Ric| = |s| = 1 / (2t).  One that exits 2 writes
+    nothing."""
+    t = sorted(t)
+    if edge is not None:
+        t[edge_at % len(t)] = edge
+    out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    argv = [experiment, "--out", str(out), f"bundle={bundle.value}", f"t={json.dumps(t)}"]
+    if experiment == "glue":
+        argv += [f"fiber_sums={fiber_sums}", f"blowups={blowups}"]
+    code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert not out.exists()
+        return
+    (summary,) = [p for p in out.glob("*.json") if not p.name.endswith(".meta.json")]
+    results = json.loads(summary.read_text())["results"]
+    assert _finite(results), argv
+    if experiment == "collapse":
+        assert results["volume_t_product_spread"] < 1e-12
+        return
+    assert results["verdict"] in {v.value for v in gluing.Verdict}
+    if bundle is BundleKind.NILMANIFOLD:
+        for row in results["rows"]:
+            exact = 0.5 / row["t"]
+            assert row["sup_ricci"] == pytest.approx(exact, rel=1e-14, abs=0.0)
+            assert row["sup_scalar"] == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
 def test_decay_has_no_samples_key(tmp_path, capsys):
     """The sweep reads the cap certificates, so it samples nothing."""
     assert main(["decay", "--out", str(tmp_path), "samples=120"]) == 2
@@ -273,6 +327,29 @@ def test_curvature_range_outside_the_domain_exits_2(tmp_path, capsys, monkeypatc
     assert main(["curvature", "--out", str(tmp_path), *overrides]) == 2
     assert "outside the domain" in capsys.readouterr().err
     assert not calls and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (["preset=burns", "a=5", "radius=3"], "a=5"),
+    (["preset=burns", "radius=3"], "radius=3"),
+    (["preset=flat", "a=0.5"], "a=0.5"),
+    (["preset=round", "a=2"], "a=2"),
+    (["preset=round", "a=NaN"], "a=nan"),
+    (["preset=eguchi-hanson", "radius=2"], "radius=2"),
+    (["preset=flat", "radius=Infinity"], "radius=inf"),
+])
+def test_curvature_refuses_a_scale_its_preset_does_not_read(tmp_path, capsys, overrides, key):
+    """Only eguchi-hanson reads ``a`` and only round reads ``radius``.
+    Before, ``preset=burns a=5 radius=3`` exited 0 and wrote over the
+    default run's ``burns.json`` with the same bits.  A scale of 1.0, the
+    default, is accepted by every preset."""
+    assert main(["curvature", "--out", str(tmp_path), *overrides]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: preset ") and "does not read" in err
+    assert not any(tmp_path.iterdir())
+    preset = overrides[0]
+    assert main(["curvature", "--out", str(tmp_path), preset, "a=1", "radius=1.0",
+                 "samples=5"]) == 0
 
 
 def test_bad_override_syntax_exits_2(tmp_path, capsys):

@@ -12,13 +12,14 @@ from collapselab.frame_curvature import (
     PAIR_BASIS,
     _live_products,
     curvature_operator,
+    diagonal_frame,
     frame_from_riemann,
     levi_civita_coefficients,
     riemann_tensor,
 )
 from collapselab.radial import Preset, _structure_functions, make_metric
-from collapselab.submersion import heisenberg_r, homogeneous_curvature, nilmanifold_frame
-from oracles import dense_riemann_tensor, su2_r
+from collapselab.submersion import BundleKind, collapse_metric, make_bundle, oneill_frame
+from oracles import dense_riemann_tensor, heisenberg_r, homogeneous_curvature, su2_r
 
 
 def test_pair_basis_orientation():
@@ -57,6 +58,20 @@ def test_levi_civita_antisymmetry():
     gamma = levi_civita_coefficients(struct)
     # metric compatibility: Gamma_abc antisymmetric in the last two slots
     assert np.allclose(gamma, -gamma.transpose(0, 2, 1), atol=1e-12)
+
+
+def test_diagonal_frame_is_the_operator_it_is_given():
+    """``diagonal_frame`` puts each sectional curvature on its plane of
+    ``PAIR_BASIS`` and leaves every other entry +0.0, the zero planes
+    included; Ric(E_a, E_a) sums the planes through E_a."""
+    sectional = (2.0, -0.5, 0.0, -1.0, 0.25, 0.0)
+    frame = diagonal_frame(sectional)
+    assert np.array_equal(curvature_operator(frame.riemann4), np.diag(sectional))
+    assert not np.any(np.signbit(frame.riemann4[frame.riemann4 == 0.0]))
+    assert np.array_equal(frame.ricci, np.diag([1.5, 2.25, -1.5, -0.75]))
+    assert frame.scalar == 1.5
+    with pytest.raises(ValueError):
+        diagonal_frame(sectional[:5])
 
 
 def test_curvature_operator_diagonal_is_sectional():
@@ -117,8 +132,8 @@ def _radial_frames():
 
 
 def _nilmanifold_struct(t):
-    """The structure functions of ``nilmanifold_frame(t)``, as
-    ``homogeneous_curvature`` scales them."""
+    """The structure functions of the nilmanifold's g_t = diag(1, 1, 1/t, 1/t)
+    on Heisenberg x R, as ``homogeneous_curvature`` scales them."""
     rt = np.sqrt([1.0, 1.0, 1.0 / t, 1.0 / t])
     return heisenberg_r().c * rt[None, None, :] / (rt[:, None, None] * rt[None, :, None])
 
@@ -145,10 +160,13 @@ def test_model_frames_match_the_dense_oracle_bit_for_bit():
     for name, struct, struct_d1, scale in _radial_frames():
         got = riemann_tensor(struct, struct_d1, scale)
         assert got.tobytes() == dense_riemann_tensor(struct, struct_d1, scale).tobytes(), name
-    for t in (1.0, 0.1):
-        want = dense_riemann_tensor(_nilmanifold_struct(t)).tobytes()
-        assert riemann_tensor(_nilmanifold_struct(t)).tobytes() == want
-        assert nilmanifold_frame(t).riemann4.tobytes() == want
+    bundle = make_bundle(BundleKind.NILMANIFOLD)
+    for t in (1.0, 0.1, 3.7):
+        want = dense_riemann_tensor(_nilmanifold_struct(t))
+        assert riemann_tensor(_nilmanifold_struct(t)).tobytes() == want.tobytes()
+        if t >= 1.0:  # g_t of the collapse family; its O'Neill frame to 2 ulp
+            got = oneill_frame(collapse_metric(bundle, t)).riemann4
+            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want))), t
 
 
 def _random_field(rng, batch, p_zero, p_part, negative_zero, non_finite):

@@ -60,7 +60,7 @@ GOLDEN = {
         "a9dab7053f2bdf058f0e01dbc89c75fd6b98cbc35ede4ad8919230e4bd2e3f7b",
     "flat.json": "daff9470c9b15f878553ffc565efcc94affb7cf5a5ade6ff352ab74f46223981",
     "flat_profile.csv": "1b0df9cbdde7947ec7b07d76e4a69730ba9c84432064d685e5c1e558e58f8378",
-    "glue_nilmanifold_k0_l0.json": "91a9ff1f7ac15a755e5ab4578b28158a7792baaa1036066aadeff88c95e723c9",
+    "glue_nilmanifold_k0_l0.json": "f9d2d4f80f113d8773890dcb0ab266232015b1a49177bfc9253987777e4e6bc4",
     "glue_nilmanifold_k0_l0_certificate.csv":
         "060f1683a87ed97eb5ba57eb2fb48a3e3e0e51c7bf19a7c97e567a98a8f781ab",
     "glue_trivial_k1_l0.json": "7d0789edcfabf5e1cd883b9208f51080a7e207a5c042ff368412b2f88fa04654",
