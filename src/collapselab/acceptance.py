@@ -5,14 +5,20 @@ Each criterion declares the (experiment, overrides) runs that produce its
 evidence and a predicate over run summaries (the ``<slug>.json`` files of
 ``collapselab.cli.run``) that judges every matching summary.  Missing
 summaries make it SKIPPED; a present summary that fails makes it FAIL even
-when others are missing, since full evidence is needed only for PASS.  A
-present summary that lacks a value the predicate reads, or holds one of a
-type it cannot use, fails it too.
+when others are missing, since full evidence is needed only for PASS.
+
+A predicate reads every summary value, nested ones included, through one
+typed reader, ``_read``.  A value that is missing, or not of the kind read,
+FAILs the criterion with a detail that names its key.  A number is a JSON
+number whose float value is finite: NaN, +-Infinity, an integer too large
+for a float, a null, a string and a boolean are not numbers.  So no summary
+makes a criterion raise.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,23 +37,16 @@ class Criterion:
     predicate: Callable
 
     def check(self, summaries: list) -> dict:
-        """This criterion's report row over ``summaries``.  A value of a
-        type the predicate cannot use (a null or a string where it computes
-        with a number) fails the criterion; the row names the key when the
-        predicate read the value through a typed reader (``_number``,
-        ``_numbers``, ``_integer`` or ``_flag``)."""
+        """This criterion's report row over ``summaries``.  A value the
+        predicate reads that is missing, or not of the kind it reads (see
+        ``_read``), fails the criterion, and the detail names its key."""
         try:
             ok, detail = self.predicate(summaries)
             status = "PASS" if ok else "FAIL"
         except _Missing:
             status, detail = "SKIPPED", ""
-        except KeyError as exc:  # a summary lacks a value the predicate reads
-            status, detail = "FAIL", f"missing key {exc.args[0]!r}"
-        except _WrongType as exc:
-            key, kind = exc.args
-            status, detail = "FAIL", f"key {key!r} is not {kind}"
-        except TypeError as exc:  # a summary holds a value the predicate cannot use
-            status, detail = "FAIL", f"wrong type: {exc}"
+        except _Unreadable as exc:
+            status, detail = "FAIL", str(exc)
         return {"criterion": self.number, "description": self.description,
                 "status": status, "detail": detail}
 
@@ -70,9 +69,41 @@ class _Missing(Exception):
     """A criterion's summaries are absent."""
 
 
-class _WrongType(Exception):
-    """A summary's value, named by its key, is not of the kind a criterion
-    reads: ``_WrongType(key, "a number")``."""
+class _Unreadable(Exception):
+    """A summary value is missing or not of the kind a criterion reads; the
+    message is the report row's detail."""
+
+
+def _is_number(value) -> bool:
+    """A JSON number whose float value is finite.  The comparison is exact
+    and false for NaN, so it also refuses +-Infinity and integers too large
+    for a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# the kinds of value ``_read`` reads, named as a report detail names them
+_KINDS = {
+    "a number": _is_number,
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "an integer": lambda v: isinstance(v, int) and _is_number(v),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a non-empty list of objects":
+        lambda v: isinstance(v, list) and bool(v) and all(isinstance(x, dict) for x in v),
+}
+
+
+def _read(mapping: dict, key: str, kind: str = "a number"):
+    """``mapping[key]``, which must be of ``kind``, a key of ``_KINDS``;
+    raises _Unreadable, naming ``key``, when it is missing or is not."""
+    if key not in mapping:
+        raise _Unreadable(f"missing key {key!r}")
+    value = mapping[key]
+    if not _KINDS[kind](value):
+        raise _Unreadable(f"key {key!r} is not {kind}")
+    return value
 
 
 def _criterion(number: int, description: str, runs):
@@ -84,12 +115,16 @@ def _criterion(number: int, description: str, runs):
 
 
 def _runs(summaries: list, experiment: str, required: bool = True, **params) -> list:
-    """Summaries of the runs of ``experiment`` whose parameters match
-    ``params``; raises _Missing when there are none and they are
-    ``required``."""
-    found = [s for s in summaries
-             if s["config"]["experiment"] == experiment
-             and all(s["config"]["parameters"].get(k) == v for k, v in params.items())]
+    """``(parameters, results)`` of each run of ``experiment`` whose
+    parameters match ``params``; raises _Missing when there are none and
+    they are ``required``."""
+    found = []
+    for summary in summaries:
+        config = _read(summary, "config", "an object")
+        if _read(config, "experiment", "a string") == experiment:
+            parameters = _read(config, "parameters", "an object")
+            if all(parameters.get(k) == v for k, v in params.items()):
+                found.append((parameters, _read(summary, "results", "an object")))
     if required and not found:
         raise _Missing
     return found
@@ -97,52 +132,7 @@ def _runs(summaries: list, experiment: str, required: bool = True, **params) -> 
 
 def _results(summaries: list, experiment: str, required: bool = True, **params) -> list:
     """The ``results`` of ``_runs``."""
-    return [s["results"] for s in _runs(summaries, experiment, required, **params)]
-
-
-def _is_real(value) -> bool:
-    """A JSON number, not a null, a string or a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(results: dict, key: str) -> float:
-    """``results[key]``, which must be a real number."""
-    value = results[key]
-    if not _is_real(value):
-        raise _WrongType(key, "a number")
-    return value
-
-
-def _numbers(results: dict, key: str) -> list:
-    """``results[key]``, which must be a list of real numbers."""
-    values = results[key]
-    if not isinstance(values, list) or not all(map(_is_real, values)):
-        raise _WrongType(key, "a number")
-    return values
-
-
-def _integer(results: dict, key: str) -> int:
-    """``results[key]``, which must be a JSON integer, not a boolean."""
-    value = results[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise _WrongType(key, "an integer")
-    return value
-
-
-def _flag(results: dict, key: str) -> bool:
-    """``results[key]``, which must be a JSON boolean."""
-    value = results[key]
-    if not isinstance(value, bool):
-        raise _WrongType(key, "a boolean")
-    return value
-
-
-def _worst(values, pick=max) -> float:
-    """``pick`` (max or min) of ``values``, or NaN if any value is NaN:
-    Python's max and min skip a NaN that is not first, so a NaN summary
-    would pass or fail a criterion by its place in the list."""
-    values = list(values)
-    return math.nan if any(math.isnan(v) for v in values) else pick(values)
+    return [results for _, results in _runs(summaries, experiment, required, **params)]
 
 
 def _enough(ok: bool, complete: bool) -> bool:
@@ -158,7 +148,7 @@ def _enough(ok: bool, complete: bool) -> bool:
              for a in (0.5, 1.0, 2.0)])
 def _eguchi_hanson_ricci_flat(summaries):
     runs = _results(summaries, "curvature", preset="eguchi-hanson")
-    worst = _worst(_number(r, "sup_ricci") for r in runs)
+    worst = max(_read(r, "sup_ricci") for r in runs)
     return worst < 1e-9, f"sup_ricci={worst:.3e} over {len(runs)} runs"
 
 
@@ -166,8 +156,8 @@ def _eguchi_hanson_ricci_flat(summaries):
             [("curvature", {"preset": "burns", "samples": 500})])
 def _burns_scalar_flat_not_einstein(summaries):
     runs = _results(summaries, "curvature", preset="burns")
-    sup_s = _worst(_number(r, "sup_abs_scalar") for r in runs)
-    ricci_2 = _worst((_number(r, "sup_ricci_at_r2") for r in runs), min)
+    sup_s = max(_read(r, "sup_abs_scalar") for r in runs)
+    ricci_2 = min(_read(r, "sup_ricci_at_r2") for r in runs)
     return sup_s < 1e-9 and ricci_2 > 1e-3, f"sup |s|={sup_s:.2e}, |Ric|(r=2)={ricci_2:.2e}"
 
 
@@ -178,15 +168,15 @@ _DECAY_RUNS = [("decay", {"base": "eguchi-hanson"}), ("decay", {"base": "burns"}
 @_criterion(3, "cutoff decay slopes in [1.8, 2.2]", _DECAY_RUNS)
 def _cutoff_decay_slopes(summaries):
     runs = _results(summaries, "decay")
-    slopes = [_number(r, "fitted_slope") for r in runs]
-    return (_enough(all(1.8 <= k <= 2.2 for k in slopes), len(runs) >= 2),
-            ", ".join(f"{r['base']}: {k:.3f}" for r, k in zip(runs, slopes)))
+    slopes = [(_read(r, "base", "a string"), _read(r, "fitted_slope")) for r in runs]
+    return (_enough(all(1.8 <= k <= 2.2 for _, k in slopes), len(runs) >= 2),
+            ", ".join(f"{base}: {k:.3f}" for base, k in slopes))
 
 
 @_criterion(4, "volume deficits match closed forms to 1e-10", _DECAY_RUNS)
 def _volume_deficits(summaries):
     runs = _results(summaries, "decay")
-    worst = _worst(_number(r, "deficit_vs_closed_form_rel") for r in runs)
+    worst = max(_read(r, "deficit_vs_closed_form_rel") for r in runs)
     detail = f"max relative deviation {worst:.1e} over {len(runs)} runs"
     return _enough(worst < 1e-10, len(runs) >= 2), detail
 
@@ -194,32 +184,36 @@ def _volume_deficits(summaries):
 @_criterion(5, "collapse family volume and O'Neill limits",
             [("collapse", {"bundle": "trivial"}), ("collapse", {"bundle": "nilmanifold"})])
 def _collapse_family(summaries):
-    runs = _results(summaries, "collapse")
-    ok = True
-    spreads = [_number(r, "volume_t_product_spread") for r in runs]
-    for r, spread in zip(runs, spreads):
-        kh, kp = _numbers(r, "k_h_values"), _numbers(r, "k_p_values")
-        gaps = [abs(h - _number(r, "base_gauss_curvature")) for h in kh]
+    ok, details = True, []
+    for r in _results(summaries, "collapse"):
+        spread = _read(r, "volume_t_product_spread")
+        kh = _read(r, "k_h_values", "a list of numbers")
+        kp = _read(r, "k_p_values", "a list of numbers")
+        gauss = _read(r, "base_gauss_curvature")
+        gaps = [abs(h - gauss) for h in kh]
         ok &= (spread < 1e-12
-               and all(math.isfinite(k) for k in kh + kp)
                and all(abs(b) <= abs(a) + 1e-15 for a, b in zip(kp, kp[1:]))
                and all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:])))
-    return ok, "; ".join(f"{r['bundle']}: Vol*t spread {spread:.1e}"
-                         for r, spread in zip(runs, spreads))
+        details.append(f"{_read(r, 'bundle', 'a string')}: Vol*t spread {spread:.1e}")
+    return ok, "; ".join(details)
 
 
 @_criterion(6, "glued certificates (Ricci / scalar verdicts)",
             [("glue", {"blowups": 0}), ("glue", {"blowups": 2})])
 def _glued_certificates(summaries):
-    runs = _results(summaries, "glue")
-    ricci = [r for r in runs if r["blowups"] == 0]
-    scalar = [r for r in runs if r["blowups"] > 0]
-    ratios = [_number(r["rows"][-1], "total_volume") / _number(r["rows"][0], "total_volume")
-              for r in ricci]
-    ok = (all(r["verdict"] == "BoundedRicciCollapse" for r in ricci)
-          and all(x < 1e-2 for x in ratios)
-          and all(r["verdict"] == "BoundedScalarCollapse" for r in scalar))
-    detail = f"l=0 volume ratio {max(ratios, default=math.nan):.1e}"
+    ricci, scalar, ratios = [], [], []
+    for r in _results(summaries, "glue"):
+        verdict = _read(r, "verdict", "a string")
+        if _read(r, "blowups", "an integer") > 0:
+            scalar.append(verdict == "BoundedScalarCollapse")
+            continue
+        ricci.append(verdict == "BoundedRicciCollapse")
+        rows = _read(r, "rows", "a non-empty list of objects")
+        first, last = _read(rows[0], "total_volume"), _read(rows[-1], "total_volume")
+        # a volume is positive: a first row of none has no ratio to pass
+        ratios.append(last / first if first > 0 else math.inf)
+    ok = all(ricci) and all(scalar) and all(x < 1e-2 for x in ratios)
+    detail = f"l=0 total_volume ratio {max(ratios, default=math.nan):.1e}"
     return _enough(ok, bool(ricci and scalar)), detail
 
 
@@ -228,7 +222,8 @@ _YAMABE_RUNS = [("yamabe", {})]
 
 @_criterion(7, "conformal law convergence order >= 1.8", _YAMABE_RUNS)
 def _conformal_law_convergence(summaries):
-    orders = [o for r in _results(summaries, "yamabe") for o in _numbers(r, "conformal_orders")]
+    orders = [o for r in _results(summaries, "yamabe")
+              for o in _read(r, "conformal_orders", "a list of numbers")]
     return all(o >= 1.8 for o in orders), f"orders {[round(o, 2) for o in orders]}"
 
 
@@ -239,11 +234,7 @@ _EQUALITY_EVIDENCE = ("holder_equality_deviation", "negative_case_edge_deviation
 @_criterion(8, "Hoelder gap and negative-case inequalities at equality", _YAMABE_RUNS)
 def _variational_inequalities(summaries):
     runs = _results(summaries, "yamabe")
-    values = [[_number(r, k) for k in _EQUALITY_EVIDENCE] for r in runs]
-    # a non-finite value is no evidence
-    if not all(math.isfinite(v) for row in values for v in row):
-        return False, "non-finite evidence"
-    holder, edge, ncc, const = zip(*values)
+    holder, edge, ncc, const = zip(*([_read(r, k) for k in _EQUALITY_EVIDENCE] for r in runs))
     ok = max(holder + edge + ncc) <= 1e-12 and not any(const)
     return ok, (f"Hoelder equality deviation {max(holder):.1e}, edge-form deviation "
                 f"{max(edge):.1e}, max check {max(ncc):.1e}, constant {max(const, key=abs):.1e}")
@@ -252,47 +243,49 @@ def _variational_inequalities(summaries):
 @_criterion(9, "Yamabe descent reaches quotient < 1e-3", _YAMABE_RUNS)
 def _yamabe_descent(summaries):
     runs = _results(summaries, "yamabe")
-    quotient = _worst(_number(r, "quotient_star") for r in runs)
-    spread = _worst(_number(r, "u_spread") for r in runs)
+    quotient = max(_read(r, "quotient_star") for r in runs)
+    spread = max(_read(r, "u_spread") for r in runs)
     return quotient < 1e-3 and spread < 1e-3, f"quotient {quotient:.1e}, spread {spread:.1e}"
 
 
 @_criterion(10, "characteristic-class convention lock", [("charclass", {})])
 def _characteristic_convention_lock(summaries):
-    runs = _results(summaries, "charclass")
-    s4 = [_number(r["round_s4"], "two_chi_plus_three_tau") for r in runs]
-    s2xs2 = [_number(r, "s2xs2_two_chi_plus_three_tau") for r in runs]
-    ok = all(abs(a - 4.0) < 1e-6
-             and abs(_number(r["round_s4"], "tau")) < 1e-8
-             and _number(r["flat_t4"], "two_chi_plus_three_tau") == 0.0
-             and _number(r["flat_t4"], "tau") == 0.0
-             and abs(b - 8.0) < 1e-6 for r, a, b in zip(runs, s4, s2xs2))
-    return ok, f"S^4 {s4[0]:.8f}, S^2xS^2 {s2xs2[0]:.8f}"
+    ok, details = True, []
+    for r in _results(summaries, "charclass"):
+        s4, t4 = _read(r, "round_s4", "an object"), _read(r, "flat_t4", "an object")
+        s4_sum = _read(s4, "two_chi_plus_three_tau")
+        s2xs2_sum = _read(r, "s2xs2_two_chi_plus_three_tau")
+        ok &= (abs(s4_sum - 4.0) < 1e-6 and abs(_read(s4, "tau")) < 1e-8
+               and _read(t4, "two_chi_plus_three_tau") == 0.0 and _read(t4, "tau") == 0.0
+               and abs(s2xs2_sum - 8.0) < 1e-6)
+        details.append(f"S^4 {s4_sum:.8f}, S^2xS^2 {s2xs2_sum:.8f}")
+    return ok, details[0]
 
 
 @_criterion(11, "self-dual Weyl energy collapse sweep, signature to 1e-8", [("charclass", {})])
 def _wplus_sweep_collapses(summaries):
-    runs = _runs(summaries, "charclass")
-    ok, worst = True, 0.0
-    for run in runs:
-        r, p = run["results"], run["config"]["parameters"]
+    ok, worst, sweeps = True, 0.0, []
+    for p, r in _runs(summaries, "charclass"):
         # tau = -8 per rational elliptic fibre sum and -1 per blow-up (the
-        # torus-bundle base has tau = 0)
-        tau_error = abs(_number(r, "tau_estimate") + 8 * _integer(p, "fiber_sums")
-                        + _integer(p, "blowups"))
+        # torus-bundle base has tau = 0); 8.0, since a count near the float
+        # limit then reads inf, where 8 times it would not convert to a float
+        tau_error = abs(_read(r, "tau_estimate") + 8.0 * _read(p, "fiber_sums", "an integer")
+                        + _read(p, "blowups", "an integer"))
         worst = max(worst, tau_error)
-        first, last = _number(r, "wplus_first"), _number(r, "wplus_last")
-        ok &= _flag(r, "wplus_monotone_decreasing") and last < 1e-3 * first and tau_error < 1e-8
-    r = runs[0]["results"]
-    return ok, f"{r['wplus_first']:.3e} -> {r['wplus_last']:.3e}, |tau error| {worst:.1e}"
+        first, last = _read(r, "wplus_first"), _read(r, "wplus_last")
+        ok &= (_read(r, "wplus_monotone_decreasing", "a boolean") and last < 1e-3 * first
+               and tau_error < 1e-8)
+        sweeps.append(f"{first:.3e} -> {last:.3e}")
+    return ok, f"{sweeps[0]}, |tau error| {worst:.1e}"
 
 
 @_criterion(12, "classifier table and general-type values", [("classify", {})])
 def _classifier_table_and_values(summaries):
-    worst = _worst(_number(r, "value_check_max_abs") for r in _results(summaries, "classify"))
+    worst = max(_read(r, "value_check_max_abs") for r in _results(summaries, "classify"))
     # the sign table of the canonical surfaces, read when no input file replaced them
     canonical = ["positive", "positive", "zero", "zero", "zero", "negative"]
-    tables_ok = all([a["answer"]["sign"] for a in r["answers"]] == canonical
+    tables_ok = all([_read(_read(a, "answer", "an object"), "sign", "a string")
+                     for a in _read(r, "answers", "a non-empty list of objects")] == canonical
                     for r in _results(summaries, "classify", required=False, input=None))
     return worst < 1e-12 and tables_ok, f"max deviation {worst:.1e}"
 
@@ -302,7 +295,7 @@ def _aubin_bound_closed_forms(summaries):
     runs = _results(summaries, "yamabe")
     closed = {"2": 8.0 * math.pi, "3": 6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0),
               "4": 12.0 * math.sqrt(8.0 * math.pi**2 / 3.0)}
-    worst = _worst(abs(_number(r["aubin_bounds"], n) - c) / c
-                   for r in runs for n, c in closed.items())
-    gauss_bonnet = _worst(abs(_number(r, "aubin_n2_minus_4pi_chi_s2")) for r in runs)
+    worst = max(abs(_read(_read(r, "aubin_bounds", "an object"), n) - c) / c
+                for r in runs for n, c in closed.items())
+    gauss_bonnet = max(abs(_read(r, "aubin_n2_minus_4pi_chi_s2")) for r in runs)
     return worst < 1e-12 and gauss_bonnet < 1e-12, f"max relative deviation {worst:.1e}"

@@ -24,7 +24,7 @@ from .frame_curvature import CurvatureFrame, diagonal_frame
 from .gluing import ChartedFamily
 from .jets import _libm
 from .radial import RadialMetric, _CURVATURE_QUAD_TOL, _integrate, curvature_at
-from .submersion import BundleKind, SubmersionMetric, oneill_frame
+from .submersion import SubmersionMetric, oneill_frame
 
 __all__ = [
     "CharDensities",
@@ -75,10 +75,7 @@ def integrate_characteristics(metric: RadialMetric | SubmersionMetric) -> dict[s
     times total volume.
     """
     if isinstance(metric, SubmersionMetric):
-        if metric.bundle.kind is BundleKind.NILMANIFOLD:
-            dens = densities_at(oneill_frame(metric))
-        else:
-            dens = CharDensities(0.0, 0.0, 0.0)
+        dens = densities_at(oneill_frame(metric))
         vol = metric.total_volume()
         return {
             "two_chi_plus_three_tau": dens.gb_density * vol,

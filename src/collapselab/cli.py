@@ -470,7 +470,7 @@ def report(out_dir: str) -> dict:
         if path.name.endswith(".meta.json"):
             continue
         data = json.loads(path.read_text())
-        if "config" in data and "results" in data:
+        if isinstance(data, dict) and "config" in data and "results" in data:
             summaries[path.stem] = data
     if not summaries:
         raise FileNotFoundError(f"no run summaries found in {out_dir}")

@@ -4,7 +4,8 @@ A session fixture executes every criterion's declared runs through
 ``cli.run``, each run once, into one directory, and evaluates the registry
 on it as ``collapselab report`` does.  Each test asserts PASS for its
 criterion and prints its report row first, so the suite output doubles as
-the acceptance table.
+the acceptance table.  The other tests feed the registry doctored
+summaries: each must yield a row, and a wrong value FAILs its criterion.
 """
 
 import copy
@@ -13,15 +14,15 @@ import math
 
 import pytest
 
-from collapselab.acceptance import CRITERIA, format_row
+from collapselab.acceptance import CRITERIA, evaluate, format_row
 from collapselab.cli import ExperimentConfig, main, report, run
 
 
 @pytest.fixture(scope="session")
-def report_rows(tmp_path_factory):
-    """Report rows by criterion number over one directory holding every
-    declared run.  No two distinct runs may write one summary, since the
-    later would hide the earlier from ``report``."""
+def run_dir(tmp_path_factory):
+    """One directory holding every declared run.  No two distinct runs may
+    write one summary, since the later would hide the earlier from
+    ``report``."""
     out = tmp_path_factory.mktemp("runs")
     declared = {(experiment, json.dumps(overrides, sort_keys=True)): (experiment, overrides)
                 for c in CRITERIA for experiment, overrides in c.runs}
@@ -31,7 +32,20 @@ def report_rows(tmp_path_factory):
         summaries += [p for p in written
                       if p.suffix == ".json" and not p.name.endswith(".meta.json")]
     assert len(set(summaries)) == len(declared) == 14
-    return {row["criterion"]: row for row in report(str(out))["criteria"]}
+    return out
+
+
+@pytest.fixture(scope="session")
+def report_rows(run_dir):
+    """Report rows by criterion number over ``run_dir``."""
+    return {row["criterion"]: row for row in report(str(run_dir))["criteria"]}
+
+
+@pytest.fixture(scope="session")
+def summaries(run_dir):
+    """The summaries of ``run_dir`` by file stem, as ``report`` reads them."""
+    return {p.stem: json.loads(p.read_text()) for p in sorted(run_dir.glob("*.json"))
+            if not p.name.endswith(".meta.json")}
 
 
 def _acceptance_test(criterion):
@@ -138,12 +152,13 @@ def test_a_summary_without_its_value_fails_the_criterion(tmp_path):
 def test_a_wrong_type_inside_a_value_fails_the_criterion():
     """A null inside a collapse summary's ``k_h_values`` made ``report``
     exit 1 on a TypeError traceback.  It now FAILs criterion 5, whose detail
-    names the key."""
+    names the key and the kind it reads."""
     summary = {"config": {"experiment": "collapse", "parameters": {"bundle": "trivial"}},
                "results": {"bundle": "trivial", "k_h_values": [1.0, None], "k_p_values": [0.0],
                            "base_gauss_curvature": 0.0, "volume_t_product_spread": 0.0}}
     row = next(c for c in CRITERIA if c.number == 5).check([summary])
-    assert row["status"] == "FAIL" and row["detail"] == "key 'k_h_values' is not a number"
+    assert row["status"] == "FAIL"
+    assert row["detail"] == "key 'k_h_values' is not a list of numbers"
 
 
 def test_part_of_the_evidence_fails_but_never_passes():
@@ -252,3 +267,104 @@ def test_criterion_11_reads_typed_values(where, key, value, kind):
     for summaries in ([bad], [good, bad], [bad, good]):
         row = _CRITERION_11.check(summaries)
         assert row["status"] == "FAIL" and row["detail"] == f"key {key!r} is not {kind}", row
+
+
+def _doctored(summaries: dict, edits) -> dict:
+    """The summaries with each (stem, path, value) of ``edits`` put in place:
+    ``value`` at ``path`` (keys and list indices) of summary ``stem``."""
+    doctored = dict(summaries)
+    for stem, path, value in edits:
+        doctored[stem] = target = copy.deepcopy(doctored[stem])
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doctored
+
+
+def _paths(value, path=()):
+    """The path of every value nested in ``value``, taking the first 3
+    items of each list."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value[:3])
+    else:
+        items = ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+# a JSON value of each kind, and numbers that are not finite or too large for a float
+_ODD_VALUES = [None, True, "x", [], {}, math.nan, math.inf, 0, 10**400]
+
+
+def test_no_doctored_value_makes_a_criterion_raise(summaries):
+    """One odd value at a time, at every path of the declared runs'
+    summaries: every criterion returns a row.  Before one typed reader read
+    every value, 12 of the 13 criteria raised on some of these, and
+    ``report`` exited 1 on a traceback without writing ``report.json``."""
+    checks = 0
+    for stem, summary in summaries.items():
+        for path in _paths(summary):
+            for value in _ODD_VALUES:
+                rows = evaluate(list(_doctored(summaries, [(stem, path, value)]).values()))
+                assert [row["criterion"] for row in rows] == list(range(1, 14))
+                assert all(row["status"] in ("PASS", "FAIL", "SKIPPED") for row in rows)
+                checks += len(rows)
+    assert checks > 30_000
+
+
+_OBJECT = "key 'parameters' is not an object"
+
+# name -> (criterion, edits, the FAIL's detail); each PASSed or raised before
+_REPRODUCERS = {
+    # false == 0 and true > 0 read the pair as a Ricci run and a scalar run
+    "blowups false and true": (6, [("glue_trivial_k1_l0", ("results", "blowups"), False),
+                                   ("glue_trivial_k1_l2", ("results", "blowups"), True)],
+                               "key 'blowups' is not an integer"),
+    "blowups Infinity": (6, [("glue_trivial_k1_l2", ("results", "blowups"), math.inf)],
+                         "key 'blowups' is not an integer"),
+    # AttributeError on None.get
+    "parameters null, 1": (1, [("eguchi-hanson_a1", ("config", "parameters"), None)], _OBJECT),
+    "parameters null, 2": (2, [("burns", ("config", "parameters"), None)], _OBJECT),
+    "parameters null, 11": (11, [("charclass", ("config", "parameters"), None)], _OBJECT),
+    "parameters null, 12": (12, [("classify", ("config", "parameters"), None)], _OBJECT),
+    # IndexError
+    "no rows": (6, [("glue_trivial_k1_l0", ("results", "rows"), [])],
+                "key 'rows' is not a non-empty list of objects"),
+    # ZeroDivisionError
+    "first volume 0": (6, [("glue_trivial_k1_l0", ("results", "rows", 0, "total_volume"), 0)],
+                       "l=0 total_volume ratio inf"),
+    # OverflowError: a 400-digit JSON integer has no float value
+    "sup_ricci 10**400": (1, [("eguchi-hanson_a2", ("results", "sup_ricci"), 10**400)],
+                          "key 'sup_ricci' is not a number"),
+    "deficit 10**400": (4, [("decay_burns_d0.5", ("results", "deficit_vs_closed_form_rel"),
+                             10**400)], "key 'deficit_vs_closed_form_rel' is not a number"),
+    "total_volume 10**400": (6, [("glue_trivial_k1_l0",
+                                  ("results", "rows", 3, "total_volume"), 10**400)],
+                             "key 'total_volume' is not a number"),
+    "fiber_sums 10**400": (11, [("charclass", ("config", "parameters", "fiber_sums"), 10**400)],
+                           "key 'fiber_sums' is not an integer"),
+    "aubin bound 10**400": (13, [("yamabe_n32", ("results", "aubin_bounds", "3"), 10**400)],
+                            "key '3' is not a number"),
+    # inf > 1e-3 PASSed
+    "Ricci at r = 2 Infinity": (2, [("burns", ("results", "sup_ricci_at_r2"), math.inf)],
+                                "key 'sup_ricci_at_r2' is not a number"),
+}
+
+
+@pytest.mark.parametrize("name", _REPRODUCERS)
+def test_a_doctored_summary_fails_its_criterion_in_report(summaries, tmp_path, capsys, name):
+    """Each reproducer FAILs its criterion with a detail that names the key,
+    and ``report`` exits 1 with ``report.json`` written.  A JSON file that
+    is not an object is no summary, and ``report`` skips it."""
+    number, edits, detail = _REPRODUCERS[name]
+    for stem, summary in _doctored(summaries, edits).items():
+        (tmp_path / f"{stem}.json").write_text(json.dumps(summary))
+    (tmp_path / "list.json").write_text('["config", "results"]')
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ""
+    rows = json.loads((tmp_path / "report.json").read_text())["criteria"]
+    row = rows[number - 1]
+    assert (row["status"], row["detail"]) == ("FAIL", detail), format_row(row)

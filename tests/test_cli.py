@@ -291,6 +291,58 @@ def test_collapse_and_glue_runs_are_right_or_exit_2(tmp_path, experiment, bundle
             assert row["sup_scalar"] == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiment=st.sampled_from(["charclass", "yamabe"]),
+       fiber_sums=st.integers(0, 3),
+       blowups=st.integers(0, 3),
+       t=st.lists(st.one_of(_log_uniform(1.0, 1e6), _log_uniform(1.0, 1e300)),
+                  min_size=1, max_size=6),
+       n=st.integers(8, 12),
+       amplitude=st.floats(-1.5, 1.5),
+       max_iters=st.integers(0, 50),
+       tolerance=st.sampled_from([0.0, 1e-12, 1e-6, 0.1]),
+       edge=st.sampled_from([None] * 6 + [math.nan, math.inf, 0.5]),
+       edge_at=st.integers(0, 5))
+def test_charclass_and_yamabe_runs_are_right_or_exit_2(tmp_path, experiment, fiber_sums,
+                                                       blowups, t, n, amplitude, max_iters,
+                                                       tolerance, edge, edge_at):
+    """Every ``charclass`` and ``yamabe`` run exits 0 or 2.  ``charclass``
+    draws fiber_sums and blowups in 0-3 and 1-6 values of t, each
+    log-uniform over [1, 1e6] or over [1, 1e300]; ``yamabe`` draws n in
+    8-12, the amplitude in [-1.5, 1.5], max_iters in 0-50 and the tolerance
+    from {0, 1e-12, 1e-6, 0.1}.  In a third of the runs NaN, inf or 0.5
+    replaces a t value or the amplitude.  A run that exits 0 writes a
+    finite summary: ``charclass`` recovers tau = -8 fiber_sums - blowups
+    to criterion 11's 1e-8, and ``yamabe`` meets criterion 8's 1e-12 on
+    both equality deviations.  One that exits 2 writes nothing."""
+    if edge is not None and experiment == "charclass":
+        t[edge_at % len(t)] = edge
+    elif edge is not None:
+        amplitude = edge
+    out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    if experiment == "charclass":
+        params = [f"fiber_sums={fiber_sums}", f"blowups={blowups}", f"t={json.dumps(t)}"]
+    else:
+        params = [f"n={n}", f"amplitude={json.dumps(amplitude)}", f"max_iters={max_iters}",
+                  f"tolerance={tolerance!r}"]
+    argv = [experiment, "--out", str(out), *params]
+    code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert not out.exists()
+        return
+    (path,) = [p for p in out.glob("*.json") if not p.name.endswith(".meta.json")]
+    summary = json.loads(path.read_text())
+    assert _finite(summary), argv
+    results = summary["results"]
+    if experiment == "charclass":
+        assert abs(results["tau_estimate"] + 8 * fiber_sums + blowups) < 1e-8, argv
+    else:
+        assert results["holder_equality_deviation"] <= 1e-12, argv
+        assert results["negative_case_edge_deviation"] <= 1e-12, argv
+
+
 def test_decay_has_no_samples_key(tmp_path, capsys):
     """The sweep reads the cap certificates, so it samples nothing."""
     assert main(["decay", "--out", str(tmp_path), "samples=120"]) == 2

@@ -67,12 +67,41 @@ MUTANTS.update({
         "np.polyfit(logs[:, 1], logs[:, 0], 1)", 3),
 })
 
+# one slip each in the values that criteria 4-6 and 10-13 read
+MUTANTS.update({
+    "cap flat volume over 4.000001": (
+        "cutoff.py", "flat_part = family.link_volume * R**4 / 4.0",
+        "flat_part = family.link_volume * R**4 / 4.000001", 4),
+    "collapse volume over t^2": (
+        "submersion.py", "self.bundle.fiber_area / self.t",
+        "self.bundle.fiber_area / self.t**2", 5),
+    "Eguchi-Hanson core Ricci bound 0": (
+        "cutoff.py", "core_ricci = 2.0 / bolt2 if bolt2 else math.inf", "core_ricci = 0.0", 6),
+    "restricted density s^2 / 12": ("charclass.py", "s2 / 24.0", "s2 / 12.0", 10),
+    "signature from W- minus W+": (
+        "charclass.py", "(wp - wm) / (12.0 * math.pi**2)", "(wm - wp) / (12.0 * math.pi**2)", 11),
+    "general-type Yamabe value without the 2": (
+        "surfaces.py", "math.sqrt(2.0 * surface.c1sq_min)", "math.sqrt(surface.c1sq_min)", 12),
+    "Aubin bound volume exponent 1/n": (
+        "conformal.py", "v_n ** (2.0 / n)", "v_n ** (1.0 / n)", 13),
+})
+
+_DECAY = [["decay", "base=eguchi-hanson"], ["decay", "base=burns"]]
+_YAMABE = [["yamabe", "n=8", "max_iters=0"]]
+
 # the experiment runs whose summaries each criterion reads
 RUNS = {
     1: [["curvature", "preset=eguchi-hanson", "samples=50"]],
     2: [["curvature", "preset=burns", "samples=50"]],
-    3: [["decay", "base=eguchi-hanson"], ["decay", "base=burns"]],
-    8: [["yamabe", "n=8", "max_iters=0"]],
+    3: _DECAY,
+    4: _DECAY,
+    5: [["collapse", "bundle=trivial"], ["collapse", "bundle=nilmanifold"]],
+    6: [["glue", "blowups=0"], ["glue", "blowups=2"]],
+    8: _YAMABE,
+    10: [["charclass"]],
+    11: [["charclass"]],
+    12: [["classify"]],
+    13: _YAMABE,
 }
 
 _SCRIPT = """
